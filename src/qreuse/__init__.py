@@ -16,7 +16,6 @@ from .ir import (
     Measure,
     Reset,
     depth,
-    forward_cone,
     is_bitflip,
     is_diagonal,
     two_qubit_gate_count,
@@ -43,7 +42,6 @@ __all__ = [
     "Measure",
     "Reset",
     "depth",
-    "forward_cone",
     "is_bitflip",
     "is_diagonal",
     "two_qubit_gate_count",

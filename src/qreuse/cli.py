@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -183,9 +182,8 @@ def _bench_instances(family, sizes, strategies, depths, seeds, theta):
 @click.option("--seeds", default="1,2,3,4,5", show_default=True)
 @click.option("--theta", type=float, default=2 * math.pi * 3 / 8, show_default=True)
 @click.option("--modes", default="proposed,baseline", show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--out-dir", default="bench-out", show_default=True)
-def bench_cmd(family, sizes, strategies, shapes, seeds, theta, modes, jobs, out_dir):
+def bench_cmd(family, sizes, strategies, shapes, seeds, theta, modes, out_dir):
     """Sweep a benchmark family and write per-instance and aggregate reports."""
     size_list = [int(s) for s in sizes.split(",") if s]
     strategy_list = [s for s in strategies.split(",") if s]
@@ -198,18 +196,12 @@ def bench_cmd(family, sizes, strategies, shapes, seeds, theta, modes, jobs, out_
             sys.exit(EXIT_PARSE)
     instances = _bench_instances(family, size_list, strategy_list, shape_list, seed_list, theta)
 
-    def one(task):
-        name, make, mode = task
+    docs = []
+    for name, make in instances:
         circuit = make()
-        _, rep = pipeline.optimize(circuit, mode=mode)
-        return report_document(name, mode, rep)
-
-    tasks = [(name, make, mode) for name, make in instances for mode in mode_list]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            docs = list(pool.map(one, tasks))
-    else:
-        docs = [one(t) for t in tasks]
+        for mode in mode_list:
+            _, rep = pipeline.optimize(circuit, mode=mode)
+            docs.append(report_document(name, mode, rep))
 
     out = Path(out_dir)
     try:

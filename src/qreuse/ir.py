@@ -9,7 +9,6 @@ fix-ups. Circuits are immutable values; rewrite passes return new circuits.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 __all__ = [
@@ -22,7 +21,7 @@ __all__ = [
     "Instruction",
     "Circuit",
     "CircuitBuilder",
-    "ConeResult",
+    "Dependencies",
     "H_KIND",
     "X_KIND",
     "Y_KIND",
@@ -34,7 +33,6 @@ __all__ = [
     "rz_kind",
     "opaque_kind",
     "validate",
-    "forward_cone",
     "depth",
     "two_qubit_gate_count",
     "is_diagonal",
@@ -281,59 +279,89 @@ def is_bitflip(instr: Instruction) -> bool:
     return isinstance(instr, Gate) and instr.kind.name == "x" and not instr.controls
 
 
-@dataclass(frozen=True, slots=True)
-class ConeResult:
-    instructions: frozenset[int]
-    qubits: frozenset[int]
-    measured_bits: frozenset[int]
-    # measured_bits plus toggle targets; the full set of bits the cone writes
-    written_bits: frozenset[int]
+class Dependencies:
+    """Per-circuit dependency index shared by the passes.
 
-
-def forward_cone(circuit: Circuit, start: int) -> ConeResult:
-    """Forward reachability from instruction ``start``.
-
-    Propagation follows qubit wires (two-qubit gates fan out to both wires)
-    and stops at a Reset, whose output no longer depends on anything earlier.
-    A reached Measure or ClassicalToggle additionally reaches every later
-    instruction that reads the bit it writes.
+    Computes each instruction's qubits, read bits and written bit once, plus
+    each wire's instruction positions in circuit order.
     """
-    instrs = circuit.instructions
-    if not 0 <= start < len(instrs):
-        raise IndexError(f"instruction position {start} out of range")
-    wires = wire_positions(instrs, circuit.n_qubits)
-    next_on_wire: dict[tuple[int, int], int] = {}
-    for q, positions in enumerate(wires):
-        for a, b in zip(positions, positions[1:]):
-            next_on_wire[(a, q)] = b
-    readers: dict[int, list[int]] = {}
-    for i, instr in enumerate(instrs):
-        for b in read_bits(instr):
-            readers.setdefault(b, []).append(i)
 
-    seen: set[int] = set()
-    queue: deque[int] = deque([start])
-    while queue:
-        i = queue.popleft()
-        if i in seen:
-            continue
-        seen.add(i)
-        for q in instruction_qubits(instrs[i]):
-            j = next_on_wire.get((i, q))
-            if j is not None and not isinstance(instrs[j], Reset):
-                queue.append(j)
-        b = written_bit(instrs[i])
-        if b is not None:
-            for j in readers.get(b, ()):
-                if j > i:
-                    queue.append(j)
+    def __init__(self, circuit: Circuit):
+        self.circuit = circuit
+        instrs = circuit.instructions
+        self.qubits = [instruction_qubits(i) for i in instrs]
+        self.reads = [read_bits(i) for i in instrs]
+        self.writes = [written_bit(i) for i in instrs]
+        self.is_reset = [isinstance(i, Reset) for i in instrs]
+        self.wires: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
+        for i, qubits in enumerate(self.qubits):
+            for q in qubits:
+                self.wires[q].append(i)
 
-    qubits = frozenset(q for i in seen for q in instruction_qubits(instrs[i]))
-    measured = frozenset(instrs[i].bit for i in seen if isinstance(instrs[i], Measure))
-    written = measured | frozenset(
-        instrs[i].target for i in seen if isinstance(instrs[i], ClassicalToggle)
-    )
-    return ConeResult(frozenset(seen), qubits, measured, written)
+    def forward_reach(self) -> tuple[list[int], list[int]]:
+        """Per instruction, bitmasks of the qubits its forward cone touches and
+        of the bits that cone writes.
+
+        The cone follows qubit wires (two-qubit gates fan out to both wires)
+        and stops before a Reset, whose output no longer depends on anything
+        earlier. A written bit reaches every later instruction that reads it.
+        One backward pass: each wire carries the reach of its next
+        instruction, each bit a running OR of its later readers' reach.
+        """
+        n = len(self.qubits)
+        qubit_reach = [0] * n
+        bit_reach = [0] * n
+        wire_qubits = [0] * self.circuit.n_qubits
+        wire_bits = [0] * self.circuit.n_qubits
+        reader_qubits = [0] * self.circuit.n_clbits
+        reader_bits = [0] * self.circuit.n_clbits
+        qubits_of, reads_of, writes_of, is_reset = self.qubits, self.reads, self.writes, self.is_reset
+        for i in range(n - 1, -1, -1):
+            qubits = qubits_of[i]
+            qm = bm = 0
+            for q in qubits:
+                qm |= (1 << q) | wire_qubits[q]
+                bm |= wire_bits[q]
+            b = writes_of[i]
+            if b is not None:
+                qm |= reader_qubits[b]
+                bm |= (1 << b) | reader_bits[b]
+            qubit_reach[i] = qm
+            bit_reach[i] = bm
+            for b in reads_of[i]:
+                reader_qubits[b] |= qm
+                reader_bits[b] |= bm
+            if is_reset[i]:
+                qm = bm = 0
+            for q in qubits:
+                wire_qubits[q] = qm
+                wire_bits[q] = bm
+        return qubit_reach, bit_reach
+
+    def successors(self) -> list[list[int]]:
+        """Scheduling edges: each wire's chain, running through resets, and
+        the order of conflicting accesses to every classical bit (a read
+        follows the last write, a write follows the last write and every read
+        since it)."""
+        succ: list[list[int]] = [[] for _ in self.qubits]
+        for positions in self.wires:
+            for a, b in zip(positions, positions[1:]):
+                succ[a].append(b)
+        last_write: dict[int, int] = {}
+        reads_since: dict[int, list[int]] = {}
+        for i, w in enumerate(self.writes):
+            for b in self.reads[i]:
+                if b != w:
+                    if b in last_write:
+                        succ[last_write[b]].append(i)
+                    reads_since.setdefault(b, []).append(i)
+            if w is not None:
+                if w in last_write:
+                    succ[last_write[w]].append(i)
+                for r in reads_since.pop(w, ()):
+                    succ[r].append(i)
+                last_write[w] = i
+        return succ
 
 
 def depth(circuit: Circuit) -> int:

@@ -26,34 +26,17 @@ class PassReport:
     wall_time: float = 0.0
 
 
-def optimize(
-    circuit: Circuit,
-    mode: str = "proposed",
-    outer_fixpoint: bool = False,
-) -> tuple[Circuit, PassReport]:
-    """Run the full pipeline (``proposed``) or reuse alone (``baseline``).
-
-    ``outer_fixpoint`` re-enters the rewrite stage after reuse until the
-    qubit count stops shrinking; none of the stock benchmark families need
-    it, so it is off by default.
-    """
+def optimize(circuit: Circuit, mode: str = "proposed") -> tuple[Circuit, PassReport]:
+    """Run the full pipeline (``proposed``) or reuse alone (``baseline``)."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     start = time.perf_counter()
     n0, d0, g0 = circuit.n_qubits, depth(circuit), two_qubit_gate_count(circuit)
     rule_counts: dict[str, int] = {}
     result = circuit
-    merges = 0
-    while True:
-        if mode == "proposed":
-            result, counts = transform.run(result)
-            for key, value in counts.items():
-                rule_counts[key] = rule_counts.get(key, 0) + value
-        before = result.n_qubits
-        result, merged = reuse.run(result)
-        merges += merged
-        if not (outer_fixpoint and mode == "proposed" and result.n_qubits < before):
-            break
+    if mode == "proposed":
+        result, rule_counts = transform.run(result)
+    result, merges = reuse.run(result)
     report = PassReport(
         n_original=n0,
         n_reused=result.n_qubits,

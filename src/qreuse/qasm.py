@@ -18,6 +18,7 @@ circuits produce byte-identical text.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .ir import (
@@ -100,6 +101,13 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
+def _angle(text: str, line: int) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise QasmSemanticError(f"angle {text} is not finite", line)
+    return value
+
+
 def _parse_literals(text: str, line: int) -> tuple[tuple[int, bool], ...]:
     parts = [p.strip() for p in text.split("&")]
     literals = []
@@ -114,7 +122,7 @@ def _parse_literals(text: str, line: int) -> tuple[tuple[int, bool], ...]:
 def _parse_gate_statement(stmt: str, line: int, matrices: dict[str, GateKind]):
     m = _RE_PARAM.match(stmt)
     if m:
-        name, angle, q = m.group(1), float(m.group(2)), int(m.group(3))
+        name, angle, q = m.group(1), _angle(m.group(2), line), int(m.group(3))
         return Gate(GateKind(name, angle=angle), (q,), (), Condition(), source_line=line)
     m = _RE_TWOQ.match(stmt)
     if m:
@@ -123,7 +131,7 @@ def _parse_gate_statement(stmt: str, line: int, matrices: dict[str, GateKind]):
         return Gate(kind, (t,), ((c, True),), Condition(), source_line=line)
     m = _RE_CP.match(stmt)
     if m:
-        angle, c, t = float(m.group(1)), int(m.group(2)), int(m.group(3))
+        angle, c, t = _angle(m.group(1), line), int(m.group(2)), int(m.group(3))
         return Gate(GateKind("p", angle=angle), (t,), ((c, True),), Condition(), source_line=line)
     m = _RE_FIXED.match(stmt)
     if m:
@@ -179,12 +187,16 @@ def parse(text: str) -> Circuit:
             if m:
                 if m.group(2) != "q":
                     raise QasmSemanticError("the qubit register must be named q", lineno, col)
+                if n_qubits is not None:
+                    raise QasmSemanticError("the qubit register is declared twice", lineno, col)
                 n_qubits = int(m.group(1))
                 continue
             m = _RE_BIT_DECL.match(stmt)
             if m:
                 if m.group(2) != "c":
                     raise QasmSemanticError("the bit register must be named c", lineno, col)
+                if n_clbits is not None:
+                    raise QasmSemanticError("the bit register is declared twice", lineno, col)
                 n_clbits = int(m.group(1))
                 continue
             m = _RE_MEASURE.match(stmt)
@@ -213,7 +225,8 @@ def parse(text: str) -> Circuit:
             if m:
                 cond_text, inner = m.group(1).strip(), m.group(2).strip()
                 literals = () if cond_text == "true" else _parse_literals(cond_text, lineno)
-                gate = _parse_gate_statement(inner, lineno, matrices)
+                # A reset would otherwise read as a malformed one-qubit gate.
+                gate = None if _RE_RESET.match(inner) else _parse_gate_statement(inner, lineno, matrices)
                 if gate is None:
                     raise QasmUnsupportedError(
                         f"only gate statements may be conditioned, got {inner!r}", lineno, col

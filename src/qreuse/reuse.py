@@ -6,162 +6,91 @@ the forward reach of ``q``'s wire must not touch ``q_prime``, and no
 instruction on ``q_prime`` may read or write a classical bit that ``q``'s
 reach produces. The merge appends ``q``'s instructions after a fresh reset of
 ``q_prime`` and reschedules the rest topologically, keeping the original
-order wherever dependencies allow.
+order wherever dependencies allow. That schedule exists unless ``q``'s first
+instruction already precedes some instruction of ``q_prime``, so each round
+rejects cycling pairs with one mask test and schedules only the merge it
+makes.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .ir import (
-    Circuit,
-    Gate,
-    Instruction,
-    Measure,
-    Reset,
-    instruction_qubits,
-    read_bits,
-    written_bit,
-)
+from .ir import Circuit, Dependencies, Gate, Instruction, Measure, Reset
 
-__all__ = ["ReuseCandidate", "CandidateStaleError", "find_candidate", "apply_reuse", "run"]
-
-
-@dataclass(frozen=True, slots=True)
-class ReuseCandidate:
-    q: int
-    q_prime: int
-
-
-class CandidateStaleError(ValueError):
-    """The candidate's independence no longer holds for this circuit."""
+__all__ = ["run"]
 
 
 class _Analysis:
-    """Shared per-circuit data for one search round."""
+    """Per-wire masks and scheduling edges for one search round."""
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        instrs = circuit.instructions
-        self.instrs = instrs
-        n = len(instrs)
-        self.qubits = [instruction_qubits(i) for i in instrs]
-        self.reads = [read_bits(i) for i in instrs]
-        self.writes = [written_bit(i) for i in instrs]
-        self.is_reset = [isinstance(i, Reset) for i in instrs]
+        deps = Dependencies(circuit)
+        self.deps = deps
+        qubit_reach, bit_reach = deps.forward_reach()
+        self.successors = successors = deps.successors()
 
-        wires: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
-        next_on_wire: list[dict[int, int]] = [dict() for _ in range(n)]
-        readers: dict[int, list[int]] = {}
-        last: dict[int, int] = {}
+        # Wires each instruction precedes in the schedule order.
+        n = len(deps.qubits)
+        precedes = [0] * n
         for i in range(n - 1, -1, -1):
-            for q in self.qubits[i]:
-                j = last.get(q)
-                if j is not None:
-                    next_on_wire[i][q] = j
-                last[q] = i
-            for b in self.reads[i]:
-                readers.setdefault(b, []).append(i)
-        for i in range(n):
-            for q in self.qubits[i]:
-                wires[q].append(i)
-        self.wires = wires
+            m = 0
+            for q in deps.qubits[i]:
+                m |= 1 << q
+            for j in successors[i]:
+                m |= precedes[j]
+            precedes[i] = m
 
-        # Forward-reach masks per instruction: qubits touched downstream and
-        # classical bits written downstream. Wire propagation stops at resets;
-        # a written bit reaches all of its later readers.
-        qubit_mask = [0] * n
-        bit_mask = [0] * n
-        for i in range(n - 1, -1, -1):
-            qm = 0
-            for q in self.qubits[i]:
-                qm |= 1 << q
-            bm = 0
-            b = self.writes[i]
-            if b is not None:
-                bm |= 1 << b
-                for j in readers.get(b, ()):
-                    if j > i:
-                        qm |= qubit_mask[j]
-                        bm |= bit_mask[j]
-            for q, j in next_on_wire[i].items():
-                if not self.is_reset[j]:
-                    qm |= qubit_mask[j]
-                    bm |= bit_mask[j]
-            qubit_mask[i] = qm
-            bit_mask[i] = bm
-
-        nq = circuit.n_qubits
-        self.reach_qubits = [0] * nq
-        self.reach_bits = [0] * nq
-        self.wire_reads = [0] * nq
-        self.wire_writes = [0] * nq
-        for q, positions in enumerate(wires):
+        # Per wire: the reach of its instructions, the bits they access, and
+        # the wires its first instruction precedes. Merging q after q' cycles
+        # exactly when that first instruction precedes an instruction on q'.
+        self.reach_qubits = []
+        self.reach_bits = []
+        self.wire_bits = []
+        self.blocked = []
+        for positions in deps.wires:
+            qm = bm = accessed = 0
             for i in positions:
-                self.reach_qubits[q] |= qubit_mask[i]
-                self.reach_bits[q] |= bit_mask[i]
-                for b in self.reads[i]:
-                    self.wire_reads[q] |= 1 << b
-                b = self.writes[i]
+                qm |= qubit_reach[i]
+                bm |= bit_reach[i]
+                for b in deps.reads[i]:
+                    accessed |= 1 << b
+                b = deps.writes[i]
                 if b is not None:
-                    self.wire_writes[q] |= 1 << b
+                    accessed |= 1 << b
+            self.reach_qubits.append(qm)
+            self.reach_bits.append(bm)
+            self.wire_bits.append(accessed)
+            self.blocked.append(precedes[positions[0]] if positions else 0)
 
     def independent(self, q: int, q_prime: int) -> bool:
-        if (self.reach_qubits[q] >> q_prime) & 1:
+        if self.reach_qubits[q] >> q_prime & 1:
             return False
-        return not ((self.wire_reads[q_prime] | self.wire_writes[q_prime]) & self.reach_bits[q])
+        return not self.wire_bits[q_prime] & self.reach_bits[q]
 
-    def merge_order(self, cand: ReuseCandidate) -> list[Instruction] | None:
-        """Schedule of the merged circuit, or None when dependencies cycle.
+    def cycles(self, q: int, q_prime: int) -> bool:
+        return bool(self.blocked[q] >> q_prime & 1)
 
-        Stable Kahn's algorithm: per-wire chains (with the merged wire running
-        host, reset, then mover) plus classical-bit conflict edges; ties broken
-        by original position so untouched instructions keep their order.
+    def merge(self, q: int, q_prime: int) -> list[Instruction]:
+        """Schedule of the circuit with ``q`` moved onto ``q_prime``.
+
+        Stable Kahn's algorithm over the round's edges plus the merged wire's
+        host, reset, mover chain; ties broken by original position so
+        untouched instructions keep their order.
         """
-        instrs = self.instrs
+        instrs = self.circuit.instructions
         n = len(instrs)
         reset_node = n
-        host = self.wires[cand.q_prime]
-        merged_chain = host + [reset_node] + self.wires[cand.q]
-
-        adjacency: list[list[int]] = [[] for _ in range(n + 1)]
+        host = self.deps.wires[q_prime]
+        succ = self.successors + [self.deps.wires[q][:1]]
+        if host:
+            succ[host[-1]] = succ[host[-1]] + [reset_node]
         indegree = [0] * (n + 1)
-
-        def add_edge(a: int, b: int) -> None:
-            adjacency[a].append(b)
-            indegree[b] += 1
-
-        for q, positions in enumerate(self.wires):
-            if q in (cand.q, cand.q_prime):
-                continue
-            for a, b in zip(positions, positions[1:]):
-                add_edge(a, b)
-        for a, b in zip(merged_chain, merged_chain[1:]):
-            add_edge(a, b)
-
-        # Conflicting classical accesses keep their original order.
-        accesses: dict[int, list[int]] = {}
-        for i in range(n):
-            for b in self.reads[i]:
-                accesses.setdefault(b, []).append(i)
-            if self.writes[i] is not None:
-                accesses.setdefault(self.writes[i], []).append(i)
-        for b, chain in accesses.items():
-            last_write: int | None = None
-            reads_since: list[int] = []
-            for i in sorted(set(chain)):
-                if self.writes[i] == b:
-                    if last_write is not None:
-                        add_edge(last_write, i)
-                    for r in reads_since:
-                        add_edge(r, i)
-                    last_write = i
-                    reads_since = []
-                else:
-                    if last_write is not None:
-                        add_edge(last_write, i)
-                    reads_since.append(i)
+        for outs in succ:
+            for j in outs:
+                indegree[j] += 1
 
         reset_key = (host[-1] + 0.5) if host else -0.5
         sort_key = list(range(n)) + [reset_key]
@@ -172,14 +101,12 @@ class _Analysis:
             key = heapq.heappop(ready)
             node = reset_node if key == reset_key else key
             order.append(node)
-            for nxt in adjacency[node]:
+            for nxt in succ[node]:
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
                     heapq.heappush(ready, sort_key[nxt])
         if len(order) != n + 1:
-            return None
-
-        q, q_prime = cand.q, cand.q_prime
+            raise RuntimeError(f"merging wire {q} onto {q_prime} cycles; the mask test missed it")
 
         def remap(w: int) -> int:
             if w == q:
@@ -192,7 +119,7 @@ class _Analysis:
                 out.append(Reset(remap(q_prime)))
                 continue
             instr = instrs[node]
-            if not self.qubits[node]:
+            if not self.deps.qubits[node]:
                 out.append(instr)
             elif isinstance(instr, Gate):
                 out.append(
@@ -210,46 +137,27 @@ class _Analysis:
         return out
 
 
-def _search(analysis: _Analysis) -> tuple[ReuseCandidate, list[Instruction]] | None:
+def _search(analysis: _Analysis) -> tuple[int, int] | None:
     """First-fit reusable pair: lowest host wire first, then lowest mover."""
     n = analysis.circuit.n_qubits
     for q_prime in range(n):
         for q in range(n):
             if q == q_prime or not analysis.independent(q, q_prime):
                 continue
-            cand = ReuseCandidate(q, q_prime)
-            merged = analysis.merge_order(cand)
-            if merged is not None:
-                return cand, merged
+            if not analysis.cycles(q, q_prime):
+                return q, q_prime
     return None
-
-
-def find_candidate(circuit: Circuit) -> ReuseCandidate | None:
-    found = _search(_Analysis(circuit))
-    return found[0] if found else None
-
-
-def apply_reuse(circuit: Circuit, cand: ReuseCandidate) -> Circuit:
-    n = circuit.n_qubits
-    if not (0 <= cand.q < n and 0 <= cand.q_prime < n) or cand.q == cand.q_prime:
-        raise CandidateStaleError(f"candidate {cand} does not fit a {n}-qubit circuit")
-    analysis = _Analysis(circuit)
-    if not analysis.independent(cand.q, cand.q_prime):
-        raise CandidateStaleError(f"{cand}: wires are no longer independent")
-    merged = analysis.merge_order(cand)
-    if merged is None:
-        raise CandidateStaleError(f"{cand}: merged schedule has a dependency cycle")
-    return replace(circuit, n_qubits=n - 1, instructions=tuple(merged))
 
 
 def run(circuit: Circuit) -> tuple[Circuit, int]:
     """Repeat find-and-merge until no pair qualifies."""
     merges = 0
     while circuit.n_qubits > 1:
-        found = _search(_Analysis(circuit))
+        analysis = _Analysis(circuit)
+        found = _search(analysis)
         if found is None:
             break
-        cand, merged = found
+        merged = analysis.merge(*found)
         circuit = replace(circuit, n_qubits=circuit.n_qubits - 1, instructions=tuple(merged))
         merges += 1
     return circuit, merges

@@ -20,10 +20,10 @@ from __future__ import annotations
 from .ir import (
     Circuit,
     Condition,
+    Dependencies,
     Gate,
     Instruction,
     Measure,
-    Reset,
     instruction_qubits,
     written_bit,
 )
@@ -40,35 +40,17 @@ __all__ = [
 def eliminate_dead_gates(circuit: Circuit) -> tuple[Circuit, int]:
     """Delete every gate whose forward cone contains no measurement.
 
-    Computed as a single backward liveness pass, which is equivalent to
-    iterating cone checks to a fixpoint. Measurements, resets, and toggles
-    always stay.
+    A gate's cone writes a bit exactly when it reaches a measurement, so one
+    backward reach pass decides every gate at once. Measurements, resets, and
+    toggles always stay.
     """
-    instrs = circuit.instructions
-    n = len(instrs)
-    next_on_wire: dict[tuple[int, int], int] = {}
-    last_seen: dict[int, int] = {}
-    for i in range(n - 1, -1, -1):
-        for q in instruction_qubits(instrs[i]):
-            if q in last_seen:
-                next_on_wire[(i, q)] = last_seen[q]
-            last_seen[q] = i
-    reaches_measure = [False] * n
-    for i in range(n - 1, -1, -1):
-        if isinstance(instrs[i], Measure):
-            reaches_measure[i] = True
-            continue
-        for q in instruction_qubits(instrs[i]):
-            j = next_on_wire.get((i, q))
-            if j is not None and not isinstance(instrs[j], Reset) and reaches_measure[j]:
-                reaches_measure[i] = True
-                break
+    _, bit_reach = Dependencies(circuit).forward_reach()
     kept = [
         instr
-        for i, instr in enumerate(instrs)
-        if not isinstance(instr, Gate) or reaches_measure[i]
+        for instr, bits in zip(circuit.instructions, bit_reach)
+        if bits or not isinstance(instr, Gate)
     ]
-    return circuit.with_instructions(kept), n - len(kept)
+    return circuit.with_instructions(kept), len(bit_reach) - len(kept)
 
 
 def _conjoin(condition: Condition, bit: int, polarity: bool) -> Condition | None:

@@ -147,13 +147,13 @@ class TestBench:
             "vqe-full8": 1,
         }
 
-    def test_random_family_with_seeds_and_jobs(self, runner, tmp_path):
+    def test_random_family_with_seeds(self, runner, tmp_path):
         out = tmp_path / "rand"
         result = runner.invoke(
             main,
             [
                 "bench", "--family", "random", "--shapes", "10x2", "--seeds", "1,2",
-                "--modes", "proposed,baseline", "--jobs", "2", "--out-dir", str(out),
+                "--modes", "proposed,baseline", "--out-dir", str(out),
             ],
         )
         assert result.exit_code == 0, result.output

@@ -8,21 +8,24 @@ from qreuse.ir import (
     Circuit,
     CircuitBuilder,
     Condition,
+    Dependencies,
     Gate,
     GateKind,
     Measure,
     X_KIND,
+    Reset,
     depth,
-    forward_cone,
     instruction_qubits,
     is_bitflip,
     is_diagonal,
     opaque_kind,
+    read_bits,
     two_qubit_gate_count,
     validate,
+    written_bit,
 )
 
-from conftest import cx_pair, small_random
+from conftest import adversarial, cx_pair, small_random
 
 
 class TestValidate:
@@ -67,50 +70,84 @@ class TestValidate:
         assert any("own product" in e for e in errors)
 
 
+def cone_by_search(circuit, start):
+    """Qubit and bit masks of one instruction's forward cone, by graph search.
+
+    Follows each wire to its next instruction unless that is a reset, and
+    from a written bit to every later reader of it.
+    """
+    instrs = circuit.instructions
+    seen, stack = set(), [start]
+    while stack:
+        i = stack.pop()
+        if i in seen:
+            continue
+        seen.add(i)
+        for q in instruction_qubits(instrs[i]):
+            j = next((j for j in range(i + 1, len(instrs)) if q in instruction_qubits(instrs[j])), None)
+            if j is not None and not isinstance(instrs[j], Reset):
+                stack.append(j)
+        b = written_bit(instrs[i])
+        if b is not None:
+            stack.extend(j for j in range(i + 1, len(instrs)) if b in read_bits(instrs[j]))
+    qubits = bits = 0
+    for i in seen:
+        for q in instruction_qubits(instrs[i]):
+            qubits |= 1 << q
+        if written_bit(instrs[i]) is not None:
+            bits |= 1 << written_bit(instrs[i])
+    return qubits, bits
+
+
+def reach_of(circuit, position):
+    qubit_reach, bit_reach = Dependencies(circuit).forward_reach()
+    return qubit_reach[position], bit_reach[position]
+
+
 class TestForwardCone:
     def test_cx_pair_cone_covers_both_measurements(self):
-        c = cx_pair()
-        cone = forward_cone(c, 1)  # the CX
-        assert cone.instructions == frozenset({1, 2, 3})
-        assert cone.qubits == frozenset({0, 1})
-        assert cone.measured_bits == frozenset({0, 1})
+        assert reach_of(cx_pair(), 1) == (0b11, 0b11)  # the CX
 
     def test_final_measurement_cone_is_itself(self):
-        c = cx_pair()
-        cone = forward_cone(c, 3)
-        assert cone.instructions == frozenset({3})
+        assert reach_of(cx_pair(), 3) == (0b10, 0b10)
 
     def test_reset_blocks_propagation(self):
         # Hand-enumeration: [h, reset, measure] on one wire; the gate's cone
         # reaches nothing past the reset.
         b = CircuitBuilder(1, 1)
         b.h(0).reset(0).measure(0, 0)
-        c = b.build()
-        cone = forward_cone(c, 0)
-        assert cone.instructions == frozenset({0})
-        assert cone.measured_bits == frozenset()
+        assert reach_of(b.build(), 0) == (0b1, 0)
 
     def test_classical_propagation_through_condition(self):
         b = CircuitBuilder(2, 2)
         b.h(0).measure(0, 0).x(1, condition=((0, True),)).measure(1, 1)
-        c = b.build()
-        cone = forward_cone(c, 0)
-        assert cone.instructions == frozenset({0, 1, 2, 3})
-        assert cone.qubits == frozenset({0, 1})
-
-    def test_out_of_range_position(self):
-        with pytest.raises(IndexError):
-            forward_cone(cx_pair(), 99)
+        assert reach_of(b.build(), 0) == (0b11, 0b11)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_monotone(self, seed):
+        # An instruction's reach contains the reach of every instruction its
+        # cone steps to next.
         c = small_random(seed)
-        start = seed % len(c.instructions)
-        cone = forward_cone(c, start)
-        later = [p for p in cone.instructions if p > start]
-        for p in later[:3]:
-            assert forward_cone(c, p).instructions <= cone.instructions
+        deps = Dependencies(c)
+        qubit_reach, bit_reach = deps.forward_reach()
+
+        def contains(i, j):
+            return not (qubit_reach[j] & ~qubit_reach[i] or bit_reach[j] & ~bit_reach[i])
+
+        for positions in deps.wires:
+            for i, j in zip(positions, positions[1:]):
+                assert deps.is_reset[j] or contains(i, j)
+        for i, b in enumerate(deps.writes):
+            if b is not None:
+                assert all(contains(i, j) for j in range(i + 1, len(deps.reads)) if b in deps.reads[j])
+
+    def test_matches_graph_search(self):
+        circuits = [gen(seed) for seed in range(0, 400, 7) for gen in (adversarial, small_random)]
+        for c in circuits:
+            qubit_reach, bit_reach = Dependencies(c).forward_reach()
+            for i in range(len(c.instructions)):
+                assert (qubit_reach[i], bit_reach[i]) == cone_by_search(c, i)
 
 
 class TestDepth:

@@ -1,13 +1,39 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qreuse import bench, oracle
 from qreuse.ir import Circuit, validate
-from qreuse.pipeline import optimize
+from qreuse.pipeline import MODES, optimize
+from qreuse.qasm import emit
 
 from conftest import adversarial, small_random
+
+
+GOLDEN = Path(__file__).parent / "golden" / "optimize"
+
+GOLDEN_INPUTS = {
+    "qpe8": lambda: bench.gen_qpe(8, 2 * math.pi * 3 / 8),
+    "qft8": lambda: bench.gen_qft(8),
+    "vqe-full6": lambda: bench.gen_vqe(6, "full"),
+    "random-n8-d4-s7": lambda: bench.gen_random(bench.RandomSpec(8, 4, 7)),
+    # adversarial seeds whose circuits contain resets and toggles
+    "adv13": lambda: adversarial(13),
+    "adv30": lambda: adversarial(30),
+}
+
+
+@pytest.mark.parametrize(
+    "name,mode",
+    [("qpe8", "proposed"), ("qft8", "proposed"), ("vqe-full6", "proposed")]
+    + [(name, mode) for name in ("random-n8-d4-s7", "adv13", "adv30") for mode in MODES],
+)
+def test_output_matches_golden(name, mode):
+    # Byte-for-byte: refactors of the passes must not change emitted text.
+    out, _ = optimize(GOLDEN_INPUTS[name](), mode)
+    assert emit(out) == (GOLDEN / f"{name}.{mode}.qasm").read_text(encoding="utf-8")
 
 
 def test_qpe4_proposed_and_baseline():
@@ -55,13 +81,6 @@ def test_reports_deterministic_modulo_wall_time():
     assert out1 == out2
     rep1.wall_time = rep2.wall_time = 0.0
     assert rep1 == rep2
-
-
-def test_outer_fixpoint_flag_no_worse():
-    c = bench.gen_random(bench.RandomSpec(8, 5, seed=4))
-    _, plain = optimize(c)
-    _, looped = optimize(c, outer_fixpoint=True)
-    assert looped.n_reused <= plain.n_reused
 
 
 def test_deep_random_instance_dominance():

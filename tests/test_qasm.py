@@ -113,6 +113,31 @@ class TestParse:
         with pytest.raises(QasmSemanticError):
             parse("h q[0];\n")
 
+    @pytest.mark.parametrize("stmt", ["p(1e999) q[0];", "cp(-1e400) q[0], q[1];"])
+    def test_non_finite_angle_rejected(self, stmt):
+        # An infinite angle would emit as "inf", which does not parse again.
+        with pytest.raises(QasmSemanticError) as err:
+            parse(f"qubit[2] q;\nbit[0] c;\n{stmt}\n")
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("qubit[1] q;\nqubit[3] q;\nbit[0] c;\n", 2),
+            ("qubit[1] q;\nbit[1] c;\nbit[2] c;\n", 3),
+        ],
+    )
+    def test_repeated_declaration_rejected(self, text, line):
+        with pytest.raises(QasmSemanticError, match="declared twice") as err:
+            parse(text)
+        assert err.value.line == line
+
+    def test_conditioned_reset_is_unsupported(self):
+        text = "qubit[1] q;\nbit[1] c;\nc[0] = measure q[0];\nif (c[0]) reset q[0];\n"
+        with pytest.raises(QasmUnsupportedError, match="only gate statements may be conditioned") as err:
+            parse(text)
+        assert err.value.line == 4
+
 
 class TestEmit:
     def test_reset_between_computations(self):

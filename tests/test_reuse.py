@@ -1,26 +1,24 @@
+import heapq
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreuse import bench, oracle, transform
+from qreuse import bench, oracle, reuse, transform
 from qreuse.ir import (
     CircuitBuilder,
     ClassicalToggle,
     Measure,
     Reset,
+    read_bits,
     two_qubit_gate_count,
     validate,
+    wire_positions,
+    written_bit,
 )
-from qreuse.reuse import (
-    CandidateStaleError,
-    ReuseCandidate,
-    apply_reuse,
-    find_candidate,
-    run,
-)
+from qreuse.reuse import run
 
-from conftest import cx_pair, small_random
+from conftest import adversarial, small_random
 
 
 def toggled_pair():
@@ -29,30 +27,93 @@ def toggled_pair():
     return b.build()
 
 
+def measured_bits(circuit):
+    return [i.bit for i in circuit.instructions if isinstance(i, Measure)]
+
+
+def reference_cycles(circuit, q, q_prime):
+    """Whether moving wire ``q`` after a reset of ``q_prime`` cycles.
+
+    Builds the whole merged dependency graph (wire chains with ``q_prime``,
+    a reset, then ``q`` as one chain, plus read/write order on every bit) and
+    runs Kahn's algorithm over it: the reference for the reuse pass's
+    per-wire cycle mask.
+    """
+    instrs = circuit.instructions
+    n = len(instrs)
+    wires = wire_positions(instrs, circuit.n_qubits)
+    adjacency = [[] for _ in range(n + 1)]
+    indegree = [0] * (n + 1)
+
+    def add_edge(a, b):
+        adjacency[a].append(b)
+        indegree[b] += 1
+
+    for w, positions in enumerate(wires):
+        if w not in (q, q_prime):
+            for a, b in zip(positions, positions[1:]):
+                add_edge(a, b)
+    merged = wires[q_prime] + [n] + wires[q]
+    for a, b in zip(merged, merged[1:]):
+        add_edge(a, b)
+    for bit in range(circuit.n_clbits):
+        last_write, reads_since = None, []
+        for i in range(n):
+            if written_bit(instrs[i]) == bit:
+                for r in reads_since + ([last_write] if last_write is not None else []):
+                    add_edge(r, i)
+                last_write, reads_since = i, []
+            elif bit in read_bits(instrs[i]):
+                if last_write is not None:
+                    add_edge(last_write, i)
+                reads_since.append(i)
+    ready = [i for i in range(n + 1) if indegree[i] == 0]
+    heapq.heapify(ready)
+    emitted = 0
+    while ready:
+        node = heapq.heappop(ready)
+        emitted += 1
+        for nxt in adjacency[node]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                heapq.heappush(ready, nxt)
+    return emitted != n + 1
+
+
 class TestFindCandidate:
     def test_toggled_pair_moves_second_onto_first(self):
-        assert find_candidate(toggled_pair()) == ReuseCandidate(q=1, q_prime=0)
+        out, merges = run(toggled_pair())
+        assert merges == 1
+        # q0's computation stays first; q1's follows the reset.
+        assert out.instructions[:3] == (toggled_pair().instructions[0], Measure(0, 0), Reset(0))
 
     def test_bell_pair_has_none(self, bell_measured):
-        assert find_candidate(bell_measured) is None
+        out, merges = run(bell_measured)
+        assert merges == 0 and out == bell_measured
 
     def test_parallel_wires(self):
+        # Lowest host first, then lowest mover: wires join in index order.
         b = CircuitBuilder(3, 3)
         for q in range(3):
             b.h(q).measure(q, q)
-        assert find_candidate(b.build()) == ReuseCandidate(q=1, q_prime=0)
+        out, merges = run(b.build())
+        assert merges == 2 and out.n_qubits == 1
+        assert measured_bits(out) == [0, 1, 2]
 
     def test_consumer_of_pending_bit_blocks_host(self):
         # q1's wire conditions on the bit q0's computation writes, so q0
         # cannot be appended after q1; the other direction works.
         b = CircuitBuilder(2, 2)
         b.h(0).measure(0, 0).p(0.3, 1, condition=((0, True),)).h(1).measure(1, 1)
-        assert find_candidate(b.build()) == ReuseCandidate(q=1, q_prime=0)
+        out, merges = run(b.build())
+        assert merges == 1
+        assert measured_bits(out) == [0, 1]
+        assert isinstance(out.instructions[2], Reset)
 
 
 class TestApplyReuse:
     def test_toggled_pair_merges_onto_one_wire(self):
-        out = apply_reuse(toggled_pair(), ReuseCandidate(1, 0))
+        out, _ = run(toggled_pair())
         assert out.n_qubits == 1
         kinds = [type(i).__name__ for i in out.instructions]
         assert kinds == ["Gate", "Measure", "Reset", "Measure", "ClassicalToggle"]
@@ -74,16 +135,27 @@ class TestApplyReuse:
         assert out.n_qubits == 1 and merges == 3
         assert sum(isinstance(i, Reset) for i in out.instructions) == 3
 
-    def test_stale_candidate_rejected(self):
-        cand = find_candidate(toggled_pair())
-        with pytest.raises(CandidateStaleError):
-            apply_reuse(cx_pair(), cand)  # entangled circuit, same shape
-
     def test_preserves_distribution(self):
         c = toggled_pair()
-        out = apply_reuse(c, ReuseCandidate(1, 0))
+        out, _ = run(c)
         ok, dev = oracle.equivalent(c, out)
         assert ok, dev
+
+
+def test_cycle_mask_matches_reference_scheduler():
+    decided = {True: 0, False: 0}
+    for seed in range(300):
+        for raw in (adversarial(seed), small_random(seed)):
+            for c in (raw, transform.run(raw)[0]):
+                analysis = reuse._Analysis(c)
+                for q_prime in range(c.n_qubits):
+                    for q in range(c.n_qubits):
+                        if q != q_prime and analysis.independent(q, q_prime):
+                            cycles = analysis.cycles(q, q_prime)
+                            assert cycles == reference_cycles(c, q, q_prime), (seed, q, q_prime)
+                            decided[cycles] += 1
+    # Both outcomes occur, so the comparison covers accepts and rejects.
+    assert decided[True] and decided[False]
 
 
 class TestRun:
