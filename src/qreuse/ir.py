@@ -40,7 +40,6 @@ __all__ = [
     "instruction_qubits",
     "read_bits",
     "written_bit",
-    "wire_positions",
 ]
 
 GATE_NAMES = frozenset({"h", "x", "y", "z", "s", "t", "p", "rx", "rz", "u"})
@@ -187,15 +186,6 @@ def written_bit(instr: Instruction) -> int | None:
     if isinstance(instr, ClassicalToggle):
         return instr.target
     return None
-
-
-def wire_positions(instructions, n_qubits: int) -> list[list[int]]:
-    """Per-qubit list of instruction indices, in circuit order."""
-    wires: list[list[int]] = [[] for _ in range(n_qubits)]
-    for i, instr in enumerate(instructions):
-        for q in instruction_qubits(instr):
-            wires[q].append(i)
-    return wires
 
 
 def validate(circuit: Circuit) -> list[str]:

@@ -101,10 +101,13 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _angle(text: str, line: int) -> float:
-    value = float(text)
+def _number(text: str, what: str, line: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise QasmSyntaxError(f"{what} {text!r} is not a number", line) from None
     if not math.isfinite(value):
-        raise QasmSemanticError(f"angle {text} is not finite", line)
+        raise QasmSemanticError(f"{what} {text} is not finite", line)
     return value
 
 
@@ -122,7 +125,7 @@ def _parse_literals(text: str, line: int) -> tuple[tuple[int, bool], ...]:
 def _parse_gate_statement(stmt: str, line: int, matrices: dict[str, GateKind]):
     m = _RE_PARAM.match(stmt)
     if m:
-        name, angle, q = m.group(1), _angle(m.group(2), line), int(m.group(3))
+        name, angle, q = m.group(1), _number(m.group(2), "angle", line), int(m.group(3))
         return Gate(GateKind(name, angle=angle), (q,), (), Condition(), source_line=line)
     m = _RE_TWOQ.match(stmt)
     if m:
@@ -131,7 +134,7 @@ def _parse_gate_statement(stmt: str, line: int, matrices: dict[str, GateKind]):
         return Gate(kind, (t,), ((c, True),), Condition(), source_line=line)
     m = _RE_CP.match(stmt)
     if m:
-        angle, c, t = _angle(m.group(1), line), int(m.group(2)), int(m.group(3))
+        angle, c, t = _number(m.group(1), "angle", line), int(m.group(2)), int(m.group(3))
         return Gate(GateKind("p", angle=angle), (t,), ((c, True),), Condition(), source_line=line)
     m = _RE_FIXED.match(stmt)
     if m:
@@ -163,7 +166,7 @@ def parse(text: str) -> Circuit:
                 raise QasmSyntaxError(
                     f"matrix annotation for {label!r} needs 8 numbers", lineno
                 )
-            vals = [float(x) for x in numbers]
+            vals = [_number(x, "matrix entry", lineno) for x in numbers]
             entries = [complex(vals[i], vals[i + 1]) for i in range(0, 8, 2)]
             matrices[label] = opaque_kind(label, entries)
             continue

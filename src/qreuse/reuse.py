@@ -5,11 +5,17 @@ depends on ``q``'s instructions is needed by ``q_prime``'s own instructions:
 the forward reach of ``q``'s wire must not touch ``q_prime``, and no
 instruction on ``q_prime`` may read or write a classical bit that ``q``'s
 reach produces. The merge appends ``q``'s instructions after a fresh reset of
-``q_prime`` and reschedules the rest topologically, keeping the original
-order wherever dependencies allow. That schedule exists unless ``q``'s first
-instruction already precedes some instruction of ``q_prime``, so each round
-rejects cycling pairs with one mask test and schedules only the merge it
-makes.
+``q_prime``. That order exists unless ``q``'s first instruction already
+precedes some instruction of ``q_prime``.
+
+The circuit is analysed once. A merge changes none of the facts these tests
+read, when each is expressed over the original wires: a reset stops the
+forward reach exactly where the host wire used to end, and the scheduling
+edges only gain one ``host last -> reset -> mover first`` chain. So every
+merge is planned on per-group masks (a group is the set of original wires
+sharing one wire, named by its host's original wire). The merged circuit is
+then scheduled once with a stable topological sort that keeps the original
+order wherever dependencies allow, and its wires are renumbered once.
 """
 
 from __future__ import annotations
@@ -22,142 +28,141 @@ from .ir import Circuit, Dependencies, Gate, Instruction, Measure, Reset
 __all__ = ["run"]
 
 
-class _Analysis:
-    """Per-wire masks and scheduling edges for one search round."""
+def _plan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int, int]]:
+    """First-fit merges ``(mover, host)`` of wire groups: lowest host first,
+    then lowest mover, repeated until no pair qualifies.
 
-    def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        deps = Dependencies(circuit)
-        self.deps = deps
-        qubit_reach, bit_reach = deps.forward_reach()
-        self.successors = successors = deps.successors()
+    A group's masks only grow as it absorbs others, so a rejected pair stays
+    rejected; one sweep over hosts and movers in that order therefore makes
+    the same merges as restarting the search after each one.
+    """
+    qubit_reach, bit_reach = deps.forward_reach()
 
-        # Wires each instruction precedes in the schedule order.
-        n = len(deps.qubits)
-        precedes = [0] * n
-        for i in range(n - 1, -1, -1):
-            m = 0
-            for q in deps.qubits[i]:
-                m |= 1 << q
-            for j in successors[i]:
-                m |= precedes[j]
-            precedes[i] = m
+    # Wires each instruction precedes in the schedule order.
+    n = len(deps.qubits)
+    precedes = [0] * n
+    for i in range(n - 1, -1, -1):
+        m = 0
+        for q in deps.qubits[i]:
+            m |= 1 << q
+        for j in successors[i]:
+            m |= precedes[j]
+        precedes[i] = m
 
-        # Per wire: the reach of its instructions, the bits they access, and
-        # the wires its first instruction precedes. Merging q after q' cycles
-        # exactly when that first instruction precedes an instruction on q'.
-        self.reach_qubits = []
-        self.reach_bits = []
-        self.wire_bits = []
-        self.blocked = []
-        for positions in deps.wires:
-            qm = bm = accessed = 0
-            for i in positions:
-                qm |= qubit_reach[i]
-                bm |= bit_reach[i]
-                for b in deps.reads[i]:
-                    accessed |= 1 << b
-                b = deps.writes[i]
-                if b is not None:
-                    accessed |= 1 << b
-            self.reach_qubits.append(qm)
-            self.reach_bits.append(bm)
-            self.wire_bits.append(accessed)
-            self.blocked.append(precedes[positions[0]] if positions else 0)
+    # Per group: the wires and bits its instructions reach, the bits they
+    # access, and the wires its first instruction precedes.
+    reach, reach_bits, accessed, blocked = [], [], [], []
+    for positions in deps.wires:
+        qm = bm = am = 0
+        for i in positions:
+            qm |= qubit_reach[i]
+            bm |= bit_reach[i]
+            for b in deps.reads[i]:
+                am |= 1 << b
+            b = deps.writes[i]
+            if b is not None:
+                am |= 1 << b
+        reach.append(qm)
+        reach_bits.append(bm)
+        accessed.append(am)
+        blocked.append(precedes[positions[0]] if positions else 0)
 
-    def independent(self, q: int, q_prime: int) -> bool:
-        if self.reach_qubits[q] >> q_prime & 1:
-            return False
-        return not self.wire_bits[q_prime] & self.reach_bits[q]
-
-    def cycles(self, q: int, q_prime: int) -> bool:
-        return bool(self.blocked[q] >> q_prime & 1)
-
-    def merge(self, q: int, q_prime: int) -> list[Instruction]:
-        """Schedule of the circuit with ``q`` moved onto ``q_prime``.
-
-        Stable Kahn's algorithm over the round's edges plus the merged wire's
-        host, reset, mover chain; ties broken by original position so
-        untouched instructions keep their order.
-        """
-        instrs = self.circuit.instructions
-        n = len(instrs)
-        reset_node = n
-        host = self.deps.wires[q_prime]
-        succ = self.successors + [self.deps.wires[q][:1]]
-        if host:
-            succ[host[-1]] = succ[host[-1]] + [reset_node]
-        indegree = [0] * (n + 1)
-        for outs in succ:
-            for j in outs:
-                indegree[j] += 1
-
-        reset_key = (host[-1] + 0.5) if host else -0.5
-        sort_key = list(range(n)) + [reset_key]
-        ready = [sort_key[i] for i in range(n + 1) if indegree[i] == 0]
-        heapq.heapify(ready)
-        order: list[int] = []
-        while ready:
-            key = heapq.heappop(ready)
-            node = reset_node if key == reset_key else key
-            order.append(node)
-            for nxt in succ[node]:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    heapq.heappush(ready, sort_key[nxt])
-        if len(order) != n + 1:
-            raise RuntimeError(f"merging wire {q} onto {q_prime} cycles; the mask test missed it")
-
-        def remap(w: int) -> int:
-            if w == q:
-                w = q_prime
-            return w - 1 if w > q else w
-
-        out: list[Instruction] = []
-        for node in order:
-            if node == reset_node:
-                out.append(Reset(remap(q_prime)))
+    n_wires = len(deps.wires)
+    members = [1 << w for w in range(n_wires)]
+    merges: list[tuple[int, int]] = []
+    for h in range(n_wires):
+        for g in range(n_wires):
+            if g == h or not members[g] or not members[h]:
                 continue
-            instr = instrs[node]
-            if not self.deps.qubits[node]:
-                out.append(instr)
-            elif isinstance(instr, Gate):
-                out.append(
-                    Gate(
-                        instr.kind,
-                        tuple(remap(w) for w in instr.targets),
-                        tuple((remap(w), pol) for w, pol in instr.controls),
-                        instr.condition,
-                    )
-                )
-            elif isinstance(instr, Measure):
-                out.append(Measure(remap(instr.qubit), instr.bit))
-            else:
-                out.append(Reset(remap(instr.qubit)))
-        return out
-
-
-def _search(analysis: _Analysis) -> tuple[int, int] | None:
-    """First-fit reusable pair: lowest host wire first, then lowest mover."""
-    n = analysis.circuit.n_qubits
-    for q_prime in range(n):
-        for q in range(n):
-            if q == q_prime or not analysis.independent(q, q_prime):
+            # Independent, and g's first instruction need not precede h's wire.
+            if reach[g] & members[h] or accessed[h] & reach_bits[g] or blocked[g] & members[h]:
                 continue
-            if not analysis.cycles(q, q_prime):
-                return q, q_prime
-    return None
+            # Whatever precedes h's last instruction now precedes g's first.
+            for k in range(n_wires):
+                if blocked[k] & members[h]:
+                    blocked[k] |= blocked[g]
+            blocked[h] |= blocked[g]
+            reach[h] |= reach[g]
+            reach_bits[h] |= reach_bits[g]
+            accessed[h] |= accessed[g]
+            members[h] |= members[g]
+            members[g] = 0
+            merges.append((g, h))
+    return merges
 
 
 def run(circuit: Circuit) -> tuple[Circuit, int]:
-    """Repeat find-and-merge until no pair qualifies."""
-    merges = 0
-    while circuit.n_qubits > 1:
-        analysis = _Analysis(circuit)
-        found = _search(analysis)
-        if found is None:
-            break
-        merged = analysis.merge(*found)
-        circuit = replace(circuit, n_qubits=circuit.n_qubits - 1, instructions=tuple(merged))
-        merges += 1
-    return circuit, merges
+    """Plan every merge, then schedule and renumber the circuit once."""
+    deps = Dependencies(circuit)
+    successors = deps.successors()
+    merges = _plan(deps, successors)
+    if not merges:
+        return circuit, 0
+
+    # One reset node per merge, chained between the host group's current
+    # last node and the mover group's first. It sorts right after the node it
+    # follows; resets that follow nothing sort first, in merge order.
+    instrs = circuit.instructions
+    n = len(instrs)
+    head = [positions[0] if positions else None for positions in deps.wires]
+    tail = [positions[-1] if positions else None for positions in deps.wires]
+    sort_key: list[tuple[int, ...]] = [(i,) for i in range(n)]
+    for m, (g, h) in enumerate(merges):
+        node = len(sort_key)
+        successors.append([] if head[g] is None else [head[g]])
+        if tail[h] is None:
+            sort_key.append((-1, m))
+            head[h] = node
+        else:
+            sort_key.append(sort_key[tail[h]] + (m,))
+            successors[tail[h]].append(node)
+        tail[h] = node if tail[g] is None else tail[g]
+
+    indegree = [0] * len(sort_key)
+    for outs in successors:
+        for j in outs:
+            indegree[j] += 1
+    ready = [(sort_key[i], i) for i in range(len(sort_key)) if indegree[i] == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        _, node = heapq.heappop(ready)
+        order.append(node)
+        for nxt in successors[node]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                heapq.heappush(ready, (sort_key[nxt], nxt))
+    if len(order) != len(sort_key):
+        raise RuntimeError("the planned merges cycle; the mask test missed it")
+
+    # A group's wire is its host's rank among the surviving hosts, which is
+    # where the monotone renumbering after each merge would put it.
+    owner = list(range(circuit.n_qubits))
+    for g, h in reversed(merges):
+        owner[g] = owner[h]
+    rank = {h: r for r, h in enumerate(sorted(set(owner)))}
+    wire = [rank[h] for h in owner]
+
+    out: list[Instruction] = []
+    for node in order:
+        if node >= n:
+            out.append(Reset(wire[merges[node - n][1]]))
+            continue
+        instr = instrs[node]
+        if all(wire[q] == q for q in deps.qubits[node]):
+            out.append(instr)
+        elif isinstance(instr, Gate):
+            out.append(
+                Gate(
+                    instr.kind,
+                    tuple(wire[w] for w in instr.targets),
+                    tuple((wire[w], pol) for w, pol in instr.controls),
+                    instr.condition,
+                    instr.source_line,
+                )
+            )
+        elif isinstance(instr, Measure):
+            out.append(Measure(wire[instr.qubit], instr.bit, instr.source_line))
+        else:
+            out.append(Reset(wire[instr.qubit], instr.source_line))
+    return replace(circuit, n_qubits=len(rank), instructions=tuple(out)), len(merges)

@@ -67,43 +67,38 @@ def introduce_classical_controls(circuit: Circuit) -> tuple[Circuit, int]:
     A control qualifies when the most recent instruction on its wire is the
     measurement of that qubit. The control's polarity carries over to the
     literal, so negative controls read the bit negated. Controls whose qubit
-    was not just measured stay quantum.
+    was not just measured stay quantum. Each decision reads only the prefix
+    already rewritten, so one pass leaves nothing for a second to replace.
     """
     replaced = 0
-    instrs = list(circuit.instructions)
-    changed = True
-    while changed:
-        changed = False
-        out: list[Instruction] = []
-        last_wire_pos: dict[int, int] = {}
-        last_write_pos: dict[int, int] = {}
-        for instr in instrs:
-            new = instr
-            if isinstance(instr, Gate) and instr.controls:
-                (cq, polarity), = instr.controls
-                p = last_wire_pos.get(cq)
-                prev = out[p] if p is not None else None
-                if (
-                    isinstance(prev, Measure)
-                    and prev.qubit == cq
-                    # the bit must still hold the measured value at the gate
-                    and last_write_pos.get(prev.bit) == p
-                ):
-                    cond = _conjoin(instr.condition, prev.bit, polarity)
-                    replaced += 1
-                    changed = True
-                    if cond is None:
-                        continue  # contradictory condition: the gate never fires
-                    new = Gate(instr.kind, instr.targets, (), cond)
-            idx = len(out)
-            for q in instruction_qubits(new):
-                last_wire_pos[q] = idx
-            b = written_bit(new)
-            if b is not None:
-                last_write_pos[b] = idx
-            out.append(new)
-        instrs = out
-    return circuit.with_instructions(instrs), replaced
+    out: list[Instruction] = []
+    last_wire_pos: dict[int, int] = {}
+    last_write_pos: dict[int, int] = {}
+    for instr in circuit.instructions:
+        new = instr
+        if isinstance(instr, Gate) and instr.controls:
+            (cq, polarity), = instr.controls
+            p = last_wire_pos.get(cq)
+            prev = out[p] if p is not None else None
+            if (
+                isinstance(prev, Measure)
+                and prev.qubit == cq
+                # the bit must still hold the measured value at the gate
+                and last_write_pos.get(prev.bit) == p
+            ):
+                cond = _conjoin(instr.condition, prev.bit, polarity)
+                replaced += 1
+                if cond is None:
+                    continue  # contradictory condition: the gate never fires
+                new = Gate(instr.kind, instr.targets, (), cond)
+        idx = len(out)
+        for q in instruction_qubits(new):
+            last_wire_pos[q] = idx
+        b = written_bit(new)
+        if b is not None:
+            last_write_pos[b] = idx
+        out.append(new)
+    return circuit.with_instructions(out), replaced
 
 
 def exchange_controls(circuit: Circuit) -> tuple[Circuit, int]:

@@ -1,0 +1,186 @@
+"""Per-merge qubit reuse, kept as the reference for ``reuse.run``.
+
+This is the reuse pass as it was before it planned every merge on one
+analysis: each round rebuilds the dependency index of the current circuit,
+takes the first-fit pair by the same mask tests, and reschedules and rebuilds
+the whole circuit for that one merge. ``reuse.run`` must make the same merge
+decisions; its schedule may order independent instructions differently, which
+``same_dependency_order`` tolerates.
+"""
+
+from __future__ import annotations
+
+import heapq
+from collections import Counter
+from dataclasses import replace
+
+from qreuse.ir import Circuit, Dependencies, Gate, Instruction, Measure, Reset
+
+
+def same_dependency_order(a: Circuit, b: Circuit) -> bool:
+    """Whether two circuits order every dependency the same way.
+
+    Each wire must carry the same instruction sequence, and each classical
+    bit the same writes in the same order, with the same reads (as a
+    multiset) before the first write and between consecutive writes. Only
+    the interleaving of independent instructions may differ.
+    """
+    if (a.n_qubits, a.n_clbits) != (b.n_qubits, b.n_clbits):
+        return False
+    return _dependency_order(a) == _dependency_order(b)
+
+
+def _dependency_order(circuit: Circuit):
+    deps = Dependencies(circuit)
+    instrs = circuit.instructions
+    wires = [[instrs[i] for i in positions] for positions in deps.wires]
+    bits: list[list] = [[Counter()] for _ in range(circuit.n_clbits)]
+    for i, instr in enumerate(instrs):
+        w = deps.writes[i]
+        for b in deps.reads[i]:
+            if b != w:
+                bits[b][-1][instr] += 1
+        if w is not None:
+            bits[w] += [instr, Counter()]
+    return wires, bits
+
+
+class _Analysis:
+    """Per-wire masks and scheduling edges for one search round."""
+
+    def __init__(self, circuit: Circuit):
+        self.circuit = circuit
+        deps = Dependencies(circuit)
+        self.deps = deps
+        qubit_reach, bit_reach = deps.forward_reach()
+        self.successors = successors = deps.successors()
+
+        # Wires each instruction precedes in the schedule order.
+        n = len(deps.qubits)
+        precedes = [0] * n
+        for i in range(n - 1, -1, -1):
+            m = 0
+            for q in deps.qubits[i]:
+                m |= 1 << q
+            for j in successors[i]:
+                m |= precedes[j]
+            precedes[i] = m
+
+        # Per wire: the reach of its instructions, the bits they access, and
+        # the wires its first instruction precedes. Merging q after q' cycles
+        # exactly when that first instruction precedes an instruction on q'.
+        self.reach_qubits = []
+        self.reach_bits = []
+        self.wire_bits = []
+        self.blocked = []
+        for positions in deps.wires:
+            qm = bm = accessed = 0
+            for i in positions:
+                qm |= qubit_reach[i]
+                bm |= bit_reach[i]
+                for b in deps.reads[i]:
+                    accessed |= 1 << b
+                b = deps.writes[i]
+                if b is not None:
+                    accessed |= 1 << b
+            self.reach_qubits.append(qm)
+            self.reach_bits.append(bm)
+            self.wire_bits.append(accessed)
+            self.blocked.append(precedes[positions[0]] if positions else 0)
+
+    def independent(self, q: int, q_prime: int) -> bool:
+        if self.reach_qubits[q] >> q_prime & 1:
+            return False
+        return not self.wire_bits[q_prime] & self.reach_bits[q]
+
+    def cycles(self, q: int, q_prime: int) -> bool:
+        return bool(self.blocked[q] >> q_prime & 1)
+
+    def merge(self, q: int, q_prime: int) -> list[Instruction]:
+        """Schedule of the circuit with ``q`` moved onto ``q_prime``.
+
+        Stable Kahn's algorithm over the round's edges plus the merged wire's
+        host, reset, mover chain; ties broken by original position so
+        untouched instructions keep their order.
+        """
+        instrs = self.circuit.instructions
+        n = len(instrs)
+        reset_node = n
+        host = self.deps.wires[q_prime]
+        succ = self.successors + [self.deps.wires[q][:1]]
+        if host:
+            succ[host[-1]] = succ[host[-1]] + [reset_node]
+        indegree = [0] * (n + 1)
+        for outs in succ:
+            for j in outs:
+                indegree[j] += 1
+
+        reset_key = (host[-1] + 0.5) if host else -0.5
+        sort_key = list(range(n)) + [reset_key]
+        ready = [sort_key[i] for i in range(n + 1) if indegree[i] == 0]
+        heapq.heapify(ready)
+        order: list[int] = []
+        while ready:
+            key = heapq.heappop(ready)
+            node = reset_node if key == reset_key else key
+            order.append(node)
+            for nxt in succ[node]:
+                indegree[nxt] -= 1
+                if indegree[nxt] == 0:
+                    heapq.heappush(ready, sort_key[nxt])
+        if len(order) != n + 1:
+            raise RuntimeError(f"merging wire {q} onto {q_prime} cycles; the mask test missed it")
+
+        def remap(w: int) -> int:
+            if w == q:
+                w = q_prime
+            return w - 1 if w > q else w
+
+        out: list[Instruction] = []
+        for node in order:
+            if node == reset_node:
+                out.append(Reset(remap(q_prime)))
+                continue
+            instr = instrs[node]
+            if not self.deps.qubits[node]:
+                out.append(instr)
+            elif isinstance(instr, Gate):
+                out.append(
+                    Gate(
+                        instr.kind,
+                        tuple(remap(w) for w in instr.targets),
+                        tuple((remap(w), pol) for w, pol in instr.controls),
+                        instr.condition,
+                    )
+                )
+            elif isinstance(instr, Measure):
+                out.append(Measure(remap(instr.qubit), instr.bit))
+            else:
+                out.append(Reset(remap(instr.qubit)))
+        return out
+
+
+def _search(analysis: _Analysis) -> tuple[int, int] | None:
+    """First-fit reusable pair: lowest host wire first, then lowest mover."""
+    n = analysis.circuit.n_qubits
+    for q_prime in range(n):
+        for q in range(n):
+            if q == q_prime or not analysis.independent(q, q_prime):
+                continue
+            if not analysis.cycles(q, q_prime):
+                return q, q_prime
+    return None
+
+
+def reference_run(circuit: Circuit) -> tuple[Circuit, int]:
+    """Repeat find-and-merge until no pair qualifies."""
+    merges = 0
+    while circuit.n_qubits > 1:
+        analysis = _Analysis(circuit)
+        found = _search(analysis)
+        if found is None:
+            break
+        merged = analysis.merge(*found)
+        circuit = replace(circuit, n_qubits=circuit.n_qubits - 1, instructions=tuple(merged))
+        merges += 1
+    return circuit, merges

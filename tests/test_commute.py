@@ -8,11 +8,11 @@ from qreuse.commute import CommuteRule, applicable_rule, commute_once, run
 from qreuse.ir import (
     CircuitBuilder,
     ClassicalToggle,
+    Dependencies,
     Gate,
     Measure,
     instruction_qubits,
     validate,
-    wire_positions,
 )
 
 from conftest import small_random
@@ -117,7 +117,7 @@ class TestRun:
     def test_qpe_measurements_end_up_behind_their_h(self):
         c = bench.gen_qpe(4, 2 * math.pi * 3 / 8)
         out, _ = run(c)
-        wires = wire_positions(out.instructions, out.n_qubits)
+        wires = Dependencies(out).wires
         for q in range(3):  # counting qubits
             positions = wires[q]
             meas_at = [k for k, p in enumerate(positions) if isinstance(out.instructions[p], Measure)]

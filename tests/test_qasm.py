@@ -120,6 +120,20 @@ class TestParse:
             parse(f"qubit[2] q;\nbit[0] c;\n{stmt}\n")
         assert err.value.line == 3
 
+    def test_non_numeric_matrix_entry_is_a_syntax_error(self):
+        text = "qubit[1] q;\nbit[0] c;\n// matrix u_a: 1 0 0 0 0 0 abc 1\nu_a q[0];\n"
+        with pytest.raises(QasmSyntaxError, match="abc") as err:
+            parse(text)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-1e999"])
+    def test_non_finite_matrix_entry_rejected(self, entry):
+        # A nan entry never compares equal, so parse(emit(c)) == c would fail.
+        text = f"qubit[1] q;\nbit[0] c;\n// matrix u_a: 1 0 0 0 0 0 {entry} 1\nu_a q[0];\n"
+        with pytest.raises(QasmSemanticError, match="not finite") as err:
+            parse(text)
+        assert err.value.line == 3
+
     @pytest.mark.parametrize(
         "text,line",
         [

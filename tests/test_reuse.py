@@ -1,5 +1,6 @@
 import heapq
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,17 +9,20 @@ from qreuse import bench, oracle, reuse, transform
 from qreuse.ir import (
     CircuitBuilder,
     ClassicalToggle,
+    Dependencies,
+    Gate,
     Measure,
     Reset,
     read_bits,
     two_qubit_gate_count,
     validate,
-    wire_positions,
     written_bit,
 )
 from qreuse.reuse import run
 
+import reuse_reference
 from conftest import adversarial, small_random
+from reuse_reference import reference_run, same_dependency_order
 
 
 def toggled_pair():
@@ -41,7 +45,7 @@ def reference_cycles(circuit, q, q_prime):
     """
     instrs = circuit.instructions
     n = len(instrs)
-    wires = wire_positions(instrs, circuit.n_qubits)
+    wires = Dependencies(circuit).wires
     adjacency = [[] for _ in range(n + 1)]
     indegree = [0] * (n + 1)
 
@@ -142,20 +146,71 @@ class TestApplyReuse:
         assert ok, dev
 
 
-def test_cycle_mask_matches_reference_scheduler():
-    decided = {True: 0, False: 0}
+def reference_inputs():
     for seed in range(300):
         for raw in (adversarial(seed), small_random(seed)):
-            for c in (raw, transform.run(raw)[0]):
-                analysis = reuse._Analysis(c)
-                for q_prime in range(c.n_qubits):
-                    for q in range(c.n_qubits):
-                        if q != q_prime and analysis.independent(q, q_prime):
-                            cycles = analysis.cycles(q, q_prime)
-                            assert cycles == reference_cycles(c, q, q_prime), (seed, q, q_prime)
-                            decided[cycles] += 1
+            yield seed, raw
+            yield seed, transform.run(raw)[0]
+
+
+def test_cycle_mask_matches_reference_scheduler():
+    decided = {True: 0, False: 0}
+    for seed, c in reference_inputs():
+        analysis = reuse_reference._Analysis(c)
+        for q_prime in range(c.n_qubits):
+            for q in range(c.n_qubits):
+                if q != q_prime and analysis.independent(q, q_prime):
+                    cycles = analysis.cycles(q, q_prime)
+                    assert cycles == reference_cycles(c, q, q_prime), (seed, q, q_prime)
+                    decided[cycles] += 1
     # Both outcomes occur, so the comparison covers accepts and rejects.
     assert decided[True] and decided[False]
+
+
+def with_empty_wire(circuit, w):
+    """The circuit on one more qubit, with wire ``w`` left unused."""
+    def shift(q):
+        return q + (q >= w)
+
+    out = []
+    for instr in circuit.instructions:
+        if isinstance(instr, Gate):
+            targets = tuple(shift(q) for q in instr.targets)
+            controls = tuple((shift(q), pol) for q, pol in instr.controls)
+            instr = Gate(instr.kind, targets, controls, instr.condition)
+        elif isinstance(instr, (Measure, Reset)):
+            instr = replace(instr, qubit=shift(instr.qubit))
+        out.append(instr)
+    return replace(circuit, n_qubits=circuit.n_qubits + 1, instructions=tuple(out))
+
+
+def test_run_matches_per_merge_reference():
+    # Planning every merge on one analysis must make the reference's merge
+    # decisions; only independent instructions may interleave differently.
+    # An unused wire makes a group whose host has no instruction of its own.
+    merged = 0
+    for seed, c in reference_inputs():
+        for circuit in (c, with_empty_wire(c, seed % (c.n_qubits + 1))):
+            out, merges = run(circuit)
+            expected, expected_merges = reference_run(circuit)
+            assert (out.n_qubits, merges) == (expected.n_qubits, expected_merges), seed
+            assert same_dependency_order(out, expected), seed
+            merged += merges
+    assert merged
+
+
+def test_run_analyses_the_circuit_once(monkeypatch):
+    built = []
+
+    class Counting(Dependencies):
+        def __init__(self, circuit):
+            built.append(circuit)
+            super().__init__(circuit)
+
+    monkeypatch.setattr(reuse, "Dependencies", Counting)
+    c, _ = transform.run(bench.gen_qpe(8, 2 * math.pi * 3 / 8))
+    _, merges = run(c)
+    assert merges == 6 and built == [c]
 
 
 class TestRun:
