@@ -1,7 +1,9 @@
 """Command-line front end: optimize, gen, bench, verify.
 
 Exit codes: 0 success, 1 parse/validation error, 2 equivalence mismatch,
-3 I/O error. Reports are JSON documents with a schema_version field.
+3 I/O error, 4 equivalence not checkable (a circuit exceeds the exact
+simulator's qubit cap). Reports are JSON documents with a schema_version
+field.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ SCHEMA_VERSION = 1
 EXIT_PARSE = 1
 EXIT_MISMATCH = 2
 EXIT_IO = 3
+EXIT_UNVERIFIABLE = 4
 
 
 def report_document(
@@ -94,7 +97,7 @@ def optimize(input_path, mode, output, report_path, verify, tol):
             ok, dev = oracle.equivalent(circuit, result, tol=tol)
         except oracle.SimulationLimitError as exc:
             click.echo(f"error: verification impossible: {exc}", err=True)
-            sys.exit(EXIT_PARSE)
+            sys.exit(EXIT_UNVERIFIABLE)
         equivalence = {"checked": True, "equivalent": ok, "max_deviation": dev, "tol": tol}
     _write_text(output, qasm.emit(result))
     if report_path:
@@ -145,7 +148,10 @@ def verify(first, second, tol):
     b = _read_circuit(second)
     try:
         ok, dev = oracle.equivalent(a, b, tol=tol)
-    except (ValueError, oracle.SimulationLimitError) as exc:
+    except oracle.SimulationLimitError as exc:
+        click.echo(f"error: verification impossible: {exc}", err=True)
+        sys.exit(EXIT_UNVERIFIABLE)
+    except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PARSE)
     click.echo(f"TV distance {dev:.3e} ({'<=' if ok else '>'} tol {tol:g})")

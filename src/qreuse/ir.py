@@ -40,6 +40,7 @@ __all__ = [
     "instruction_qubits",
     "read_bits",
     "written_bit",
+    "link_slots",
 ]
 
 GATE_NAMES = frozenset({"h", "x", "y", "z", "s", "t", "p", "rx", "rz", "u"})
@@ -114,7 +115,7 @@ class Condition:
         return not self.literals
 
     def bits(self) -> tuple[int, ...]:
-        return tuple(b for b, _ in self.literals)
+        return tuple(b for b, _ in self.literals) if self.literals else ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,6 +165,8 @@ class Circuit:
 
 def instruction_qubits(instr: Instruction) -> tuple[int, ...]:
     if isinstance(instr, Gate):
+        if not instr.controls:
+            return instr.targets
         return tuple(q for q, _ in instr.controls) + instr.targets
     if isinstance(instr, (Measure, Reset)):
         return (instr.qubit,)
@@ -186,6 +189,29 @@ def written_bit(instr: Instruction) -> int | None:
     if isinstance(instr, ClassicalToggle):
         return instr.target
     return None
+
+
+def link_slots(
+    keys: list[tuple[int, ...]], base, n_slots: int, n_keys: int
+) -> tuple[list[int], list[int]]:
+    """Neighbour links of each key's accesses, in circuit order.
+
+    Instruction ``i``'s ``j``-th key (a qubit or a bit below ``n_keys``)
+    occupies slot ``base[i] + j``. Returns, per slot, the previous and the
+    next slot of the same key, -1 at either end.
+    """
+    prev = [-1] * n_slots
+    nxt = [-1] * n_slots
+    last = [-1] * n_keys
+    for s, ks in zip(base, keys):
+        for k in ks:
+            p = last[k]
+            if p >= 0:
+                nxt[p] = s
+                prev[s] = p
+            last[k] = s
+            s += 1
+    return prev, nxt
 
 
 def validate(circuit: Circuit) -> list[str]:
@@ -288,9 +314,8 @@ class Dependencies:
             for q in qubits:
                 self.wires[q].append(i)
 
-    def forward_reach(self) -> tuple[list[int], list[int]]:
-        """Per instruction, bitmasks of the qubits its forward cone touches and
-        of the bits that cone writes.
+    def forward_reach(self) -> list[int]:
+        """Per instruction, the bitmask of the bits its forward cone writes.
 
         The cone follows qubit wires (two-qubit gates fan out to both wires)
         and stops before a Reset, whose output no longer depends on anything
@@ -299,34 +324,26 @@ class Dependencies:
         instruction, each bit a running OR of its later readers' reach.
         """
         n = len(self.qubits)
-        qubit_reach = [0] * n
         bit_reach = [0] * n
-        wire_qubits = [0] * self.circuit.n_qubits
         wire_bits = [0] * self.circuit.n_qubits
-        reader_qubits = [0] * self.circuit.n_clbits
         reader_bits = [0] * self.circuit.n_clbits
         qubits_of, reads_of, writes_of, is_reset = self.qubits, self.reads, self.writes, self.is_reset
         for i in range(n - 1, -1, -1):
             qubits = qubits_of[i]
-            qm = bm = 0
+            bm = 0
             for q in qubits:
-                qm |= (1 << q) | wire_qubits[q]
                 bm |= wire_bits[q]
             b = writes_of[i]
             if b is not None:
-                qm |= reader_qubits[b]
                 bm |= (1 << b) | reader_bits[b]
-            qubit_reach[i] = qm
             bit_reach[i] = bm
             for b in reads_of[i]:
-                reader_qubits[b] |= qm
                 reader_bits[b] |= bm
             if is_reset[i]:
-                qm = bm = 0
+                bm = 0
             for q in qubits:
-                wire_qubits[q] = qm
                 wire_bits[q] = bm
-        return qubit_reach, bit_reach
+        return bit_reach
 
     def successors(self) -> list[list[int]]:
         """Scheduling edges: each wire's chain, running through resets, and

@@ -10,6 +10,8 @@ Grammar (statements are ``;``-terminated, ``//`` starts a comment):
     c[k] = c[k] ^ (lit & ...);  c[k] = c[k] ^ true;
 
 where ``lit`` is ``c[i]`` or ``!c[i]`` and angles are decimal literals.
+Register sizes are at most ``MAX_REGISTER``, so a declaration cannot make
+validation allocate without bound.
 Opaque gates are declared by a ``// matrix <label>: re im re im re im re im``
 comment (row-major 2x2) and used as ``<label> q[i];``. Emission is
 deterministic: fixed ordering, 17-significant-digit floats, so identical
@@ -38,9 +40,14 @@ __all__ = [
     "QasmSyntaxError",
     "QasmSemanticError",
     "QasmUnsupportedError",
+    "MAX_REGISTER",
     "parse",
     "emit",
 ]
+
+# Largest qubit or bit register a file may declare; far above every
+# generated benchmark (at most a few hundred qubits).
+MAX_REGISTER = 1 << 16
 
 _FIXED_GATES = ("h", "x", "y", "z", "s", "t")
 _PARAM_GATES = ("p", "rx", "rz")
@@ -151,6 +158,13 @@ def _parse_gate_statement(stmt: str, line: int, matrices: dict[str, GateKind]):
     return None
 
 
+def _register_size(text: str, what: str, line: int, col: int) -> int:
+    size = int(text)
+    if size > MAX_REGISTER:
+        raise QasmSemanticError(f"{what} register of {size} exceeds the limit of {MAX_REGISTER}", line, col)
+    return size
+
+
 def parse(text: str) -> Circuit:
     n_qubits: int | None = None
     n_clbits: int | None = None
@@ -192,7 +206,7 @@ def parse(text: str) -> Circuit:
                     raise QasmSemanticError("the qubit register must be named q", lineno, col)
                 if n_qubits is not None:
                     raise QasmSemanticError("the qubit register is declared twice", lineno, col)
-                n_qubits = int(m.group(1))
+                n_qubits = _register_size(m.group(1), "qubit", lineno, col)
                 continue
             m = _RE_BIT_DECL.match(stmt)
             if m:
@@ -200,7 +214,7 @@ def parse(text: str) -> Circuit:
                     raise QasmSemanticError("the bit register must be named c", lineno, col)
                 if n_clbits is not None:
                     raise QasmSemanticError("the bit register is declared twice", lineno, col)
-                n_clbits = int(m.group(1))
+                n_clbits = _register_size(m.group(1), "bit", lineno, col)
                 continue
             m = _RE_MEASURE.match(stmt)
             if m:

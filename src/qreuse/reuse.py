@@ -36,7 +36,7 @@ def _plan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int, in
     rejected; one sweep over hosts and movers in that order therefore makes
     the same merges as restarting the search after each one.
     """
-    qubit_reach, bit_reach = deps.forward_reach()
+    bit_reach = deps.forward_reach()
 
     # Wires each instruction precedes in the schedule order.
     n = len(deps.qubits)
@@ -49,20 +49,20 @@ def _plan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int, in
             m |= precedes[j]
         precedes[i] = m
 
-    # Per group: the wires and bits its instructions reach, the bits they
-    # access, and the wires its first instruction precedes.
-    reach, reach_bits, accessed, blocked = [], [], [], []
+    # Per group: the bits its instructions reach, the bits they access, and
+    # the wires its first instruction precedes. A cone only follows
+    # scheduling edges, so the wires a group reaches are among those it
+    # blocks, and the cycle test below also rules out reaching the host.
+    reach_bits, accessed, blocked = [], [], []
     for positions in deps.wires:
-        qm = bm = am = 0
+        bm = am = 0
         for i in positions:
-            qm |= qubit_reach[i]
             bm |= bit_reach[i]
             for b in deps.reads[i]:
                 am |= 1 << b
             b = deps.writes[i]
             if b is not None:
                 am |= 1 << b
-        reach.append(qm)
         reach_bits.append(bm)
         accessed.append(am)
         blocked.append(precedes[positions[0]] if positions else 0)
@@ -75,14 +75,13 @@ def _plan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int, in
             if g == h or not members[g] or not members[h]:
                 continue
             # Independent, and g's first instruction need not precede h's wire.
-            if reach[g] & members[h] or accessed[h] & reach_bits[g] or blocked[g] & members[h]:
+            if accessed[h] & reach_bits[g] or blocked[g] & members[h]:
                 continue
             # Whatever precedes h's last instruction now precedes g's first.
             for k in range(n_wires):
                 if blocked[k] & members[h]:
                     blocked[k] |= blocked[g]
             blocked[h] |= blocked[g]
-            reach[h] |= reach[g]
             reach_bits[h] |= reach_bits[g]
             accessed[h] |= accessed[g]
             members[h] |= members[g]
@@ -101,14 +100,17 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
 
     # One reset node per merge, chained between the host group's current
     # last node and the mover group's first. It sorts right after the node it
-    # follows; resets that follow nothing sort first, in merge order.
+    # follows; resets that follow nothing sort first, in merge order. It
+    # takes the source line of the mover's first instruction.
     instrs = circuit.instructions
     n = len(instrs)
     head = [positions[0] if positions else None for positions in deps.wires]
     tail = [positions[-1] if positions else None for positions in deps.wires]
     sort_key: list[tuple[int, ...]] = [(i,) for i in range(n)]
+    lines = [instr.source_line for instr in instrs]
     for m, (g, h) in enumerate(merges):
         node = len(sort_key)
+        lines.append(None if head[g] is None else lines[head[g]])
         successors.append([] if head[g] is None else [head[g]])
         if tail[h] is None:
             sort_key.append((-1, m))
@@ -146,7 +148,7 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
     out: list[Instruction] = []
     for node in order:
         if node >= n:
-            out.append(Reset(wire[merges[node - n][1]]))
+            out.append(Reset(wire[merges[node - n][1]], lines[node]))
             continue
         instr = instrs[node]
         if all(wire[q] == q for q in deps.qubits[node]):

@@ -13,9 +13,16 @@ Three transformations work together with measurement commutation:
 ``run`` chains them in the order the rewrites feed each other: commute,
 then introduction/exchange to a fixpoint, one more commutation round for the
 conditioned bit-flips this exposes, and finally dead-gate elimination.
+
+The fixpoint is defined by rounds of one full introduction pass and one full
+exchange pass, the functions below. ``run`` reaches the same result with an
+event heap that revisits only the gates next to the last change; each rule's
+decision is one helper shared by both schedules.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .ir import (
     Circuit,
@@ -25,6 +32,7 @@ from .ir import (
     Instruction,
     Measure,
     instruction_qubits,
+    link_slots,
     written_bit,
 )
 from . import commute
@@ -44,7 +52,7 @@ def eliminate_dead_gates(circuit: Circuit) -> tuple[Circuit, int]:
     backward reach pass decides every gate at once. Measurements, resets, and
     toggles always stay.
     """
-    _, bit_reach = Dependencies(circuit).forward_reach()
+    bit_reach = Dependencies(circuit).forward_reach()
     kept = [
         instr
         for instr, bits in zip(circuit.instructions, bit_reach)
@@ -59,6 +67,37 @@ def _conjoin(condition: Condition, bit: int, polarity: bool) -> Condition | None
         if b == bit:
             return condition if pol == polarity else None
     return Condition(condition.literals + ((bit, polarity),))
+
+
+def _measured_control(gate: Gate, prev: Instruction | None) -> Measure | None:
+    """The measurement a controlled gate's control can be read from: the
+    control wire's predecessor ``prev``, when that measures the control."""
+    if isinstance(prev, Measure) and prev.qubit == gate.controls[0][0]:
+        return prev
+    return None
+
+
+def _introduced(gate: Gate, meas: Measure) -> Gate | None:
+    """The gate conditioned on ``meas``'s bit instead of its quantum control;
+    ``None`` when the condition is contradictory and the gate never fires."""
+    cond = _conjoin(gate.condition, meas.bit, gate.controls[0][1])
+    return None if cond is None else Gate(gate.kind, gate.targets, (), cond, gate.source_line)
+
+
+def _exchangeable(gate: Gate, prev_target: Instruction | None, prev_control: Instruction | None) -> bool:
+    """A positive CZ/CP whose target wire's predecessor is the target's
+    measurement and whose control wire's is not the control's."""
+    if gate.kind.name not in ("z", "p") or len(gate.controls) != 1 or not gate.controls[0][1]:
+        return False
+    control, target = gate.controls[0][0], gate.targets[0]
+    target_measured = isinstance(prev_target, Measure) and prev_target.qubit == target
+    control_measured = isinstance(prev_control, Measure) and prev_control.qubit == control
+    return target_measured and not control_measured
+
+
+def _exchanged(gate: Gate) -> Gate:
+    (control, _), = gate.controls
+    return Gate(gate.kind, (control,), ((gate.targets[0], True),), gate.condition, gate.source_line)
 
 
 def introduce_classical_controls(circuit: Circuit) -> tuple[Circuit, int]:
@@ -77,20 +116,14 @@ def introduce_classical_controls(circuit: Circuit) -> tuple[Circuit, int]:
     for instr in circuit.instructions:
         new = instr
         if isinstance(instr, Gate) and instr.controls:
-            (cq, polarity), = instr.controls
-            p = last_wire_pos.get(cq)
-            prev = out[p] if p is not None else None
-            if (
-                isinstance(prev, Measure)
-                and prev.qubit == cq
-                # the bit must still hold the measured value at the gate
-                and last_write_pos.get(prev.bit) == p
-            ):
-                cond = _conjoin(instr.condition, prev.bit, polarity)
+            p = last_wire_pos.get(instr.controls[0][0])
+            meas = _measured_control(instr, out[p] if p is not None else None)
+            # the bit must still hold the measured value at the gate
+            if meas is not None and last_write_pos.get(meas.bit) == p:
                 replaced += 1
-                if cond is None:
-                    continue  # contradictory condition: the gate never fires
-                new = Gate(instr.kind, instr.targets, (), cond)
+                new = _introduced(instr, meas)
+                if new is None:
+                    continue
         idx = len(out)
         for q in instruction_qubits(new):
             last_wire_pos[q] = idx
@@ -113,39 +146,104 @@ def exchange_controls(circuit: Circuit) -> tuple[Circuit, int]:
     last_on_wire: dict[int, Instruction] = {}
     for instr in circuit.instructions:
         new = instr
-        if (
-            isinstance(instr, Gate)
-            and instr.kind.name in ("z", "p")
-            and len(instr.controls) == 1
-            and instr.controls[0][1]
+        if isinstance(instr, Gate) and instr.controls and _exchangeable(
+            instr, last_on_wire.get(instr.targets[0]), last_on_wire.get(instr.controls[0][0])
         ):
-            control = instr.controls[0][0]
-            target = instr.targets[0]
-            prev_t = last_on_wire.get(target)
-            prev_c = last_on_wire.get(control)
-            target_measured = isinstance(prev_t, Measure) and prev_t.qubit == target
-            control_measured = isinstance(prev_c, Measure) and prev_c.qubit == control
-            if target_measured and not control_measured:
-                new = Gate(instr.kind, (control,), ((target, True),), instr.condition)
-                exchanged += 1
+            new = _exchanged(instr)
+            exchanged += 1
         for q in instruction_qubits(new):
             last_on_wire[q] = new
         out.append(new)
     return circuit.with_instructions(out), exchanged
 
 
+def _controls_to_fixpoint(circuit: Circuit) -> tuple[Circuit, int, int]:
+    """Alternate introduction and exchange rounds until neither fires.
+
+    Replays ``introduce_classical_controls`` then ``exchange_controls``,
+    round after round, as one event heap keyed ``(round, phase, position)``
+    with phase 0 introducing and phase 1 exchanging. Both decisions read only
+    the gate's wire predecessors and the writes to the measured bit before
+    it. Writes never change, and a predecessor changes only when a gate
+    leaves that wire (introduced: its control wire; dropped: both), which
+    queues the wire's next gate in both phases of the same round: being
+    later on the wire, it is also later in the pass. An exchange queues the
+    exchanged gate for introduction in the next round; it cannot exchange
+    back, because its new target's predecessor is no measurement. Any other
+    gate would decide as it did the last time, so a full pass changes
+    nothing else.
+    """
+    instrs: list[Instruction | None] = list(circuit.instructions)
+    n = len(instrs)
+    qubits = [instruction_qubits(i) for i in instrs]
+    # Node i owns wire slots 2i and 2i + 1, one per qubit in its original
+    # ``instruction_qubits`` order.
+    wire_prev, wire_next = link_slots(qubits, range(0, 2 * n, 2), 2 * n, circuit.n_qubits)
+    next_write = [n] * n
+    last_write = [-1] * circuit.n_clbits
+    events: list[tuple[int, int, int]] = []
+    for i, instr in enumerate(instrs):
+        w = written_bit(instr)
+        if w is not None:
+            if last_write[w] >= 0:
+                next_write[last_write[w]] = i
+            last_write[w] = i
+        if isinstance(instr, Gate) and instr.controls:
+            events += ((1, 0, i), (1, 1, i))
+    heapq.heapify(events)
+
+    def slot(i: int, q: int) -> int:
+        return 2 * i + (qubits[i][0] != q)
+
+    def wire_pred(i: int, q: int) -> Instruction | None:
+        p = wire_prev[slot(i, q)]
+        return instrs[p >> 1] if p >= 0 else None
+
+    introduced = exchanged = 0
+    last = None
+    while events:
+        key = heapq.heappop(events)
+        if key == last:
+            continue
+        last = key
+        rnd, phase, i = key
+        gate = instrs[i]
+        if gate is None or not gate.controls:
+            continue
+        control = gate.controls[0][0]
+        if phase == 1:
+            if _exchangeable(gate, wire_pred(i, gate.targets[0]), wire_pred(i, control)):
+                instrs[i] = _exchanged(gate)
+                exchanged += 1
+                heapq.heappush(events, (rnd + 1, 0, i))
+            continue
+        p = wire_prev[slot(i, control)]
+        meas = _measured_control(gate, instrs[p >> 1] if p >= 0 else None)
+        if meas is None or next_write[p >> 1] < i:
+            continue
+        introduced += 1
+        instrs[i] = new = _introduced(gate, meas)
+        for q in qubits[i] if new is None else (control,):
+            s = slot(i, q)
+            a, b = wire_prev[s], wire_next[s]
+            if a >= 0:
+                wire_next[a] = b
+            if b >= 0:
+                wire_prev[b] = a
+                after = instrs[b >> 1]
+                if isinstance(after, Gate) and after.controls:
+                    heapq.heappush(events, (rnd, 0, b >> 1))
+                    heapq.heappush(events, (rnd, 1, b >> 1))
+    kept = [instr for instr in instrs if instr is not None]
+    return circuit.with_instructions(kept), introduced, exchanged
+
+
 def run(circuit: Circuit) -> tuple[Circuit, dict[str, int]]:
     """Full rewrite schedule; returns the circuit and per-rule tallies."""
     result, counts = commute.run(circuit)
     counts = dict(counts)
-    counts.update(classical_controls=0, exchanges=0, dead_gates=0)
-    while True:
-        result, introduced = introduce_classical_controls(result)
-        result, exchanged = exchange_controls(result)
-        counts["classical_controls"] += introduced
-        counts["exchanges"] += exchanged
-        if not introduced and not exchanged:
-            break
+    result, introduced, exchanged = _controls_to_fixpoint(result)
+    counts.update(classical_controls=introduced, exchanges=exchanged, dead_gates=0)
     result, more = commute.run(result)
     for rule, k in more.items():
         counts[rule] += k

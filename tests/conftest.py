@@ -71,6 +71,16 @@ def adversarial(seed: int):
     return b.build()
 
 
+def schedule_battery():
+    """Inputs on which the linear-time rewrite schedules must replay the
+    scan-based ones: small and hazard-heavy circuits, plus a few larger."""
+    for seed in range(400):
+        yield adversarial(seed)
+        yield small_random(seed)
+    for seed in range(4):
+        yield gen_random(RandomSpec(32, 8, seed))
+
+
 @pytest.fixture
 def bell_measured():
     return cx_pair(with_second_prep=False)

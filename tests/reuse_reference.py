@@ -45,6 +45,48 @@ def _dependency_order(circuit: Circuit):
     return wires, bits
 
 
+def forward_reach(deps: Dependencies) -> tuple[list[int], list[int]]:
+    """Per instruction, bitmasks of the qubits its forward cone touches and
+    of the bits that cone writes: ``Dependencies.forward_reach`` as it was
+    when it also returned the qubit half, which ``reuse.run`` no longer needs.
+
+    The cone follows qubit wires (two-qubit gates fan out to both wires)
+    and stops before a Reset, whose output no longer depends on anything
+    earlier. A written bit reaches every later instruction that reads it.
+    One backward pass: each wire carries the reach of its next
+    instruction, each bit a running OR of its later readers' reach.
+    """
+    n = len(deps.qubits)
+    qubit_reach = [0] * n
+    bit_reach = [0] * n
+    wire_qubits = [0] * deps.circuit.n_qubits
+    wire_bits = [0] * deps.circuit.n_qubits
+    reader_qubits = [0] * deps.circuit.n_clbits
+    reader_bits = [0] * deps.circuit.n_clbits
+    qubits_of, reads_of, writes_of, is_reset = deps.qubits, deps.reads, deps.writes, deps.is_reset
+    for i in range(n - 1, -1, -1):
+        qubits = qubits_of[i]
+        qm = bm = 0
+        for q in qubits:
+            qm |= (1 << q) | wire_qubits[q]
+            bm |= wire_bits[q]
+        b = writes_of[i]
+        if b is not None:
+            qm |= reader_qubits[b]
+            bm |= (1 << b) | reader_bits[b]
+        qubit_reach[i] = qm
+        bit_reach[i] = bm
+        for b in reads_of[i]:
+            reader_qubits[b] |= qm
+            reader_bits[b] |= bm
+        if is_reset[i]:
+            qm = bm = 0
+        for q in qubits:
+            wire_qubits[q] = qm
+            wire_bits[q] = bm
+    return qubit_reach, bit_reach
+
+
 class _Analysis:
     """Per-wire masks and scheduling edges for one search round."""
 
@@ -52,7 +94,7 @@ class _Analysis:
         self.circuit = circuit
         deps = Dependencies(circuit)
         self.deps = deps
-        qubit_reach, bit_reach = deps.forward_reach()
+        qubit_reach, bit_reach = forward_reach(deps)
         self.successors = successors = deps.successors()
 
         # Wires each instruction precedes in the schedule order.

@@ -93,6 +93,14 @@ class TestOptimize:
     def test_missing_file_is_io_error(self, runner, tmp_path):
         assert runner.invoke(main, ["optimize", str(tmp_path / "nope.qasm")]).exit_code == 3
 
+    def test_verify_beyond_oracle_cap_is_unverifiable(self, runner, tmp_path):
+        # A valid 13-qubit input is one past the exact simulator's cap.
+        src = tmp_path / "qpe13.qasm"
+        write_qpe(src, n=13)
+        result = runner.invoke(main, ["optimize", str(src), "--verify", "-o", str(tmp_path / "out.qasm")])
+        assert result.exit_code == 4, result.output
+        assert "verification impossible" in result.output
+
 
 class TestVerify:
     def test_equivalent_pair(self, runner, tmp_path):
@@ -111,6 +119,11 @@ class TestVerify:
         a.write_text("qubit[1] q;\nbit[1] c;\nx q[0];\nc[0] = measure q[0];\n")
         b.write_text("qubit[1] q;\nbit[1] c;\nc[0] = measure q[0];\n")
         assert runner.invoke(main, ["verify", str(a), str(b)]).exit_code == 2
+
+    def test_beyond_oracle_cap_is_unverifiable(self, runner, tmp_path):
+        a = tmp_path / "qpe13.qasm"
+        write_qpe(a, n=13)
+        assert runner.invoke(main, ["verify", str(a), str(a)]).exit_code == 4
 
 
 class TestBench:

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreuse import bench, oracle
+from qreuse import bench, commute, oracle
 from qreuse.commute import CommuteRule, applicable_rule, commute_once, run
 from qreuse.ir import (
     CircuitBuilder,
@@ -15,7 +16,8 @@ from qreuse.ir import (
     validate,
 )
 
-from conftest import small_random
+from commute_reference import run as reference_run
+from conftest import schedule_battery, small_random
 
 
 class TestApplicableRule:
@@ -163,3 +165,22 @@ def test_run_fixpoint(seed):
     for pos, instr in enumerate(out.instructions):
         if isinstance(instr, Measure):
             assert applicable_rule(out, pos) is None
+
+
+def test_run_matches_scan_reference():
+    # One push per measurement on linked neighbours must make the decisions
+    # of the scan-based schedule with its outer sweep.
+    for c in schedule_battery():
+        out, counts = run(c)
+        ref, ref_counts = reference_run(c)
+        assert out.instructions == ref.instructions, c.name
+        assert counts == ref_counts, c.name
+
+
+def test_run_matches_scan_reference_when_labels_run_out(monkeypatch):
+    # With a gap of 2 between order labels nearly every move renumbers them.
+    monkeypatch.setattr(commute, "_GAP", 2)
+    for c in itertools.islice(schedule_battery(), 0, 800, 4):
+        out, counts = run(c)
+        ref, ref_counts = reference_run(c)
+        assert (out.instructions, counts) == (ref.instructions, ref_counts), c.name

@@ -71,7 +71,7 @@ class TestValidate:
 
 
 def cone_by_search(circuit, start):
-    """Qubit and bit masks of one instruction's forward cone, by graph search.
+    """Mask of the bits one instruction's forward cone writes, by graph search.
 
     Follows each wire to its next instruction unless that is a reset, and
     from a written bit to every later reader of it.
@@ -90,38 +90,35 @@ def cone_by_search(circuit, start):
         b = written_bit(instrs[i])
         if b is not None:
             stack.extend(j for j in range(i + 1, len(instrs)) if b in read_bits(instrs[j]))
-    qubits = bits = 0
+    bits = 0
     for i in seen:
-        for q in instruction_qubits(instrs[i]):
-            qubits |= 1 << q
         if written_bit(instrs[i]) is not None:
             bits |= 1 << written_bit(instrs[i])
-    return qubits, bits
+    return bits
 
 
 def reach_of(circuit, position):
-    qubit_reach, bit_reach = Dependencies(circuit).forward_reach()
-    return qubit_reach[position], bit_reach[position]
+    return Dependencies(circuit).forward_reach()[position]
 
 
 class TestForwardCone:
     def test_cx_pair_cone_covers_both_measurements(self):
-        assert reach_of(cx_pair(), 1) == (0b11, 0b11)  # the CX
+        assert reach_of(cx_pair(), 1) == 0b11  # the CX
 
     def test_final_measurement_cone_is_itself(self):
-        assert reach_of(cx_pair(), 3) == (0b10, 0b10)
+        assert reach_of(cx_pair(), 3) == 0b10
 
     def test_reset_blocks_propagation(self):
         # Hand-enumeration: [h, reset, measure] on one wire; the gate's cone
         # reaches nothing past the reset.
         b = CircuitBuilder(1, 1)
         b.h(0).reset(0).measure(0, 0)
-        assert reach_of(b.build(), 0) == (0b1, 0)
+        assert reach_of(b.build(), 0) == 0
 
     def test_classical_propagation_through_condition(self):
         b = CircuitBuilder(2, 2)
         b.h(0).measure(0, 0).x(1, condition=((0, True),)).measure(1, 1)
-        assert reach_of(b.build(), 0) == (0b11, 0b11)
+        assert reach_of(b.build(), 0) == 0b11
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -130,10 +127,10 @@ class TestForwardCone:
         # cone steps to next.
         c = small_random(seed)
         deps = Dependencies(c)
-        qubit_reach, bit_reach = deps.forward_reach()
+        bit_reach = deps.forward_reach()
 
         def contains(i, j):
-            return not (qubit_reach[j] & ~qubit_reach[i] or bit_reach[j] & ~bit_reach[i])
+            return not bit_reach[j] & ~bit_reach[i]
 
         for positions in deps.wires:
             for i, j in zip(positions, positions[1:]):
@@ -145,9 +142,9 @@ class TestForwardCone:
     def test_matches_graph_search(self):
         circuits = [gen(seed) for seed in range(0, 400, 7) for gen in (adversarial, small_random)]
         for c in circuits:
-            qubit_reach, bit_reach = Dependencies(c).forward_reach()
+            bit_reach = Dependencies(c).forward_reach()
             for i in range(len(c.instructions)):
-                assert (qubit_reach[i], bit_reach[i]) == cone_by_search(c, i)
+                assert bit_reach[i] == cone_by_search(c, i)
 
 
 class TestDepth:

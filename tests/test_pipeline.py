@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qreuse import bench, oracle
 from qreuse.ir import Circuit, validate
 from qreuse.pipeline import MODES, optimize
-from qreuse.qasm import emit
+from qreuse.qasm import emit, parse
 
 from conftest import adversarial, small_random
 
@@ -34,6 +34,22 @@ def test_output_matches_golden(name, mode):
     # Byte-for-byte: refactors of the passes must not change emitted text.
     out, _ = optimize(GOLDEN_INPUTS[name](), mode)
     assert emit(out) == (GOLDEN / f"{name}.{mode}.qasm").read_text(encoding="utf-8")
+
+
+def test_rewrites_keep_source_lines():
+    # The conditioned X takes the CX's line, the toggle the X's, and the
+    # reset the line of the moved wire's first instruction.
+    text = "qubit[2] q;\nbit[2] c;\nh q[0];\nc[0] = measure q[0];\ncx q[0], q[1];\nc[1] = measure q[1];\n"
+    out, _ = optimize(parse(text))
+    assert [i.source_line for i in out.instructions] == [3, 4, 6, 6, 5]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_output_instruction_has_a_source_line(mode):
+    for seed in range(200):
+        for c in (adversarial(seed), small_random(seed)):
+            out, _ = optimize(parse(emit(c)), mode)
+            assert None not in [i.source_line for i in out.instructions], (c.name, mode)
 
 
 def test_qpe4_proposed_and_baseline():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from qreuse import bench
 from qreuse.ir import CircuitBuilder, Condition, Gate, Measure
 from qreuse.qasm import (
+    MAX_REGISTER,
     QasmSemanticError,
     QasmSyntaxError,
     QasmUnsupportedError,
@@ -145,6 +146,21 @@ class TestParse:
         with pytest.raises(QasmSemanticError, match="declared twice") as err:
             parse(text)
         assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            (f"qubit[{MAX_REGISTER + 1}] q;\nbit[1] c;\n", 1),
+            (f"qubit[1] q;\n\nbit[{MAX_REGISTER + 1}] c;\n", 3),
+        ],
+    )
+    def test_register_above_limit_rejected(self, text, line):
+        with pytest.raises(QasmSemanticError, match="exceeds the limit") as err:
+            parse(text)
+        assert err.value.line == line
+
+    def test_register_at_limit_accepted(self):
+        assert parse(f"qubit[1] q;\nbit[{MAX_REGISTER}] c;\n").n_clbits == MAX_REGISTER
 
     def test_conditioned_reset_is_unsupported(self):
         text = "qubit[1] q;\nbit[1] c;\nc[0] = measure q[0];\nif (c[0]) reset q[0];\n"

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreuse import bench, oracle
+from qreuse import bench, commute, oracle, transform
 from qreuse.ir import (
     CircuitBuilder,
     ClassicalToggle,
@@ -20,7 +20,8 @@ from qreuse.transform import (
     run,
 )
 
-from conftest import cx_pair, small_random
+from commute_reference import controls_loop, transform_run
+from conftest import cx_pair, schedule_battery, small_random
 
 
 class TestDeadGates:
@@ -186,3 +187,18 @@ def test_each_transformation_alone_preserves_distribution(seed):
         out, _ = op(c)
         ok, dev = oracle.equivalent(c, out)
         assert ok, (op.__name__, dev)
+
+
+def test_run_matches_round_loop():
+    # The event heap must replay full introduction/exchange rounds exactly,
+    # both on raw inputs and after commutation.
+    for c in schedule_battery():
+        for start in (c, commute.run(c)[0]):
+            out, introduced, exchanged = transform._controls_to_fixpoint(start)
+            ref, ref_introduced, ref_exchanged = controls_loop(start)
+            assert out.instructions == ref.instructions, c.name
+            assert (introduced, exchanged) == (ref_introduced, ref_exchanged), c.name
+        out, counts = run(c)
+        ref, ref_counts = transform_run(c)
+        assert out.instructions == ref.instructions, c.name
+        assert counts == ref_counts, c.name
