@@ -8,25 +8,34 @@ declared classical bits, which is what every rewrite pass must preserve.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .ir import Circuit, ClassicalToggle, Gate, GateKind, Instruction, Measure, Reset
 
-from .ir import Circuit, ClassicalToggle, Gate, GateKind, Reset
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["OutcomeDistribution", "SimulationLimitError", "distribution", "equivalent"]
 
 _SQRT2 = math.sqrt(0.5)
 
-_FIXED = {
-    "h": np.array([[_SQRT2, _SQRT2], [_SQRT2, -_SQRT2]], dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "t": np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex),
-}
+
+@functools.cache
+def _fixed_matrices() -> dict[str, np.ndarray]:
+    # Built on first use so that importing the package does not load numpy.
+    import numpy as np
+
+    return {
+        "h": np.array([[_SQRT2, _SQRT2], [_SQRT2, -_SQRT2]], dtype=complex),
+        "x": np.array([[0, 1], [1, 0]], dtype=complex),
+        "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "z": np.array([[1, 0], [0, -1]], dtype=complex),
+        "s": np.array([[1, 0], [0, 1j]], dtype=complex),
+        "t": np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex),
+    }
 
 
 class SimulationLimitError(RuntimeError):
@@ -34,8 +43,11 @@ class SimulationLimitError(RuntimeError):
 
 
 def kind_matrix(kind: GateKind) -> np.ndarray:
-    if kind.name in _FIXED:
-        return _FIXED[kind.name]
+    import numpy as np
+
+    fixed = _fixed_matrices()
+    if kind.name in fixed:
+        return fixed[kind.name]
     if kind.name == "p":
         return np.array([[1, 0], [0, cmath.exp(1j * kind.angle)]], dtype=complex)
     if kind.name == "rz":
@@ -50,6 +62,8 @@ def kind_matrix(kind: GateKind) -> np.ndarray:
 
 
 def _apply_single(state: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    import numpy as np
+
     t = state.reshape([2] * n)
     t = np.moveaxis(t, qubit, 0)
     t = np.tensordot(mat, t, axes=([1], [0]))
@@ -57,6 +71,8 @@ def _apply_single(state: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.
 
 
 def _apply_gate(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
+    import numpy as np
+
     mat = kind_matrix(gate.kind)
     target = gate.targets[0]
     if not gate.controls:
@@ -75,6 +91,8 @@ def _apply_gate(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
 
 
 def _prob_one(state: np.ndarray, qubit: int, n: int) -> float:
+    import numpy as np
+
     t = np.abs(state.reshape([2] * n)) ** 2
     axes = tuple(a for a in range(n) if a != qubit)
     return float(t.sum(axis=axes)[1])
@@ -118,6 +136,35 @@ def _key(record: int, n_bits: int) -> str:
     return format(record, f"0{n_bits}b")
 
 
+def _check_branches(branches: int, max_branches: int) -> None:
+    if branches > max_branches:
+        raise SimulationLimitError(f"branch count exceeded {max_branches}; circuit too dynamic")
+
+
+def _measurement_tail(
+    instrs: tuple[Instruction, ...], n: int
+) -> tuple[int, tuple[int, ...], int, list[int]]:
+    """Read-out plan for the longest measurement-only suffix of ``instrs``.
+
+    Returns the suffix's start, the qubits it never measures (the axes to sum
+    out of ``|state|^2``), the mask of bits it writes, and for each flat index
+    of the marginal (measured qubits in ascending order, the lowest qubit most
+    significant) the record bits the suffix sets to one.
+    """
+    start = len(instrs)
+    while start and isinstance(instrs[start - 1], Measure):
+        start -= 1
+    source = {m.bit: m.qubit for m in instrs[start:]}  # the later write wins
+    measured = sorted(set(source.values()))
+    leaf_bits = [0]
+    for q in measured:
+        ones = sum(1 << b for b, src in source.items() if src == q)
+        leaf_bits = [bits | (ones if v else 0) for bits in leaf_bits for v in (0, 1)]
+    traced = tuple(a for a in range(n) if a not in source.values())
+    written = sum(1 << b for b in source)
+    return start, traced, written, leaf_bits
+
+
 def distribution(
     circuit: Circuit,
     *,
@@ -131,11 +178,24 @@ def distribution(
     measurements and resets split the path with Born-rule weights, conditions
     and toggles update each path's classical record. Branches with weight
     below ``prune`` are dropped.
+
+    The longest suffix of the circuit that holds only measurements is not
+    branched: when a path reaches it, ``|state|^2`` is summed over the qubits
+    the suffix never measures, and every outcome of the measured qubits with
+    ``weight * marginal > prune`` becomes one leaf. Its record applies the
+    suffix's writes in order, so a qubit measured twice writes equal bits and
+    the later write to a bit wins. A path's weight only shrinks, so these are
+    the outcomes that step-by-step branching keeps. Each branch of a
+    measurement or reset, and each leaf of the suffix, counts once against
+    ``max_branches``.
     """
+    import numpy as np
+
     n = circuit.n_qubits
     if n > max_qubits:
         raise SimulationLimitError(f"{n} qubits exceeds the cap of {max_qubits}")
     instrs = circuit.instructions
+    tail, traced, written, leaf_bits = _measurement_tail(instrs, n)
     initial = np.zeros(2 ** n, dtype=complex) if n else np.ones(1, dtype=complex)
     if n:
         initial[0] = 1.0
@@ -146,6 +206,17 @@ def distribution(
     while stack:
         pos, state, record, weight = stack.pop()
         while pos < len(instrs):
+            if pos == tail:
+                marginal = (np.abs(state.reshape([2] * n)) ** 2).sum(axis=traced).reshape(-1)
+                kept = np.flatnonzero(weight * marginal > prune)
+                branches += len(kept)
+                _check_branches(branches, max_branches)
+                base = record & ~written
+                for i, p in zip(kept.tolist(), marginal[kept].tolist()):
+                    leaf = base | leaf_bits[i]
+                    acc[leaf] = acc.get(leaf, 0.0) + weight * p
+                weight = 0.0  # the leaves above hold this path's whole weight
+                break
             instr = instrs[pos]
             pos += 1
             if isinstance(instr, Gate):
@@ -168,16 +239,13 @@ def distribution(
                     sub = _project(state, q, outcome, p, n)
                     if isinstance(instr, Reset):
                         if outcome == 1:
-                            sub = _apply_single(sub, _FIXED["x"], q, n)
+                            sub = _apply_single(sub, _fixed_matrices()["x"], q, n)
                         branched.append((pos, sub, record, weight * p))
                     else:
                         rec = (record | (1 << instr.bit)) if outcome else (record & ~(1 << instr.bit))
                         branched.append((pos, sub, rec, weight * p))
                 branches += len(branched)
-                if branches > max_branches:
-                    raise SimulationLimitError(
-                        f"branch count exceeded {max_branches}; circuit too dynamic"
-                    )
+                _check_branches(branches, max_branches)
                 if not branched:
                     weight = 0.0
                     break

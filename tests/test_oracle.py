@@ -1,13 +1,18 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qreuse import bench, commute, oracle, pipeline
 from qreuse.ir import CircuitBuilder, Measure
-from qreuse.oracle import SimulationLimitError, distribution, equivalent
+from qreuse.oracle import OutcomeDistribution, SimulationLimitError, distribution, equivalent
 
-from conftest import cx_pair, small_random
+from conftest import adversarial, cx_pair, small_random
+from density_reference import density_distribution
+from oracle_reference import reference_distribution
 
 
 def test_hadamard_born_rule():
@@ -83,6 +88,116 @@ def test_branch_guard():
         b.h(0).measure(0, 0)
     with pytest.raises(SimulationLimitError):
         distribution(b.build(), max_branches=16)
+
+
+def test_branch_guard_bounds_a_measurement_tail():
+    # 32 leaves from one read-out, with no branching before the tail.
+    b = CircuitBuilder(5, 5)
+    for q in range(5):
+        b.h(q)
+    for q in range(5):
+        b.measure(q, q)
+    with pytest.raises(SimulationLimitError):
+        distribution(b.build(), max_branches=16)
+    assert len(distribution(b.build(), max_branches=32).probs) == 32
+
+
+def _tail_cases():
+    """Measurement-only tails that stress the read-out, with their outcomes."""
+    # One qubit measured into two bits: both bits read the same outcome.
+    b = CircuitBuilder(1, 2)
+    b.h(0).measure(0, 0).measure(0, 1)
+    yield "one qubit, two bits", b.build(), {"00": 0.5, "11": 0.5}
+    # A bit written twice in the tail: the later write wins.
+    b = CircuitBuilder(2, 1)
+    b.h(0).x(1).measure(0, 0).measure(1, 0)
+    yield "later write wins", b.build(), {"1": 1.0}
+    b = CircuitBuilder(2, 1)
+    b.h(0).x(1).measure(1, 0).measure(0, 0)
+    yield "earlier write lost", b.build(), {"0": 0.5, "1": 0.5}
+    # Only some qubits measured, in an order that is not the qubit order.
+    b = CircuitBuilder(3, 2)
+    b.x(0).h(1).cx(1, 2).measure(2, 0).measure(0, 1)
+    yield "some qubits measured", b.build(), {"10": 0.5, "11": 0.5}
+    # A tail right after a reset of an entangled qubit.
+    b = CircuitBuilder(2, 2)
+    b.h(0).cx(0, 1).reset(0).measure(0, 0).measure(1, 1)
+    yield "tail after reset", b.build(), {"00": 0.5, "10": 0.5}
+    b = CircuitBuilder(2, 2)
+    b.measure(1, 0).measure(0, 1)
+    yield "measurement-only circuit", b.build(), {"00": 1.0}
+    yield "empty circuit", CircuitBuilder(2, 2).build(), {"00": 1.0}
+    # A kept outcome whose marginal is spread over unmeasured qubits in
+    # pieces each below the pruning threshold.
+    theta = 2 * math.asin(math.sqrt(4e-14))
+    b = CircuitBuilder(4, 1)
+    b.rx(theta, 0).h(1).h(2).h(3).measure(0, 0)
+    yield "tiny spread marginal", b.build(), {"0": 1.0 - 4e-14, "1": 4e-14}
+
+
+@pytest.mark.parametrize(
+    "circuit,expected", [pytest.param(c, e, id=name) for name, c, e in _tail_cases()]
+)
+def test_measurement_tail_hand_cases(circuit, expected):
+    d = distribution(circuit)
+    assert set(d.probs) == set(expected)
+    for key, p in expected.items():
+        assert d[key] == pytest.approx(p, rel=1e-9, abs=1e-15), key
+
+
+def _reference_battery():
+    for seed in range(400):
+        for c in (adversarial(seed), small_random(seed)):
+            yield c
+            for mode in pipeline.MODES:
+                yield pipeline.optimize(c, mode)[0]
+    yield bench.gen_qft(8)
+    yield bench.gen_qpe(8, 2 * math.pi * 3 / 8)
+    yield bench.gen_qpe(8, 1.0)
+    yield bench.gen_vqe(8, "full")
+    for _, c, _ in _tail_cases():
+        yield c
+
+
+def test_distribution_matches_branching_reference():
+    # The tail read-out keeps exactly the outcomes that step-by-step
+    # branching keeps, with the same probabilities up to rounding.
+    for c in _reference_battery():
+        got, want = distribution(c), reference_distribution(c)
+        assert set(got.probs) == set(want.probs), c
+        assert got.total_variation(want) <= 1e-12, c
+
+
+def _density_battery():
+    for seed in range(400):
+        yield adversarial(seed)
+        yield small_random(seed)
+    for n in range(1, 7):
+        for d in range(1, 7):
+            for seed in range(3):
+                yield bench.gen_random(bench.RandomSpec(n, d, seed))
+
+
+def test_distribution_matches_density_reference():
+    # An independently written oracle: mixed states merged per record.
+    for c in _density_battery():
+        got = distribution(c)
+        want = OutcomeDistribution(c.n_clbits, density_distribution(c))
+        assert {k for k, p in got.probs.items() if p > 1e-12} == {
+            k for k, p in want.probs.items() if p > 1e-12
+        }, c
+        assert got.total_variation(want) <= 1e-12, c
+
+
+@pytest.mark.parametrize("module", ["qreuse", "qreuse.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    # Only simulation needs numpy; compiling must not pay for its import.
+    src = str(Path(oracle.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import {module}; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "False"
 
 
 @settings(max_examples=30, deadline=None)

@@ -138,3 +138,20 @@ def test_adversarial_circuits_survive_both_modes(seed):
         assert validate(out) == []
         ok, dev = oracle.equivalent(c, out)
         assert ok, (mode, dev)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(MODES))
+def test_second_optimize_never_adds_qubits(seed, mode):
+    for c in (adversarial(seed), small_random(seed)):
+        once, _ = optimize(c, mode)
+        twice, _ = optimize(once, mode)
+        assert twice.n_qubits <= once.n_qubits, (c.name, mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(MODES))
+def test_optimized_output_round_trips(seed, mode):
+    for c in (adversarial(seed), small_random(seed)):
+        out, _ = optimize(c, mode)
+        assert parse(emit(out)) == out, (c.name, mode)
