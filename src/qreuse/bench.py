@@ -156,13 +156,16 @@ def gen_vqe(
     return b.build()
 
 
+# Gates a random layer draws from, uniformly.
+_ONE_QUBIT_POOL = ("h", "x", "z", "p")
+_TWO_QUBIT_POOL = ("cx", "cz", "cp")
+
+
 @dataclass(frozen=True, slots=True)
 class RandomSpec:
     n_qubits: int
     target_depth: int
     seed: int
-    one_qubit_pool: tuple[str, ...] = ("h", "x", "z", "p")
-    two_qubit_pool: tuple[str, ...] = ("cx", "cz", "cp")
     two_qubit_prob: float = 0.5
 
     def __post_init__(self) -> None:
@@ -190,7 +193,7 @@ def gen_random(spec: RandomSpec) -> Circuit:
             if free and rng.uniform() < spec.two_qubit_prob:
                 partner = free.pop(rng.randrange(len(free)))
                 a, t = (q, partner) if rng.next_u64() & 1 == 0 else (partner, q)
-                kind = rng.choice(spec.two_qubit_pool)
+                kind = rng.choice(_TWO_QUBIT_POOL)
                 if kind == "cx":
                     b.cx(a, t)
                 elif kind == "cz":
@@ -198,9 +201,9 @@ def gen_random(spec: RandomSpec) -> Circuit:
                 else:
                     b.cp(rng.uniform() * 2 * math.pi, a, t)
             else:
-                kind = rng.choice(spec.one_qubit_pool)
-                if kind in ("p", "rx", "rz"):
-                    getattr(b, kind)(rng.uniform() * 2 * math.pi, q)
+                kind = rng.choice(_ONE_QUBIT_POOL)
+                if kind == "p":
+                    b.p(rng.uniform() * 2 * math.pi, q)
                 else:
                     getattr(b, kind)(q)
     for q in range(spec.n_qubits):

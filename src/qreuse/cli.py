@@ -159,23 +159,33 @@ def verify(first, second, tol):
         sys.exit(EXIT_MISMATCH)
 
 
-def _bench_instances(family, sizes, strategies, depths, seeds, theta):
+def _int_list(text: str, option: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise ValueError(f"{option} takes comma-separated integers, got {text!r}") from None
+
+
+def _shape(pair: str) -> tuple[int, int]:
+    n, sep, d = pair.partition("x")
+    if not (sep and n.isdigit() and d.isdigit()):
+        raise ValueError(f"--shapes takes comma-separated NxD pairs, got {pair!r}")
+    return int(n), int(d)
+
+
+def _bench_circuits(family, sizes, strategies, shapes, seeds, theta):
+    """The sweep's ``(name, circuit)`` pairs; ``ValueError`` on a malformed option."""
+    sizes, seeds = _int_list(sizes, "--sizes"), _int_list(seeds, "--seeds")
+    strategies = [s for s in strategies.split(",") if s]
     if family == "qpe":
-        return [(f"qpe{n}", lambda n=n: bench.gen_qpe(n, theta)) for n in sizes]
+        return [(f"qpe{n}", bench.gen_qpe(n, theta)) for n in sizes]
     if family == "qft":
-        return [(f"qft{n}", lambda n=n: bench.gen_qft(n)) for n in sizes]
+        return [(f"qft{n}", bench.gen_qft(n)) for n in sizes]
     if family == "vqe":
-        return [
-            (f"vqe-{s}{n}", lambda n=n, s=s: bench.gen_vqe(n, s))
-            for n in sizes
-            for s in strategies
-        ]
+        return [(f"vqe-{s}{n}", bench.gen_vqe(n, s)) for n in sizes for s in strategies]
     return [
-        (
-            f"random-n{n}-d{d}-s{seed}",
-            lambda n=n, d=d, seed=seed: bench.gen_random(bench.RandomSpec(n, d, seed)),
-        )
-        for n, d in ((int(a), int(b)) for a, b in (pair.split("x") for pair in depths))
+        (f"random-n{n}-d{d}-s{seed}", bench.gen_random(bench.RandomSpec(n, d, seed)))
+        for n, d in (_shape(pair) for pair in shapes.split(",") if pair)
         for seed in seeds
     ]
 
@@ -191,20 +201,19 @@ def _bench_instances(family, sizes, strategies, depths, seeds, theta):
 @click.option("--out-dir", default="bench-out", show_default=True)
 def bench_cmd(family, sizes, strategies, shapes, seeds, theta, modes, out_dir):
     """Sweep a benchmark family and write per-instance and aggregate reports."""
-    size_list = [int(s) for s in sizes.split(",") if s]
-    strategy_list = [s for s in strategies.split(",") if s]
-    seed_list = [int(s) for s in seeds.split(",") if s]
     mode_list = [m for m in modes.split(",") if m]
-    shape_list = [s for s in shapes.split(",") if s]
     for mode in mode_list:
         if mode not in pipeline.MODES:
             click.echo(f"error: unknown mode {mode!r}", err=True)
             sys.exit(EXIT_PARSE)
-    instances = _bench_instances(family, size_list, strategy_list, shape_list, seed_list, theta)
+    try:
+        instances = _bench_circuits(family, sizes, strategies, shapes, seeds, theta)
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_PARSE)
 
     docs = []
-    for name, make in instances:
-        circuit = make()
+    for name, circuit in instances:
         for mode in mode_list:
             _, rep = pipeline.optimize(circuit, mode=mode)
             docs.append(report_document(name, mode, rep))

@@ -43,7 +43,7 @@ from .ir import (
     written_bit,
 )
 
-__all__ = ["CommuteRule", "applicable_rule", "commute_once", "run"]
+__all__ = ["CommuteRule", "run"]
 
 
 class CommuteRule(Enum):
@@ -80,43 +80,6 @@ def _split_y(gate: Gate) -> tuple[Gate, Gate]:
         Gate(Z_KIND, gate.targets, (), gate.condition, gate.source_line),
         Gate(X_KIND, gate.targets, (), gate.condition, gate.source_line),
     )
-
-
-def _rule_at(instrs, pos: int) -> tuple[CommuteRule, int] | None:
-    meas = instrs[pos]
-    if not isinstance(meas, Measure):
-        raise ValueError(f"instruction at {pos} is not a measurement")
-    g = next((j for j in range(pos - 1, -1, -1) if meas.qubit in instruction_qubits(instrs[j])), None)
-    if g is None:
-        return None
-    rule = _rule_for(meas, instrs[g])
-    if rule is None or any(
-        meas.bit in read_bits(instr) or written_bit(instr) == meas.bit for instr in instrs[g + 1 : pos]
-    ):
-        return None
-    return rule, g
-
-
-def applicable_rule(circuit: Circuit, measure_pos: int) -> CommuteRule | None:
-    found = _rule_at(list(circuit.instructions), measure_pos)
-    return found[0] if found else None
-
-
-def commute_once(circuit: Circuit, measure_pos: int) -> Circuit:
-    instrs = list(circuit.instructions)
-    found = _rule_at(instrs, measure_pos)
-    if found is None:
-        raise ValueError(f"no commutation rule applies at position {measure_pos}")
-    rule, g = found
-    meas, gate = instrs[measure_pos], instrs[g]
-    if rule is CommuteRule.Y_DECOMPOSE:
-        instrs[g : g + 1] = _split_y(gate)
-    else:
-        instrs.pop(measure_pos)
-        instrs.insert(g, meas)
-        if rule is CommuteRule.BIT_FLIP:
-            instrs.insert(g + 1, _toggle(meas, gate))
-    return circuit.with_instructions(instrs)
 
 
 def _accessed_bits(instr: Instruction) -> tuple[int, ...]:

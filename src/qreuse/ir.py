@@ -33,6 +33,7 @@ __all__ = [
     "rz_kind",
     "opaque_kind",
     "validate",
+    "violations",
     "depth",
     "two_qubit_gate_count",
     "is_diagonal",
@@ -214,18 +215,18 @@ def link_slots(
     return prev, nxt
 
 
-def validate(circuit: Circuit) -> list[str]:
-    """Return all invariant violations; an empty list means the circuit is ok."""
-    errors: list[str] = []
+def violations(circuit: Circuit) -> list[tuple[int, str]]:
+    """Every invariant violation as ``(instruction index, message)``."""
+    errors: list[tuple[int, str]] = []
     assigned = [False] * max(circuit.n_clbits, 0)
 
     def check_qubit(q: int, where: str) -> None:
         if not 0 <= q < circuit.n_qubits:
-            errors.append(f"instr {i}: qubit {q} out of range in {where}")
+            errors.append((i, f"qubit {q} out of range in {where}"))
 
     def check_clbit(b: int, where: str) -> None:
         if not 0 <= b < circuit.n_clbits:
-            errors.append(f"instr {i}: clbit {b} out of range in {where}")
+            errors.append((i, f"clbit {b} out of range in {where}"))
 
     for i, instr in enumerate(circuit.instructions):
         if isinstance(instr, Gate):
@@ -234,20 +235,20 @@ def validate(circuit: Circuit) -> list[str]:
             for q, _ in instr.controls:
                 check_qubit(q, "controls")
             if len(instr.targets) != 1:
-                errors.append(f"instr {i}: gates take exactly one target")
+                errors.append((i, "gates take exactly one target"))
             if len(instr.controls) > 1:
-                errors.append(f"instr {i}: at most one quantum control")
+                errors.append((i, "at most one quantum control"))
             overlap = set(instr.targets) & {q for q, _ in instr.controls}
             if overlap:
-                errors.append(f"instr {i}: control/target overlap on {sorted(overlap)}")
+                errors.append((i, f"control/target overlap on {sorted(overlap)}"))
             seen: set[int] = set()
             for b, _ in instr.condition.literals:
                 check_clbit(b, "condition")
                 if b in seen:
-                    errors.append(f"instr {i}: clbit {b} repeated in condition")
+                    errors.append((i, f"clbit {b} repeated in condition"))
                 seen.add(b)
                 if 0 <= b < circuit.n_clbits and not assigned[b]:
-                    errors.append(f"instr {i}: condition reads clbit {b} before assignment")
+                    errors.append((i, f"condition reads clbit {b} before assignment"))
         elif isinstance(instr, Measure):
             check_qubit(instr.qubit, "measure")
             check_clbit(instr.bit, "measure")
@@ -261,17 +262,22 @@ def validate(circuit: Circuit) -> list[str]:
             for b, _ in instr.product:
                 check_clbit(b, "toggle product")
                 if b == instr.target:
-                    errors.append(f"instr {i}: toggle target {b} appears in its own product")
+                    errors.append((i, f"toggle target {b} appears in its own product"))
                 if b in seen:
-                    errors.append(f"instr {i}: clbit {b} repeated in toggle product")
+                    errors.append((i, f"clbit {b} repeated in toggle product"))
                 seen.add(b)
                 if 0 <= b < circuit.n_clbits and not assigned[b]:
-                    errors.append(f"instr {i}: toggle reads clbit {b} before assignment")
+                    errors.append((i, f"toggle reads clbit {b} before assignment"))
             if 0 <= instr.target < circuit.n_clbits and not assigned[instr.target]:
-                errors.append(f"instr {i}: toggle target {instr.target} unassigned")
+                errors.append((i, f"toggle target {instr.target} unassigned"))
         else:  # pragma: no cover - exhaustive union
-            errors.append(f"instr {i}: unknown instruction {instr!r}")
+            errors.append((i, f"unknown instruction {instr!r}"))
     return errors
+
+
+def validate(circuit: Circuit) -> list[str]:
+    """Return all invariant violations; an empty list means the circuit is ok."""
+    return [f"instr {i}: {message}" for i, message in violations(circuit)]
 
 
 def is_diagonal(instr: Instruction) -> bool:

@@ -8,7 +8,6 @@ declared classical bits, which is what every rewrite pass must preserve.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -22,88 +21,55 @@ __all__ = ["OutcomeDistribution", "SimulationLimitError", "distribution", "equiv
 
 _SQRT2 = math.sqrt(0.5)
 
-
-@functools.cache
-def _fixed_matrices() -> dict[str, np.ndarray]:
-    # Built on first use so that importing the package does not load numpy.
-    import numpy as np
-
-    return {
-        "h": np.array([[_SQRT2, _SQRT2], [_SQRT2, -_SQRT2]], dtype=complex),
-        "x": np.array([[0, 1], [1, 0]], dtype=complex),
-        "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "z": np.array([[1, 0], [0, -1]], dtype=complex),
-        "s": np.array([[1, 0], [0, 1j]], dtype=complex),
-        "t": np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex),
-    }
+# Entries (u00, u01, u10, u11) of the fixed one-qubit gates, row-major.
+_FIXED = {
+    "h": (_SQRT2, _SQRT2, _SQRT2, -_SQRT2),
+    "x": (0, 1, 1, 0),
+    "y": (0, -1j, 1j, 0),
+    "z": (1, 0, 0, -1),
+    "s": (1, 0, 0, 1j),
+    "t": (1, 0, 0, cmath.exp(1j * math.pi / 4)),
+}
 
 
 class SimulationLimitError(RuntimeError):
     """Raised when a circuit exceeds the qubit or branch budget."""
 
 
-def kind_matrix(kind: GateKind) -> np.ndarray:
-    import numpy as np
-
-    fixed = _fixed_matrices()
-    if kind.name in fixed:
-        return fixed[kind.name]
+def kind_matrix(kind: GateKind) -> tuple[complex, complex, complex, complex]:
+    """The gate's 2x2 unitary as its entries ``(u00, u01, u10, u11)``."""
+    if kind.name in _FIXED:
+        return _FIXED[kind.name]
     if kind.name == "p":
-        return np.array([[1, 0], [0, cmath.exp(1j * kind.angle)]], dtype=complex)
+        return (1, 0, 0, cmath.exp(1j * kind.angle))
     if kind.name == "rz":
-        return np.array(
-            [[cmath.exp(-0.5j * kind.angle), 0], [0, cmath.exp(0.5j * kind.angle)]],
-            dtype=complex,
-        )
+        return (cmath.exp(-0.5j * kind.angle), 0, 0, cmath.exp(0.5j * kind.angle))
     if kind.name == "rx":
         c, s = math.cos(kind.angle / 2), math.sin(kind.angle / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    return np.array(kind.matrix, dtype=complex).reshape(2, 2)
+        return (c, -1j * s, -1j * s, c)
+    return kind.matrix
 
 
-def _apply_single(state: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    import numpy as np
-
-    t = state.reshape([2] * n)
-    t = np.moveaxis(t, qubit, 0)
-    t = np.tensordot(mat, t, axes=([1], [0]))
-    return np.moveaxis(t, 0, qubit).reshape(-1)
-
-
-def _apply_gate(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    import numpy as np
-
-    mat = kind_matrix(gate.kind)
-    target = gate.targets[0]
-    if not gate.controls:
-        return _apply_single(state, mat, target, n)
-    (control, polarity), = gate.controls
-    t = state.reshape([2] * n).copy()
-    sl = [slice(None)] * n
-    sl[control] = 1 if polarity else 0
-    sub = t[tuple(sl)]
-    # Removing the control axis shifts later axes down by one.
-    t_axis = target - (1 if target > control else 0)
-    sub = np.moveaxis(sub, t_axis, 0)
-    sub = np.tensordot(mat, sub, axes=([1], [0]))
-    t[tuple(sl)] = np.moveaxis(sub, 0, t_axis)
-    return t.reshape(-1)
+def _halves(n: int, qubit: int, controls=()) -> tuple[tuple, tuple]:
+    """Basic indices of the ``0`` and ``1`` halves of ``qubit``'s axis,
+    inside the slice where every ``(control, polarity)`` holds."""
+    index: list = [slice(None)] * n
+    for control, polarity in controls:
+        index[control] = int(polarity)
+    index[qubit] = 0
+    zero = tuple(index)
+    index[qubit] = 1
+    return zero, tuple(index)
 
 
-def _prob_one(state: np.ndarray, qubit: int, n: int) -> float:
-    import numpy as np
-
-    t = np.abs(state.reshape([2] * n)) ** 2
-    axes = tuple(a for a in range(n) if a != qubit)
-    return float(t.sum(axis=axes)[1])
-
-
-def _project(state: np.ndarray, qubit: int, outcome: int, prob: float, n: int) -> np.ndarray:
-    t = state.reshape([2] * n).copy()
-    sl = [slice(None)] * n
-    sl[qubit] = 1 - outcome
-    t[tuple(sl)] = 0.0
-    return (t / math.sqrt(prob)).reshape(-1)
+def _apply_gate(state: np.ndarray, gate: Gate) -> None:
+    """Apply ``gate`` to ``state`` (shape ``(2,) * n``) in place."""
+    u00, u01, u10, u11 = kind_matrix(gate.kind)
+    zero, one = _halves(state.ndim, gate.targets[0], gate.controls)
+    a0, a1 = state[zero], state[one]
+    new0 = u00 * a0 + u01 * a1
+    state[one] = u10 * a0 + u11 * a1
+    state[zero] = new0
 
 
 def _literals_hold(record: int, literals) -> bool:
@@ -174,10 +140,17 @@ def distribution(
 ) -> OutcomeDistribution:
     """Joint distribution of the classical register after running the circuit.
 
-    Depth-first path enumeration: unitaries act on a dense amplitude vector,
+    Depth-first path enumeration: unitaries act on a dense amplitude array,
     measurements and resets split the path with Born-rule weights, conditions
     and toggles update each path's classical record. Branches with weight
     below ``prune`` are dropped.
+
+    A path's state has shape ``(2,) * n``, qubit q on axis q, and every
+    instruction is one basic-index update of it. A gate rewrites its
+    target's ``0`` and ``1`` halves in place, inside the slice where its
+    control holds. A measurement or reset reads ``p1`` from the qubit's
+    ``1`` half and copies each kept half, scaled by ``1/sqrt(p)``, into a
+    fresh zero array; a reset copies it into the ``0`` half.
 
     The longest suffix of the circuit that holds only measurements is not
     branched: when a path reaches it, ``|state|^2`` is summed over the qubits
@@ -196,9 +169,8 @@ def distribution(
         raise SimulationLimitError(f"{n} qubits exceeds the cap of {max_qubits}")
     instrs = circuit.instructions
     tail, traced, written, leaf_bits = _measurement_tail(instrs, n)
-    initial = np.zeros(2 ** n, dtype=complex) if n else np.ones(1, dtype=complex)
-    if n:
-        initial[0] = 1.0
+    initial = np.zeros((2,) * n, dtype=complex)
+    initial[(0,) * n] = 1.0
     acc: dict[int, float] = {}
     branches = 0
     # Stack entries: (next instruction position, state, classical record, weight).
@@ -207,7 +179,7 @@ def distribution(
         pos, state, record, weight = stack.pop()
         while pos < len(instrs):
             if pos == tail:
-                marginal = (np.abs(state.reshape([2] * n)) ** 2).sum(axis=traced).reshape(-1)
+                marginal = (np.abs(state) ** 2).sum(axis=traced).reshape(-1)
                 kept = np.flatnonzero(weight * marginal > prune)
                 branches += len(kept)
                 _check_branches(branches, max_branches)
@@ -221,29 +193,24 @@ def distribution(
             pos += 1
             if isinstance(instr, Gate):
                 if _literals_hold(record, instr.condition.literals):
-                    state = _apply_gate(state, instr, n)
+                    _apply_gate(state, instr)
             elif isinstance(instr, ClassicalToggle):
                 if _literals_hold(record, instr.product):
                     record ^= 1 << instr.target
             else:
-                q = instr.qubit
-                p1 = _prob_one(state, q, n)
-                p0 = 1.0 - p1
-                outcomes = []
-                if p0 * weight > prune:
-                    outcomes.append((0, p0))
-                if p1 * weight > prune:
-                    outcomes.append((1, p1))
+                halves = _halves(n, instr.qubit)
+                one = state[halves[1]]
+                p1 = float(np.vdot(one, one).real)
+                reset = isinstance(instr, Reset)
                 branched = []
-                for outcome, p in outcomes:
-                    sub = _project(state, q, outcome, p, n)
-                    if isinstance(instr, Reset):
-                        if outcome == 1:
-                            sub = _apply_single(sub, _fixed_matrices()["x"], q, n)
-                        branched.append((pos, sub, record, weight * p))
-                    else:
-                        rec = (record | (1 << instr.bit)) if outcome else (record & ~(1 << instr.bit))
-                        branched.append((pos, sub, rec, weight * p))
+                for outcome, p in ((0, 1.0 - p1), (1, p1)):
+                    if p * weight <= prune:
+                        continue
+                    # A reset lands either outcome on the qubit's 0 half.
+                    sub = np.zeros_like(state)
+                    sub[halves[0 if reset else outcome]] = state[halves[outcome]] / math.sqrt(p)
+                    rec = record if reset else record & ~(1 << instr.bit) | outcome << instr.bit
+                    branched.append((pos, sub, rec, weight * p))
                 branches += len(branched)
                 _check_branches(branches, max_branches)
                 if not branched:

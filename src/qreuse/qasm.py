@@ -13,7 +13,9 @@ where ``lit`` is ``c[i]`` or ``!c[i]`` and angles are decimal literals.
 Register sizes are at most ``MAX_REGISTER``, so a declaration cannot make
 validation allocate without bound.
 Opaque gates are declared by a ``// matrix <label>: re im re im re im re im``
-comment (row-major 2x2) and used as ``<label> q[i];``. Emission is
+comment (row-major 2x2, unitary: no entry of ``U^dagger U - I`` above 1e-9)
+and used as ``<label> q[i];``. A circuit that breaks an ``ir.violations``
+invariant is rejected at the line of its first offending statement. Emission is
 deterministic: fixed ordering, 17-significant-digit floats, so identical
 circuits produce byte-identical text.
 """
@@ -32,7 +34,7 @@ from .ir import (
     Measure,
     Reset,
     opaque_kind,
-    validate,
+    violations,
 )
 
 __all__ = [
@@ -118,6 +120,17 @@ def _number(text: str, what: str, line: int) -> float:
     return value
 
 
+def _unitary(a: complex, b: complex, c: complex, d: complex) -> bool:
+    """Whether every entry of ``U^dagger U - I`` for ``U = [[a, b], [c, d]]``
+    is within 1e-9 of zero."""
+    gram = (
+        abs(a) ** 2 + abs(c) ** 2 - 1,
+        a.conjugate() * b + c.conjugate() * d,  # its mirror entry is the conjugate
+        abs(b) ** 2 + abs(d) ** 2 - 1,
+    )
+    return all(abs(x) <= 1e-9 for x in gram)
+
+
 def _parse_literals(text: str, line: int) -> tuple[tuple[int, bool], ...]:
     parts = [p.strip() for p in text.split("&")]
     literals = []
@@ -182,6 +195,8 @@ def parse(text: str) -> Circuit:
                 )
             vals = [_number(x, "matrix entry", lineno) for x in numbers]
             entries = [complex(vals[i], vals[i + 1]) for i in range(0, 8, 2)]
+            if not _unitary(*entries):
+                raise QasmSemanticError(f"matrix annotation for {label!r} is not unitary", lineno)
             matrices[label] = opaque_kind(label, entries)
             continue
         m = _RE_NAME.match(raw.strip())
@@ -264,9 +279,10 @@ def parse(text: str) -> Circuit:
     if n_qubits is None or n_clbits is None:
         raise QasmSemanticError("missing qubit[...] q; or bit[...] c; declaration")
     circuit = Circuit(n_qubits, n_clbits, tuple(instructions), name)
-    errors = validate(circuit)
+    errors = violations(circuit)
     if errors:
-        raise QasmSemanticError("; ".join(errors))
+        i, message = errors[0]
+        raise QasmSemanticError(message, instructions[i].source_line)
     return circuit
 
 

@@ -3,26 +3,93 @@
 This is ``oracle.distribution`` as it was before the measurement-only tail
 was read from one marginal: every measurement, terminal ones included,
 splits the path with Born-rule weights and prunes each branch on its own.
+Its kernels are the oracle's as they were before the in-place slice
+updates: each gate, probability and projection reshapes a flat amplitude
+vector and moves the acted-on axis to the front (``moveaxis``/``tensordot``).
 ``distribution`` must give the same outcome keys and, up to rounding, the
 same probabilities.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
+import math
+
 import numpy as np
 
-from qreuse.ir import Circuit, ClassicalToggle, Gate, Reset
-from qreuse.oracle import (
-    OutcomeDistribution,
-    SimulationLimitError,
-    _apply_gate,
-    _apply_single,
-    _fixed_matrices,
-    _key,
-    _literals_hold,
-    _prob_one,
-    _project,
-)
+from qreuse.ir import Circuit, ClassicalToggle, Gate, GateKind, Reset
+from qreuse.oracle import OutcomeDistribution, SimulationLimitError, _key, _literals_hold
+
+_SQRT2 = math.sqrt(0.5)
+
+
+@functools.cache
+def _fixed_matrices() -> dict[str, np.ndarray]:
+    return {
+        "h": np.array([[_SQRT2, _SQRT2], [_SQRT2, -_SQRT2]], dtype=complex),
+        "x": np.array([[0, 1], [1, 0]], dtype=complex),
+        "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "z": np.array([[1, 0], [0, -1]], dtype=complex),
+        "s": np.array([[1, 0], [0, 1j]], dtype=complex),
+        "t": np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex),
+    }
+
+
+def kind_matrix(kind: GateKind) -> np.ndarray:
+    fixed = _fixed_matrices()
+    if kind.name in fixed:
+        return fixed[kind.name]
+    if kind.name == "p":
+        return np.array([[1, 0], [0, cmath.exp(1j * kind.angle)]], dtype=complex)
+    if kind.name == "rz":
+        return np.array(
+            [[cmath.exp(-0.5j * kind.angle), 0], [0, cmath.exp(0.5j * kind.angle)]],
+            dtype=complex,
+        )
+    if kind.name == "rx":
+        c, s = math.cos(kind.angle / 2), math.sin(kind.angle / 2)
+        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    return np.array(kind.matrix, dtype=complex).reshape(2, 2)
+
+
+def _apply_single(state: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    t = state.reshape([2] * n)
+    t = np.moveaxis(t, qubit, 0)
+    t = np.tensordot(mat, t, axes=([1], [0]))
+    return np.moveaxis(t, 0, qubit).reshape(-1)
+
+
+def _apply_gate(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
+    mat = kind_matrix(gate.kind)
+    target = gate.targets[0]
+    if not gate.controls:
+        return _apply_single(state, mat, target, n)
+    (control, polarity), = gate.controls
+    t = state.reshape([2] * n).copy()
+    sl = [slice(None)] * n
+    sl[control] = 1 if polarity else 0
+    sub = t[tuple(sl)]
+    # Removing the control axis shifts later axes down by one.
+    t_axis = target - (1 if target > control else 0)
+    sub = np.moveaxis(sub, t_axis, 0)
+    sub = np.tensordot(mat, sub, axes=([1], [0]))
+    t[tuple(sl)] = np.moveaxis(sub, 0, t_axis)
+    return t.reshape(-1)
+
+
+def _prob_one(state: np.ndarray, qubit: int, n: int) -> float:
+    t = np.abs(state.reshape([2] * n)) ** 2
+    axes = tuple(a for a in range(n) if a != qubit)
+    return float(t.sum(axis=axes)[1])
+
+
+def _project(state: np.ndarray, qubit: int, outcome: int, prob: float, n: int) -> np.ndarray:
+    t = state.reshape([2] * n).copy()
+    sl = [slice(None)] * n
+    sl[qubit] = 1 - outcome
+    t[tuple(sl)] = 0.0
+    return (t / math.sqrt(prob)).reshape(-1)
 
 
 def reference_distribution(

@@ -174,3 +174,21 @@ class TestBench:
         rows = {(r["instance"], r["mode"]): r for r in aggregate["aggregate"]}
         assert ("random-n10-d2", "proposed") in rows
         assert rows[("random-n10-d2", "proposed")]["runs"] == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--family", "random", "--shapes", "20"],
+            ["--family", "qft", "--sizes", "a,b"],
+            ["--family", "qft", "--sizes", "0"],
+            ["--family", "vqe", "--strategies", "bogus"],
+        ],
+        ids=["shape-without-depth", "non-integer-size", "zero-size", "unknown-strategy"],
+    )
+    def test_malformed_option_is_a_parse_error(self, runner, tmp_path, args):
+        out = tmp_path / "bad"
+        result = runner.invoke(main, ["bench", *args, "--out-dir", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ")
+        assert not out.exists()

@@ -1,11 +1,10 @@
 import itertools
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from qreuse import bench, commute, oracle
-from qreuse.commute import CommuteRule, applicable_rule, commute_once, run
+from qreuse.commute import CommuteRule, run
 from qreuse.ir import (
     CircuitBuilder,
     ClassicalToggle,
@@ -16,57 +15,73 @@ from qreuse.ir import (
     validate,
 )
 
-from commute_reference import run as reference_run
+from commute_reference import _rule_at, run as reference_run
 from conftest import schedule_battery, small_random
 
 
+def rules_applied(circuit):
+    """The nonzero rule counts of one ``run``."""
+    return {rule: k for rule, k in run(circuit)[1].items() if k}
+
+
+def movable(circuit, pos):
+    """Whether the scan-based reference can move the measurement at ``pos``."""
+    return _rule_at(list(circuit.instructions), pos) is not None
+
+
 class TestApplicableRule:
+    """Which rule moves a measurement across its wire predecessor."""
+
     def test_cp_on_control_side(self):
         c = CircuitBuilder(2, 1).cp(0.3, 0, 1).measure(0, 0).build()
-        assert applicable_rule(c, 1) is CommuteRule.CONTROLLED_ON_CONTROL
+        assert rules_applied(c) == {CommuteRule.CONTROLLED_ON_CONTROL.value: 1}
 
     def test_cp_on_target_side_is_diagonal(self):
         c = CircuitBuilder(2, 1).cp(0.3, 0, 1).measure(1, 0).build()
-        assert applicable_rule(c, 1) is CommuteRule.DIAGONAL
+        assert rules_applied(c) == {CommuteRule.DIAGONAL.value: 1}
 
     def test_hadamard_blocks(self):
         c = CircuitBuilder(1, 1).h(0).measure(0, 0).build()
-        assert applicable_rule(c, 1) is None
+        assert rules_applied(c) == {}
 
     def test_rx_blocks(self):
         c = CircuitBuilder(1, 1).rx(0.7, 0).measure(0, 0).build()
-        assert applicable_rule(c, 1) is None
+        assert rules_applied(c) == {}
 
     def test_cx_target_blocks(self):
         c = CircuitBuilder(2, 1).cx(0, 1).measure(1, 0).build()
-        assert applicable_rule(c, 1) is None
+        assert rules_applied(c) == {}
 
     def test_conditioned_x_is_bitflip(self):
         b = CircuitBuilder(2, 2)
         b.measure(0, 0).x(1, condition=((0, True),)).measure(1, 1)
-        assert applicable_rule(b.build(), 2) is CommuteRule.BIT_FLIP
+        assert rules_applied(b.build()) == {CommuteRule.BIT_FLIP.value: 1}
 
     def test_y_decomposes(self):
+        # Y becomes Z then X; the measurement then crosses X and Z.
         c = CircuitBuilder(1, 1).y(0).measure(0, 0).build()
-        assert applicable_rule(c, 1) is CommuteRule.Y_DECOMPOSE
-
-    def test_not_a_measurement(self):
-        c = CircuitBuilder(1, 1).h(0).measure(0, 0).build()
-        with pytest.raises(ValueError):
-            applicable_rule(c, 0)
+        assert _rule_at(list(c.instructions), 1) == (CommuteRule.Y_DECOMPOSE, 0)
+        assert rules_applied(c) == {
+            CommuteRule.Y_DECOMPOSE.value: 1,
+            CommuteRule.BIT_FLIP.value: 1,
+            CommuteRule.DIAGONAL.value: 1,
+        }
 
     def test_self_conditioned_x_blocks(self):
         # Re-measurement into the bit that conditions the X: moving would
         # create a self-referential toggle.
         b = CircuitBuilder(1, 1)
         b.measure(0, 0).x(0, condition=((0, True),)).measure(0, 0)
-        assert applicable_rule(b.build(), 2) is None
+        assert rules_applied(b.build()) == {}
 
 
 class TestCommuteOnce:
+    """Circuits where ``run`` applies exactly one rule."""
+
     def test_plain_x_inserts_negation(self):
         c = CircuitBuilder(1, 1).x(0).measure(0, 0).build()
-        out = commute_once(c, 1)
+        out, counts = run(c)
+        assert sum(counts.values()) == 1
         kinds = [type(i).__name__ for i in out.instructions]
         assert kinds == ["Measure", "ClassicalToggle", "Gate"]
         assert out.instructions[1] == ClassicalToggle(0, ())
@@ -74,7 +89,8 @@ class TestCommuteOnce:
 
     def test_cx_control_swaps_without_fixup(self):
         c = CircuitBuilder(2, 1).cx(0, 1).measure(0, 0).build()
-        out = commute_once(c, 1)
+        out, counts = run(c)
+        assert sum(counts.values()) == 1
         assert isinstance(out.instructions[0], Measure)
         assert out.instructions[1].kind.name == "x"
         assert out.instructions[1].controls == ((0, True),)
@@ -82,14 +98,10 @@ class TestCommuteOnce:
     def test_conditioned_x_toggle_carries_condition(self):
         b = CircuitBuilder(2, 2)
         b.measure(0, 0).x(1, condition=((0, True),)).measure(1, 1)
-        out = commute_once(b.build(), 2)
+        out, counts = run(b.build())
+        assert sum(counts.values()) == 1
         toggle = out.instructions[2]
         assert toggle == ClassicalToggle(1, ((0, True),))
-
-    def test_rule_not_applicable_raises(self):
-        c = CircuitBuilder(1, 1).h(0).measure(0, 0).build()
-        with pytest.raises(ValueError):
-            commute_once(c, 1)
 
 
 class TestRun:
@@ -140,7 +152,7 @@ class TestRun:
         assert validate(out) == []
         for pos, instr in enumerate(out.instructions):
             if isinstance(instr, Measure):
-                assert applicable_rule(out, pos) is None
+                assert not movable(out, pos)
         assert sum(counts.values()) <= len(c.instructions) ** 2
 
 
@@ -164,7 +176,7 @@ def test_run_fixpoint(seed):
     out, _ = run(small_random(seed))
     for pos, instr in enumerate(out.instructions):
         if isinstance(instr, Measure):
-            assert applicable_rule(out, pos) is None
+            assert not movable(out, pos)
 
 
 def test_run_matches_scan_reference():

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -135,6 +136,20 @@ class TestParse:
             parse(text)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("numbers", ["2 0 0 0 0 0 2 0", "0 0 0 0 0 0 0 0"], ids=["2I", "zero"])
+    def test_non_unitary_matrix_rejected(self, numbers):
+        # Simulating these gave {"0": 4.0} for 2I and {} for the zero matrix.
+        text = f"qubit[1] q;\nbit[1] c;\n// matrix u_a: {numbers}\nu_a q[0];\nc[0] = measure q[0];\n"
+        with pytest.raises(QasmSemanticError, match="not unitary") as err:
+            parse(text)
+        assert err.value.line == 3
+
+    def test_validation_error_names_the_line(self):
+        text = "qubit[1] q;\nbit[2] c;\nif (c[5]) x q[0];\n"
+        with pytest.raises(QasmSemanticError, match=r"clbit 5 out of range in condition \(line 3\)") as err:
+            parse(text)
+        assert err.value.line == 3
+
     @pytest.mark.parametrize(
         "text,line",
         [
@@ -202,8 +217,13 @@ class TestEmit:
         assert parse(emit(c)) == c
 
     def test_opaque_roundtrip(self):
+        # A generic unitary's entries, rounded to 17 digits, must still pass
+        # the unitarity check.
+        cos, sin = math.cos(1.234), math.sin(1.234)
+        phi, psi = cmath.exp(0.7j), cmath.exp(-2.1j)
         b = CircuitBuilder(1, 1)
-        b.opaque("u_q", [1, 0, 0, complex(0.6, 0.8)], 0).measure(0, 0)
+        b.opaque("u_q", [1, 0, 0, complex(0.6, 0.8)], 0)
+        b.opaque("u_g", [cos, -sin * phi, sin * psi, cos * phi * psi], 0).measure(0, 0)
         c = b.build()
         again = parse(emit(c))
         assert again.instructions == c.instructions
