@@ -12,22 +12,23 @@ instruction on the measured wire:
 A rule also needs the measured bit untouched between the gate and the
 measurement, so the move reorders no two accesses to that bit.
 
-``run`` pushes each measurement once, in circuit order, until no rule
+``push`` pushes each measurement once, in circuit order, until no rule
 applies. A measurement that is stuck stays stuck: later pushes only move
 measurements across gates on their own wires and add accesses to bits, so
 they never change a stuck measurement's wire predecessor and never remove an
-access that blocks it. The circuit is kept as a doubly linked list with
-per-wire and per-bit neighbour links and integer order labels, so a wire
-predecessor is one lookup and "the bit is touched in between" is one label
-comparison against the measurement's previous access to its bit.
+access that blocks it. It updates the shared index ``ir.Chain`` in place: a
+wire predecessor is one lookup, and "the bit is touched in between" is one
+label comparison against the measurement's previous access to its bit.
+``transform.run`` pushes twice on one chain; ``run`` is one push on a
+circuit.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import accumulate
 
 from .ir import (
+    Chain,
     Circuit,
     ClassicalToggle,
     Gate,
@@ -35,15 +36,11 @@ from .ir import (
     Measure,
     X_KIND,
     Z_KIND,
-    instruction_qubits,
     is_bitflip,
     is_diagonal,
-    link_slots,
-    read_bits,
-    written_bit,
 )
 
-__all__ = ["CommuteRule", "run"]
+__all__ = ["CommuteRule", "push", "run"]
 
 
 class CommuteRule(Enum):
@@ -82,146 +79,18 @@ def _split_y(gate: Gate) -> tuple[Gate, Gate]:
     )
 
 
-def _accessed_bits(instr: Instruction) -> tuple[int, ...]:
-    bits = read_bits(instr)
-    w = written_bit(instr)
-    return bits if w is None or w in bits else bits + (w,)
-
-
-_GAP = 1 << 32
-
-
-def _link(prev: list[int], nxt: list[int], s: int, a: int, b: int) -> None:
-    """Link slot ``s`` between slots ``a`` and ``b`` (-1: none)."""
-    prev[s], nxt[s] = a, b
-    if a >= 0:
-        nxt[a] = s
-    if b >= 0:
-        prev[b] = s
-
-
-class _Chain:
-    """A circuit as a doubly linked list with per-wire and per-bit links.
-
-    Node ``i`` starts as instruction ``i``; nodes a rewrite adds are
-    appended. Wire and bit links join slots, not nodes: node ``i`` owns wire
-    slots ``2i`` and ``2i + 1`` (its qubits in ``instruction_qubits`` order)
-    and one bit slot per accessed bit from ``bit_base[i]`` on. ``label``
-    orders the nodes: a node placed between two others takes the midpoint of
-    their labels, and all labels are renumbered when a gap is used up.
-    """
-
-    def __init__(self, circuit: Circuit) -> None:
-        instrs = circuit.instructions
-        n = len(instrs)
-        self.instr: list[Instruction] = list(instrs)
-        self.prev = list(range(-1, n - 1))
-        self.next = list(range(1, n + 1))
-        if n:
-            self.next[-1] = -1
-        self.head = 0 if n else -1
-        self.label = [(i + 1) * _GAP for i in range(n)]
-        self.qubits = [instruction_qubits(i) for i in instrs]
-        self.wire_prev, self.wire_next = link_slots(
-            self.qubits, range(0, 2 * n, 2), 2 * n, circuit.n_qubits
-        )
-        self.bits = [_accessed_bits(i) for i in instrs]
-        self.bit_base = list(accumulate((len(b) for b in self.bits), initial=0))
-        n_slots = self.bit_base.pop()
-        self.bit_owner = [i for i, bits in enumerate(self.bits) for _ in bits]
-        self.bit_prev, self.bit_next = link_slots(self.bits, self.bit_base, n_slots, circuit.n_clbits)
-
-    def wire_slot(self, node: int, q: int) -> int:
-        return 2 * node + (self.qubits[node][0] != q)
-
-    def bit_slot(self, node: int, b: int) -> int:
-        return self.bit_base[node] + self.bits[node].index(b)
-
-    def _place(self, node: int, before: int) -> None:
-        """Link ``node`` into the global order right before ``before``."""
-        a = self.prev[before]
-        _link(self.prev, self.next, node, a, before)
-        if a < 0:
-            self.head = node
-        lo = self.label[a] if a >= 0 else 0
-        if self.label[before] - lo < 2:
-            self._relabel()
-            lo = self.label[a] if a >= 0 else 0
-        self.label[node] = (lo + self.label[before]) // 2
-
-    def _relabel(self) -> None:
-        node, k = self.head, 1
-        while node >= 0:
-            self.label[node] = k * _GAP
-            node, k = self.next[node], k + 1
-
-    def move_before(self, node: int, gate: int, q: int) -> None:
-        """Move ``node`` (one qubit ``q``, no bit crossed) right before
-        ``gate``, its predecessor on wire ``q``."""
-        a, b = self.prev[node], self.next[node]
-        if a >= 0:
-            self.next[a] = b
-        else:
-            self.head = b
-        if b >= 0:
-            self.prev[b] = a
-        self._place(node, gate)
-        wp, wn = self.wire_prev, self.wire_next
-        s, gs = 2 * node, self.wire_slot(gate, q)
-        a, b = wp[gs], wn[s]
-        _link(wp, wn, s, a, gs)
-        _link(wp, wn, gs, s, b)
-
-    def insert_after(self, node: int, instr: Instruction) -> None:
-        """Add ``instr`` between ``node`` and the node after it. Each of its
-        wires and bits must be shared with ``node`` or, failing that, with
-        the node after it."""
-        new, after = len(self.instr), self.next[node]
-        self.instr.append(instr)
-        self.prev.append(-1)
-        self.next.append(-1)
-        self.label.append(0)
-        self._place(new, after)
-        qubits, bits = instruction_qubits(instr), _accessed_bits(instr)
-        self.qubits.append(qubits)
-        self.bits.append(bits)
-        wp, wn, bp, bn = self.wire_prev, self.wire_next, self.bit_prev, self.bit_next
-        wp += (-1, -1)
-        wn += (-1, -1)
-        self.bit_base.append(len(bp))
-        for k, q in enumerate(qubits):
-            a = self.wire_slot(node, q)
-            _link(wp, wn, 2 * new + k, a, wn[a])
-        for b in bits:
-            s = len(bp)
-            bp.append(-1)
-            bn.append(-1)
-            self.bit_owner.append(new)
-            if b in self.bits[node]:
-                a = self.bit_slot(node, b)
-                _link(bp, bn, s, a, bn[a])
-            else:
-                c = self.bit_slot(after, b)
-                _link(bp, bn, s, bp[c], c)
-
-    def instructions(self) -> list[Instruction]:
-        out = []
-        node = self.head
-        while node >= 0:
-            out.append(self.instr[node])
-            node = self.next[node]
-        return out
-
-
-def run(circuit: Circuit) -> tuple[Circuit, dict[str, int]]:
-    """Push every measurement, in circuit order, until no rule applies."""
-    instrs = circuit.instructions
+def push(chain: Chain) -> dict[str, int]:
+    """Push every measurement of ``chain``, in circuit order, until no rule
+    applies; returns the rule tallies."""
+    chain.link_bits()
+    order = chain.order()
     counts = {rule.value: 0 for rule in CommuteRule}
-    limit = (2 * len(instrs) + 8) ** 2
+    limit = (2 * len(order) + 8) ** 2
     total = 0
-    chain = _Chain(circuit)
-    label, wire_prev, bit_prev, owner = chain.label, chain.wire_prev, chain.bit_prev, chain.bit_owner
-    for m, meas in enumerate(instrs):
+    instr, label, wire_prev = chain.instr, chain.label, chain.wire_prev
+    bit_prev, bit_base, owner = chain.bit_prev, chain.bit_base, chain.bit_owner
+    for m in order:
+        meas = instr[m]
         if not isinstance(meas, Measure):
             continue
         q = meas.qubit
@@ -230,17 +99,17 @@ def run(circuit: Circuit) -> tuple[Circuit, dict[str, int]]:
             if s < 0:
                 break
             g = s >> 1
-            gate = chain.instr[g]
+            gate = instr[g]
             rule = _rule_for(meas, gate)
             if rule is None:
                 break
             # Stuck when the previous access to the bit lies after the gate.
-            p = bit_prev[chain.bit_base[m]]
+            p = bit_prev[bit_base[m]]
             if p >= 0 and label[owner[p]] > label[g]:
                 break
             if rule is CommuteRule.Y_DECOMPOSE:
                 z, x = _split_y(gate)
-                chain.instr[g] = z
+                chain.replace(g, z)
                 chain.insert_after(g, x)
             else:
                 chain.move_before(m, g, q)
@@ -250,4 +119,11 @@ def run(circuit: Circuit) -> tuple[Circuit, dict[str, int]]:
             total += 1
             if total > limit:
                 raise RuntimeError("commutation rule applications exceeded the watchdog bound")
-    return circuit.with_instructions(chain.instructions()), counts
+    return counts
+
+
+def run(circuit: Circuit) -> tuple[Circuit, dict[str, int]]:
+    """Push every measurement, in circuit order, until no rule applies."""
+    chain = Chain(circuit)
+    counts = push(chain)
+    return chain.materialise(), counts

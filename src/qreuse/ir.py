@@ -5,11 +5,20 @@ and a register of classical bits. Four instruction variants cover the
 dynamic-circuit primitives: gates (optionally quantum-controlled and/or
 classically conditioned), mid-circuit measurement, reset, and classical XOR
 fix-ups. Circuits are immutable values; rewrite passes return new circuits.
+
+Every analysis reads one index of per-instruction facts, ``Dependencies``:
+each instruction's qubits, read bits and written bit. A circuit computes it
+on first use and caches it; a pass that builds a circuit from facts it
+already knows hands them over instead. The rewrite passes share one mutable
+form of it, ``Chain``: the circuit as a linked list that they update in
+place, from the first commutation to dead-gate elimination, and turn back
+into a circuit once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 __all__ = [
     "GateKind",
@@ -22,6 +31,7 @@ __all__ = [
     "Circuit",
     "CircuitBuilder",
     "Dependencies",
+    "Chain",
     "H_KIND",
     "X_KIND",
     "Y_KIND",
@@ -41,7 +51,6 @@ __all__ = [
     "instruction_qubits",
     "read_bits",
     "written_bit",
-    "link_slots",
 ]
 
 GATE_NAMES = frozenset({"h", "x", "y", "z", "s", "t", "p", "rx", "rz", "u"})
@@ -159,60 +168,51 @@ class Circuit:
     n_clbits: int
     instructions: tuple[Instruction, ...] = ()
     name: str = ""
+    # Cached ``Dependencies``; not part of the value.
+    _deps: "Dependencies | None" = field(default=None, init=False, repr=False, compare=False)
 
     def with_instructions(self, instructions) -> "Circuit":
         return replace(self, instructions=tuple(instructions))
 
+    def dependencies(self) -> "Dependencies":
+        """The circuit's dependency facts, computed on first use."""
+        if self._deps is None:
+            object.__setattr__(self, "_deps", Dependencies(self))
+        return self._deps
+
+
+_first = itemgetter(0)
+
+
+def _facts(instr: Instruction) -> tuple[tuple[int, ...], tuple[int, ...], int | None, bool]:
+    """An instruction's qubits, read bits, written bit and whether it is a
+    reset, in one type dispatch."""
+    if isinstance(instr, Gate):
+        qubits = instr.targets
+        if instr.controls:
+            qubits = tuple(map(_first, instr.controls)) + qubits
+        literals = instr.condition.literals
+        return qubits, tuple(map(_first, literals)) if literals else (), None, False
+    if isinstance(instr, Measure):
+        return (instr.qubit,), (), instr.bit, False
+    if isinstance(instr, Reset):
+        return (instr.qubit,), (), None, True
+    # A toggle's XOR accumulates into its target, so the target is read too.
+    return (), tuple(map(_first, instr.product)) + (instr.target,), instr.target, False
+
 
 def instruction_qubits(instr: Instruction) -> tuple[int, ...]:
-    if isinstance(instr, Gate):
-        if not instr.controls:
-            return instr.targets
-        return tuple(q for q, _ in instr.controls) + instr.targets
-    if isinstance(instr, (Measure, Reset)):
-        return (instr.qubit,)
-    return ()
+    """Quantum controls first, then targets."""
+    return _facts(instr)[0]
 
 
 def read_bits(instr: Instruction) -> tuple[int, ...]:
     """Classical bits whose value the instruction consumes."""
-    if isinstance(instr, Gate):
-        return instr.condition.bits()
-    if isinstance(instr, ClassicalToggle):
-        # The XOR accumulates into the target, so the target is read too.
-        return tuple(b for b, _ in instr.product) + (instr.target,)
-    return ()
+    return _facts(instr)[1]
 
 
 def written_bit(instr: Instruction) -> int | None:
-    if isinstance(instr, Measure):
-        return instr.bit
-    if isinstance(instr, ClassicalToggle):
-        return instr.target
-    return None
-
-
-def link_slots(
-    keys: list[tuple[int, ...]], base, n_slots: int, n_keys: int
-) -> tuple[list[int], list[int]]:
-    """Neighbour links of each key's accesses, in circuit order.
-
-    Instruction ``i``'s ``j``-th key (a qubit or a bit below ``n_keys``)
-    occupies slot ``base[i] + j``. Returns, per slot, the previous and the
-    next slot of the same key, -1 at either end.
-    """
-    prev = [-1] * n_slots
-    nxt = [-1] * n_slots
-    last = [-1] * n_keys
-    for s, ks in zip(base, keys):
-        for k in ks:
-            p = last[k]
-            if p >= 0:
-                nxt[p] = s
-                prev[s] = p
-            last[k] = s
-            s += 1
-    return prev, nxt
+    return _facts(instr)[2]
 
 
 def violations(circuit: Circuit) -> list[tuple[int, str]]:
@@ -302,39 +302,78 @@ def is_bitflip(instr: Instruction) -> bool:
 
 
 class Dependencies:
-    """Per-circuit dependency index shared by the passes.
+    """Per-instruction dependency facts: the one index every pass reads.
 
-    Computes each instruction's qubits, read bits and written bit once, plus
-    each wire's instruction positions in circuit order.
+    Position ``i`` holds instruction ``i``'s qubits (``instruction_qubits``
+    order), the bits it reads, the bit it writes (``None``: none) and
+    whether it is a reset. ``Dependencies(circuit)`` computes them; a pass
+    that already knows its output's facts builds them with ``of`` and
+    attaches them with ``make_circuit``. Each wire's positions are derived
+    on first use.
     """
 
-    def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        instrs = circuit.instructions
-        self.qubits = [instruction_qubits(i) for i in instrs]
-        self.reads = [read_bits(i) for i in instrs]
-        self.writes = [written_bit(i) for i in instrs]
-        self.is_reset = [isinstance(i, Reset) for i in instrs]
-        self.wires: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
-        for i, qubits in enumerate(self.qubits):
-            for q in qubits:
-                self.wires[q].append(i)
+    __slots__ = ("n_qubits", "n_clbits", "qubits", "reads", "writes", "is_reset", "_wires")
 
-    def forward_reach(self) -> list[int]:
+    def __init__(self, circuit: Circuit):
+        self.n_qubits, self.n_clbits = circuit.n_qubits, circuit.n_clbits
+        columns = tuple(zip(*map(_facts, circuit.instructions))) or ((), (), (), ())
+        self.qubits, self.reads, self.writes, self.is_reset = map(list, columns)
+        self._wires = None
+
+    @classmethod
+    def of(cls, n_qubits: int, n_clbits: int, qubits, reads, writes, is_reset) -> "Dependencies":
+        """Facts the caller already knows; no instruction is inspected."""
+        deps = cls.__new__(cls)
+        deps.n_qubits, deps.n_clbits = n_qubits, n_clbits
+        deps.qubits, deps.reads, deps.writes, deps.is_reset = qubits, reads, writes, is_reset
+        deps._wires = None
+        return deps
+
+    def take(self, positions) -> "Dependencies":
+        """The facts at ``positions``, in that order."""
+        return Dependencies.of(
+            self.n_qubits,
+            self.n_clbits,
+            [self.qubits[i] for i in positions],
+            [self.reads[i] for i in positions],
+            [self.writes[i] for i in positions],
+            [self.is_reset[i] for i in positions],
+        )
+
+    def make_circuit(self, instructions, name: str = "") -> Circuit:
+        """The circuit of ``instructions``, whose facts these are."""
+        circuit = Circuit(self.n_qubits, self.n_clbits, tuple(instructions), name)
+        object.__setattr__(circuit, "_deps", self)
+        return circuit
+
+    @property
+    def wires(self) -> list[list[int]]:
+        """Each wire's instruction positions in circuit order."""
+        if self._wires is None:
+            self._wires = [[] for _ in range(self.n_qubits)]
+            for i, qubits in enumerate(self.qubits):
+                for q in qubits:
+                    self._wires[q].append(i)
+        return self._wires
+
+    def forward_reach(self, order=None) -> list[int]:
         """Per instruction, the bitmask of the bits its forward cone writes.
 
-        The cone follows qubit wires (two-qubit gates fan out to both wires)
-        and stops before a Reset, whose output no longer depends on anything
-        earlier. A written bit reaches every later instruction that reads it.
-        One backward pass: each wire carries the reach of its next
-        instruction, each bit a running OR of its later readers' reach.
+        ``order`` lists the positions that make up the circuit, in circuit
+        order (default: all of them); the result follows it. The cone
+        follows qubit wires (two-qubit gates fan out to both wires) and stops
+        before a Reset, whose output no longer depends on anything earlier.
+        A written bit reaches every later instruction that reads it. One
+        backward pass: each wire carries the reach of its next instruction,
+        each bit a running OR of its later readers' reach.
         """
-        n = len(self.qubits)
-        bit_reach = [0] * n
-        wire_bits = [0] * self.circuit.n_qubits
-        reader_bits = [0] * self.circuit.n_clbits
+        nodes = range(len(self.qubits)) if order is None else order
+        bit_reach = [0] * len(nodes)
+        wire_bits = [0] * self.n_qubits
+        reader_bits = [0] * self.n_clbits
         qubits_of, reads_of, writes_of, is_reset = self.qubits, self.reads, self.writes, self.is_reset
-        for i in range(n - 1, -1, -1):
+        for k in range(len(nodes) - 1, -1, -1):
+            i = nodes[k]
             qubits = qubits_of[i]
             bm = 0
             for q in qubits:
@@ -342,7 +381,7 @@ class Dependencies:
             b = writes_of[i]
             if b is not None:
                 bm |= (1 << b) | reader_bits[b]
-            bit_reach[i] = bm
+            bit_reach[k] = bm
             for b in reads_of[i]:
                 reader_bits[b] |= bm
             if is_reset[i]:
@@ -377,6 +416,230 @@ class Dependencies:
         return succ
 
 
+_GAP = 1 << 32
+
+
+def _link(prev: list[int], nxt: list[int], s: int, a: int, b: int) -> None:
+    """Link slot ``s`` between slots ``a`` and ``b`` (-1: none)."""
+    prev[s], nxt[s] = a, b
+    if a >= 0:
+        nxt[a] = s
+    if b >= 0:
+        prev[b] = s
+
+
+def _unlink(prev: list[int], nxt: list[int], s: int) -> None:
+    """Join slot ``s``'s neighbours and detach it."""
+    a, b = prev[s], nxt[s]
+    if a >= 0:
+        nxt[a] = b
+    if b >= 0:
+        prev[b] = a
+    prev[s] = nxt[s] = -1
+
+
+def _accessed(reads: tuple[int, ...], write: int | None) -> tuple[int, ...]:
+    return reads if write is None or write in reads else reads + (write,)
+
+
+class Chain:
+    """A circuit as a doubly linked list that the rewrite passes update in
+    place, with per-wire and per-bit neighbour links.
+
+    Node ``i`` starts as instruction ``i``; nodes a rewrite adds are
+    appended, and a removed node's ``instr`` is ``None``. ``facts`` holds
+    every node's entry, starting from the circuit's own ``Dependencies``.
+    Wire and bit links join slots, not nodes: node ``i`` owns wire slots
+    ``2i`` (qubit ``wire0[i]``, its first qubit when added) and ``2i + 1``
+    (its other qubit), and one bit slot per accessed bit from
+    ``bit_base[i]`` on. ``label`` orders the nodes: a node placed between
+    two others takes the midpoint of their labels, and all labels are
+    renumbered when a gap is used up. The bit links are made in one walk by
+    ``link_bits``, first and again after ``replace`` has changed some node's
+    bits.
+    """
+
+    def __init__(self, circuit: Circuit) -> None:
+        deps = circuit.dependencies()
+        n = len(circuit.instructions)
+        self.name = circuit.name
+        self.instr: list[Instruction | None] = list(circuit.instructions)
+        self.facts = Dependencies.of(
+            deps.n_qubits, deps.n_clbits,
+            list(deps.qubits), list(deps.reads), list(deps.writes), list(deps.is_reset),
+        )
+        self.prev = list(range(-1, n - 1))
+        self.next = list(range(1, n + 1))
+        if n:
+            self.next[-1] = -1
+        self.head = 0 if n else -1
+        self.label = [(i + 1) * _GAP for i in range(n)]
+        wp, wn = [-1] * (2 * n), [-1] * (2 * n)
+        last = [-1] * deps.n_qubits
+        for i, qubits in enumerate(deps.qubits):
+            s = 2 * i
+            for q in qubits:
+                p = last[q]
+                if p >= 0:
+                    wn[p] = s
+                    wp[s] = p
+                last[q] = s
+                s += 1
+        self.wire_prev, self.wire_next = wp, wn
+        self.wire0 = [qubits[0] if qubits else -1 for qubits in deps.qubits]
+        self.bits = [_accessed(r, w) for r, w in zip(deps.reads, deps.writes)]
+        self.bit_prev: list[int] = []
+        self.bit_next: list[int] = []
+        self.bit_base: list[int] = []
+        self.bit_owner: list[int] = []
+        self._bits_linked = False
+
+    def wire_slot(self, node: int, q: int) -> int:
+        return 2 * node + (self.wire0[node] != q)
+
+    def bit_slot(self, node: int, b: int) -> int:
+        return self.bit_base[node] + self.bits[node].index(b)
+
+    def order(self) -> list[int]:
+        """The live nodes in circuit order."""
+        out = []
+        node = self.head
+        while node >= 0:
+            out.append(node)
+            node = self.next[node]
+        return out
+
+    def link_bits(self) -> None:
+        """Link each bit's accesses in circuit order, if not linked yet."""
+        if self._bits_linked:
+            return
+        bp: list[int] = []
+        bn: list[int] = []
+        owner: list[int] = []
+        base = [0] * len(self.instr)
+        last = [-1] * self.facts.n_clbits
+        node = self.head
+        while node >= 0:
+            base[node] = s = len(bp)
+            for b in self.bits[node]:
+                p = last[b]
+                bp.append(p)
+                bn.append(-1)
+                owner.append(node)
+                if p >= 0:
+                    bn[p] = s
+                last[b] = s
+                s += 1
+            node = self.next[node]
+        self.bit_prev, self.bit_next, self.bit_base, self.bit_owner = bp, bn, base, owner
+        self._bits_linked = True
+
+    def _detach(self, node: int) -> None:
+        if node == self.head:
+            self.head = self.next[node]
+        _unlink(self.prev, self.next, node)
+
+    def _place(self, node: int, before: int) -> None:
+        """Link ``node`` into the global order right before ``before``."""
+        a = self.prev[before]
+        _link(self.prev, self.next, node, a, before)
+        if a < 0:
+            self.head = node
+        lo = self.label[a] if a >= 0 else 0
+        if self.label[before] - lo < 2:
+            self._relabel()
+            lo = self.label[a] if a >= 0 else 0
+        self.label[node] = (lo + self.label[before]) // 2
+
+    def _relabel(self) -> None:
+        node, k = self.head, 1
+        while node >= 0:
+            self.label[node] = k * _GAP
+            node, k = self.next[node], k + 1
+
+    def move_before(self, node: int, gate: int, q: int) -> None:
+        """Move ``node`` (one qubit ``q``, no bit crossed) right before
+        ``gate``, its predecessor on wire ``q``."""
+        self._detach(node)
+        self._place(node, gate)
+        wp, wn = self.wire_prev, self.wire_next
+        s, gs = 2 * node, self.wire_slot(gate, q)
+        a, b = wp[gs], wn[s]
+        _link(wp, wn, s, a, gs)
+        _link(wp, wn, gs, s, b)
+
+    def insert_after(self, node: int, instr: Instruction) -> None:
+        """Add ``instr`` between ``node`` and the node after it. Each of its
+        wires and bits must be shared with ``node`` or, failing that, with
+        the node after it. The bits must be linked."""
+        new, after = len(self.instr), self.next[node]
+        self.instr.append(instr)
+        self.prev.append(-1)
+        self.next.append(-1)
+        self.label.append(0)
+        self._place(new, after)
+        qubits, reads, write, reset = _facts(instr)
+        facts = self.facts
+        facts.qubits.append(qubits)
+        facts.reads.append(reads)
+        facts.writes.append(write)
+        facts.is_reset.append(reset)
+        self.wire0.append(qubits[0] if qubits else -1)
+        bits = _accessed(reads, write)
+        self.bits.append(bits)
+        wp, wn, bp, bn = self.wire_prev, self.wire_next, self.bit_prev, self.bit_next
+        wp += (-1, -1)
+        wn += (-1, -1)
+        self.bit_base.append(len(bp))
+        for k, q in enumerate(qubits):
+            a = self.wire_slot(node, q)
+            _link(wp, wn, 2 * new + k, a, wn[a])
+        for b in bits:
+            s = len(bp)
+            bp.append(-1)
+            bn.append(-1)
+            self.bit_owner.append(new)
+            if b in self.bits[node]:
+                a = self.bit_slot(node, b)
+                _link(bp, bn, s, a, bn[a])
+            else:
+                c = self.bit_slot(after, b)
+                _link(bp, bn, s, bp[c], c)
+
+    def replace(self, node: int, instr: Instruction) -> None:
+        """Put ``instr`` in ``node``'s place. Its qubits must be among the
+        node's; a wire it no longer touches skips the node."""
+        qubits, reads, write, reset = _facts(instr)
+        facts = self.facts
+        for q in facts.qubits[node]:
+            if q not in qubits:
+                _unlink(self.wire_prev, self.wire_next, self.wire_slot(node, q))
+        bits = _accessed(reads, write)
+        if bits != self.bits[node]:
+            self.bits[node] = bits
+            self._bits_linked = False
+        self.instr[node] = instr
+        facts.qubits[node] = qubits
+        facts.reads[node] = reads
+        facts.writes[node] = write
+        facts.is_reset[node] = reset
+
+    def remove(self, node: int) -> None:
+        """Take ``node`` out of the order and its wires; its bits are
+        relinked on next use."""
+        self._detach(node)
+        for q in self.facts.qubits[node]:
+            _unlink(self.wire_prev, self.wire_next, self.wire_slot(node, q))
+        if self.bits[node]:
+            self._bits_linked = False
+        self.instr[node] = None
+
+    def materialise(self) -> Circuit:
+        """The circuit the chain holds, carrying its facts."""
+        order = self.order()
+        return self.facts.take(order).make_circuit([self.instr[v] for v in order], self.name)
+
+
 def depth(circuit: Circuit) -> int:
     """As-soon-as-possible layer count.
 
@@ -385,32 +648,33 @@ def depth(circuit: Circuit) -> int:
     producer of every bit it reads. Toggles cost no quantum layer; they only
     forward the producer layer of their inputs.
     """
+    deps = circuit.dependencies()
     qubit_avail = [1] * circuit.n_qubits
     bit_layer = [0] * circuit.n_clbits
     deepest = 0
-    for instr in circuit.instructions:
-        if isinstance(instr, ClassicalToggle):
-            layer = max((bit_layer[b] for b in read_bits(instr)), default=0)
-            bit_layer[instr.target] = layer
+    for qubits, reads, w in zip(deps.qubits, deps.reads, deps.writes):
+        if not qubits:  # a toggle, the only instruction without qubits
+            bit_layer[w] = max([bit_layer[b] for b in reads], default=0)
             continue
-        qubits = instruction_qubits(instr)
-        layer = max(qubit_avail[q] for q in qubits)
-        for b in read_bits(instr):
-            layer = max(layer, bit_layer[b] + 1)
+        layer = 0
+        for q in qubits:
+            if qubit_avail[q] > layer:
+                layer = qubit_avail[q]
+        for b in reads:
+            if bit_layer[b] >= layer:
+                layer = bit_layer[b] + 1
         for q in qubits:
             qubit_avail[q] = layer + 1
-        if isinstance(instr, Measure):
-            bit_layer[instr.bit] = layer
-        deepest = max(deepest, layer)
+        if w is not None:  # a measurement
+            bit_layer[w] = layer
+        if layer > deepest:
+            deepest = layer
     return deepest
 
 
 def two_qubit_gate_count(circuit: Circuit) -> int:
-    return sum(
-        1
-        for instr in circuit.instructions
-        if isinstance(instr, Gate) and len(instruction_qubits(instr)) == 2
-    )
+    # Only a controlled gate touches two qubits.
+    return sum(len(qubits) == 2 for qubits in circuit.dependencies().qubits)
 
 
 class CircuitBuilder:

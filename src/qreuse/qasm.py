@@ -110,13 +110,13 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _number(text: str, what: str, line: int) -> float:
+def _number(text: str, what: str, line: int, col: int | None = None) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise QasmSyntaxError(f"{what} {text!r} is not a number", line) from None
+        raise QasmSyntaxError(f"{what} {text!r} is not a number", line, col) from None
     if not math.isfinite(value):
-        raise QasmSemanticError(f"{what} {text} is not finite", line)
+        raise QasmSemanticError(f"{what} {text} is not finite", line, col)
     return value
 
 
@@ -131,21 +131,21 @@ def _unitary(a: complex, b: complex, c: complex, d: complex) -> bool:
     return all(abs(x) <= 1e-9 for x in gram)
 
 
-def _parse_literals(text: str, line: int) -> tuple[tuple[int, bool], ...]:
+def _parse_literals(text: str, line: int, col: int) -> tuple[tuple[int, bool], ...]:
     parts = [p.strip() for p in text.split("&")]
     literals = []
     for part in parts:
         m = _RE_LIT.match(part)
         if not m:
-            raise QasmSyntaxError(f"bad condition literal {part!r}", line)
+            raise QasmSyntaxError(f"bad condition literal {part!r}", line, col)
         literals.append((int(m.group(2)), m.group(1) != "!"))
     return tuple(literals)
 
 
-def _parse_gate_statement(stmt: str, line: int, matrices: dict[str, GateKind]):
+def _parse_gate_statement(stmt: str, line: int, col: int, matrices: dict[str, GateKind]):
     m = _RE_PARAM.match(stmt)
     if m:
-        name, angle, q = m.group(1), _number(m.group(2), "angle", line), int(m.group(3))
+        name, angle, q = m.group(1), _number(m.group(2), "angle", line, col), int(m.group(3))
         return Gate(GateKind(name, angle=angle), (q,), (), Condition(), source_line=line)
     m = _RE_TWOQ.match(stmt)
     if m:
@@ -154,7 +154,7 @@ def _parse_gate_statement(stmt: str, line: int, matrices: dict[str, GateKind]):
         return Gate(kind, (t,), ((c, True),), Condition(), source_line=line)
     m = _RE_CP.match(stmt)
     if m:
-        angle, c, t = _number(m.group(1), "angle", line), int(m.group(2)), int(m.group(3))
+        angle, c, t = _number(m.group(1), "angle", line, col), int(m.group(2)), int(m.group(3))
         return Gate(GateKind("p", angle=angle), (t,), ((c, True),), Condition(), source_line=line)
     m = _RE_FIXED.match(stmt)
     if m:
@@ -164,9 +164,9 @@ def _parse_gate_statement(stmt: str, line: int, matrices: dict[str, GateKind]):
         if name in matrices:
             return Gate(matrices[name], (q,), (), Condition(), source_line=line)
         if name in ("measure", "reset") + _PARAM_GATES + _TWO_QUBIT + ("cp",):
-            raise QasmSyntaxError(f"malformed statement {stmt!r}", line)
+            raise QasmSyntaxError(f"malformed statement {stmt!r}", line, col)
         raise QasmSemanticError(
-            f"unknown gate {name!r}; opaque gates need a preceding matrix annotation", line
+            f"unknown gate {name!r}; opaque gates need a preceding matrix annotation", line, col
         )
     return None
 
@@ -208,11 +208,13 @@ def parse(text: str) -> Circuit:
             continue
         if not code.rstrip().endswith(";"):
             raise QasmSyntaxError("statement is not ';'-terminated", lineno)
-        for stmt in code.split(";"):
-            stmt = stmt.strip()
+        end = -1
+        for piece in code.split(";"):
+            start, end = end + 1, end + 1 + len(piece)
+            stmt = piece.strip()
             if not stmt:
                 continue
-            col = raw.find(stmt.split()[0]) + 1
+            col = start + len(piece) - len(piece.lstrip()) + 1
             if stmt.startswith("OPENQASM") or stmt.startswith("include"):
                 continue  # headers tolerated and ignored on input, never emitted
             m = _RE_QUBIT_DECL.match(stmt)
@@ -250,15 +252,15 @@ def parse(text: str) -> Circuit:
                     )
                 if rhs.startswith("(") and rhs.endswith(")"):
                     rhs = rhs[1:-1].strip()
-                product = () if rhs == "true" else _parse_literals(rhs, lineno)
+                product = () if rhs == "true" else _parse_literals(rhs, lineno, col)
                 instructions.append(ClassicalToggle(target, product, source_line=lineno))
                 continue
             m = _RE_IF.match(stmt)
             if m:
                 cond_text, inner = m.group(1).strip(), m.group(2).strip()
-                literals = () if cond_text == "true" else _parse_literals(cond_text, lineno)
+                literals = () if cond_text == "true" else _parse_literals(cond_text, lineno, col)
                 # A reset would otherwise read as a malformed one-qubit gate.
-                gate = None if _RE_RESET.match(inner) else _parse_gate_statement(inner, lineno, matrices)
+                gate = None if _RE_RESET.match(inner) else _parse_gate_statement(inner, lineno, col, matrices)
                 if gate is None:
                     raise QasmUnsupportedError(
                         f"only gate statements may be conditioned, got {inner!r}", lineno, col
@@ -267,7 +269,7 @@ def parse(text: str) -> Circuit:
                     Gate(gate.kind, gate.targets, gate.controls, Condition(literals), source_line=lineno)
                 )
                 continue
-            gate = _parse_gate_statement(stmt, lineno, matrices)
+            gate = _parse_gate_statement(stmt, lineno, col, matrices)
             if gate is not None:
                 instructions.append(gate)
                 continue

@@ -8,20 +8,22 @@ reach produces. The merge appends ``q``'s instructions after a fresh reset of
 ``q_prime``. That order exists unless ``q``'s first instruction already
 precedes some instruction of ``q_prime``.
 
-The circuit is analysed once. A merge changes none of the facts these tests
-read, when each is expressed over the original wires: a reset stops the
-forward reach exactly where the host wire used to end, and the scheduling
-edges only gain one ``host last -> reset -> mover first`` chain. So every
-merge is planned on per-group masks (a group is the set of original wires
-sharing one wire, named by its host's original wire). The merged circuit is
-then scheduled once with a stable topological sort that keeps the original
-order wherever dependencies allow, and its wires are renumbered once.
+The circuit is analysed once, on its ``Dependencies``: the ones the
+rewrite passes handed over, or the input's own. A merge changes none of the
+facts these tests read, when each is expressed over the original wires: a
+reset stops the forward reach exactly where the host wire used to end, and
+the scheduling edges only gain one ``host last -> reset -> mover first``
+chain. So every merge is planned on per-group masks (a group is the set of
+original wires sharing one wire, named by its host's original wire). The
+merged circuit is then scheduled once with a stable topological sort that
+keeps the original order wherever dependencies allow, and its wires are
+renumbered once. The result carries its facts: the input's, renumbered the
+same way.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import replace
 
 from .ir import Circuit, Dependencies, Gate, Instruction, Measure, Reset
 
@@ -92,7 +94,7 @@ def _plan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int, in
 
 def run(circuit: Circuit) -> tuple[Circuit, int]:
     """Plan every merge, then schedule and renumber the circuit once."""
-    deps = Dependencies(circuit)
+    deps = circuit.dependencies()
     successors = deps.successors()
     merges = _plan(deps, successors)
     if not merges:
@@ -145,15 +147,36 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
     rank = {h: r for r, h in enumerate(sorted(set(owner)))}
     wire = [rank[h] for h in owner]
 
+    # The output's facts are the input's, plus one per reset, with the
+    # wires renumbered. An instruction touches at most two qubits.
+    k = len(merges)
+    facts = Dependencies.of(
+        len(rank),
+        circuit.n_clbits,
+        deps.qubits + [(wire[h],) for _, h in merges],
+        deps.reads + [()] * k,
+        deps.writes + [None] * k,
+        deps.is_reset + [True] * k,
+    ).take(order)
+    qubits = facts.qubits
     out: list[Instruction] = []
-    for node in order:
+    for at, node in enumerate(order):
+        old = qubits[at]
         if node >= n:
-            out.append(Reset(wire[merges[node - n][1]], lines[node]))
+            out.append(Reset(old[0], lines[node]))
             continue
         instr = instrs[node]
-        if all(wire[q] == q for q in deps.qubits[node]):
+        if len(old) == 1:
+            new = (wire[old[0]],)
+        elif old:
+            new = (wire[old[0]], wire[old[1]])
+        else:
+            new = old
+        if new == old:
             out.append(instr)
-        elif isinstance(instr, Gate):
+            continue
+        qubits[at] = new
+        if isinstance(instr, Gate):
             out.append(
                 Gate(
                     instr.kind,
@@ -167,4 +190,4 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
             out.append(Measure(wire[instr.qubit], instr.bit, instr.source_line))
         else:
             out.append(Reset(wire[instr.qubit], instr.source_line))
-    return replace(circuit, n_qubits=len(rank), instructions=tuple(out)), len(merges)
+    return facts.make_circuit(out, circuit.name), k

@@ -12,7 +12,9 @@ Three transformations work together with measurement commutation:
 
 ``run`` chains them in the order the rewrites feed each other: commute,
 then introduction/exchange to a fixpoint, one more commutation round for the
-conditioned bit-flips this exposes, and finally dead-gate elimination.
+conditioned bit-flips this exposes, and finally dead-gate elimination. All
+four steps update one ``ir.Chain``, built from the input's facts, in place;
+the result is turned back into a circuit, with its facts, once.
 
 The fixpoint is defined by rounds of one full introduction pass and one full
 exchange pass, the functions below. ``run`` reaches the same result with an
@@ -25,14 +27,13 @@ from __future__ import annotations
 import heapq
 
 from .ir import (
+    Chain,
     Circuit,
     Condition,
-    Dependencies,
     Gate,
     Instruction,
     Measure,
     instruction_qubits,
-    link_slots,
     written_bit,
 )
 from . import commute
@@ -45,20 +46,29 @@ __all__ = [
 ]
 
 
-def eliminate_dead_gates(circuit: Circuit) -> tuple[Circuit, int]:
-    """Delete every gate whose forward cone contains no measurement.
+def _remove_dead_gates(chain: Chain) -> int:
+    """Remove every gate whose forward cone contains no measurement.
 
     A gate's cone writes a bit exactly when it reaches a measurement, so one
     backward reach pass decides every gate at once. Measurements, resets, and
     toggles always stay.
     """
-    bit_reach = Dependencies(circuit).forward_reach()
-    kept = [
-        instr
-        for instr, bits in zip(circuit.instructions, bit_reach)
-        if bits or not isinstance(instr, Gate)
+    order = chain.order()
+    dead = [
+        node
+        for node, bits in zip(order, chain.facts.forward_reach(order))
+        if not bits and isinstance(chain.instr[node], Gate)
     ]
-    return circuit.with_instructions(kept), len(bit_reach) - len(kept)
+    for node in dead:
+        chain.remove(node)
+    return len(dead)
+
+
+def eliminate_dead_gates(circuit: Circuit) -> tuple[Circuit, int]:
+    """Delete every gate whose forward cone contains no measurement."""
+    chain = Chain(circuit)
+    removed = _remove_dead_gates(chain)
+    return chain.materialise(), removed
 
 
 def _conjoin(condition: Condition, bit: int, polarity: bool) -> Condition | None:
@@ -157,8 +167,9 @@ def exchange_controls(circuit: Circuit) -> tuple[Circuit, int]:
     return circuit.with_instructions(out), exchanged
 
 
-def _controls_to_fixpoint(circuit: Circuit) -> tuple[Circuit, int, int]:
-    """Alternate introduction and exchange rounds until neither fires.
+def _controls_fixpoint(chain: Chain) -> tuple[int, int]:
+    """Alternate introduction and exchange rounds on ``chain`` until neither
+    fires; returns the number of introductions and of exchanges.
 
     Replays ``introduce_classical_controls`` then ``exchange_controls``,
     round after round, as one event heap keyed ``(round, phase, position)``
@@ -171,29 +182,30 @@ def _controls_to_fixpoint(circuit: Circuit) -> tuple[Circuit, int, int]:
     exchanged gate for introduction in the next round; it cannot exchange
     back, because its new target's predecessor is no measurement. Any other
     gate would decide as it did the last time, so a full pass changes
-    nothing else.
+    nothing else. No node moves meanwhile, so positions stay fixed.
     """
-    instrs: list[Instruction | None] = list(circuit.instructions)
-    n = len(instrs)
-    qubits = [instruction_qubits(i) for i in instrs]
-    # Node i owns wire slots 2i and 2i + 1, one per qubit in its original
-    # ``instruction_qubits`` order.
-    wire_prev, wire_next = link_slots(qubits, range(0, 2 * n, 2), 2 * n, circuit.n_qubits)
-    next_write = [n] * n
-    last_write = [-1] * circuit.n_clbits
+    instrs, wire_prev, wire_next, wire0 = chain.instr, chain.wire_prev, chain.wire_next, chain.wire0
+    order = chain.order()
+    # Per node: its position and, if it writes a bit, the position of the
+    # next write to that bit.
+    at = [0] * len(instrs)
+    next_write = [len(order)] * len(instrs)
+    last_write = [-1] * chain.facts.n_clbits
     events: list[tuple[int, int, int]] = []
-    for i, instr in enumerate(instrs):
-        w = written_bit(instr)
+    for k, node in enumerate(order):
+        at[node] = k
+        w = chain.facts.writes[node]
         if w is not None:
             if last_write[w] >= 0:
-                next_write[last_write[w]] = i
-            last_write[w] = i
+                next_write[last_write[w]] = k
+            last_write[w] = node
+        instr = instrs[node]
         if isinstance(instr, Gate) and instr.controls:
-            events += ((1, 0, i), (1, 1, i))
+            events += ((1, 0, k), (1, 1, k))
     heapq.heapify(events)
 
     def slot(i: int, q: int) -> int:
-        return 2 * i + (qubits[i][0] != q)
+        return 2 * i + (wire0[i] != q)
 
     def wire_pred(i: int, q: int) -> Instruction | None:
         p = wire_prev[slot(i, q)]
@@ -206,47 +218,53 @@ def _controls_to_fixpoint(circuit: Circuit) -> tuple[Circuit, int, int]:
         if key == last:
             continue
         last = key
-        rnd, phase, i = key
+        rnd, phase, k = key
+        i = order[k]
         gate = instrs[i]
         if gate is None or not gate.controls:
             continue
         control = gate.controls[0][0]
         if phase == 1:
             if _exchangeable(gate, wire_pred(i, gate.targets[0]), wire_pred(i, control)):
-                instrs[i] = _exchanged(gate)
+                chain.replace(i, _exchanged(gate))
                 exchanged += 1
-                heapq.heappush(events, (rnd + 1, 0, i))
+                heapq.heappush(events, (rnd + 1, 0, k))
             continue
         p = wire_prev[slot(i, control)]
         meas = _measured_control(gate, instrs[p >> 1] if p >= 0 else None)
-        if meas is None or next_write[p >> 1] < i:
+        if meas is None or next_write[p >> 1] < k:
             continue
         introduced += 1
-        instrs[i] = new = _introduced(gate, meas)
-        for q in qubits[i] if new is None else (control,):
-            s = slot(i, q)
-            a, b = wire_prev[s], wire_next[s]
-            if a >= 0:
-                wire_next[a] = b
+        new = _introduced(gate, meas)
+        leaving = chain.facts.qubits[i] if new is None else (control,)
+        after = [wire_next[slot(i, q)] for q in leaving]
+        if new is None:
+            chain.remove(i)
+        else:
+            chain.replace(i, new)
+        for b in after:
             if b >= 0:
-                wire_prev[b] = a
-                after = instrs[b >> 1]
-                if isinstance(after, Gate) and after.controls:
-                    heapq.heappush(events, (rnd, 0, b >> 1))
-                    heapq.heappush(events, (rnd, 1, b >> 1))
-    kept = [instr for instr in instrs if instr is not None]
-    return circuit.with_instructions(kept), introduced, exchanged
+                nxt = instrs[b >> 1]
+                if isinstance(nxt, Gate) and nxt.controls:
+                    heapq.heappush(events, (rnd, 0, at[b >> 1]))
+                    heapq.heappush(events, (rnd, 1, at[b >> 1]))
+    return introduced, exchanged
+
+
+def _controls_to_fixpoint(circuit: Circuit) -> tuple[Circuit, int, int]:
+    """``_controls_fixpoint`` on a circuit."""
+    chain = Chain(circuit)
+    introduced, exchanged = _controls_fixpoint(chain)
+    return chain.materialise(), introduced, exchanged
 
 
 def run(circuit: Circuit) -> tuple[Circuit, dict[str, int]]:
     """Full rewrite schedule; returns the circuit and per-rule tallies."""
-    result, counts = commute.run(circuit)
-    counts = dict(counts)
-    result, introduced, exchanged = _controls_to_fixpoint(result)
-    counts.update(classical_controls=introduced, exchanges=exchanged, dead_gates=0)
-    result, more = commute.run(result)
-    for rule, k in more.items():
+    chain = Chain(circuit)
+    counts = commute.push(chain)
+    introduced, exchanged = _controls_fixpoint(chain)
+    for rule, k in commute.push(chain).items():
         counts[rule] += k
-    result, removed = eliminate_dead_gates(result)
-    counts["dead_gates"] += removed
-    return result, counts
+    counts.update(classical_controls=introduced, exchanges=exchanged)
+    counts["dead_gates"] = _remove_dead_gates(chain)
+    return chain.materialise(), counts

@@ -59,10 +59,10 @@ def forward_reach(deps: Dependencies) -> tuple[list[int], list[int]]:
     n = len(deps.qubits)
     qubit_reach = [0] * n
     bit_reach = [0] * n
-    wire_qubits = [0] * deps.circuit.n_qubits
-    wire_bits = [0] * deps.circuit.n_qubits
-    reader_qubits = [0] * deps.circuit.n_clbits
-    reader_bits = [0] * deps.circuit.n_clbits
+    wire_qubits = [0] * deps.n_qubits
+    wire_bits = [0] * deps.n_qubits
+    reader_qubits = [0] * deps.n_clbits
+    reader_bits = [0] * deps.n_clbits
     qubits_of, reads_of, writes_of, is_reset = deps.qubits, deps.reads, deps.writes, deps.is_reset
     for i in range(n - 1, -1, -1):
         qubits = qubits_of[i]

@@ -3,7 +3,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from qreuse import bench, commute, oracle
+from qreuse import bench, ir, oracle
 from qreuse.commute import CommuteRule, run
 from qreuse.ir import (
     CircuitBuilder,
@@ -191,7 +191,7 @@ def test_run_matches_scan_reference():
 
 def test_run_matches_scan_reference_when_labels_run_out(monkeypatch):
     # With a gap of 2 between order labels nearly every move renumbers them.
-    monkeypatch.setattr(commute, "_GAP", 2)
+    monkeypatch.setattr(ir, "_GAP", 2)
     for c in itertools.islice(schedule_battery(), 0, 800, 4):
         out, counts = run(c)
         ref, ref_counts = reference_run(c)

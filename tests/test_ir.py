@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreuse import bench, oracle
+from qreuse import bench, commute, oracle, reuse, transform
 from qreuse.ir import (
     Circuit,
     CircuitBuilder,
@@ -25,7 +25,7 @@ from qreuse.ir import (
     written_bit,
 )
 
-from conftest import adversarial, cx_pair, small_random
+from conftest import adversarial, cx_pair, schedule_battery, small_random
 
 
 class TestValidate:
@@ -205,6 +205,33 @@ class TestTwoQubitGateCount:
         c = b.build()
         shuffled = c.with_instructions(reversed(c.instructions))
         assert two_qubit_gate_count(shuffled) == two_qubit_gate_count(c) == 2
+
+
+class TestDependencies:
+    def test_cache_is_not_part_of_the_value(self):
+        c, fresh = cx_pair(), cx_pair()
+        c.dependencies()
+        assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
+        assert c.dependencies() is c.dependencies()
+        assert c.with_instructions(c.instructions)._deps is None
+
+    def test_handed_over_facts_match_computed_ones(self):
+        # Each pass attaches its output's facts instead of computing them;
+        # they must be what computing them from the instructions gives.
+        def facts(d):
+            return d.n_qubits, d.n_clbits, d.qubits, d.reads, d.writes, d.is_reset, d.wires
+
+        for c in schedule_battery():
+            outputs = (
+                commute.run(c)[0],
+                transform._controls_to_fixpoint(c)[0],
+                transform.eliminate_dead_gates(c)[0],
+                transform.run(c)[0],
+                reuse.run(c)[0],
+                reuse.run(transform.run(c)[0])[0],
+            )
+            for out in outputs:
+                assert facts(out.dependencies()) == facts(Dependencies(out)), c.name
 
 
 class TestGatePredicates:

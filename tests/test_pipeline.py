@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qreuse import bench, oracle
-from qreuse.ir import Circuit, validate
+from qreuse.ir import Circuit, Dependencies, validate
 from qreuse.pipeline import MODES, optimize
 from qreuse.qasm import emit, parse
 
-from conftest import adversarial, small_random
+import metrics_reference
+from conftest import adversarial, schedule_battery, small_random
 
 
 GOLDEN = Path(__file__).parent / "golden" / "optimize"
@@ -25,6 +27,33 @@ GOLDEN_INPUTS = {
 }
 
 
+# Regenerate, only for a change that means to alter outputs, with
+#   PYTHONPATH=src:tests python -c "import test_pipeline as t; print(t.battery_digest())" \
+#       > tests/golden/optimize/schedule_battery.sha256
+BATTERY_DIGEST = GOLDEN / "schedule_battery.sha256"
+
+
+def battery_digest() -> str:
+    """One sha256 over the emitted output and every report count of each
+    schedule-battery compile, in both modes."""
+    digest = hashlib.sha256()
+    for c in schedule_battery():
+        for mode in MODES:
+            out, r = optimize(c, mode)
+            counts = (
+                r.n_original, r.n_reused, r.d_original, r.d_reused,
+                r.g2_original, r.g2_reused, r.reuse_count, sorted(r.rule_counts.items()),
+            )
+            digest.update(emit(out).encode())
+            digest.update(repr(counts).encode())
+    return digest.hexdigest()
+
+
+def test_schedule_battery_replays_its_digest():
+    # Byte-for-byte on 1,608 compiles: emitted text and report counts.
+    assert battery_digest() == BATTERY_DIGEST.read_text(encoding="utf-8").strip()
+
+
 @pytest.mark.parametrize(
     "name,mode",
     [("qpe8", "proposed"), ("qft8", "proposed"), ("vqe-full6", "proposed")]
@@ -34,6 +63,37 @@ def test_output_matches_golden(name, mode):
     # Byte-for-byte: refactors of the passes must not change emitted text.
     out, _ = optimize(GOLDEN_INPUTS[name](), mode)
     assert emit(out) == (GOLDEN / f"{name}.{mode}.qasm").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_optimize_computes_each_fact_once(monkeypatch, mode):
+    # Only the input's facts are computed; every pass hands its output's
+    # facts to the next, and the report's scans read them.
+    computed = []
+    compute = Dependencies.__init__
+
+    def counting(self, circuit):
+        computed.append(circuit)
+        compute(self, circuit)
+
+    monkeypatch.setattr(Dependencies, "__init__", counting)
+    for c in (bench.gen_qft(8), bench.gen_vqe(6, "full"), adversarial(13), small_random(7)):
+        c = parse(emit(c))
+        computed.clear()
+        optimize(c, mode)
+        assert computed == [c], (c.name, mode)
+
+
+def test_report_metrics_match_standalone_scans():
+    for c in schedule_battery():
+        for mode in MODES:
+            out, r = optimize(c, mode)
+            assert (r.d_original, r.g2_original) == (
+                metrics_reference.depth(c), metrics_reference.two_qubit_gate_count(c)
+            ), (c.name, mode)
+            assert (r.d_reused, r.g2_reused) == (
+                metrics_reference.depth(out), metrics_reference.two_qubit_gate_count(out)
+            ), (c.name, mode)
 
 
 def test_rewrites_keep_source_lines():

@@ -86,6 +86,27 @@ class TestParse:
             parse("qubit[1] q;\nbit[1] c;\nh q[0\n")
         assert err.value.line == 3
 
+    def test_error_column_is_the_statement_s_own(self):
+        # The second h on the line, not the first, is at fault.
+        with pytest.raises(QasmSyntaxError) as err:
+            parse("qubit[2] q; bit[1] c;\nh q[0]; h q[0] q[1];\n")
+        assert (err.value.line, err.value.col) == (2, 9)
+
+    @pytest.mark.parametrize(
+        "stmt,error",
+        [
+            ("mystery q[0];", QasmSemanticError),
+            ("p(1e999) q[0];", QasmSemanticError),
+            ("if (c[0] & zz) h q[0];", QasmSyntaxError),
+        ],
+        ids=["unknown gate", "non-finite angle", "bad literal"],
+    )
+    def test_statement_errors_have_a_column(self, stmt, error):
+        text = f"qubit[1] q;\nbit[1] c;\nc[0] = measure q[0];  {stmt}\n"
+        with pytest.raises(error) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (3, 23)
+
     def test_undeclared_index_is_semantic_error(self):
         with pytest.raises(QasmSemanticError):
             parse("qubit[1] q;\nbit[1] c;\nh q[5];\n")
