@@ -17,10 +17,11 @@ applies. A measurement that is stuck stays stuck: later pushes only move
 measurements across gates on their own wires and add accesses to bits, so
 they never change a stuck measurement's wire predecessor and never remove an
 access that blocks it. It updates the shared index ``ir.Chain`` in place: a
-wire predecessor is one lookup, and "the bit is touched in between" is one
-label comparison against the measurement's previous access to its bit.
-``transform.run`` pushes twice on one chain; ``run`` is one push on a
-circuit.
+wire predecessor is one lookup. ``push`` also tracks each bit's latest access
+by label among the nodes it has visited or inserted, so "the bit is touched
+in between" is one label comparison against the measurement's previous
+access to its bit. ``transform.run`` pushes twice on one chain; ``run`` is
+one push on a circuit.
 """
 
 from __future__ import annotations
@@ -82,17 +83,34 @@ def _split_y(gate: Gate) -> tuple[Gate, Gate]:
 def push(chain: Chain) -> dict[str, int]:
     """Push every measurement of ``chain``, in circuit order, until no rule
     applies; returns the rule tallies."""
-    chain.link_bits()
     order = chain.order()
     counts = {rule.value: 0 for rule in CommuteRule}
     limit = (2 * len(order) + 8) ** 2
     total = 0
     instr, label, wire_prev = chain.instr, chain.label, chain.wire_prev
-    bit_prev, bit_base, owner = chain.bit_prev, chain.bit_base, chain.bit_owner
+    reads = chain.facts.reads
+    # Per bit, the latest node by label that accesses it, among the nodes
+    # visited or inserted so far.
+    last = [-1] * chain.facts.n_clbits
+
+    def record(node: int) -> None:
+        """Note an inserted node as its bits' latest access where it is; an
+        inserted toggle reads the bit it writes."""
+        for b in reads[node]:
+            p = last[b]
+            if p < 0 or label[p] < label[node]:
+                last[b] = node
+
     for m in order:
+        # A visited node lies after every node visited or inserted so far.
+        for b in reads[m]:
+            last[b] = m
         meas = instr[m]
         if not isinstance(meas, Measure):
             continue
+        # Every earlier node is visited, and no move crosses an access to
+        # the bit, so its previous access stays this one throughout.
+        p, last[meas.bit] = last[meas.bit], m
         q = meas.qubit
         while True:
             s = wire_prev[2 * m]
@@ -104,17 +122,16 @@ def push(chain: Chain) -> dict[str, int]:
             if rule is None:
                 break
             # Stuck when the previous access to the bit lies after the gate.
-            p = bit_prev[bit_base[m]]
-            if p >= 0 and label[owner[p]] > label[g]:
+            if p >= 0 and label[p] > label[g]:
                 break
             if rule is CommuteRule.Y_DECOMPOSE:
                 z, x = _split_y(gate)
                 chain.replace(g, z)
-                chain.insert_after(g, x)
+                record(chain.insert_after(g, x))
             else:
                 chain.move_before(m, g, q)
                 if rule is CommuteRule.BIT_FLIP:
-                    chain.insert_after(m, _toggle(meas, gate))
+                    record(chain.insert_after(m, _toggle(meas, gate)))
             counts[rule.value] += 1
             total += 1
             if total > limit:

@@ -10,9 +10,11 @@ Every analysis reads one index of per-instruction facts, ``Dependencies``:
 each instruction's qubits, read bits and written bit. A circuit computes it
 on first use and caches it; a pass that builds a circuit from facts it
 already knows hands them over instead. The rewrite passes share one mutable
-form of it, ``Chain``: the circuit as a linked list that they update in
-place, from the first commutation to dead-gate elimination, and turn back
-into a circuit once.
+form of it, ``Chain``: the circuit as a linked list with order labels, wire
+links and facts, which they update in place, from the first commutation to
+dead-gate elimination, and turn back into a circuit once. The one pass that
+asks about the order of a bit's accesses, ``commute.push``, tracks them
+itself as it goes.
 """
 
 from __future__ import annotations
@@ -438,25 +440,18 @@ def _unlink(prev: list[int], nxt: list[int], s: int) -> None:
     prev[s] = nxt[s] = -1
 
 
-def _accessed(reads: tuple[int, ...], write: int | None) -> tuple[int, ...]:
-    return reads if write is None or write in reads else reads + (write,)
-
-
 class Chain:
     """A circuit as a doubly linked list that the rewrite passes update in
-    place, with per-wire and per-bit neighbour links.
+    place, with per-wire neighbour links.
 
     Node ``i`` starts as instruction ``i``; nodes a rewrite adds are
     appended, and a removed node's ``instr`` is ``None``. ``facts`` holds
     every node's entry, starting from the circuit's own ``Dependencies``.
-    Wire and bit links join slots, not nodes: node ``i`` owns wire slots
-    ``2i`` (qubit ``wire0[i]``, its first qubit when added) and ``2i + 1``
-    (its other qubit), and one bit slot per accessed bit from
-    ``bit_base[i]`` on. ``label`` orders the nodes: a node placed between
-    two others takes the midpoint of their labels, and all labels are
-    renumbered when a gap is used up. The bit links are made in one walk by
-    ``link_bits``, first and again after ``replace`` has changed some node's
-    bits.
+    Wire links join slots, not nodes: node ``i`` owns wire slots ``2i``
+    (qubit ``wire0[i]``, its first qubit when added) and ``2i + 1`` (its
+    other qubit). ``label`` orders the nodes: a node placed between two
+    others takes the midpoint of their labels, and all labels are renumbered
+    when a gap is used up, which keeps their order.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -487,18 +482,9 @@ class Chain:
                 s += 1
         self.wire_prev, self.wire_next = wp, wn
         self.wire0 = [qubits[0] if qubits else -1 for qubits in deps.qubits]
-        self.bits = [_accessed(r, w) for r, w in zip(deps.reads, deps.writes)]
-        self.bit_prev: list[int] = []
-        self.bit_next: list[int] = []
-        self.bit_base: list[int] = []
-        self.bit_owner: list[int] = []
-        self._bits_linked = False
 
     def wire_slot(self, node: int, q: int) -> int:
         return 2 * node + (self.wire0[node] != q)
-
-    def bit_slot(self, node: int, b: int) -> int:
-        return self.bit_base[node] + self.bits[node].index(b)
 
     def order(self) -> list[int]:
         """The live nodes in circuit order."""
@@ -508,31 +494,6 @@ class Chain:
             out.append(node)
             node = self.next[node]
         return out
-
-    def link_bits(self) -> None:
-        """Link each bit's accesses in circuit order, if not linked yet."""
-        if self._bits_linked:
-            return
-        bp: list[int] = []
-        bn: list[int] = []
-        owner: list[int] = []
-        base = [0] * len(self.instr)
-        last = [-1] * self.facts.n_clbits
-        node = self.head
-        while node >= 0:
-            base[node] = s = len(bp)
-            for b in self.bits[node]:
-                p = last[b]
-                bp.append(p)
-                bn.append(-1)
-                owner.append(node)
-                if p >= 0:
-                    bn[p] = s
-                last[b] = s
-                s += 1
-            node = self.next[node]
-        self.bit_prev, self.bit_next, self.bit_base, self.bit_owner = bp, bn, base, owner
-        self._bits_linked = True
 
     def _detach(self, node: int) -> None:
         if node == self.head:
@@ -568,16 +529,15 @@ class Chain:
         _link(wp, wn, s, a, gs)
         _link(wp, wn, gs, s, b)
 
-    def insert_after(self, node: int, instr: Instruction) -> None:
-        """Add ``instr`` between ``node`` and the node after it. Each of its
-        wires and bits must be shared with ``node`` or, failing that, with
-        the node after it. The bits must be linked."""
-        new, after = len(self.instr), self.next[node]
+    def insert_after(self, node: int, instr: Instruction) -> int:
+        """Add ``instr`` between ``node`` and the node after it; each of its
+        qubits must be one of ``node``'s. Returns the new node."""
+        new = len(self.instr)
         self.instr.append(instr)
         self.prev.append(-1)
         self.next.append(-1)
         self.label.append(0)
-        self._place(new, after)
+        self._place(new, self.next[node])
         qubits, reads, write, reset = _facts(instr)
         facts = self.facts
         facts.qubits.append(qubits)
@@ -585,26 +545,13 @@ class Chain:
         facts.writes.append(write)
         facts.is_reset.append(reset)
         self.wire0.append(qubits[0] if qubits else -1)
-        bits = _accessed(reads, write)
-        self.bits.append(bits)
-        wp, wn, bp, bn = self.wire_prev, self.wire_next, self.bit_prev, self.bit_next
+        wp, wn = self.wire_prev, self.wire_next
         wp += (-1, -1)
         wn += (-1, -1)
-        self.bit_base.append(len(bp))
         for k, q in enumerate(qubits):
             a = self.wire_slot(node, q)
             _link(wp, wn, 2 * new + k, a, wn[a])
-        for b in bits:
-            s = len(bp)
-            bp.append(-1)
-            bn.append(-1)
-            self.bit_owner.append(new)
-            if b in self.bits[node]:
-                a = self.bit_slot(node, b)
-                _link(bp, bn, s, a, bn[a])
-            else:
-                c = self.bit_slot(after, b)
-                _link(bp, bn, s, bp[c], c)
+        return new
 
     def replace(self, node: int, instr: Instruction) -> None:
         """Put ``instr`` in ``node``'s place. Its qubits must be among the
@@ -614,10 +561,6 @@ class Chain:
         for q in facts.qubits[node]:
             if q not in qubits:
                 _unlink(self.wire_prev, self.wire_next, self.wire_slot(node, q))
-        bits = _accessed(reads, write)
-        if bits != self.bits[node]:
-            self.bits[node] = bits
-            self._bits_linked = False
         self.instr[node] = instr
         facts.qubits[node] = qubits
         facts.reads[node] = reads
@@ -625,13 +568,10 @@ class Chain:
         facts.is_reset[node] = reset
 
     def remove(self, node: int) -> None:
-        """Take ``node`` out of the order and its wires; its bits are
-        relinked on next use."""
+        """Take ``node`` out of the order and its wires."""
         self._detach(node)
         for q in self.facts.qubits[node]:
             _unlink(self.wire_prev, self.wire_next, self.wire_slot(node, q))
-        if self.bits[node]:
-            self._bits_linked = False
         self.instr[node] = None
 
     def materialise(self) -> Circuit:

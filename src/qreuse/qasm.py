@@ -14,7 +14,8 @@ Register sizes are at most ``MAX_REGISTER``, so a declaration cannot make
 validation allocate without bound.
 Opaque gates are declared by a ``// matrix <label>: re im re im re im re im``
 comment (row-major 2x2, unitary: no entry of ``U^dagger U - I`` above 1e-9)
-and used as ``<label> q[i];``. A circuit that breaks an ``ir.violations``
+and used as ``<label> q[i];``; a label is declared once and names no
+built-in gate or statement. A circuit that breaks an ``ir.violations``
 invariant is rejected at the line of its first offending statement. Emission is
 deterministic: fixed ordering, 17-significant-digit floats, so identical
 circuits produce byte-identical text.
@@ -54,6 +55,10 @@ MAX_REGISTER = 1 << 16
 _FIXED_GATES = ("h", "x", "y", "z", "s", "t")
 _PARAM_GATES = ("p", "rx", "rz")
 _TWO_QUBIT = ("cx", "cz")
+# Built-in gate and statement names, which no opaque label may take.
+_RESERVED = frozenset(
+    _FIXED_GATES + _PARAM_GATES + _TWO_QUBIT + ("cp", "measure", "reset", "if", "include", "qubit", "bit")
+)
 
 
 class QasmError(ValueError):
@@ -90,8 +95,10 @@ _RE_RESET = re.compile(r"^reset\s+q\[(\d+)\]$")
 _RE_IF = re.compile(r"^if\s*\((.*?)\)\s*(.+)$")
 _RE_TOGGLE = re.compile(r"^c\[(\d+)\]\s*=\s*c\[(\d+)\]\s*\^\s*(.+)$")
 _RE_LIT = re.compile(r"^(!?)c\[(\d+)\]$")
-_RE_MATRIX = re.compile(r"^//\s*matrix\s+([a-z_][a-z0-9_]*)\s*:\s*(.+)$")
+_LABEL = r"[a-z_][a-z0-9_]*"
+_RE_MATRIX = re.compile(rf"^//\s*matrix\s+({_LABEL})\s*:\s*(.+)$")
 _RE_NAME = re.compile(r"^//\s*circuit:\s*(.*)$")
+_RE_HEADER = re.compile(r"^(?:OPENQASM|include)\b")
 
 _UNSUPPORTED_HINTS = (
     "barrier",
@@ -189,6 +196,10 @@ def parse(text: str) -> Circuit:
         m = _RE_MATRIX.match(raw.strip())
         if m:
             label, numbers = m.group(1), m.group(2).split()
+            if label in _RESERVED:
+                raise QasmSemanticError(f"matrix annotation names the built-in {label!r}", lineno)
+            if label in matrices:
+                raise QasmSemanticError(f"matrix annotation for {label!r} is declared twice", lineno)
             if len(numbers) != 8:
                 raise QasmSyntaxError(
                     f"matrix annotation for {label!r} needs 8 numbers", lineno
@@ -215,7 +226,7 @@ def parse(text: str) -> Circuit:
             if not stmt:
                 continue
             col = start + len(piece) - len(piece.lstrip()) + 1
-            if stmt.startswith("OPENQASM") or stmt.startswith("include"):
+            if _RE_HEADER.match(stmt):
                 continue  # headers tolerated and ignored on input, never emitted
             m = _RE_QUBIT_DECL.match(stmt)
             if m:
@@ -321,14 +332,20 @@ def emit(circuit: Circuit) -> str:
     lines: list[str] = []
     if circuit.name:
         lines.append(f"// circuit: {circuit.name}")
-    declared: set[str] = set()
+    declared: dict[str, tuple[complex, ...]] = {}
     for instr in circuit.instructions:
-        if isinstance(instr, Gate) and instr.kind.name == "u" and instr.kind.label not in declared:
-            numbers = " ".join(
-                f"{_fmt(z.real)} {_fmt(z.imag)}" for z in instr.kind.matrix
-            )
-            lines.append(f"// matrix {instr.kind.label}: {numbers}")
-            declared.add(instr.kind.label)
+        if not isinstance(instr, Gate) or instr.kind.name != "u":
+            continue
+        label, matrix = instr.kind.label, instr.kind.matrix
+        if label in declared:
+            if declared[label] != matrix:
+                raise QasmUnsupportedError(f"opaque label {label!r} names two different matrices")
+            continue
+        if label in _RESERVED or not re.fullmatch(_LABEL, label):
+            raise QasmUnsupportedError(f"opaque label {label!r} cannot be serialized")
+        numbers = " ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in matrix)
+        lines.append(f"// matrix {label}: {numbers}")
+        declared[label] = matrix
     lines.append(f"qubit[{circuit.n_qubits}] q;")
     lines.append(f"bit[{circuit.n_clbits}] c;")
     for instr in circuit.instructions:

@@ -184,7 +184,7 @@ def _controls_fixpoint(chain: Chain) -> tuple[int, int]:
     gate would decide as it did the last time, so a full pass changes
     nothing else. No node moves meanwhile, so positions stay fixed.
     """
-    instrs, wire_prev, wire_next, wire0 = chain.instr, chain.wire_prev, chain.wire_next, chain.wire0
+    instrs, wire_prev, wire_next, slot = chain.instr, chain.wire_prev, chain.wire_next, chain.wire_slot
     order = chain.order()
     # Per node: its position and, if it writes a bit, the position of the
     # next write to that bit.
@@ -203,9 +203,6 @@ def _controls_fixpoint(chain: Chain) -> tuple[int, int]:
         if isinstance(instr, Gate) and instr.controls:
             events += ((1, 0, k), (1, 1, k))
     heapq.heapify(events)
-
-    def slot(i: int, q: int) -> int:
-        return 2 * i + (wire0[i] != q)
 
     def wire_pred(i: int, q: int) -> Instruction | None:
         p = wire_prev[slot(i, q)]

@@ -3,8 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreuse import bench, commute, oracle, reuse, transform
+from qreuse import bench, commute, ir, oracle, reuse, transform
 from qreuse.ir import (
+    Chain,
     Circuit,
     CircuitBuilder,
     Condition,
@@ -232,6 +233,36 @@ class TestDependencies:
             )
             for out in outputs:
                 assert facts(out.dependencies()) == facts(Dependencies(out)), c.name
+
+
+def _check_chain(chain: Chain) -> None:
+    """Labels rise along the order, and each qubit's wire links visit
+    exactly the live nodes on that qubit, in order, each through its own
+    slot for the qubit."""
+    order = chain.order()
+    labels = [chain.label[v] for v in order]
+    assert all(a < b for a, b in zip(labels, labels[1:]))
+    for q in range(chain.facts.n_qubits):
+        on_wire = [v for v in order if q in chain.facts.qubits[v]]
+        slots = [chain.wire_slot(v, q) for v in on_wire]
+        for k, s in enumerate(slots):
+            assert chain.wire_prev[s] == (slots[k - 1] if k else -1)
+            assert chain.wire_next[s] == (slots[k + 1] if k + 1 < len(slots) else -1)
+
+
+class TestChain:
+    @pytest.mark.parametrize("gap", [ir._GAP, 2], ids=["default gap", "labels run out"])
+    def test_links_hold_after_every_step_of_the_rewrite_schedule(self, gap, monkeypatch):
+        # The steps of ``transform.run``, checked one by one on one chain.
+        monkeypatch.setattr(ir, "_GAP", gap)
+        steps = (commute.push, transform._controls_fixpoint, commute.push, transform._remove_dead_gates)
+        for c in schedule_battery():
+            chain = Chain(c)
+            _check_chain(chain)
+            for step in steps:
+                step(chain)
+                _check_chain(chain)
+            assert chain.materialise().instructions == transform.run(c)[0].instructions, c.name
 
 
 class TestGatePredicates:

@@ -198,6 +198,32 @@ class TestParse:
     def test_register_at_limit_accepted(self):
         assert parse(f"qubit[1] q;\nbit[{MAX_REGISTER}] c;\n").n_clbits == MAX_REGISTER
 
+    def test_redeclared_matrix_label_is_rejected(self):
+        # The second matrix used to replace the first for every use, while
+        # emit wrote only the first: the input gives {"1": 1.0}, the emitted
+        # file {"0": 1.0}.
+        text = (
+            "qubit[1] q;\nbit[1] c;\n"
+            "// matrix u_a: 1 0 0 0 0 0 1 0\nu_a q[0];\n"
+            "// matrix u_a: 0 0 1 0 1 0 0 0\nu_a q[0];\n"
+            "c[0] = measure q[0];\n"
+        )
+        with pytest.raises(QasmSemanticError, match="declared twice") as err:
+            parse(text)
+        assert err.value.line == 5
+
+    @pytest.mark.parametrize("label", ["h", "reset", "cp", "measure"])
+    def test_matrix_annotation_for_a_built_in_is_rejected(self, label):
+        text = f"qubit[1] q;\nbit[1] c;\n// matrix {label}: 0 0 1 0 1 0 0 0\nh q[0];\n"
+        with pytest.raises(QasmSemanticError, match="built-in") as err:
+            parse(text)
+        assert err.value.line == 3
+
+    def test_label_starting_with_include_is_a_gate(self):
+        # Only a whole "include" word starts a header line.
+        text = "qubit[1] q;\nbit[0] c;\n// matrix include_a: 0 0 1 0 1 0 0 0\ninclude_a q[0];\n"
+        assert parse(text).instructions[0].kind.label == "include_a"
+
     def test_conditioned_reset_is_unsupported(self):
         text = "qubit[1] q;\nbit[1] c;\nc[0] = measure q[0];\nif (c[0]) reset q[0];\n"
         with pytest.raises(QasmUnsupportedError, match="only gate statements may be conditioned") as err:
@@ -232,6 +258,18 @@ class TestEmit:
         gate = Gate(X_KIND, (1,), ((0, False),))
         with pytest.raises(QasmUnsupportedError):
             emit(Circuit(2, 0, (gate,)))
+
+    def test_one_label_for_two_matrices_rejected(self):
+        b = CircuitBuilder(1, 1)
+        b.opaque("u_a", [1, 0, 0, 1], 0).opaque("u_a", [0, 1, 1, 0], 0).measure(0, 0)
+        with pytest.raises(QasmUnsupportedError, match="two different matrices"):
+            emit(b.build())
+
+    @pytest.mark.parametrize("label", ["h", "U_a"])
+    def test_label_that_does_not_parse_back_rejected(self, label):
+        c = CircuitBuilder(1, 0).opaque(label, [0, 1, 1, 0], 0).build()
+        with pytest.raises(QasmUnsupportedError, match="cannot be serialized"):
+            emit(c)
 
     def test_qpe_roundtrip_is_identity(self):
         c = bench.gen_qpe(4, 2 * math.pi * 3 / 8)
