@@ -1,9 +1,9 @@
 """Command-line front end: optimize, gen, bench, verify.
 
-Exit codes: 0 success, 1 parse/validation error, 2 equivalence mismatch,
-3 I/O error, 4 equivalence not checkable (a circuit exceeds the exact
-simulator's qubit cap). Reports are JSON documents with a schema_version
-field.
+Exit codes: 0 success, 1 parse/validation error (a circuit file that is
+not UTF-8 included), 2 equivalence mismatch, 3 I/O error, 4 equivalence not
+checkable (a circuit exceeds the exact simulator's qubit cap). Reports are
+JSON documents with a schema_version field.
 """
 
 from __future__ import annotations
@@ -53,10 +53,15 @@ def report_document(
 
 def _read_circuit(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         click.echo(f"error: cannot read {path}: {exc}", err=True)
         sys.exit(EXIT_IO)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        click.echo(f"error: {path}: not UTF-8 (byte {exc.start})", err=True)
+        sys.exit(EXIT_PARSE)
     try:
         return qasm.parse(text)
     except qasm.QasmError as exc:

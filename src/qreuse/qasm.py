@@ -10,8 +10,11 @@ Grammar (statements are ``;``-terminated, ``//`` starts a comment):
     c[k] = c[k] ^ (lit & ...);  c[k] = c[k] ^ true;
 
 where ``lit`` is ``c[i]`` or ``!c[i]`` and angles are decimal literals.
+The grammar is ASCII: digits are 0-9 only. Lines end at ``\n``, ``\r\n`` or
+a lone ``\r``; any other line-break character is blank around a statement.
 Register sizes are at most ``MAX_REGISTER``, so a declaration cannot make
-validation allocate without bound.
+validation allocate without bound, and an index or size has no more digits
+than the interpreter reads as an int (4,300 by default).
 Opaque gates are declared by a ``// matrix <label>: re im re im re im re im``
 comment (row-major 2x2, unitary: no entry of ``U^dagger U - I`` above 1e-9)
 and used as ``<label> q[i];``; a label is declared once and names no
@@ -32,8 +35,14 @@ from .ir import (
     Condition,
     Gate,
     GateKind,
+    H_KIND,
     Measure,
     Reset,
+    S_KIND,
+    T_KIND,
+    X_KIND,
+    Y_KIND,
+    Z_KIND,
     opaque_kind,
     violations,
 )
@@ -84,21 +93,21 @@ class QasmUnsupportedError(QasmError):
 
 
 _NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
-_RE_QUBIT_DECL = re.compile(r"^qubit\[(\d+)\]\s+(\w+)$")
-_RE_BIT_DECL = re.compile(r"^bit\[(\d+)\]\s+(\w+)$")
-_RE_FIXED = re.compile(r"^([a-z_][a-z0-9_]*)\s+q\[(\d+)\]$")
-_RE_PARAM = re.compile(rf"^(p|rx|rz)\(({_NUM})\)\s+q\[(\d+)\]$")
-_RE_TWOQ = re.compile(r"^(cx|cz)\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]$")
-_RE_CP = re.compile(rf"^cp\(({_NUM})\)\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]$")
-_RE_MEASURE = re.compile(r"^c\[(\d+)\]\s*=\s*measure\s+q\[(\d+)\]$")
-_RE_RESET = re.compile(r"^reset\s+q\[(\d+)\]$")
-_RE_IF = re.compile(r"^if\s*\((.*?)\)\s*(.+)$")
-_RE_TOGGLE = re.compile(r"^c\[(\d+)\]\s*=\s*c\[(\d+)\]\s*\^\s*(.+)$")
-_RE_LIT = re.compile(r"^(!?)c\[(\d+)\]$")
 _LABEL = r"[a-z_][a-z0-9_]*"
-_RE_MATRIX = re.compile(rf"^//\s*matrix\s+({_LABEL})\s*:\s*(.+)$")
-_RE_NAME = re.compile(r"^//\s*circuit:\s*(.*)$")
-_RE_HEADER = re.compile(r"^(?:OPENQASM|include)\b")
+# Each statement is read with one pattern, chosen by its first two
+# characters. Every gate statement, ``reset`` included, has the shape
+# ``name[(angle)] q[i][, q[j]]``; an angle text is checked against ``_RE_NUM``
+# once per parse.
+_RE_GATE = re.compile(rf"({_LABEL})(?:\(([^)]*)\))?\s+q\[(\d+)\](?:\s*,\s*q\[(\d+)\])?", re.ASCII)
+_RE_BITS = re.compile(r"c\[(\d+)\]\s*=\s*(?:measure\s+q\[(\d+)\]|c\[(\d+)\]\s*\^\s*(.+))", re.ASCII)
+_RE_IF = re.compile(r"if\s*\((.*?)\)\s*(.+)", re.ASCII)
+_RE_DECL = re.compile(r"(qubit|bit)\[(\d+)\]\s+(\w+)", re.ASCII)
+_RE_HEADER = re.compile(r"(?:OPENQASM|include)\b", re.ASCII)
+_RE_NUM = re.compile(_NUM, re.ASCII)
+_RE_LIT = re.compile(r"(!?)c\[(\d+)\]", re.ASCII)
+_RE_LABEL = re.compile(_LABEL, re.ASCII)
+_RE_MATRIX = re.compile(rf"//\s*matrix\s+({_LABEL})\s*:\s*(.+)", re.ASCII)
+_RE_NAME = re.compile(r"//\s*circuit:\s*(.*)", re.ASCII)
 
 _UNSUPPORTED_HINTS = (
     "barrier",
@@ -112,16 +121,38 @@ _UNSUPPORTED_HINTS = (
     "ccx",
 )
 
+# Kinds and the condition shared by every instruction that needs them.
+_FIXED_KINDS = {"h": H_KIND, "x": X_KIND, "y": Y_KIND, "z": Z_KIND, "s": S_KIND, "t": T_KIND}
+_CONTROLLED_KINDS = {"cx": X_KIND, "cz": Z_KIND}
+_ALWAYS = Condition()
+# (statement name, has a second qubit) -> kind name, for statements with an angle.
+_ANGLED = {("p", False): "p", ("rx", False): "rx", ("rz", False): "rz", ("cp", True): "p"}
+# Names that make ``name q[i]`` a malformed statement, not an unknown gate.
+_MISUSED = frozenset(("measure", "cp") + _PARAM_GATES + _TWO_QUBIT)
+_REGISTER_NAMES = {"qubit": "q", "bit": "c"}
+# First two characters of the statements that are not gates, or may not be.
+_LEADS = frozenset(("c[", "if", "qu", "bi", "OP", "in"))
+
 
 def _fmt(value: float) -> str:
     return format(value, ".17g")
+
+
+def _integer(text: str, line: int, col: int) -> int:
+    """Every index and register size is read through here."""
+    try:
+        return int(text)
+    except ValueError:  # the patterns admit ASCII digits only: this is the interpreter's digit limit
+        raise QasmSemanticError(f"integer of {len(text)} digits is too long to read", line, col) from None
 
 
 def _number(text: str, what: str, line: int, col: int | None = None) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise QasmSyntaxError(f"{what} {text!r} is not a number", line, col) from None
+        value = None
+    if value is None or not text.isascii():  # float() also reads non-ASCII digits
+        raise QasmSyntaxError(f"{what} {text!r} is not a number", line, col)
     if not math.isfinite(value):
         raise QasmSemanticError(f"{what} {text} is not finite", line, col)
     return value
@@ -138,157 +169,175 @@ def _unitary(a: complex, b: complex, c: complex, d: complex) -> bool:
     return all(abs(x) <= 1e-9 for x in gram)
 
 
-def _parse_literals(text: str, line: int, col: int) -> tuple[tuple[int, bool], ...]:
-    parts = [p.strip() for p in text.split("&")]
+def _literals(text: str, line: int, col: int) -> tuple[tuple[int, bool], ...]:
     literals = []
-    for part in parts:
-        m = _RE_LIT.match(part)
+    for part in text.split("&"):
+        part = part.strip()
+        m = _RE_LIT.fullmatch(part)
         if not m:
             raise QasmSyntaxError(f"bad condition literal {part!r}", line, col)
-        literals.append((int(m.group(2)), m.group(1) != "!"))
+        literals.append((_integer(m[2], line, col), m[1] != "!"))
     return tuple(literals)
 
 
-def _parse_gate_statement(stmt: str, line: int, col: int, matrices: dict[str, GateKind]):
-    m = _RE_PARAM.match(stmt)
-    if m:
-        name, angle, q = m.group(1), _number(m.group(2), "angle", line, col), int(m.group(3))
-        return Gate(GateKind(name, angle=angle), (q,), (), Condition(), source_line=line)
-    m = _RE_TWOQ.match(stmt)
-    if m:
-        name, c, t = m.group(1), int(m.group(2)), int(m.group(3))
-        kind = GateKind("x" if name == "cx" else "z")
-        return Gate(kind, (t,), ((c, True),), Condition(), source_line=line)
-    m = _RE_CP.match(stmt)
-    if m:
-        angle, c, t = _number(m.group(1), "angle", line, col), int(m.group(2)), int(m.group(3))
-        return Gate(GateKind("p", angle=angle), (t,), ((c, True),), Condition(), source_line=line)
-    m = _RE_FIXED.match(stmt)
-    if m:
-        name, q = m.group(1), int(m.group(2))
-        if name in _FIXED_GATES:
-            return Gate(GateKind(name), (q,), (), Condition(), source_line=line)
-        if name in matrices:
-            return Gate(matrices[name], (q,), (), Condition(), source_line=line)
-        if name in ("measure", "reset") + _PARAM_GATES + _TWO_QUBIT + ("cp",):
-            raise QasmSyntaxError(f"malformed statement {stmt!r}", line, col)
-        raise QasmSemanticError(
-            f"unknown gate {name!r}; opaque gates need a preceding matrix annotation", line, col
-        )
-    return None
+class _Reader:
+    """One parse's state: the register sizes declared so far, the kind of
+    each ``name q[i]`` (the fixed gates, then each ``// matrix`` label from
+    its declaration on) and one kind per angled (name, angle text), since a
+    qft or qpe repeats a few angles over thousands of statements."""
 
+    __slots__ = ("sizes", "one_qubit", "angled")
 
-def _register_size(text: str, what: str, line: int, col: int) -> int:
-    size = int(text)
-    if size > MAX_REGISTER:
-        raise QasmSemanticError(f"{what} register of {size} exceeds the limit of {MAX_REGISTER}", line, col)
-    return size
+    def __init__(self) -> None:
+        self.sizes: dict[str, int | None] = {"qubit": None, "bit": None}
+        self.one_qubit: dict[str, GateKind] = dict(_FIXED_KINDS)
+        self.angled: dict[tuple[str, str], GateKind] = {}
+
+    def matrix(self, label: str, numbers: list[str], line: int) -> None:
+        if label in _RESERVED:
+            raise QasmSemanticError(f"matrix annotation names the built-in {label!r}", line)
+        if label in self.one_qubit:
+            raise QasmSemanticError(f"matrix annotation for {label!r} is declared twice", line)
+        if len(numbers) != 8:
+            raise QasmSyntaxError(f"matrix annotation for {label!r} needs 8 numbers", line)
+        vals = [_number(x, "matrix entry", line) for x in numbers]
+        entries = [complex(vals[i], vals[i + 1]) for i in range(0, 8, 2)]
+        if not _unitary(*entries):
+            raise QasmSemanticError(f"matrix annotation for {label!r} is not unitary", line)
+        self.one_qubit[label] = opaque_kind(label, entries)
+
+    def statement(self, stmt: str, line: int, col: int):
+        """The instruction a stripped, non-empty statement at ``line`` and
+        ``col`` reads as, or None for a declaration or header."""
+        lead = stmt[:2]
+        if lead in _LEADS:
+            if lead == "c[":
+                m = _RE_BITS.fullmatch(stmt)
+                if m:
+                    target, qubit, source, rhs = m.groups()
+                    if qubit is not None:
+                        return Measure(_integer(qubit, line, col), _integer(target, line, col), line)
+                    return self.toggle(_integer(target, line, col), _integer(source, line, col), rhs, line, col)
+            elif lead == "if":
+                m = _RE_IF.fullmatch(stmt)
+                if m:
+                    return self.conditioned(m[1].strip(), m[2].strip(), line, col)
+            elif lead == "qu" or lead == "bi":
+                m = _RE_DECL.fullmatch(stmt)
+                if m:
+                    self.declare(*m.groups(), line, col)
+                    return None
+            elif _RE_HEADER.match(stmt):
+                return None  # headers tolerated and ignored on input, never emitted
+        m = _RE_GATE.fullmatch(stmt)
+        if m:
+            gate = self.gate(m, _ALWAYS, line, col)
+            if gate is not None:
+                return gate
+            if m[1] == "reset" and m[2] is None and m[4] is None:
+                return Reset(_integer(m[3], line, col), line)
+        if stmt.startswith(_UNSUPPORTED_HINTS):
+            head = stmt.split("(")[0].split()[0]
+            raise QasmUnsupportedError(f"construct {head!r} is outside the subset", line, col)
+        raise QasmSyntaxError(f"cannot parse statement {stmt!r}", line, col)
+
+    def declare(self, register: str, size: str, name: str, line: int, col: int) -> None:
+        if name != _REGISTER_NAMES[register]:
+            raise QasmSemanticError(f"the {register} register must be named {_REGISTER_NAMES[register]}", line, col)
+        if self.sizes[register] is not None:
+            raise QasmSemanticError(f"the {register} register is declared twice", line, col)
+        n = _integer(size, line, col)
+        if n > MAX_REGISTER:
+            raise QasmSemanticError(f"{register} register of {n} exceeds the limit of {MAX_REGISTER}", line, col)
+        self.sizes[register] = n
+
+    def toggle(self, target: int, source: int, rhs: str, line: int, col: int) -> ClassicalToggle:
+        if target != source:
+            raise QasmSemanticError("toggles must read and write the same bit", line, col)
+        rhs = rhs.strip()
+        if rhs.startswith("(") and rhs.endswith(")"):
+            rhs = rhs[1:-1].strip()
+        return ClassicalToggle(target, () if rhs == "true" else _literals(rhs, line, col), line)
+
+    def conditioned(self, cond: str, inner: str, line: int, col: int) -> Gate:
+        literals = () if cond == "true" else _literals(cond, line, col)
+        m = _RE_GATE.fullmatch(inner)
+        gate = m and self.gate(m, Condition(literals) if literals else _ALWAYS, line, col)
+        if not gate:
+            raise QasmUnsupportedError(f"only gate statements may be conditioned, got {inner!r}", line, col)
+        return gate
+
+    def gate(self, m: re.Match, condition: Condition, line: int, col: int) -> Gate | None:
+        """The gate of a ``_RE_GATE`` match, or None if no gate has its shape
+        (``reset q[i]`` included)."""
+        name, angle, first, second = m.groups()
+        if angle is not None:
+            kind_name = _ANGLED.get((name, second is not None))
+            if kind_name is None:
+                return None
+            kind = self.angled.get((kind_name, angle)) or self.angled_kind(kind_name, angle, line, col)
+        elif second is not None:
+            kind = _CONTROLLED_KINDS.get(name)
+        else:
+            kind = self.one_qubit.get(name)
+            if kind is not None:
+                return Gate(kind, (_integer(first, line, col),), (), condition, line)
+            if name == "reset":
+                return None
+            if name in _MISUSED:
+                raise QasmSyntaxError(f"malformed statement {m.string!r}", line, col)
+            raise QasmSemanticError(
+                f"unknown gate {name!r}; opaque gates need a preceding matrix annotation", line, col
+            )
+        if kind is None:
+            return None
+        if second is None:
+            return Gate(kind, (_integer(first, line, col),), (), condition, line)
+        return Gate(kind, (_integer(second, line, col),), ((_integer(first, line, col), True),), condition, line)
+
+    def angled_kind(self, name: str, angle: str, line: int, col: int) -> GateKind | None:
+        """Build and remember the kind for an angle text not seen before;
+        None if the text is no decimal literal."""
+        if not _RE_NUM.fullmatch(angle):
+            return None
+        kind = self.angled[name, angle] = GateKind(name, angle=_number(angle, "angle", line, col))
+        return kind
 
 
 def parse(text: str) -> Circuit:
-    n_qubits: int | None = None
-    n_clbits: int | None = None
+    reader = _Reader()
+    statement = reader.statement
     name = ""
-    matrices: dict[str, GateKind] = {}
     instructions = []
+    append = instructions.append
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        m = _RE_MATRIX.match(raw.strip())
-        if m:
-            label, numbers = m.group(1), m.group(2).split()
-            if label in _RESERVED:
-                raise QasmSemanticError(f"matrix annotation names the built-in {label!r}", lineno)
-            if label in matrices:
-                raise QasmSemanticError(f"matrix annotation for {label!r} is declared twice", lineno)
-            if len(numbers) != 8:
-                raise QasmSyntaxError(
-                    f"matrix annotation for {label!r} needs 8 numbers", lineno
-                )
-            vals = [_number(x, "matrix entry", lineno) for x in numbers]
-            entries = [complex(vals[i], vals[i + 1]) for i in range(0, 8, 2)]
-            if not _unitary(*entries):
-                raise QasmSemanticError(f"matrix annotation for {label!r} is not unitary", lineno)
-            matrices[label] = opaque_kind(label, entries)
-            continue
-        m = _RE_NAME.match(raw.strip())
-        if m:
-            name = m.group(1).strip()
-            continue
-        code = raw.split("//", 1)[0]
-        if not code.strip():
-            continue
-        if not code.rstrip().endswith(";"):
+    # Lines end at "\n", "\r\n" or a lone "\r", as in an editor.
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
+        if "//" in raw:
+            stripped = raw.strip()
+            if stripped.startswith("//"):
+                m = _RE_MATRIX.fullmatch(stripped)
+                if m:
+                    reader.matrix(m[1], m[2].split(), lineno)
+                    continue
+                m = _RE_NAME.fullmatch(stripped)
+                if m:
+                    name = m[1].strip()
+                continue
+            raw = raw.split("//", 1)[0]
+        pieces = raw.split(";")
+        if pieces.pop().strip():
             raise QasmSyntaxError("statement is not ';'-terminated", lineno)
-        end = -1
-        for piece in code.split(";"):
-            start, end = end + 1, end + 1 + len(piece)
+        start = 1  # the column of the piece's first character
+        for piece in pieces:
             stmt = piece.strip()
-            if not stmt:
-                continue
-            col = start + len(piece) - len(piece.lstrip()) + 1
-            if _RE_HEADER.match(stmt):
-                continue  # headers tolerated and ignored on input, never emitted
-            m = _RE_QUBIT_DECL.match(stmt)
-            if m:
-                if m.group(2) != "q":
-                    raise QasmSemanticError("the qubit register must be named q", lineno, col)
-                if n_qubits is not None:
-                    raise QasmSemanticError("the qubit register is declared twice", lineno, col)
-                n_qubits = _register_size(m.group(1), "qubit", lineno, col)
-                continue
-            m = _RE_BIT_DECL.match(stmt)
-            if m:
-                if m.group(2) != "c":
-                    raise QasmSemanticError("the bit register must be named c", lineno, col)
-                if n_clbits is not None:
-                    raise QasmSemanticError("the bit register is declared twice", lineno, col)
-                n_clbits = _register_size(m.group(1), "bit", lineno, col)
-                continue
-            m = _RE_MEASURE.match(stmt)
-            if m:
-                instructions.append(
-                    Measure(int(m.group(2)), int(m.group(1)), source_line=lineno)
-                )
-                continue
-            m = _RE_RESET.match(stmt)
-            if m:
-                instructions.append(Reset(int(m.group(1)), source_line=lineno))
-                continue
-            m = _RE_TOGGLE.match(stmt)
-            if m:
-                target, source, rhs = int(m.group(1)), int(m.group(2)), m.group(3).strip()
-                if target != source:
-                    raise QasmSemanticError(
-                        "toggles must read and write the same bit", lineno, col
-                    )
-                if rhs.startswith("(") and rhs.endswith(")"):
-                    rhs = rhs[1:-1].strip()
-                product = () if rhs == "true" else _parse_literals(rhs, lineno, col)
-                instructions.append(ClassicalToggle(target, product, source_line=lineno))
-                continue
-            m = _RE_IF.match(stmt)
-            if m:
-                cond_text, inner = m.group(1).strip(), m.group(2).strip()
-                literals = () if cond_text == "true" else _parse_literals(cond_text, lineno, col)
-                # A reset would otherwise read as a malformed one-qubit gate.
-                gate = None if _RE_RESET.match(inner) else _parse_gate_statement(inner, lineno, col, matrices)
-                if gate is None:
-                    raise QasmUnsupportedError(
-                        f"only gate statements may be conditioned, got {inner!r}", lineno, col
-                    )
-                instructions.append(
-                    Gate(gate.kind, gate.targets, gate.controls, Condition(literals), source_line=lineno)
-                )
-                continue
-            gate = _parse_gate_statement(stmt, lineno, col, matrices)
-            if gate is not None:
-                instructions.append(gate)
-                continue
-            head = stmt.split("(")[0].split()[0] if stmt else stmt
-            if any(stmt.startswith(h) for h in _UNSUPPORTED_HINTS):
-                raise QasmUnsupportedError(f"construct {head!r} is outside the subset", lineno, col)
-            raise QasmSyntaxError(f"cannot parse statement {stmt!r}", lineno, col)
+            if stmt:
+                instr = statement(stmt, lineno, start + len(piece) - len(piece.lstrip()))
+                if instr is not None:
+                    append(instr)
+            start += len(piece) + 1
 
+    n_qubits, n_clbits = reader.sizes["qubit"], reader.sizes["bit"]
     if n_qubits is None or n_clbits is None:
         raise QasmSemanticError("missing qubit[...] q; or bit[...] c; declaration")
     circuit = Circuit(n_qubits, n_clbits, tuple(instructions), name)
@@ -341,7 +390,7 @@ def emit(circuit: Circuit) -> str:
             if declared[label] != matrix:
                 raise QasmUnsupportedError(f"opaque label {label!r} names two different matrices")
             continue
-        if label in _RESERVED or not re.fullmatch(_LABEL, label):
+        if label in _RESERVED or not _RE_LABEL.fullmatch(label):
             raise QasmUnsupportedError(f"opaque label {label!r} cannot be serialized")
         numbers = " ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in matrix)
         lines.append(f"// matrix {label}: {numbers}")

@@ -102,6 +102,54 @@ class TestOptimize:
         assert "verification impossible" in result.output
 
 
+# Inputs at the edges of the file format, each with what the one error line
+# must name: the line where the input has one.
+HOSTILE = {
+    "separator in a comment": ("qubit[1] q; // note\u2028more\nbit[1] c;\nh q[5];\n".encode(), "(line 3)"),
+    "over-long index": (f"qubit[1] q;\nbit[1] c;\nx q[{'9' * 5000}];\n".encode(), "(line 3, col 1)"),
+    "not UTF-8": (b"qubit[1] q;\nbit[1] c;\n\xff q[0];\n", "not UTF-8 (byte 22)"),
+    "fullwidth digit": ("qubit[\uff12] q;\nbit[1] c;\n".encode(), "(line 1, col 1)"),
+    "NUL byte": (b"qubit[1] q;\nbit[1] c;\nh q[0];\x00\n", "(line 3)"),
+    "empty file": (b"", "missing qubit[...] q; or bit[...] c; declaration"),
+}
+
+
+@pytest.mark.parametrize("data,names", HOSTILE.values(), ids=HOSTILE.keys())
+def test_hostile_input_fails_with_one_error_line(runner, tmp_path, data, names):
+    src = tmp_path / "in.qasm"
+    src.write_bytes(data)
+    result = runner.invoke(main, ["optimize", str(src), "-o", str(tmp_path / "out.qasm")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [result.output.rstrip("\n")]
+    assert result.output.startswith(f"error: {src}: ") and names in result.output
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify"])
+def test_non_utf8_file_is_a_parse_error(runner, tmp_path, command):
+    # Decoding used to escape as a UnicodeDecodeError traceback.
+    bad, good = tmp_path / "bad.qasm", tmp_path / "good.qasm"
+    data = b"qubit[1] q;\nbit[1] c;\nh q[0]; // caf\xe9\n"  # Latin-1, not UTF-8
+    bad.write_bytes(data)
+    write_qpe(good)
+    args = [str(bad)] if command == "optimize" else [str(good), str(bad)]
+    result = runner.invoke(main, [command, *args])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"error: {bad}: not UTF-8 (byte {data.index(0xE9)})\n"
+
+
+@pytest.mark.parametrize("end", ["\r", "\r\n"])
+def test_cr_line_ends_read_as_newlines(runner, tmp_path, end):
+    # The comment stops at the line end; the measurement after it is kept.
+    text = "qubit[1] q;\nbit[1] c;\nx q[0]; // flip\nc[0] = measure q[0];\n"
+    lf, other = tmp_path / "lf.qasm", tmp_path / "other.qasm"
+    lf.write_text(text)
+    other.write_bytes(text.replace("\n", end).encode())
+    outputs = [runner.invoke(main, ["optimize", str(path), "-o", "-"]) for path in (lf, other)]
+    assert [r.exit_code for r in outputs] == [0, 0], outputs[1].output
+    assert outputs[0].output == outputs[1].output and "measure" in outputs[1].output
+
+
 class TestVerify:
     def test_equivalent_pair(self, runner, tmp_path):
         a, b = tmp_path / "a.qasm", tmp_path / "b.qasm"

@@ -1,11 +1,17 @@
 import cmath
+import functools
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qasm_reference
 from qreuse import bench
-from qreuse.ir import CircuitBuilder, Condition, Gate, Measure
+from qreuse.ir import Circuit, CircuitBuilder, Condition, Gate, Measure
+from qreuse.pipeline import MODES, optimize
 from qreuse.qasm import (
     MAX_REGISTER,
     QasmSemanticError,
@@ -15,7 +21,7 @@ from qreuse.qasm import (
     parse,
 )
 
-from conftest import cx_pair, small_random
+from conftest import adversarial, cx_pair, schedule_battery, small_random
 
 
 CX_PAIR_TEXT = """qubit[2] q;
@@ -305,3 +311,272 @@ def test_roundtrip_through_pipeline_output():
 
     c, _ = pipeline.optimize(bench.gen_qft(5))
     assert parse(emit(c)) == c
+
+
+
+# str.splitlines() breaks at all of these; only "\n", "\r\n" and "\r" end a line.
+SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SEPARATOR_IDS = [f"U+{ord(s):04X}" for s in SEPARATORS]
+
+
+def in_comment(sep: str) -> str:
+    return f"qubit[1] q; // note{sep}more\nbit[1] c;\nh q[0];\n"
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=SEPARATOR_IDS)
+    def test_separator_inside_a_comment_stays_in_the_comment(self, sep):
+        # Its tail used to become a statement: "statement is not
+        # ';'-terminated (line 2)", and every later line was one off.
+        assert [i.source_line for i in parse(in_comment(sep)).instructions] == [3]
+        with pytest.raises(QasmSemanticError) as err:
+            parse(in_comment(sep).replace("h q[0]", "h q[5]"))
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=SEPARATOR_IDS)
+    def test_separator_between_statements_is_blank(self, sep):
+        c = parse(f"qubit[1] q;{sep}bit[1] c;{sep}h q[0];{sep}\nx q[0];\n")
+        assert [i.source_line for i in c.instructions] == [1, 2]
+
+    def test_crlf_reads_as_lf(self):
+        crlf = CX_PAIR_TEXT.replace("\n", "\r\n")
+        c = parse(crlf)
+        assert c == parse(CX_PAIR_TEXT)
+        assert [i.source_line for i in c.instructions] == [3, 4, 5, 6]
+        with pytest.raises(QasmSyntaxError) as err:
+            parse(crlf.replace("h q[0];", "h q[0]"))
+        assert err.value.line == 3
+
+    def test_lone_cr_ends_a_line(self):
+        # As in an editor: a comment stops at the "\r" and the measurement
+        # after it is kept.
+        cr = "qubit[1] q;\rbit[1] c;\rx q[0]; // flip\rc[0] = measure q[0];\r"
+        c = parse(cr)
+        assert c == parse(cr.replace("\r", "\n")) and len(c.instructions) == 2
+        assert [i.source_line for i in c.instructions] == [3, 4]
+        assert outcome(parse, cr) == outcome(qasm_reference.parse, cr)
+
+
+LONG = "9" * 5000
+# Statements on line 3 whose integer has 5,000 digits, with their column.
+OVER_LONG = {
+    "qubit index": (f"x q[{LONG}];", 1),
+    "measured bit": (f"c[{LONG}] = measure q[0];", 1),
+    "condition literal": (f"if (c[{LONG}]) x q[0];", 1),
+    "toggle": (f"c[{LONG}] = c[{LONG}] ^ true;", 1),
+    "register size": (f"h q[0]; qubit[{LONG}] q;", 9),
+}
+
+
+def over_long(stmt: str) -> str:
+    return f"bit[1] c;\nc[0] = measure q[0];\n{stmt}\nqubit[1] q;\n"
+
+
+class TestIntegers:
+    @pytest.mark.parametrize("stmt,col", OVER_LONG.values(), ids=OVER_LONG.keys())
+    def test_over_long_integer_is_a_semantic_error(self, stmt, col):
+        # Python's int() refuses more than 4,300 digits with a bare ValueError.
+        with pytest.raises(QasmSemanticError, match="integer of 5000 digits is too long to read") as err:
+            parse(over_long(stmt))
+        assert (err.value.line, err.value.col) == (3, col)
+
+    def test_leading_zeros_read_as_the_number(self):
+        c = parse("qubit[02] q;\nbit[1] c;\nx q[00];\nc[000] = measure q[01];\n")
+        assert c.n_qubits == 2
+        assert c.instructions[0].targets == (0,) and c.instructions[1] == Measure(1, 0)
+
+    def test_digit_limit_counts_leading_zeros(self):
+        index = "0" * 4299 + "1"
+        assert parse(f"qubit[2] q;\nbit[0] c;\nx q[{index}];\n").instructions[0].targets == (1,)
+        with pytest.raises(QasmSemanticError, match="4301 digits"):
+            parse(f"qubit[2] q;\nbit[0] c;\nx q[0{index}];\n")
+
+    def test_the_interpreter_s_limit_is_the_limit(self):
+        # Under a lower limit, 1,000 digits are too many as well.
+        code = (
+            "from qreuse.qasm import QasmSemanticError, parse\n"
+            "try:\n"
+            "    parse('qubit[1] q;\\nbit[0] c;\\nx q[' + '9' * 1000 + '];\\n')\n"
+            "except QasmSemanticError as err:\n"
+            "    print(err)\n"
+        )
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "integer of 1000 digits is too long to read (line 3, col 1)\n", out.stderr
+
+
+# Inputs with a fullwidth digit, and the line it is on.
+NON_ASCII = {
+    "register size": ("qubit[\uff12] q;\nbit[0] c;\n", 1),
+    "index": ("qubit[2] q;\nbit[0] c;\nh q[\uff11];\n", 3),
+    "angle": ("qubit[2] q;\nbit[0] c;\np(\uff11.5) q[0];\n", 3),
+    "matrix entry": ("qubit[2] q;\nbit[0] c;\n// matrix u_a: \uff11 0 0 0 0 0 1 0\nu_a q[0];\n", 3),
+}
+
+
+@pytest.mark.parametrize("text,line", NON_ASCII.values(), ids=NON_ASCII.keys())
+def test_non_ascii_digits_are_rejected(text, line):
+    # "qubit[\uff12] q;" (a fullwidth two) used to declare two qubits
+    # and emit as "qubit[2] q;".
+    with pytest.raises(QasmSyntaxError) as err:
+        parse(text)
+    assert err.value.line == line
+
+
+def test_gate_kinds_and_the_unconditional_condition_are_shared():
+    c = parse(emit(bench.gen_qft(64)))
+    gates = [i for i in c.instructions if isinstance(i, Gate)]
+    objects: dict[tuple, set[int]] = {}
+    for g in gates:
+        objects.setdefault((g.kind.name, g.kind.angle), set()).add(id(g.kind))
+    assert len(objects) > 60 and all(len(ids) == 1 for ids in objects.values())
+    assert len({id(g.condition) for g in gates if g.condition.always}) == 1
+
+
+# -- Differential test against the regex-cascade parser (qasm_reference) --
+
+def outcome(read, text: str):
+    """What ``read`` makes of ``text``: the circuit, its name and source
+    lines, or the error's class, message, line and column."""
+    try:
+        c = read(text)
+    except Exception as exc:  # the reference may raise anything
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+    return c, c.name, [i.source_line for i in c.instructions]
+
+
+# Unusual spellings the grammar accepts.
+ODD_ACCEPTED = [
+    "qubit[2] q; bit[2] c; c[1]=measure q[0]; c[1] =c[1]^ true;; ;",
+    'OPENQASM 3.0;\ninclude "stdgates.inc";\ninclude q[0];\nqubit[2]\tq;\nbit[1]   c ;\n',
+    "qubit[2] q;\nbit[2] c;\nx\tq[0];\ncp(+.5e-3) q[0],q[1];\nrz(-2.) q[1] ;\np(1E+2) q[0];\n",
+    "qubit[2] q;\nbit[2] c;\nc[0] = measure q[0];\nif(c[0])x q[1];\nif (true) h q[0];\nif ( !c[0] ) cz q[1] ,q[0];\n",
+    "qubit[2] q;\nbit[2] c;\nc[0] = measure q[0];  c[1] = measure q[1];  c[1] = c[1] ^ (!c[0]);  // done\n",
+    "// circuit:   named  \n// matrix u_a :  0 0 1 0 1 0 0 0 \nqubit[1] q;\nbit[0] c;\nu_a q[0];\n// comment; h q[0]\n",
+]
+
+
+def accepted_texts():
+    yield from ODD_ACCEPTED
+    families = [
+        bench.gen_qpe(n, 2 * math.pi * 3 / 8) for n in (8, 32)
+    ] + [bench.gen_qft(n) for n in (8, 32)] + [bench.gen_vqe(n, s) for n in (8, 32) for s in bench.STRATEGIES]
+    for c in [*schedule_battery(), *families]:
+        yield emit(c)
+        for mode in MODES:
+            yield emit(optimize(c, mode)[0])
+
+
+def statement_error(stmt: str) -> str:
+    return f"qubit[2] q;\nbit[2] c;\nc[0] = measure q[0];\n{stmt}\n"
+
+
+# Every malformed input of the tests above that the reference reads the
+# same way, and more statements on the error paths of each leading token.
+MALFORMED = [
+    "qubit[1] q;\nbit[1] c;\nh q[0\n",
+    "qubit[2] q; bit[1] c;\nh q[0]; h q[0] q[1];\n",
+    "qubit[1] q;\nbit[1] c;\nc[0] = measure q[0];  mystery q[0];\n",
+    "qubit[1] q;\nbit[1] c;\nc[0] = measure q[0];  p(1e999) q[0];\n",
+    "qubit[1] q;\nbit[1] c;\nc[0] = measure q[0];  if (c[0] & zz) h q[0];\n",
+    "qubit[1] q;\nbit[1] c;\nh q[5];\n",
+    "qubit[2] q;\nbit[1] c;\nswap q[0], q[1];\n",
+    "qubit[1] q;\nbit[0] c;\nu_thing q[0];\n",
+    "h q[0];\n",
+    "qubit[2] q;\nbit[0] c;\ncp(-1e400) q[0], q[1];\n",
+    "qubit[1] q;\nbit[0] c;\n// matrix u_a: 1 0 0 0 0 0 abc 1\nu_a q[0];\n",
+    *(f"qubit[1] q;\nbit[0] c;\n// matrix u_a: 1 0 0 0 0 0 {e} 1\nu_a q[0];\n" for e in ("nan", "inf", "-1e999")),
+    *(f"qubit[1] q;\nbit[1] c;\n// matrix u_a: {m}\nu_a q[0];\n" for m in ("2 0 0 0 0 0 2 0", "0 " * 8)),
+    "qubit[1] q;\nbit[1] c;\n// matrix u_a: 1 0 0 0 0 0 1\nu_a q[0];\n",
+    "qubit[1] q;\nbit[2] c;\nif (c[5]) x q[0];\n",
+    "qubit[1] q;\nqubit[3] q;\nbit[0] c;\n",
+    "qubit[1] q;\nbit[1] c;\nbit[2] c;\n",
+    f"qubit[{MAX_REGISTER + 1}] q;\nbit[1] c;\n",
+    f"qubit[1] q;\n\nbit[{MAX_REGISTER + 1}] c;\n",
+    "qubit[1] q;\nbit[1] c;\n// matrix u_a: 1 0 0 0 0 0 1 0\nu_a q[0];\n// matrix u_a: 0 0 1 0 1 0 0 0\n",
+    *(f"qubit[1] q;\nbit[1] c;\n// matrix {label}: 0 0 1 0 1 0 0 0\nh q[0];\n" for label in ("h", "reset", "cp", "measure")),
+    "qubit[1] q;\nbit[1] c;\nc[0] = measure q[0];\nif (c[0]) reset q[0];\n",
+    "qubit[2] q;\nbit[1] c;\nwobble q[0];\n",
+    "qubit[2] r;\nbit[1] c;\n",
+    "qubit[2] q;\nbit[1] d;\n",
+    *(
+        statement_error(stmt)
+        for stmt in (
+            "cx q[0];", "cz q[0], q[1], q[1];", "p q[0];", "rx q[0];", "measure q[0];", "h(0.5) q[0];",
+            "cp q[0], q[1];", "cp(0.5) q[0];", "cx(0.5) q[0], q[1];", "p(0.5) q[0], q[1];", "p() q[0];",
+            "p(1.2.3) q[0];", "p(0.5)) q[0];", "reset(0.5) q[0];", "reset q[0], q[1];", "h q[0], q[1];",
+            "h q0;", "H q[0];", "c[0] = measure q;", "c[0] = measure;", "c[1] = c[0] ^ true;",
+            "c[1] = c[1] ^ c[0] &;", "c[1] = c[1] ^ (c[0]) & c[1];", "c[1] = c[1] ^ ();", "c[0] == measure q[0];",
+            "if (c[0]) c[1] = measure q[0];", "if (c[0]) if (c[0]) x q[0];", "if (c[0])", "if (c[0]) ;",
+            "if (true) reset q[0];", "if c[0] x q[0];", "if (c[0] & ) x q[0];", "ifx q[0];", "if(0.5) q[0];",
+            "qubit[2] q;", "qubit [2] q;", "bit[2]c;", "bits q[0];", "quux q[0];",
+            "includes q[0];", "OPENQASMx 3;", "inv q[0];", "gate foo q { h q; }", "barrier q[0];",
+            "for i in [0:1] { h q[0]; }", "delay[10ns] q[0];", "gphase(0.5);", "ccx q[0], q[1], q[2];",
+            "u_b q[0];", "_ q[0];", "x  q [0];", "x q[-1];", "x q[+1];",
+            # An angle already read in another shape.
+            "cp(0.5) q[0], q[1]; cp(0.5) q[0];", "p(0.5) q[0]; p(0.5) q[0], q[1];", "rx(1) q[0]; cp(1) q[0];",
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("half", ["accepted", "errors"])
+def test_parse_matches_reference(half):
+    texts = accepted_texts() if half == "accepted" else MALFORMED
+    for text in texts:
+        new = outcome(parse, text)
+        assert new == outcome(qasm_reference.parse, text), text[-300:]
+        assert isinstance(new[0], Circuit) == (half == "accepted"), text[-300:]
+
+
+# Inputs read differently from the reference on purpose, each with what
+# parse now makes of it: the four boundary fixes, and a statement starting
+# with "(", on which the reference raised a bare IndexError.
+CHANGED = {
+    **{f"separator {name}": (in_comment(sep), Circuit) for sep, name in zip(SEPARATORS, SEPARATOR_IDS)},
+    **{f"over-long {name}": (over_long(stmt), QasmSemanticError) for name, (stmt, _) in OVER_LONG.items()},
+    **{f"non-ASCII {name}": (text, QasmSyntaxError) for name, (text, _) in NON_ASCII.items()},
+    "leading paren": ("qubit[1] q;\nbit[0] c;\n(h q[0];\n", QasmSyntaxError),
+}
+
+
+@pytest.mark.parametrize("text,now", CHANGED.values(), ids=CHANGED.keys())
+def test_parse_differs_from_reference_only_where_fixed(text, now):
+    new = outcome(parse, text)
+    assert new != outcome(qasm_reference.parse, text)
+    assert isinstance(new[0], now) if now is Circuit else new[0] is now
+
+
+def test_statement_starting_with_a_paren_is_a_syntax_error():
+    # The reference raised a bare IndexError while naming the construct.
+    with pytest.raises(QasmSyntaxError, match=r"cannot parse statement '\(h q\[0\]'") as err:
+        parse("qubit[1] q;\nbit[0] c;\nh q[0]; (h q[0];\n")
+    assert (err.value.line, err.value.col) == (3, 9)
+
+
+# Printable ASCII, tab and newline: the characters the fixes above leave
+# alone.
+EDIT_ALPHABET = [chr(c) for c in range(32, 127)] + ["\t", "\n"]
+
+
+@functools.cache
+def edit_pool() -> list[str]:
+    circuits = [adversarial(seed) for seed in range(24)] + [small_random(seed) for seed in range(24)]
+    circuits += [bench.gen_qft(4), bench.gen_vqe(4, "full")]
+    return [emit(c) for c in circuits] + [emit(optimize(c, mode)[0]) for c in circuits[::4] for mode in MODES]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_parse_matches_reference_on_edited_files(data):
+    text = data.draw(st.sampled_from(edit_pool()))
+    i = data.draw(st.integers(0, len(text)))
+    if i < len(text) and data.draw(st.booleans()):
+        edited = text[:i] + text[i + 1:]
+    else:
+        edited = text[:i] + data.draw(st.sampled_from(EDIT_ALPHABET)) + text[i:]
+    new, old = outcome(parse, edited), outcome(qasm_reference.parse, edited)
+    if old[0] is IndexError:  # a statement starting with "(", listed in CHANGED
+        assert new[0] is QasmSyntaxError and new[1].startswith("cannot parse statement '(")
+    else:
+        assert new == old
