@@ -87,7 +87,7 @@ def push(chain: Chain) -> dict[str, int]:
     counts = {rule.value: 0 for rule in CommuteRule}
     limit = (2 * len(order) + 8) ** 2
     total = 0
-    instr, label, wire_prev = chain.instr, chain.label, chain.wire_prev
+    instr, label, before = chain.instr, chain.label, chain.before
     reads = chain.facts.reads
     # Per bit, the latest node by label that accesses it, among the nodes
     # visited or inserted so far.
@@ -113,10 +113,9 @@ def push(chain: Chain) -> dict[str, int]:
         p, last[meas.bit] = last[meas.bit], m
         q = meas.qubit
         while True:
-            s = wire_prev[2 * m]
-            if s < 0:
+            g = before(m, q)
+            if g < 0:
                 break
-            g = s >> 1
             gate = instr[g]
             rule = _rule_for(meas, gate)
             if rule is None:

@@ -449,9 +449,10 @@ class Chain:
     every node's entry, starting from the circuit's own ``Dependencies``.
     Wire links join slots, not nodes: node ``i`` owns wire slots ``2i``
     (qubit ``wire0[i]``, its first qubit when added) and ``2i + 1`` (its
-    other qubit). ``label`` orders the nodes: a node placed between two
-    others takes the midpoint of their labels, and all labels are renumbered
-    when a gap is used up, which keeps their order.
+    other qubit); ``before`` and ``after`` answer in nodes, so no other
+    module reads the slots. ``label`` orders the nodes: a node placed
+    between two others takes the midpoint of their labels, and all labels
+    are renumbered when a gap is used up, which keeps their order.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -485,6 +486,15 @@ class Chain:
 
     def wire_slot(self, node: int, q: int) -> int:
         return 2 * node + (self.wire0[node] != q)
+
+    def before(self, node: int, q: int) -> int:
+        """The node right before ``node`` on wire ``q``; -1 when none."""
+        # A slot's node is the slot halved, and -1 >> 1 is -1.
+        return self.wire_prev[2 * node + (self.wire0[node] != q)] >> 1
+
+    def after(self, node: int, q: int) -> int:
+        """The node right after ``node`` on wire ``q``; -1 when none."""
+        return self.wire_next[2 * node + (self.wire0[node] != q)] >> 1
 
     def order(self) -> list[int]:
         """The live nodes in circuit order."""

@@ -17,7 +17,17 @@ from .ir import Circuit, ClassicalToggle, Gate, GateKind, Instruction, Measure, 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["OutcomeDistribution", "SimulationLimitError", "distribution", "equivalent"]
+__all__ = [
+    "MAX_BRANCHES", "MAX_QUBITS", "PRUNE",
+    "OutcomeDistribution", "SimulationLimitError", "distribution", "equivalent",
+]
+
+# The simulation budget: qubits, branches (each branch of a measurement or
+# reset, and each leaf of the final read-out) and the weight below which a
+# branch is dropped.
+MAX_QUBITS = 12
+MAX_BRANCHES = 1 << 20
+PRUNE = 1e-14
 
 _SQRT2 = math.sqrt(0.5)
 
@@ -102,9 +112,9 @@ def _key(record: int, n_bits: int) -> str:
     return format(record, f"0{n_bits}b")
 
 
-def _check_branches(branches: int, max_branches: int) -> None:
-    if branches > max_branches:
-        raise SimulationLimitError(f"branch count exceeded {max_branches}; circuit too dynamic")
+def _check_branches(branches: int) -> None:
+    if branches > MAX_BRANCHES:
+        raise SimulationLimitError(f"branch count exceeded {MAX_BRANCHES}; circuit too dynamic")
 
 
 def _measurement_tail(
@@ -131,19 +141,13 @@ def _measurement_tail(
     return start, traced, written, leaf_bits
 
 
-def distribution(
-    circuit: Circuit,
-    *,
-    max_qubits: int = 12,
-    max_branches: int = 1 << 20,
-    prune: float = 1e-14,
-) -> OutcomeDistribution:
+def distribution(circuit: Circuit) -> OutcomeDistribution:
     """Joint distribution of the classical register after running the circuit.
 
     Depth-first path enumeration: unitaries act on a dense amplitude array,
     measurements and resets split the path with Born-rule weights, conditions
     and toggles update each path's classical record. Branches with weight
-    below ``prune`` are dropped.
+    below ``PRUNE`` are dropped.
 
     A path's state has shape ``(2,) * n``, qubit q on axis q, and every
     instruction is one basic-index update of it. A gate rewrites its
@@ -155,18 +159,18 @@ def distribution(
     The longest suffix of the circuit that holds only measurements is not
     branched: when a path reaches it, ``|state|^2`` is summed over the qubits
     the suffix never measures, and every outcome of the measured qubits with
-    ``weight * marginal > prune`` becomes one leaf. Its record applies the
+    ``weight * marginal > PRUNE`` becomes one leaf. Its record applies the
     suffix's writes in order, so a qubit measured twice writes equal bits and
     the later write to a bit wins. A path's weight only shrinks, so these are
     the outcomes that step-by-step branching keeps. Each branch of a
     measurement or reset, and each leaf of the suffix, counts once against
-    ``max_branches``.
+    ``MAX_BRANCHES``.
     """
     import numpy as np
 
     n = circuit.n_qubits
-    if n > max_qubits:
-        raise SimulationLimitError(f"{n} qubits exceeds the cap of {max_qubits}")
+    if n > MAX_QUBITS:
+        raise SimulationLimitError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
     instrs = circuit.instructions
     tail, traced, written, leaf_bits = _measurement_tail(instrs, n)
     initial = np.zeros((2,) * n, dtype=complex)
@@ -180,9 +184,9 @@ def distribution(
         while pos < len(instrs):
             if pos == tail:
                 marginal = (np.abs(state) ** 2).sum(axis=traced).reshape(-1)
-                kept = np.flatnonzero(weight * marginal > prune)
+                kept = np.flatnonzero(weight * marginal > PRUNE)
                 branches += len(kept)
-                _check_branches(branches, max_branches)
+                _check_branches(branches)
                 base = record & ~written
                 for i, p in zip(kept.tolist(), marginal[kept].tolist()):
                     leaf = base | leaf_bits[i]
@@ -204,7 +208,7 @@ def distribution(
                 reset = isinstance(instr, Reset)
                 branched = []
                 for outcome, p in ((0, 1.0 - p1), (1, p1)):
-                    if p * weight <= prune:
+                    if p * weight <= PRUNE:
                         continue
                     # A reset lands either outcome on the qubit's 0 half.
                     sub = np.zeros_like(state)
@@ -212,7 +216,7 @@ def distribution(
                     rec = record if reset else record & ~(1 << instr.bit) | outcome << instr.bit
                     branched.append((pos, sub, rec, weight * p))
                 branches += len(branched)
-                _check_branches(branches, max_branches)
+                _check_branches(branches)
                 if not branched:
                     weight = 0.0
                     break
@@ -224,14 +228,9 @@ def distribution(
     return OutcomeDistribution(circuit.n_clbits, probs)
 
 
-def equivalent(
-    first: Circuit,
-    second: Circuit,
-    tol: float = 1e-9,
-    **caps,
-) -> tuple[bool, float]:
+def equivalent(first: Circuit, second: Circuit, tol: float = 1e-9) -> tuple[bool, float]:
     """Compare classical-outcome distributions; qubit counts may differ."""
     if first.n_clbits != second.n_clbits:
         raise ValueError("circuits declare different classical registers")
-    tv = distribution(first, **caps).total_variation(distribution(second, **caps))
+    tv = distribution(first).total_variation(distribution(second))
     return tv <= tol, tv

@@ -10,8 +10,11 @@ Grammar (statements are ``;``-terminated, ``//`` starts a comment):
     c[k] = c[k] ^ (lit & ...);  c[k] = c[k] ^ true;
 
 where ``lit`` is ``c[i]`` or ``!c[i]`` and angles are decimal literals.
-The grammar is ASCII: digits are 0-9 only. Lines end at ``\n``, ``\r\n`` or
-a lone ``\r``; any other line-break character is blank around a statement.
+The grammar is ASCII: digits are 0-9 only, and only ASCII whitespace
+separates tokens. Any whitespace ``str.strip`` removes (U+00A0, U+3000, ...)
+is blank around a statement but not inside it. Lines end at ``\n``,
+``\r\n`` or a lone ``\r``; any other line-break character is blank around a
+statement.
 Register sizes are at most ``MAX_REGISTER``, so a declaration cannot make
 validation allocate without bound, and an index or size has no more digits
 than the interpreter reads as an int (4,300 by default).

@@ -6,7 +6,8 @@ the forward reach of ``q``'s wire must not touch ``q_prime``, and no
 instruction on ``q_prime`` may read or write a classical bit that ``q``'s
 reach produces. The merge appends ``q``'s instructions after a fresh reset of
 ``q_prime``. That order exists unless ``q``'s first instruction already
-precedes some instruction of ``q_prime``.
+precedes some instruction of ``q_prime``. A wire without instructions takes
+no part: it is never planned and gets no output wire.
 
 The circuit is analysed once, on its ``Dependencies``: the ones the
 rewrite passes handed over, or the input's own. A merge changes none of the
@@ -51,12 +52,15 @@ def _plan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int, in
             m |= precedes[j]
         precedes[i] = m
 
-    # Per group: the bits its instructions reach, the bits they access, and
-    # the wires its first instruction precedes. A cone only follows
-    # scheduling edges, so the wires a group reaches are among those it
-    # blocks, and the cycle test below also rules out reaching the host.
-    reach_bits, accessed, blocked = [], [], []
-    for positions in deps.wires:
+    # Per live wire (one with an instruction; idle wires take no part):
+    # the bits its instructions reach, the bits they access, the wires its
+    # first instruction precedes, and its group's members. A cone only
+    # follows scheduling edges, so the wires a group reaches are among those
+    # it blocks, and the cycle test below also rules out reaching the host.
+    live = [w for w, positions in enumerate(deps.wires) if positions]
+    reach_bits, accessed, blocked, members = [], [], [], []
+    for w in live:
+        positions = deps.wires[w]
         bm = am = 0
         for i in positions:
             bm |= bit_reach[i]
@@ -67,20 +71,20 @@ def _plan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int, in
                 am |= 1 << b
         reach_bits.append(bm)
         accessed.append(am)
-        blocked.append(precedes[positions[0]] if positions else 0)
+        blocked.append(precedes[positions[0]])
+        members.append(1 << w)
 
-    n_wires = len(deps.wires)
-    members = [1 << w for w in range(n_wires)]
+    n_live = len(live)
     merges: list[tuple[int, int]] = []
-    for h in range(n_wires):
-        for g in range(n_wires):
+    for h in range(n_live):
+        for g in range(n_live):
             if g == h or not members[g] or not members[h]:
                 continue
             # Independent, and g's first instruction need not precede h's wire.
             if accessed[h] & reach_bits[g] or blocked[g] & members[h]:
                 continue
             # Whatever precedes h's last instruction now precedes g's first.
-            for k in range(n_wires):
+            for k in range(n_live):
                 if blocked[k] & members[h]:
                     blocked[k] |= blocked[g]
             blocked[h] |= blocked[g]
@@ -88,7 +92,7 @@ def _plan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int, in
             accessed[h] |= accessed[g]
             members[h] |= members[g]
             members[g] = 0
-            merges.append((g, h))
+            merges.append((live[g], live[h]))
     return merges
 
 
@@ -97,30 +101,25 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
     deps = circuit.dependencies()
     successors = deps.successors()
     merges = _plan(deps, successors)
-    if not merges:
+    wires = deps.wires
+    if not merges and all(wires):
         return circuit, 0
 
     # One reset node per merge, chained between the host group's current
     # last node and the mover group's first. It sorts right after the node it
-    # follows; resets that follow nothing sort first, in merge order. It
-    # takes the source line of the mover's first instruction.
+    # follows and takes the source line of the mover's first instruction.
     instrs = circuit.instructions
     n = len(instrs)
-    head = [positions[0] if positions else None for positions in deps.wires]
-    tail = [positions[-1] if positions else None for positions in deps.wires]
+    tail: dict[int, int] = {}
     sort_key: list[tuple[int, ...]] = [(i,) for i in range(n)]
     lines = [instr.source_line for instr in instrs]
     for m, (g, h) in enumerate(merges):
-        node = len(sort_key)
-        lines.append(None if head[g] is None else lines[head[g]])
-        successors.append([] if head[g] is None else [head[g]])
-        if tail[h] is None:
-            sort_key.append((-1, m))
-            head[h] = node
-        else:
-            sort_key.append(sort_key[tail[h]] + (m,))
-            successors[tail[h]].append(node)
-        tail[h] = node if tail[g] is None else tail[g]
+        node, first, last = len(sort_key), wires[g][0], tail.get(h, wires[h][-1])
+        lines.append(lines[first])
+        successors.append([first])
+        sort_key.append(sort_key[last] + (m,))
+        successors[last].append(node)
+        tail[h] = tail.get(g, wires[g][-1])
 
     indegree = [0] * len(sort_key)
     for outs in successors:
@@ -140,18 +139,20 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
         raise RuntimeError("the planned merges cycle; the mask test missed it")
 
     # A group's wire is its host's rank among the surviving hosts, which is
-    # where the monotone renumbering after each merge would put it.
+    # where the monotone renumbering after each merge would put it. Idle
+    # wires get none.
     owner = list(range(circuit.n_qubits))
     for g, h in reversed(merges):
         owner[g] = owner[h]
-    rank = {h: r for r, h in enumerate(sorted(set(owner)))}
-    wire = [rank[h] for h in owner]
+    hosts = [h for h, positions in enumerate(wires) if positions and owner[h] == h]
+    rank = {h: r for r, h in enumerate(hosts)}
+    wire = [rank.get(h, -1) for h in owner]
 
     # The output's facts are the input's, plus one per reset, with the
     # wires renumbered. An instruction touches at most two qubits.
     k = len(merges)
     facts = Dependencies.of(
-        len(rank),
+        len(hosts),
         circuit.n_clbits,
         deps.qubits + [(wire[h],) for _, h in merges],
         deps.reads + [()] * k,

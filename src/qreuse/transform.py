@@ -16,26 +16,19 @@ conditioned bit-flips this exposes, and finally dead-gate elimination. All
 four steps update one ``ir.Chain``, built from the input's facts, in place;
 the result is turned back into a circuit, with its facts, once.
 
-The fixpoint is defined by rounds of one full introduction pass and one full
-exchange pass, the functions below. ``run`` reaches the same result with an
-event heap that revisits only the gates next to the last change; each rule's
-decision is one helper shared by both schedules.
+Each of the two control rules is one step that decides and rewrites one gate
+of a chain in place, ``_introduce`` and ``_exchange``. The fixpoint is
+defined by rounds of one full introduction pass and one full exchange pass,
+the public functions below, which call the steps once per gate in circuit
+order. ``run`` reaches the same result with an event heap that calls them
+only on the gates next to the last change.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .ir import (
-    Chain,
-    Circuit,
-    Condition,
-    Gate,
-    Instruction,
-    Measure,
-    instruction_qubits,
-    written_bit,
-)
+from .ir import Chain, Circuit, Condition, Gate, Measure
 from . import commute
 
 __all__ = [
@@ -79,35 +72,62 @@ def _conjoin(condition: Condition, bit: int, polarity: bool) -> Condition | None
     return Condition(condition.literals + ((bit, polarity),))
 
 
-def _measured_control(gate: Gate, prev: Instruction | None) -> Measure | None:
-    """The measurement a controlled gate's control can be read from: the
-    control wire's predecessor ``prev``, when that measures the control."""
-    if isinstance(prev, Measure) and prev.qubit == gate.controls[0][0]:
-        return prev
-    return None
+def _next_writes(chain: Chain, order: list[int]) -> list[int]:
+    """Per node that writes a bit, the position in ``order`` of the next
+    write to that bit; ``len(order)`` when none follows."""
+    next_write = [len(order)] * len(chain.instr)
+    last = [-1] * chain.facts.n_clbits
+    writes = chain.facts.writes
+    for k, node in enumerate(order):
+        w = writes[node]
+        if w is not None:
+            if last[w] >= 0:
+                next_write[last[w]] = k
+            last[w] = node
+    return next_write
 
 
-def _introduced(gate: Gate, meas: Measure) -> Gate | None:
-    """The gate conditioned on ``meas``'s bit instead of its quantum control;
-    ``None`` when the condition is contradictory and the gate never fires."""
-    cond = _conjoin(gate.condition, meas.bit, gate.controls[0][1])
-    return None if cond is None else Gate(gate.kind, gate.targets, (), cond, gate.source_line)
+def _introduce(chain: Chain, node: int, position: int, next_write: list[int]) -> list[int] | None:
+    """Classical control introduction on the controlled gate ``node``, at
+    ``position`` in the order ``next_write`` was built on.
+
+    The control qualifies when its wire's predecessor is a measurement whose
+    bit no write overwrites before the gate. The gate then takes the bit as
+    a literal with the control's polarity, or is removed when that
+    contradicts its condition. Returns the nodes after the wires the gate
+    left, or ``None`` when the control stays quantum.
+    """
+    instrs = chain.instr
+    gate = instrs[node]
+    control, polarity = gate.controls[0]
+    p = chain.before(node, control)
+    if p < 0 or not isinstance(instrs[p], Measure) or next_write[p] < position:
+        return None
+    cond = _conjoin(gate.condition, instrs[p].bit, polarity)
+    leaving = chain.facts.qubits[node] if cond is None else (control,)
+    after = [chain.after(node, q) for q in leaving]
+    if cond is None:
+        chain.remove(node)
+    else:
+        chain.replace(node, Gate(gate.kind, gate.targets, (), cond, gate.source_line))
+    return [b for b in after if b >= 0]
 
 
-def _exchangeable(gate: Gate, prev_target: Instruction | None, prev_control: Instruction | None) -> bool:
-    """A positive CZ/CP whose target wire's predecessor is the target's
-    measurement and whose control wire's is not the control's."""
+def _exchange(chain: Chain, node: int) -> bool:
+    """Control exchange on the controlled gate ``node``: a CZ/CP with one
+    positive control swaps control and target when its target wire's
+    predecessor is a measurement and its control wire's is not. Returns
+    whether it swapped."""
+    gate = chain.instr[node]
     if gate.kind.name not in ("z", "p") or len(gate.controls) != 1 or not gate.controls[0][1]:
         return False
     control, target = gate.controls[0][0], gate.targets[0]
-    target_measured = isinstance(prev_target, Measure) and prev_target.qubit == target
-    control_measured = isinstance(prev_control, Measure) and prev_control.qubit == control
-    return target_measured and not control_measured
-
-
-def _exchanged(gate: Gate) -> Gate:
-    (control, _), = gate.controls
-    return Gate(gate.kind, (control,), ((gate.targets[0], True),), gate.condition, gate.source_line)
+    instrs = chain.instr
+    t, c = chain.before(node, target), chain.before(node, control)
+    if t < 0 or not isinstance(instrs[t], Measure) or (c >= 0 and isinstance(instrs[c], Measure)):
+        return False
+    chain.replace(node, Gate(gate.kind, (control,), ((target, True),), gate.condition, gate.source_line))
+    return True
 
 
 def introduce_classical_controls(circuit: Circuit) -> tuple[Circuit, int]:
@@ -119,29 +139,15 @@ def introduce_classical_controls(circuit: Circuit) -> tuple[Circuit, int]:
     was not just measured stay quantum. Each decision reads only the prefix
     already rewritten, so one pass leaves nothing for a second to replace.
     """
+    chain = Chain(circuit)
+    order = chain.order()
+    next_write = _next_writes(chain, order)
     replaced = 0
-    out: list[Instruction] = []
-    last_wire_pos: dict[int, int] = {}
-    last_write_pos: dict[int, int] = {}
-    for instr in circuit.instructions:
-        new = instr
-        if isinstance(instr, Gate) and instr.controls:
-            p = last_wire_pos.get(instr.controls[0][0])
-            meas = _measured_control(instr, out[p] if p is not None else None)
-            # the bit must still hold the measured value at the gate
-            if meas is not None and last_write_pos.get(meas.bit) == p:
-                replaced += 1
-                new = _introduced(instr, meas)
-                if new is None:
-                    continue
-        idx = len(out)
-        for q in instruction_qubits(new):
-            last_wire_pos[q] = idx
-        b = written_bit(new)
-        if b is not None:
-            last_write_pos[b] = idx
-        out.append(new)
-    return circuit.with_instructions(out), replaced
+    for k, node in enumerate(order):
+        instr = chain.instr[node]
+        if isinstance(instr, Gate) and instr.controls and _introduce(chain, node, k, next_write) is not None:
+            replaced += 1
+    return chain.materialise(), replaced
 
 
 def exchange_controls(circuit: Circuit) -> tuple[Circuit, int]:
@@ -151,20 +157,13 @@ def exchange_controls(circuit: Circuit) -> tuple[Circuit, int]:
     its measurement but the control's does not. The swapped gate then
     qualifies for classical control introduction on the next round.
     """
+    chain = Chain(circuit)
     exchanged = 0
-    out: list[Instruction] = []
-    last_on_wire: dict[int, Instruction] = {}
-    for instr in circuit.instructions:
-        new = instr
-        if isinstance(instr, Gate) and instr.controls and _exchangeable(
-            instr, last_on_wire.get(instr.targets[0]), last_on_wire.get(instr.controls[0][0])
-        ):
-            new = _exchanged(instr)
+    for node in chain.order():
+        instr = chain.instr[node]
+        if isinstance(instr, Gate) and instr.controls and _exchange(chain, node):
             exchanged += 1
-        for q in instruction_qubits(new):
-            last_on_wire[q] = new
-        out.append(new)
-    return circuit.with_instructions(out), exchanged
+    return chain.materialise(), exchanged
 
 
 def _controls_fixpoint(chain: Chain) -> tuple[int, int]:
@@ -184,30 +183,17 @@ def _controls_fixpoint(chain: Chain) -> tuple[int, int]:
     gate would decide as it did the last time, so a full pass changes
     nothing else. No node moves meanwhile, so positions stay fixed.
     """
-    instrs, wire_prev, wire_next, slot = chain.instr, chain.wire_prev, chain.wire_next, chain.wire_slot
+    instrs = chain.instr
     order = chain.order()
-    # Per node: its position and, if it writes a bit, the position of the
-    # next write to that bit.
+    next_write = _next_writes(chain, order)
     at = [0] * len(instrs)
-    next_write = [len(order)] * len(instrs)
-    last_write = [-1] * chain.facts.n_clbits
     events: list[tuple[int, int, int]] = []
     for k, node in enumerate(order):
         at[node] = k
-        w = chain.facts.writes[node]
-        if w is not None:
-            if last_write[w] >= 0:
-                next_write[last_write[w]] = k
-            last_write[w] = node
         instr = instrs[node]
         if isinstance(instr, Gate) and instr.controls:
             events += ((1, 0, k), (1, 1, k))
     heapq.heapify(events)
-
-    def wire_pred(i: int, q: int) -> Instruction | None:
-        p = wire_prev[slot(i, q)]
-        return instrs[p >> 1] if p >= 0 else None
-
     introduced = exchanged = 0
     last = None
     while events:
@@ -216,43 +202,25 @@ def _controls_fixpoint(chain: Chain) -> tuple[int, int]:
             continue
         last = key
         rnd, phase, k = key
-        i = order[k]
-        gate = instrs[i]
+        node = order[k]
+        gate = instrs[node]
         if gate is None or not gate.controls:
             continue
-        control = gate.controls[0][0]
         if phase == 1:
-            if _exchangeable(gate, wire_pred(i, gate.targets[0]), wire_pred(i, control)):
-                chain.replace(i, _exchanged(gate))
+            if _exchange(chain, node):
                 exchanged += 1
                 heapq.heappush(events, (rnd + 1, 0, k))
             continue
-        p = wire_prev[slot(i, control)]
-        meas = _measured_control(gate, instrs[p >> 1] if p >= 0 else None)
-        if meas is None or next_write[p >> 1] < k:
+        after = _introduce(chain, node, k, next_write)
+        if after is None:
             continue
         introduced += 1
-        new = _introduced(gate, meas)
-        leaving = chain.facts.qubits[i] if new is None else (control,)
-        after = [wire_next[slot(i, q)] for q in leaving]
-        if new is None:
-            chain.remove(i)
-        else:
-            chain.replace(i, new)
         for b in after:
-            if b >= 0:
-                nxt = instrs[b >> 1]
-                if isinstance(nxt, Gate) and nxt.controls:
-                    heapq.heappush(events, (rnd, 0, at[b >> 1]))
-                    heapq.heappush(events, (rnd, 1, at[b >> 1]))
+            nxt = instrs[b]
+            if isinstance(nxt, Gate) and nxt.controls:
+                heapq.heappush(events, (rnd, 0, at[b]))
+                heapq.heappush(events, (rnd, 1, at[b]))
     return introduced, exchanged
-
-
-def _controls_to_fixpoint(circuit: Circuit) -> tuple[Circuit, int, int]:
-    """``_controls_fixpoint`` on a circuit."""
-    chain = Chain(circuit)
-    introduced, exchanged = _controls_fixpoint(chain)
-    return chain.materialise(), introduced, exchanged
 
 
 def run(circuit: Circuit) -> tuple[Circuit, dict[str, int]]:

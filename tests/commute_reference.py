@@ -3,10 +3,13 @@
 ``run`` is measurement commutation as it was before the linked-list
 schedule: every rule application scans backward for the measurement's wire
 predecessor and for accesses to its bit, and an outer sweep repeats until a
-whole pass moves nothing. ``transform_run`` is the rewrite schedule as it
-was before the event heap: full introduction and exchange passes,
-alternating until a round fires neither. ``commute.run`` and
-``transform.run`` must make exactly the same decisions.
+whole pass moves nothing. ``introduce_scan`` and ``exchange_scan`` are the
+introduction and exchange passes as they were before the rules became steps
+on ``ir.Chain``: each keeps its own dicts of the latest position on every
+wire and bit. ``transform_run`` is the rewrite schedule as it was before the
+event heap: full introduction and exchange scans, alternating until a round
+fires neither. ``commute.run``, ``transform.run`` and the one-pass
+``transform`` functions must make exactly the same decisions.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from qreuse.commute import CommuteRule
 from qreuse.ir import (
     Circuit,
     ClassicalToggle,
+    Condition,
     Gate,
     Instruction,
     Measure,
@@ -122,12 +126,98 @@ def run(circuit: Circuit) -> tuple[Circuit, dict[str, int]]:
     return circuit.with_instructions(instrs), counts
 
 
+def _conjoin(condition: Condition, bit: int, polarity: bool) -> Condition | None:
+    """Add a literal; ``None`` signals a contradiction (gate never fires)."""
+    for b, pol in condition.literals:
+        if b == bit:
+            return condition if pol == polarity else None
+    return Condition(condition.literals + ((bit, polarity),))
+
+
+def _measured_control(gate: Gate, prev: Instruction | None) -> Measure | None:
+    """The measurement a controlled gate's control can be read from: the
+    control wire's predecessor ``prev``, when that measures the control."""
+    if isinstance(prev, Measure) and prev.qubit == gate.controls[0][0]:
+        return prev
+    return None
+
+
+def _introduced(gate: Gate, meas: Measure) -> Gate | None:
+    """The gate conditioned on ``meas``'s bit instead of its quantum control;
+    ``None`` when the condition is contradictory and the gate never fires."""
+    cond = _conjoin(gate.condition, meas.bit, gate.controls[0][1])
+    return None if cond is None else Gate(gate.kind, gate.targets, (), cond, gate.source_line)
+
+
+def _exchangeable(gate: Gate, prev_target: Instruction | None, prev_control: Instruction | None) -> bool:
+    """A positive CZ/CP whose target wire's predecessor is the target's
+    measurement and whose control wire's is not the control's."""
+    if gate.kind.name not in ("z", "p") or len(gate.controls) != 1 or not gate.controls[0][1]:
+        return False
+    control, target = gate.controls[0][0], gate.targets[0]
+    target_measured = isinstance(prev_target, Measure) and prev_target.qubit == target
+    control_measured = isinstance(prev_control, Measure) and prev_control.qubit == control
+    return target_measured and not control_measured
+
+
+def _exchanged(gate: Gate) -> Gate:
+    (control, _), = gate.controls
+    return Gate(gate.kind, (control,), ((gate.targets[0], True),), gate.condition, gate.source_line)
+
+
+def introduce_scan(circuit: Circuit) -> tuple[Circuit, int]:
+    """One introduction pass over a list, with per-wire and per-bit dicts of
+    the latest position in the rewritten prefix."""
+    replaced = 0
+    out: list[Instruction] = []
+    last_wire_pos: dict[int, int] = {}
+    last_write_pos: dict[int, int] = {}
+    for instr in circuit.instructions:
+        new = instr
+        if isinstance(instr, Gate) and instr.controls:
+            p = last_wire_pos.get(instr.controls[0][0])
+            meas = _measured_control(instr, out[p] if p is not None else None)
+            # the bit must still hold the measured value at the gate
+            if meas is not None and last_write_pos.get(meas.bit) == p:
+                replaced += 1
+                new = _introduced(instr, meas)
+                if new is None:
+                    continue
+        idx = len(out)
+        for q in instruction_qubits(new):
+            last_wire_pos[q] = idx
+        b = written_bit(new)
+        if b is not None:
+            last_write_pos[b] = idx
+        out.append(new)
+    return circuit.with_instructions(out), replaced
+
+
+def exchange_scan(circuit: Circuit) -> tuple[Circuit, int]:
+    """One exchange pass over a list, with a dict of each wire's latest
+    instruction in the rewritten prefix."""
+    exchanged = 0
+    out: list[Instruction] = []
+    last_on_wire: dict[int, Instruction] = {}
+    for instr in circuit.instructions:
+        new = instr
+        if isinstance(instr, Gate) and instr.controls and _exchangeable(
+            instr, last_on_wire.get(instr.targets[0]), last_on_wire.get(instr.controls[0][0])
+        ):
+            new = _exchanged(instr)
+            exchanged += 1
+        for q in instruction_qubits(new):
+            last_on_wire[q] = new
+        out.append(new)
+    return circuit.with_instructions(out), exchanged
+
+
 def controls_loop(circuit: Circuit) -> tuple[Circuit, int, int]:
     """Full introduction and exchange passes until a round fires neither."""
     introduced = exchanged = 0
     while True:
-        circuit, i = transform.introduce_classical_controls(circuit)
-        circuit, e = transform.exchange_controls(circuit)
+        circuit, i = introduce_scan(circuit)
+        circuit, e = exchange_scan(circuit)
         introduced += i
         exchanged += e
         if not i and not e:

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,10 +224,17 @@ class TestDependencies:
         def facts(d):
             return d.n_qubits, d.n_clbits, d.qubits, d.reads, d.writes, d.is_reset, d.wires
 
+        def fixpoint(c):
+            chain = Chain(c)
+            transform._controls_fixpoint(chain)
+            return chain.materialise()
+
         for c in schedule_battery():
             outputs = (
                 commute.run(c)[0],
-                transform._controls_to_fixpoint(c)[0],
+                fixpoint(c),
+                transform.introduce_classical_controls(c)[0],
+                transform.exchange_controls(c)[0],
                 transform.eliminate_dead_gates(c)[0],
                 transform.run(c)[0],
                 reuse.run(c)[0],
@@ -263,6 +272,13 @@ class TestChain:
                 step(chain)
                 _check_chain(chain)
             assert chain.materialise().instructions == transform.run(c)[0].instructions, c.name
+
+
+@pytest.mark.parametrize("module", [commute, transform, reuse], ids=lambda m: m.__name__)
+def test_only_ir_knows_the_wire_slot_layout(module):
+    # The passes ask a chain for wire neighbours by node (``before``/``after``).
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    assert not re.findall(r"wire_prev|wire_next|wire_slot", source)
 
 
 class TestGatePredicates:

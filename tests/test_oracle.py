@@ -83,24 +83,27 @@ def test_qubit_cap():
         distribution(c)
 
 
-def test_branch_guard():
+def test_branch_guard(monkeypatch):
     b = CircuitBuilder(1, 1)
     for _ in range(6):
         b.h(0).measure(0, 0)
+    monkeypatch.setattr(oracle, "MAX_BRANCHES", 16)
     with pytest.raises(SimulationLimitError):
-        distribution(b.build(), max_branches=16)
+        distribution(b.build())
 
 
-def test_branch_guard_bounds_a_measurement_tail():
+def test_branch_guard_bounds_a_measurement_tail(monkeypatch):
     # 32 leaves from one read-out, with no branching before the tail.
     b = CircuitBuilder(5, 5)
     for q in range(5):
         b.h(q)
     for q in range(5):
         b.measure(q, q)
+    monkeypatch.setattr(oracle, "MAX_BRANCHES", 16)
     with pytest.raises(SimulationLimitError):
-        distribution(b.build(), max_branches=16)
-    assert len(distribution(b.build(), max_branches=32).probs) == 32
+        distribution(b.build())
+    monkeypatch.setattr(oracle, "MAX_BRANCHES", 32)
+    assert len(distribution(b.build()).probs) == 32
 
 
 def _tail_cases():

@@ -98,6 +98,15 @@ class TestParse:
             parse("qubit[2] q; bit[1] c;\nh q[0]; h q[0] q[1];\n")
         assert (err.value.line, err.value.col) == (2, 9)
 
+    def test_unicode_whitespace_only_at_a_statement_s_edges(self):
+        # Any whitespace str.strip removes may surround a statement; between
+        # its tokens only ASCII whitespace separates.
+        for text in ("h q[0];\u00a0", "\u3000h q[0];"):
+            assert parse(f"qubit[1] q;\nbit[0] c;\n{text}\n").instructions[0].targets == (0,)
+        with pytest.raises(QasmSyntaxError) as err:
+            parse("qubit[1] q;\nbit[0] c;\nh\u00a0q[0];\n")
+        assert (err.value.line, err.value.col) == (3, 1)
+
     @pytest.mark.parametrize(
         "stmt,error",
         [

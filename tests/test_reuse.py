@@ -1,5 +1,7 @@
 import heapq
+import inspect
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -13,15 +15,18 @@ from qreuse.ir import (
     Gate,
     Measure,
     Reset,
+    depth,
     read_bits,
     two_qubit_gate_count,
     validate,
     written_bit,
 )
+from qreuse.pipeline import MODES, optimize
+from qreuse.qasm import MAX_REGISTER, parse
 from qreuse.reuse import run
 
 import reuse_reference
-from conftest import adversarial, small_random
+from conftest import adversarial, schedule_battery, small_random
 from reuse_reference import reference_run, same_dependency_order
 
 
@@ -187,12 +192,13 @@ def with_empty_wire(circuit, w):
 def test_run_matches_per_merge_reference():
     # Planning every merge on one analysis must make the reference's merge
     # decisions; only independent instructions may interleave differently.
-    # An unused wire makes a group whose host has no instruction of its own.
+    # An unused wire takes no part, so the compile with one matches the
+    # reference's without it.
     merged = 0
     for seed, c in reference_inputs():
+        expected, expected_merges = reference_run(c)
         for circuit in (c, with_empty_wire(c, seed % (c.n_qubits + 1))):
             out, merges = run(circuit)
-            expected, expected_merges = reference_run(circuit)
             assert (out.n_qubits, merges) == (expected.n_qubits, expected_merges), seed
             assert same_dependency_order(out, expected), seed
             merged += merges
@@ -264,13 +270,68 @@ class TestRun:
         twice, again = run(once)
         assert twice.n_qubits == once.n_qubits and again == 0
 
-    def test_unused_wire_is_absorbed(self):
+    def test_unused_wire_is_dropped(self):
         b = CircuitBuilder(2, 1)
         b.h(0).measure(0, 0)
         out, merges = run(b.build())
-        assert merges == 1 and out.n_qubits == 1
+        assert merges == 0 and out.n_qubits == 1
+        assert out.instructions == b.build().instructions
         ok, dev = oracle.equivalent(b.build(), out)
         assert ok, dev
+
+
+class TestIdleWires:
+    def test_idle_wires_get_no_output_wire_and_no_reset(self):
+        c = parse("qubit[64] q;\nbit[1] c;\nx q[63];\nc[0] = measure q[63];\n")
+        out, merges = run(c)
+        assert (out.n_qubits, merges, depth(out)) == (1, 0, 2)
+        assert not any(isinstance(i, Reset) for i in out.instructions)
+
+    def test_inserted_idle_wires_leave_the_compile_unchanged(self):
+        # Idle wires spread among the live ones, which keep their order.
+        for k, c in enumerate(schedule_battery()):
+            spread = c
+            for w in (k % (c.n_qubits + 1), 0, c.n_qubits + 2):
+                spread = with_empty_wire(spread, w)
+            for mode in MODES:
+                out, r = optimize(c, mode)
+                spread_out, spread_r = optimize(spread, mode)
+                assert spread_out.n_qubits == out.n_qubits, (c.name, mode)
+                assert spread_out.instructions == out.instructions, (c.name, mode)
+                assert (spread_r.reuse_count, spread_r.rule_counts) == (r.reuse_count, r.rule_counts)
+
+    def test_idle_wires_are_not_planned(self):
+        # One gate on a 65,536-qubit register: a single live wire, so the
+        # plan tests no pair. The count is of executions of the pair test.
+        c = parse(f"qubit[{MAX_REGISTER}] q;\nbit[0] c;\nx q[7];\n")
+        code = reuse._plan.__code__
+        source, first = inspect.getsourcelines(reuse._plan)
+        test_line = first + next(
+            k for k, line in enumerate(source) if "accessed[h] & reach_bits[g]" in line
+        )
+        tested = 0
+
+        def trace(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+            return count
+
+        def count(frame, event, arg):
+            nonlocal tested
+            if event == "line" and frame.f_lineno == test_line:
+                tested += 1
+                if tested > 100:
+                    raise AssertionError("the plan tests pairs of idle wires")
+            return count
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            out, merges = run(c)
+        finally:
+            sys.settrace(previous)
+        assert tested == 0
+        assert (out.n_qubits, merges) == (1, 0)
 
 
 @settings(max_examples=40, deadline=None)

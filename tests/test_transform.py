@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qreuse import bench, commute, oracle, transform
 from qreuse.ir import (
+    Chain,
     CircuitBuilder,
     ClassicalToggle,
     Condition,
@@ -20,7 +21,7 @@ from qreuse.transform import (
     run,
 )
 
-from commute_reference import controls_loop, transform_run
+from commute_reference import controls_loop, exchange_scan, introduce_scan, transform_run
 from conftest import cx_pair, schedule_battery, small_random
 
 
@@ -189,14 +190,30 @@ def test_each_transformation_alone_preserves_distribution(seed):
         assert ok, (op.__name__, dev)
 
 
+def test_single_passes_match_the_scans():
+    # The one-pass functions run the chain steps once per gate; they must
+    # decide as the dict-based scans do, on raw inputs and after commutation.
+    for c in schedule_battery():
+        for start in (c, commute.run(c)[0]):
+            for step, scan in (
+                (introduce_classical_controls, introduce_scan),
+                (exchange_controls, exchange_scan),
+            ):
+                out, k = step(start)
+                ref, ref_k = scan(start)
+                assert out.instructions == ref.instructions, (step.__name__, c.name)
+                assert k == ref_k, (step.__name__, c.name)
+
+
 def test_run_matches_round_loop():
     # The event heap must replay full introduction/exchange rounds exactly,
     # both on raw inputs and after commutation.
     for c in schedule_battery():
         for start in (c, commute.run(c)[0]):
-            out, introduced, exchanged = transform._controls_to_fixpoint(start)
+            chain = Chain(start)
+            introduced, exchanged = transform._controls_fixpoint(chain)
             ref, ref_introduced, ref_exchanged = controls_loop(start)
-            assert out.instructions == ref.instructions, c.name
+            assert chain.materialise().instructions == ref.instructions, c.name
             assert (introduced, exchanged) == (ref_introduced, ref_exchanged), c.name
         out, counts = run(c)
         ref, ref_counts = transform_run(c)
