@@ -69,6 +69,13 @@ def _read_circuit(path: str):
         sys.exit(EXIT_PARSE)
 
 
+def _check_tol(tol: float) -> None:
+    # NaN fails every comparison, so this also rejects it.
+    if not tol >= 0:
+        click.echo(f"error: --tol must be a non-negative number, got {tol}", err=True)
+        sys.exit(EXIT_PARSE)
+
+
 def _write_text(path: str, text: str) -> None:
     try:
         if path == "-":
@@ -94,6 +101,7 @@ def main() -> None:
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 def optimize(input_path, mode, output, report_path, verify, tol):
     """Optimize a circuit file and write the result."""
+    _check_tol(tol)
     circuit = _read_circuit(input_path)
     result, rep = pipeline.optimize(circuit, mode=mode)
     equivalence = None
@@ -149,6 +157,7 @@ def gen(family, n, theta, single_p, strategy, reps, target_depth, seed, two_qubi
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 def verify(first, second, tol):
     """Compare the outcome distributions of two circuit files."""
+    _check_tol(tol)
     a = _read_circuit(first)
     b = _read_circuit(second)
     try:

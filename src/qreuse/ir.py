@@ -19,6 +19,7 @@ itself as it goes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
@@ -85,6 +86,8 @@ class GateKind:
             raise ValueError(f"{self.name} requires an angle")
         if self.name not in PARAMETRIC and self.name != "u" and self.angle is not None:
             raise ValueError(f"{self.name} takes no angle")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"{self.name} angle must be finite, got {self.angle}")
         if self.name == "u" and (self.label is None or self.matrix is None):
             raise ValueError("opaque gates need a label and a 2x2 matrix")
 
@@ -113,6 +116,8 @@ def opaque_kind(label: str, matrix, angle: float | None = None) -> GateKind:
     flat = tuple(complex(x) for x in matrix)
     if len(flat) != 4:
         raise ValueError("opaque matrix must have 4 entries (row-major 2x2)")
+    if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in flat):
+        raise ValueError(f"opaque matrix for {label!r} must have finite entries")
     return GateKind("u", angle=angle, label=label, matrix=flat)
 
 

@@ -108,16 +108,17 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
     # One reset node per merge, chained between the host group's current
     # last node and the mover group's first. It sorts right after the node it
     # follows and takes the source line of the mover's first instruction.
+    # The node it follows is always an original instruction (a group's tail
+    # only moves to its mover's tail), and no two resets follow the same one,
+    # so instruction i sorts as 2i and a reset after it as 2i + 1.
     instrs = circuit.instructions
     n = len(instrs)
     tail: dict[int, int] = {}
-    sort_key: list[tuple[int, ...]] = [(i,) for i in range(n)]
-    lines = [instr.source_line for instr in instrs]
-    for m, (g, h) in enumerate(merges):
+    sort_key = list(range(0, 2 * n, 2))
+    for g, h in merges:
         node, first, last = len(sort_key), wires[g][0], tail.get(h, wires[h][-1])
-        lines.append(lines[first])
         successors.append([first])
-        sort_key.append(sort_key[last] + (m,))
+        sort_key.append(2 * last + 1)
         successors[last].append(node)
         tail[h] = tail.get(g, wires[g][-1])
 
@@ -164,7 +165,7 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
     for at, node in enumerate(order):
         old = qubits[at]
         if node >= n:
-            out.append(Reset(old[0], lines[node]))
+            out.append(Reset(old[0], instrs[wires[merges[node - n][0]][0]].source_line))
             continue
         instr = instrs[node]
         if len(old) == 1:

@@ -16,17 +16,17 @@ conditioned bit-flips this exposes, and finally dead-gate elimination. All
 four steps update one ``ir.Chain``, built from the input's facts, in place;
 the result is turned back into a circuit, with its facts, once.
 
-Each of the two control rules is one step that decides and rewrites one gate
-of a chain in place, ``_introduce`` and ``_exchange``. The fixpoint is
-defined by rounds of one full introduction pass and one full exchange pass,
-the public functions below, which call the steps once per gate in circuit
-order. ``run`` reaches the same result with an event heap that calls them
-only on the gates next to the last change.
+Each control rule is one step on one gate of the chain, ``_introduce`` and
+``_exchange``, which ``_introduce_all`` and ``_exchange_all`` apply to a
+worklist; the public one-pass functions and ``run``'s fixpoint call these
+helpers. Any worklist order gives the result of passes in circuit order.
+Introduction only takes gates off wires: no node moves, the next write to
+each bit is fixed, and a control's wire predecessor, once a measurement,
+stays one. An exchange changes no wire predecessor, so the exchanges of one
+round depend only on the state that round's introductions reached.
 """
 
 from __future__ import annotations
-
-import heapq
 
 from .ir import Chain, Circuit, Condition, Gate, Measure
 from . import commute
@@ -73,23 +73,23 @@ def _conjoin(condition: Condition, bit: int, polarity: bool) -> Condition | None
 
 
 def _next_writes(chain: Chain, order: list[int]) -> list[int]:
-    """Per node that writes a bit, the position in ``order`` of the next
-    write to that bit; ``len(order)`` when none follows."""
-    next_write = [len(order)] * len(chain.instr)
+    """Per node that writes a bit, the label of the next write to that bit;
+    past every label when none follows."""
+    label = chain.label
+    next_write = [label[order[-1]] + 1 if order else 0] * len(chain.instr)
     last = [-1] * chain.facts.n_clbits
     writes = chain.facts.writes
-    for k, node in enumerate(order):
+    for node in order:
         w = writes[node]
         if w is not None:
             if last[w] >= 0:
-                next_write[last[w]] = k
+                next_write[last[w]] = label[node]
             last[w] = node
     return next_write
 
 
-def _introduce(chain: Chain, node: int, position: int, next_write: list[int]) -> list[int] | None:
-    """Classical control introduction on the controlled gate ``node``, at
-    ``position`` in the order ``next_write`` was built on.
+def _introduce(chain: Chain, node: int, next_write: list[int]) -> list[int] | None:
+    """Classical control introduction on the controlled gate ``node``.
 
     The control qualifies when its wire's predecessor is a measurement whose
     bit no write overwrites before the gate. The gate then takes the bit as
@@ -101,7 +101,7 @@ def _introduce(chain: Chain, node: int, position: int, next_write: list[int]) ->
     gate = instrs[node]
     control, polarity = gate.controls[0]
     p = chain.before(node, control)
-    if p < 0 or not isinstance(instrs[p], Measure) or next_write[p] < position:
+    if p < 0 or not isinstance(instrs[p], Measure) or next_write[p] < chain.label[node]:
         return None
     cond = _conjoin(gate.condition, instrs[p].bit, polarity)
     leaving = chain.facts.qubits[node] if cond is None else (control,)
@@ -114,10 +114,10 @@ def _introduce(chain: Chain, node: int, position: int, next_write: list[int]) ->
 
 
 def _exchange(chain: Chain, node: int) -> bool:
-    """Control exchange on the controlled gate ``node``: a CZ/CP with one
-    positive control swaps control and target when its target wire's
-    predecessor is a measurement and its control wire's is not. Returns
-    whether it swapped."""
+    """Control exchange on the gate ``node``: a CZ/CP with one positive
+    control swaps control and target when its target wire's predecessor is
+    a measurement and its control wire's is not. Returns whether it
+    swapped."""
     gate = chain.instr[node]
     if gate.kind.name not in ("z", "p") or len(gate.controls) != 1 or not gate.controls[0][1]:
         return False
@@ -130,23 +130,44 @@ def _exchange(chain: Chain, node: int) -> bool:
     return True
 
 
+def _introduce_all(chain: Chain, nodes: list[int], next_write: list[int]) -> tuple[int, list[int]]:
+    """Introduce on the controlled gates among ``nodes``, retrying the gate
+    after each wire a gate leaves, until none qualifies. Returns the number
+    of introductions and the nodes whose wire predecessor changed."""
+    instrs = chain.instr
+    work = list(nodes)
+    touched: list[int] = []
+    count = 0
+    while work:
+        node = work.pop()
+        gate = instrs[node]
+        if isinstance(gate, Gate) and gate.controls:
+            after = _introduce(chain, node, next_write)
+            if after is not None:
+                count += 1
+                work += after
+                touched += after
+    return count, touched
+
+
+def _exchange_all(chain: Chain, nodes: list[int]) -> list[int]:
+    """Exchange every gate among ``nodes`` that qualifies; returns those."""
+    instrs = chain.instr
+    return [node for node in nodes if isinstance(instrs[node], Gate) and _exchange(chain, node)]
+
+
 def introduce_classical_controls(circuit: Circuit) -> tuple[Circuit, int]:
     """Replace measured quantum controls with classical conditions.
 
     A control qualifies when the most recent instruction on its wire is the
     measurement of that qubit. The control's polarity carries over to the
     literal, so negative controls read the bit negated. Controls whose qubit
-    was not just measured stay quantum. Each decision reads only the prefix
-    already rewritten, so one pass leaves nothing for a second to replace.
+    was not just measured stay quantum. The result is that of one pass in
+    circuit order, which leaves nothing for a second to replace.
     """
     chain = Chain(circuit)
     order = chain.order()
-    next_write = _next_writes(chain, order)
-    replaced = 0
-    for k, node in enumerate(order):
-        instr = chain.instr[node]
-        if isinstance(instr, Gate) and instr.controls and _introduce(chain, node, k, next_write) is not None:
-            replaced += 1
+    replaced, _ = _introduce_all(chain, order, _next_writes(chain, order))
     return chain.materialise(), replaced
 
 
@@ -158,69 +179,29 @@ def exchange_controls(circuit: Circuit) -> tuple[Circuit, int]:
     qualifies for classical control introduction on the next round.
     """
     chain = Chain(circuit)
-    exchanged = 0
-    for node in chain.order():
-        instr = chain.instr[node]
-        if isinstance(instr, Gate) and instr.controls and _exchange(chain, node):
-            exchanged += 1
-    return chain.materialise(), exchanged
+    exchanged = _exchange_all(chain, chain.order())
+    return chain.materialise(), len(exchanged)
 
 
 def _controls_fixpoint(chain: Chain) -> tuple[int, int]:
-    """Alternate introduction and exchange rounds on ``chain`` until neither
-    fires; returns the number of introductions and of exchanges.
-
-    Replays ``introduce_classical_controls`` then ``exchange_controls``,
-    round after round, as one event heap keyed ``(round, phase, position)``
-    with phase 0 introducing and phase 1 exchanging. Both decisions read only
-    the gate's wire predecessors and the writes to the measured bit before
-    it. Writes never change, and a predecessor changes only when a gate
-    leaves that wire (introduced: its control wire; dropped: both), which
-    queues the wire's next gate in both phases of the same round: being
-    later on the wire, it is also later in the pass. An exchange queues the
-    exchanged gate for introduction in the next round; it cannot exchange
-    back, because its new target's predecessor is no measurement. Any other
-    gate would decide as it did the last time, so a full pass changes
-    nothing else. No node moves meanwhile, so positions stay fixed.
+    """Rounds of introduction until no gate qualifies, then exchange, until
+    a round exchanges nothing; returns the number of introductions and of
+    exchanges. Round 1 tries every gate. By the two facts in the module
+    docstring, a later round need only try the gates just exchanged for
+    introduction, and the gates whose wire predecessor an introduction
+    changed for exchange: no other gate would decide differently.
     """
-    instrs = chain.instr
     order = chain.order()
     next_write = _next_writes(chain, order)
-    at = [0] * len(instrs)
-    events: list[tuple[int, int, int]] = []
-    for k, node in enumerate(order):
-        at[node] = k
-        instr = instrs[node]
-        if isinstance(instr, Gate) and instr.controls:
-            events += ((1, 0, k), (1, 1, k))
-    heapq.heapify(events)
-    introduced = exchanged = 0
-    last = None
-    while events:
-        key = heapq.heappop(events)
-        if key == last:
-            continue
-        last = key
-        rnd, phase, k = key
-        node = order[k]
-        gate = instrs[node]
-        if gate is None or not gate.controls:
-            continue
-        if phase == 1:
-            if _exchange(chain, node):
-                exchanged += 1
-                heapq.heappush(events, (rnd + 1, 0, k))
-            continue
-        after = _introduce(chain, node, k, next_write)
-        if after is None:
-            continue
-        introduced += 1
-        for b in after:
-            nxt = instrs[b]
-            if isinstance(nxt, Gate) and nxt.controls:
-                heapq.heappush(events, (rnd, 0, at[b]))
-                heapq.heappush(events, (rnd, 1, at[b]))
-    return introduced, exchanged
+    introduced, _ = _introduce_all(chain, order, next_write)
+    exchanged = _exchange_all(chain, order)
+    n_exchanged = len(exchanged)
+    while exchanged:
+        k, touched = _introduce_all(chain, exchanged, next_write)
+        introduced += k
+        exchanged = _exchange_all(chain, touched)
+        n_exchanged += len(exchanged)
+    return introduced, n_exchanged
 
 
 def run(circuit: Circuit) -> tuple[Circuit, dict[str, int]]:

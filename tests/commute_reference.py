@@ -6,9 +6,8 @@ predecessor and for accesses to its bit, and an outer sweep repeats until a
 whole pass moves nothing. ``introduce_scan`` and ``exchange_scan`` are the
 introduction and exchange passes as they were before the rules became steps
 on ``ir.Chain``: each keeps its own dicts of the latest position on every
-wire and bit. ``transform_run`` is the rewrite schedule as it was before the
-event heap: full introduction and exchange scans, alternating until a round
-fires neither. ``commute.run``, ``transform.run`` and the one-pass
+wire and bit. ``transform_run`` is the rewrite schedule with full introduction and
+exchange scans, alternating until a round fires neither. ``commute.run``, ``transform.run`` and the one-pass
 ``transform`` functions must make exactly the same decisions.
 """
 

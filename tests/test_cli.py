@@ -42,6 +42,15 @@ class TestGen:
         result = runner.invoke(main, ["gen", "qpe", "--n", "1"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "1e308"])
+    def test_non_finite_angle_is_a_parse_error(self, runner, tmp_path, theta):
+        # 1e308 is finite, but its doubled powers overflow to inf.
+        out = tmp_path / "qpe.qasm"
+        result = runner.invoke(main, ["gen", "qpe", "--n", "3", "--theta", theta, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("error: ") and "finite" in result.output
+        assert not out.exists()
+
 
 class TestOptimize:
     def test_report_and_reduction(self, runner, tmp_path):
@@ -174,6 +183,26 @@ class TestVerify:
         assert runner.invoke(main, ["verify", str(a), str(a)]).exit_code == 4
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "-1e-12"])
+@pytest.mark.parametrize("command", ["verify", "optimize"])
+def test_bad_tol_is_rejected_before_reading(runner, tmp_path, command, tol):
+    # The input does not exist: the option must fail first, with exit 1.
+    missing = str(tmp_path / "missing.qasm")
+    args = ["verify", missing, missing] if command == "verify" else ["optimize", "--verify", missing]
+    result = runner.invoke(main, [*args, "--tol", tol])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error: --tol")
+
+
+@pytest.mark.parametrize("command", ["verify", "optimize"])
+def test_zero_tol_accepts_an_identical_pair(runner, tmp_path, command):
+    a = tmp_path / "a.qasm"
+    a.write_text("qubit[1] q;\nbit[1] c;\nx q[0];\nc[0] = measure q[0];\n")
+    args = ["verify", str(a), str(a)] if command == "verify" else ["optimize", "--verify", str(a)]
+    result = runner.invoke(main, [*args, "--tol", "0"])
+    assert result.exit_code == 0, result.output
+
+
 class TestBench:
     def test_qft_sweep_reports(self, runner, tmp_path):
         out = tmp_path / "sweep"
@@ -230,8 +259,9 @@ class TestBench:
             ["--family", "qft", "--sizes", "a,b"],
             ["--family", "qft", "--sizes", "0"],
             ["--family", "vqe", "--strategies", "bogus"],
+            ["--family", "qpe", "--theta", "nan"],
         ],
-        ids=["shape-without-depth", "non-integer-size", "zero-size", "unknown-strategy"],
+        ids=["shape-without-depth", "non-integer-size", "zero-size", "unknown-strategy", "nan-theta"],
     )
     def test_malformed_option_is_a_parse_error(self, runner, tmp_path, args):
         out = tmp_path / "bad"

@@ -322,6 +322,18 @@ class TestGateKind:
         with pytest.raises(ValueError):
             GateKind("u", label="u0")
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        # Such a kind would emit as ``p(nan)``, which the parser rejects.
+        for name in ("p", "rx", "rz"):
+            with pytest.raises(ValueError, match="finite"):
+                GateKind(name, angle=angle)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0, math.inf), complex(math.nan, 0)])
+    def test_non_finite_matrix_entry_rejected(self, entry):
+        with pytest.raises(ValueError, match="finite"):
+            opaque_kind("u_bad", [entry, 0, 0, 1])
+
 
 def test_toggle_twice_is_identity_on_distribution():
     base = CircuitBuilder(2, 2).h(0).measure(0, 0).h(1).measure(1, 1)

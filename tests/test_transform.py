@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,32 +191,62 @@ def test_each_transformation_alone_preserves_distribution(seed):
         assert ok, (op.__name__, dev)
 
 
+def control_battery():
+    """``schedule_battery()`` plus the benchmark families at n = 2-10, each
+    raw and after commutation. After commutation, the families' fixpoint
+    takes many introduction/exchange rounds (qft8 takes 9)."""
+    families = [bench.gen_qft(n) for n in range(2, 11)]
+    families += [bench.gen_qpe(n, 2 * math.pi * 3 / 8, single_p=p) for n in range(2, 11) for p in (False, True)]
+    families += [bench.gen_vqe(n, s) for n in range(2, 11) for s in bench.STRATEGIES]
+    for c in (*schedule_battery(), *families):
+        yield c, c
+        yield c, commute.run(c)[0]
+
+
 def test_single_passes_match_the_scans():
-    # The one-pass functions run the chain steps once per gate; they must
+    # The one-pass functions run the chain steps on a worklist; they must
     # decide as the dict-based scans do, on raw inputs and after commutation.
-    for c in schedule_battery():
-        for start in (c, commute.run(c)[0]):
-            for step, scan in (
-                (introduce_classical_controls, introduce_scan),
-                (exchange_controls, exchange_scan),
-            ):
-                out, k = step(start)
-                ref, ref_k = scan(start)
-                assert out.instructions == ref.instructions, (step.__name__, c.name)
-                assert k == ref_k, (step.__name__, c.name)
+    for c, start in control_battery():
+        for step, scan in (
+            (introduce_classical_controls, introduce_scan),
+            (exchange_controls, exchange_scan),
+        ):
+            out, k = step(start)
+            ref, ref_k = scan(start)
+            assert out.instructions == ref.instructions, (step.__name__, c.name)
+            assert k == ref_k, (step.__name__, c.name)
+
+
+@pytest.mark.parametrize("arrange", ["forward", "reversed", "shuffled"])
+def test_introduction_reaches_one_pass_in_any_order(arrange):
+    # Introduction only takes gates off wires, so retrying the gate after
+    # each wire a gate leaves reaches the one-pass result from any order.
+    rng = random.Random(20)
+    for c, start in control_battery():
+        chain = Chain(start)
+        order = chain.order()
+        gates = [v for v in order if isinstance(chain.instr[v], Gate) and chain.instr[v].controls]
+        if arrange == "reversed":
+            gates.reverse()
+        elif arrange == "shuffled":
+            rng.shuffle(gates)
+        k, _ = transform._introduce_all(chain, gates, transform._next_writes(chain, order))
+        ref, ref_k = introduce_scan(start)
+        assert chain.materialise().instructions == ref.instructions, c.name
+        assert k == ref_k, c.name
 
 
 def test_run_matches_round_loop():
-    # The event heap must replay full introduction/exchange rounds exactly,
-    # both on raw inputs and after commutation.
-    for c in schedule_battery():
-        for start in (c, commute.run(c)[0]):
-            chain = Chain(start)
-            introduced, exchanged = transform._controls_fixpoint(chain)
-            ref, ref_introduced, ref_exchanged = controls_loop(start)
-            assert chain.materialise().instructions == ref.instructions, c.name
-            assert (introduced, exchanged) == (ref_introduced, ref_exchanged), c.name
-        out, counts = run(c)
-        ref, ref_counts = transform_run(c)
-        assert out.instructions == ref.instructions, c.name
-        assert counts == ref_counts, c.name
+    # The worklist rounds must replay full introduction/exchange rounds
+    # exactly, both on raw inputs and after commutation.
+    for c, start in control_battery():
+        chain = Chain(start)
+        introduced, exchanged = transform._controls_fixpoint(chain)
+        ref, ref_introduced, ref_exchanged = controls_loop(start)
+        assert chain.materialise().instructions == ref.instructions, c.name
+        assert (introduced, exchanged) == (ref_introduced, ref_exchanged), c.name
+        if start is c:
+            out, counts = run(c)
+            ref, ref_counts = transform_run(c)
+            assert out.instructions == ref.instructions, c.name
+            assert counts == ref_counts, c.name
