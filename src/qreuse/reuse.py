@@ -37,9 +37,12 @@ def _plan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int, in
 
     A group's masks only grow as it absorbs others, so a rejected pair stays
     rejected; one sweep over hosts and movers in that order therefore makes
-    the same merges as restarting the search after each one.
+    the same merges as restarting the search after each one. An absorbed
+    group is never tested or read again, so both the mover scan and the
+    per-merge update run over the groups not yet absorbed.
     """
     bit_reach = deps.forward_reach()
+    wires = deps.wires
 
     # Wires each instruction precedes in the schedule order.
     n = len(deps.qubits)
@@ -57,10 +60,10 @@ def _plan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int, in
     # first instruction precedes, and its group's members. A cone only
     # follows scheduling edges, so the wires a group reaches are among those
     # it blocks, and the cycle test below also rules out reaching the host.
-    live = [w for w, positions in enumerate(deps.wires) if positions]
+    live = [w for w, positions in enumerate(wires) if positions]
     reach_bits, accessed, blocked, members = [], [], [], []
     for w in live:
-        positions = deps.wires[w]
+        positions = wires[w]
         bm = am = 0
         for i in positions:
             bm |= bit_reach[i]
@@ -75,24 +78,30 @@ def _plan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int, in
         members.append(1 << w)
 
     n_live = len(live)
+    unabsorbed = list(range(n_live))
     merges: list[tuple[int, int]] = []
     for h in range(n_live):
-        for g in range(n_live):
-            if g == h or not members[g] or not members[h]:
+        host, host_bits = members[h], accessed[h]
+        if not host:
+            continue
+        for g in unabsorbed[:]:
+            if g == h:
                 continue
             # Independent, and g's first instruction need not precede h's wire.
-            if accessed[h] & reach_bits[g] or blocked[g] & members[h]:
+            if host_bits & reach_bits[g] or blocked[g] & host:  # pair test
                 continue
             # Whatever precedes h's last instruction now precedes g's first.
-            for k in range(n_live):
-                if blocked[k] & members[h]:
+            # h's own first instruction does, so h's mask grows too.
+            for k in unabsorbed:
+                if blocked[k] & host:  # propagation
                     blocked[k] |= blocked[g]
-            blocked[h] |= blocked[g]
             reach_bits[h] |= reach_bits[g]
-            accessed[h] |= accessed[g]
-            members[h] |= members[g]
+            host_bits |= accessed[g]
+            host |= members[g]
             members[g] = 0
+            unabsorbed.remove(g)
             merges.append((live[g], live[h]))
+        members[h], accessed[h] = host, host_bits
     return merges
 
 
@@ -149,47 +158,40 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
     rank = {h: r for r, h in enumerate(hosts)}
     wire = [rank.get(h, -1) for h in owner]
 
-    # The output's facts are the input's, plus one per reset, with the
-    # wires renumbered. An instruction touches at most two qubits.
-    k = len(merges)
-    facts = Dependencies.of(
-        len(hosts),
-        circuit.n_clbits,
-        deps.qubits + [(wire[h],) for _, h in merges],
-        deps.reads + [()] * k,
-        deps.writes + [None] * k,
-        deps.is_reset + [True] * k,
-    ).take(order)
-    qubits = facts.qubits
-    out: list[Instruction] = []
-    for at, node in enumerate(order):
-        old = qubits[at]
-        if node >= n:
-            out.append(Reset(old[0], instrs[wires[merges[node - n][0]][0]].source_line))
-            continue
-        instr = instrs[node]
+    # Each instruction is renumbered once, in input order, and each merge
+    # adds one reset; the schedule then picks them in its order. The facts
+    # are the input's, renumbered the same way. An instruction touches at
+    # most two qubits, and a gate's control comes first.
+    renamed: list[Instruction] = []
+    qubits = []
+    for instr, old in zip(instrs, deps.qubits):
         if len(old) == 1:
             new = (wire[old[0]],)
         elif old:
             new = (wire[old[0]], wire[old[1]])
         else:
             new = old
-        if new == old:
-            out.append(instr)
-            continue
-        qubits[at] = new
-        if isinstance(instr, Gate):
-            out.append(
-                Gate(
-                    instr.kind,
-                    tuple(wire[w] for w in instr.targets),
-                    tuple((wire[w], pol) for w, pol in instr.controls),
-                    instr.condition,
-                    instr.source_line,
-                )
-            )
+        if new == old:  # keep the input's instruction and its tuple
+            new = old
+        elif isinstance(instr, Gate):
+            controls = ((new[0], instr.controls[0][1]),) if len(new) == 2 else ()
+            instr = Gate(instr.kind, new[-1:], controls, instr.condition, instr.source_line)
         elif isinstance(instr, Measure):
-            out.append(Measure(wire[instr.qubit], instr.bit, instr.source_line))
+            instr = Measure(new[0], instr.bit, instr.source_line)
         else:
-            out.append(Reset(wire[instr.qubit], instr.source_line))
-    return facts.make_circuit(out, circuit.name), k
+            instr = Reset(new[0], instr.source_line)
+        renamed.append(instr)
+        qubits.append(new)
+    for g, h in merges:
+        renamed.append(Reset(wire[h], instrs[wires[g][0]].source_line))
+        qubits.append((wire[h],))
+    k = len(merges)
+    facts = Dependencies.of(
+        len(hosts),
+        circuit.n_clbits,
+        qubits,
+        deps.reads + [()] * k,
+        deps.writes + [None] * k,
+        deps.is_reset + [True] * k,
+    ).take(order)
+    return facts.make_circuit([renamed[v] for v in order], circuit.name), k

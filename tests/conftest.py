@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from qreuse.bench import RandomSpec, SplitMix64, gen_random
+from qreuse.bench import RandomSpec, SplitMix64, gen_qft, gen_qpe, gen_random, gen_vqe
 from qreuse.ir import CircuitBuilder
 
 
@@ -79,6 +81,18 @@ def schedule_battery():
         yield small_random(seed)
     for seed in range(4):
         yield gen_random(RandomSpec(32, 8, seed))
+
+
+def wide_battery():
+    """Wide inputs the schedule battery lacks: sparse n120 d2 and dense n32
+    d8 random circuits, and the paper's families at 32 and 64 qubits."""
+    for seed in range(12):
+        yield gen_random(RandomSpec(120, 2, seed))
+        yield gen_random(RandomSpec(32, 8, seed))
+    for n in (32, 64):
+        yield gen_qft(n)
+        yield gen_qpe(n, 2 * math.pi * 3 / 8)
+        yield gen_vqe(n, "full")
 
 
 @pytest.fixture

@@ -5,7 +5,9 @@ analysis: each round rebuilds the dependency index of the current circuit,
 takes the first-fit pair by the same mask tests, and reschedules and rebuilds
 the whole circuit for that one merge. ``reuse.run`` must make the same merge
 decisions; its schedule may order independent instructions differently, which
-``same_dependency_order`` tolerates.
+``same_dependency_order`` tolerates. ``plan_scan`` is the one-analysis
+planner as it was when every merge rescanned every live group; it reaches
+circuits far wider than the per-merge pass can.
 """
 
 from __future__ import annotations
@@ -15,6 +17,74 @@ from collections import Counter
 from dataclasses import replace
 
 from qreuse.ir import Circuit, Dependencies, Gate, Instruction, Measure, Reset
+
+
+def plan_scan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int, int]]:
+    """First-fit merges ``(mover, host)`` of wire groups: lowest host first,
+    then lowest mover, repeated until no pair qualifies.
+
+    ``reuse._plan`` as it was when every merge rescanned every live group,
+    absorbed ones included; ``reuse._plan`` must return the same list.
+
+    A group's masks only grow as it absorbs others, so a rejected pair stays
+    rejected; one sweep over hosts and movers in that order therefore makes
+    the same merges as restarting the search after each one.
+    """
+    bit_reach = deps.forward_reach()
+
+    # Wires each instruction precedes in the schedule order.
+    n = len(deps.qubits)
+    precedes = [0] * n
+    for i in range(n - 1, -1, -1):
+        m = 0
+        for q in deps.qubits[i]:
+            m |= 1 << q
+        for j in successors[i]:
+            m |= precedes[j]
+        precedes[i] = m
+
+    # Per live wire (one with an instruction; idle wires take no part):
+    # the bits its instructions reach, the bits they access, the wires its
+    # first instruction precedes, and its group's members. A cone only
+    # follows scheduling edges, so the wires a group reaches are among those
+    # it blocks, and the cycle test below also rules out reaching the host.
+    live = [w for w, positions in enumerate(deps.wires) if positions]
+    reach_bits, accessed, blocked, members = [], [], [], []
+    for w in live:
+        positions = deps.wires[w]
+        bm = am = 0
+        for i in positions:
+            bm |= bit_reach[i]
+            for b in deps.reads[i]:
+                am |= 1 << b
+            b = deps.writes[i]
+            if b is not None:
+                am |= 1 << b
+        reach_bits.append(bm)
+        accessed.append(am)
+        blocked.append(precedes[positions[0]])
+        members.append(1 << w)
+
+    n_live = len(live)
+    merges: list[tuple[int, int]] = []
+    for h in range(n_live):
+        for g in range(n_live):
+            if g == h or not members[g] or not members[h]:
+                continue
+            # Independent, and g's first instruction need not precede h's wire.
+            if accessed[h] & reach_bits[g] or blocked[g] & members[h]:
+                continue
+            # Whatever precedes h's last instruction now precedes g's first.
+            for k in range(n_live):
+                if blocked[k] & members[h]:
+                    blocked[k] |= blocked[g]
+            blocked[h] |= blocked[g]
+            reach_bits[h] |= reach_bits[g]
+            accessed[h] |= accessed[g]
+            members[h] |= members[g]
+            members[g] = 0
+            merges.append((live[g], live[h]))
+    return merges
 
 
 def same_dependency_order(a: Circuit, b: Circuit) -> bool:

@@ -11,7 +11,7 @@ from qreuse.pipeline import MODES, optimize
 from qreuse.qasm import emit, parse
 
 import metrics_reference
-from conftest import adversarial, schedule_battery, small_random
+from conftest import adversarial, schedule_battery, small_random, wide_battery
 
 
 GOLDEN = Path(__file__).parent / "golden" / "optimize"
@@ -30,14 +30,17 @@ GOLDEN_INPUTS = {
 # Regenerate, only for a change that means to alter outputs, with
 #   PYTHONPATH=src:tests python -c "import test_pipeline as t; print(t.battery_digest())" \
 #       > tests/golden/optimize/schedule_battery.sha256
+#   PYTHONPATH=src:tests python -c "import test_pipeline as t; print(t.battery_digest(t.wide_battery()))" \
+#       > tests/golden/optimize/wide_battery.sha256
 BATTERY_DIGEST = GOLDEN / "schedule_battery.sha256"
+WIDE_DIGEST = GOLDEN / "wide_battery.sha256"
 
 
-def battery_digest() -> str:
+def battery_digest(circuits=None) -> str:
     """One sha256 over the emitted output and every report count of each
-    schedule-battery compile, in both modes."""
+    compile of ``circuits`` (default: the schedule battery), in both modes."""
     digest = hashlib.sha256()
-    for c in schedule_battery():
+    for c in schedule_battery() if circuits is None else circuits:
         for mode in MODES:
             out, r = optimize(c, mode)
             counts = (
@@ -52,6 +55,11 @@ def battery_digest() -> str:
 def test_schedule_battery_replays_its_digest():
     # Byte-for-byte on 1,608 compiles: emitted text and report counts.
     assert battery_digest() == BATTERY_DIGEST.read_text(encoding="utf-8").strip()
+
+
+def test_wide_battery_replays_its_digest():
+    # Byte-for-byte on 60 compiles of up to 120 qubits, where most wires merge.
+    assert battery_digest(wide_battery()) == WIDE_DIGEST.read_text(encoding="utf-8").strip()
 
 
 @pytest.mark.parametrize(

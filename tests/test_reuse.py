@@ -26,7 +26,7 @@ from qreuse.qasm import MAX_REGISTER, parse
 from qreuse.reuse import run
 
 import reuse_reference
-from conftest import adversarial, schedule_battery, small_random
+from conftest import adversarial, schedule_battery, small_random, wide_battery
 from reuse_reference import reference_run, same_dependency_order
 
 
@@ -303,35 +303,88 @@ class TestIdleWires:
     def test_idle_wires_are_not_planned(self):
         # One gate on a 65,536-qubit register: a single live wire, so the
         # plan tests no pair. The count is of executions of the pair test.
-        c = parse(f"qubit[{MAX_REGISTER}] q;\nbit[0] c;\nx q[7];\n")
-        code = reuse._plan.__code__
-        source, first = inspect.getsourcelines(reuse._plan)
-        test_line = first + next(
-            k for k, line in enumerate(source) if "accessed[h] & reach_bits[g]" in line
-        )
-        tested = 0
-
-        def trace(frame, event, arg):
-            if frame.f_code is not code:
-                return None
-            return count
-
-        def count(frame, event, arg):
-            nonlocal tested
-            if event == "line" and frame.f_lineno == test_line:
-                tested += 1
-                if tested > 100:
-                    raise AssertionError("the plan tests pairs of idle wires")
-            return count
-
-        previous = sys.gettrace()
-        sys.settrace(trace)
-        try:
-            out, merges = run(c)
-        finally:
-            sys.settrace(previous)
+        c = one_gate_file(MAX_REGISTER, [7])
+        (out, merges), tested = count_executions(reuse._plan, "pair test", lambda: run(c), 100)
         assert tested == 0
         assert (out.n_qubits, merges) == (1, 0)
+
+    def test_merges_visit_no_absorbed_group(self):
+        # One gate on each of 256 wires: every wire merges onto wire 0. The
+        # update after merge j visits the 257 - j groups not yet absorbed,
+        # 32,895 in all; visiting every live group would make 65,280.
+        c = one_gate_file(256, range(256))
+        (out, merges), visits = count_executions(reuse._plan, "propagation", lambda: run(c), 32_895)
+        assert (out.n_qubits, merges) == (1, 255)
+        assert visits == 32_895
+
+
+def marked_line(function, marker):
+    """The line number of the line of ``function`` that ends with the
+    comment ``# <marker>``."""
+    source, first = inspect.getsourcelines(function)
+    for k, line in enumerate(source):
+        if line.rstrip().endswith(f"# {marker}"):
+            return first + k
+    pytest.fail(f"no line of {function.__qualname__} ends with the marker comment '# {marker}'")
+
+
+def count_executions(function, marker, call, limit):
+    """``call()``'s result and how often it ran ``function``'s line marked
+    ``marker``; fails as soon as the count exceeds ``limit``."""
+    code, line = function.__code__, marked_line(function, marker)
+    executed = 0
+
+    def trace(frame, event, arg):
+        return count if frame.f_code is code else None
+
+    def count(frame, event, arg):
+        nonlocal executed
+        if event == "line" and frame.f_lineno == line:
+            executed += 1
+            if executed > limit:
+                raise AssertionError(f"{function.__qualname__} ran '# {marker}' over {limit} times")
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, executed
+
+
+def one_gate_file(n, live):
+    """A ``qubit[n]`` file with one X gate on each wire in ``live``."""
+    gates = "".join(f"x q[{w}];\n" for w in live)
+    return parse(f"qubit[{n}] q;\nbit[0] c;\n{gates}")
+
+
+def plan_inputs():
+    yield from schedule_battery()
+    yield from wide_battery()
+    yield from (bench.gen_qft(16), bench.gen_qpe(16, 2 * math.pi * 3 / 8), bench.gen_vqe(16, "full"))
+
+
+def test_plan_matches_the_full_rescan():
+    # Scanning only unabsorbed groups must make the rescan's merges, in the
+    # same order, before and after the rewrites; idle wires interleaved with
+    # live ones in the one-gate files.
+    def plans(c):
+        deps = c.dependencies()
+        return reuse._plan(deps, deps.successors()), reuse_reference.plan_scan(deps, deps.successors())
+
+    merged = 0
+    for c in plan_inputs():
+        for circuit in (c, transform.run(c)[0]):
+            got, expected = plans(circuit)
+            assert got == expected, circuit.name
+            merged += len(got)
+    for n in (64, 128, 256, 512):
+        for live in (range(0, n, 2), [w for w in range(n) if w % 5 in (1, 2, 4)]):
+            got, expected = plans(one_gate_file(n, live))
+            assert got == expected and len(got) == len(live) - 1, n
+    assert merged
 
 
 @settings(max_examples=40, deadline=None)
