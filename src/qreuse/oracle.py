@@ -10,12 +10,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .ir import Circuit, ClassicalToggle, Gate, GateKind, Instruction, Measure, Reset
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "MAX_BRANCHES", "MAX_QUBITS", "PRUNE",
@@ -72,18 +68,43 @@ def _halves(n: int, qubit: int, controls=()) -> tuple[tuple, tuple]:
     return zero, tuple(index)
 
 
-def _apply_gate(state: np.ndarray, gate: Gate) -> None:
-    """Apply ``gate`` to ``state`` (shape ``(2,) * n``) in place."""
-    u00, u01, u10, u11 = kind_matrix(gate.kind)
-    zero, one = _halves(state.ndim, gate.targets[0], gate.controls)
-    a0, a1 = state[zero], state[one]
-    new0 = u00 * a0 + u01 * a1
-    state[one] = u10 * a0 + u11 * a1
-    state[zero] = new0
+def _record_test(literals) -> tuple[int, int]:
+    """``(mask, want)`` such that ``record & mask == want`` iff every literal holds."""
+    mask = want = 0
+    for bit, polarity in literals:
+        if mask >> bit & 1 and want >> bit & 1 != polarity:
+            return 0, 1  # one bit with both polarities never holds
+        mask |= 1 << bit
+        want |= polarity << bit
+    return mask, want
 
 
-def _literals_hold(record: int, literals) -> bool:
-    return all(((record >> b) & 1 == 1) == pol for b, pol in literals)
+_DENSE, _DIAGONAL, _TOGGLE, _SPLIT = range(4)  # the opcodes of a plan
+
+
+def _plan(instrs: tuple[Instruction, ...], n: int) -> list[tuple]:
+    """One op per instruction: its record test, slices and matrix entries, worked out once."""
+    plan: list[tuple] = []
+    for instr in instrs:
+        if isinstance(instr, Gate):
+            u00, u01, u10, u11 = kind_matrix(instr.kind)
+            zero, one = _halves(n, instr.targets[0], instr.controls)
+            test = _record_test(instr.condition.literals)
+            if u01 == u10 == 0:
+                factors = tuple((h, u) for h, u in ((zero, u00), (one, u11)) if u != 1)
+                plan.append((_DIAGONAL, *test, factors))
+            else:
+                plan.append((_DENSE, *test, zero, one, u00, u01, u10, u11))
+        elif isinstance(instr, ClassicalToggle):
+            plan.append((_TOGGLE, *_record_test(instr.product), 1 << instr.target))
+        else:
+            zero, one = _halves(n, instr.qubit)
+            # (outcome 1's record bit, the half it lands on, the half it clears)
+            if isinstance(instr, Reset):
+                plan.append((_SPLIT, zero, one, 0, zero, one))
+            else:
+                plan.append((_SPLIT, zero, one, 1 << instr.bit, one, zero))
+    return plan
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,12 +170,14 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
     and toggles update each path's classical record. Branches with weight
     below ``PRUNE`` are dropped.
 
-    A path's state has shape ``(2,) * n``, qubit q on axis q, and every
-    instruction is one basic-index update of it. A gate rewrites its
-    target's ``0`` and ``1`` halves in place, inside the slice where its
-    control holds. A measurement or reset reads ``p1`` from the qubit's
-    ``1`` half and copies each kept half, scaled by ``1/sqrt(p)``, into a
-    fresh zero array; a reset copies it into the ``0`` half.
+    A path's state has shape ``(2,) * n``, qubit q on axis q. The instructions
+    before the read-out are compiled once into a plan of record mask tests,
+    slice indices and matrix entries. A gate rewrites its target's ``0`` and
+    ``1`` halves in place, inside the slice where its control holds; a
+    diagonal one scales only the halves whose entry is not 1. A measurement or
+    reset reads ``p1`` from the qubit's ``1`` half and collapses the path's own
+    array in place, scaled by ``1/sqrt(p)`` (a reset moves outcome 1 into the
+    ``0`` half); when both outcomes are kept, outcome 0 continues on a copy.
 
     The longest suffix of the circuit that holds only measurements is not
     branched: when a path reaches it, ``|state|^2`` is summed over the qubits
@@ -173,57 +196,72 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
         raise SimulationLimitError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
     instrs = circuit.instructions
     tail, traced, written, leaf_bits = _measurement_tail(instrs, n)
+    plan = _plan(instrs[:tail], n)
     initial = np.zeros((2,) * n, dtype=complex)
     initial[(0,) * n] = 1.0
     acc: dict[int, float] = {}
     branches = 0
-    # Stack entries: (next instruction position, state, classical record, weight).
+    # Stack entries: (next plan position, state, classical record, weight).
     stack: list[tuple[int, np.ndarray, int, float]] = [(0, initial, 0, 1.0)]
     while stack:
         pos, state, record, weight = stack.pop()
-        while pos < len(instrs):
-            if pos == tail:
-                marginal = (np.abs(state) ** 2).sum(axis=traced).reshape(-1)
-                kept = np.flatnonzero(weight * marginal > PRUNE)
-                branches += len(kept)
-                _check_branches(branches)
-                base = record & ~written
-                for i, p in zip(kept.tolist(), marginal[kept].tolist()):
-                    leaf = base | leaf_bits[i]
-                    acc[leaf] = acc.get(leaf, 0.0) + weight * p
-                weight = 0.0  # the leaves above hold this path's whole weight
-                break
-            instr = instrs[pos]
+        while pos < tail:
+            op = plan[pos]
             pos += 1
-            if isinstance(instr, Gate):
-                if _literals_hold(record, instr.condition.literals):
-                    _apply_gate(state, instr)
-            elif isinstance(instr, ClassicalToggle):
-                if _literals_hold(record, instr.product):
-                    record ^= 1 << instr.target
+            code = op[0]
+            if code == _DENSE:
+                _, mask, want, zero, one, u00, u01, u10, u11 = op
+                if record & mask == want:
+                    a0, a1 = state[zero], state[one]
+                    new0 = u00 * a0 + u01 * a1
+                    state[one] = u10 * a0 + u11 * a1
+                    state[zero] = new0
+            elif code == _DIAGONAL:
+                _, mask, want, factors = op
+                if record & mask == want:
+                    for half, u in factors:
+                        state[half] *= u
+            elif code == _TOGGLE:
+                _, mask, want, flip = op
+                if record & mask == want:
+                    record ^= flip
             else:
-                halves = _halves(n, instr.qubit)
-                one = state[halves[1]]
-                p1 = float(np.vdot(one, one).real)
-                reset = isinstance(instr, Reset)
-                branched = []
-                for outcome, p in ((0, 1.0 - p1), (1, p1)):
-                    if p * weight <= PRUNE:
-                        continue
-                    # A reset lands either outcome on the qubit's 0 half.
-                    sub = np.zeros_like(state)
-                    sub[halves[0 if reset else outcome]] = state[halves[outcome]] / math.sqrt(p)
-                    rec = record if reset else record & ~(1 << instr.bit) | outcome << instr.bit
-                    branched.append((pos, sub, rec, weight * p))
-                branches += len(branched)
+                _, zero, one, bit, land, clear = op
+                a1 = state[one]
+                p1 = float(np.vdot(a1, a1).real)
+                p0 = 1.0 - p1
+                keep0, keep1 = p0 * weight > PRUNE, p1 * weight > PRUNE
+                branches += keep0 + keep1
                 _check_branches(branches)
-                if not branched:
-                    weight = 0.0
+                record &= ~bit
+                if keep0 and keep1:
+                    fresh = np.zeros_like(state)  # copy
+                    fresh[zero] = state[zero] / math.sqrt(p0)
+                if keep1:
+                    state[land] = a1 / math.sqrt(p1)
+                    state[clear] = 0
+                    stack.append((pos, state, record | bit, weight * p1))
+                    if not keep0:
+                        break  # the branch just pushed is popped next
+                    state = fresh
+                elif keep0:
+                    state[zero] /= math.sqrt(p0)
+                    state[one] = 0
+                else:
                     break
-                pos, state, record, weight = branched[0]
-                stack.extend(branched[1:])
-        if weight > 0.0:
-            acc[record] = acc.get(record, 0.0) + weight
+                weight *= p0
+        else:  # reached the tail; a break above pushed or dropped the path
+            if not written:  # no read-out: the path ends with its whole weight
+                acc[record] = acc.get(record, 0.0) + weight
+                continue
+            marginal = (np.abs(state) ** 2).sum(axis=traced).reshape(-1)
+            kept = np.flatnonzero(weight * marginal > PRUNE)
+            branches += len(kept)
+            _check_branches(branches)
+            base = record & ~written
+            for i, p in zip(kept.tolist(), marginal[kept].tolist()):
+                leaf = base | leaf_bits[i]
+                acc[leaf] = acc.get(leaf, 0.0) + weight * p
     probs = {_key(rec, circuit.n_clbits): p for rec, p in acc.items()}
     return OutcomeDistribution(circuit.n_clbits, probs)
 

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import pytest
 
@@ -93,6 +95,42 @@ def wide_battery():
         yield gen_qft(n)
         yield gen_qpe(n, 2 * math.pi * 3 / 8)
         yield gen_vqe(n, "full")
+
+
+def marked_line(function, marker):
+    """The line number of the line of ``function`` that ends with the
+    comment ``# <marker>``."""
+    source, first = inspect.getsourcelines(function)
+    for k, line in enumerate(source):
+        if line.rstrip().endswith(f"# {marker}"):
+            return first + k
+    pytest.fail(f"no line of {function.__qualname__} ends with the marker comment '# {marker}'")
+
+
+def count_executions(function, marker, call, limit):
+    """``call()``'s result and how often it ran ``function``'s line marked
+    ``marker``; fails as soon as the count exceeds ``limit``."""
+    code, line = function.__code__, marked_line(function, marker)
+    executed = 0
+
+    def trace(frame, event, arg):
+        return count if frame.f_code is code else None
+
+    def count(frame, event, arg):
+        nonlocal executed
+        if event == "line" and frame.f_lineno == line:
+            executed += 1
+            if executed > limit:
+                raise AssertionError(f"{function.__qualname__} ran '# {marker}' over {limit} times")
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, executed
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from qreuse.ir import Circuit, ClassicalToggle, Gate, GateKind, Reset
-from qreuse.oracle import OutcomeDistribution, SimulationLimitError, _key, _literals_hold
+from qreuse.oracle import OutcomeDistribution, SimulationLimitError
 
 _SQRT2 = math.sqrt(0.5)
 
@@ -51,6 +51,10 @@ def kind_matrix(kind: GateKind) -> np.ndarray:
         c, s = math.cos(kind.angle / 2), math.sin(kind.angle / 2)
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
     return np.array(kind.matrix, dtype=complex).reshape(2, 2)
+
+
+def _holds(record: int, literals) -> bool:
+    return all(((record >> b) & 1 == 1) == pol for b, pol in literals)
 
 
 def _apply_single(state: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
@@ -123,10 +127,10 @@ def reference_distribution(
             instr = instrs[pos]
             pos += 1
             if isinstance(instr, Gate):
-                if _literals_hold(record, instr.condition.literals):
+                if _holds(record, instr.condition.literals):
                     state = _apply_gate(state, instr, n)
             elif isinstance(instr, ClassicalToggle):
-                if _literals_hold(record, instr.product):
+                if _holds(record, instr.product):
                     record ^= 1 << instr.target
             else:
                 q = instr.qubit
@@ -159,5 +163,6 @@ def reference_distribution(
                 stack.extend(branched[1:])
         if weight > 0.0:
             acc[record] = acc.get(record, 0.0) + weight
-    probs = {_key(rec, circuit.n_clbits): p for rec, p in acc.items()}
+    m = circuit.n_clbits
+    probs = {"".join(str(rec >> b & 1) for b in reversed(range(m))): p for rec, p in acc.items()}
     return OutcomeDistribution(circuit.n_clbits, probs)

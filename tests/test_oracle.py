@@ -11,7 +11,7 @@ from qreuse.ir import CircuitBuilder, Measure
 from qreuse.oracle import OutcomeDistribution, SimulationLimitError, distribution, equivalent
 
 from commute_reference import _apply, _rule_at
-from conftest import adversarial, cx_pair, small_random
+from conftest import adversarial, count_executions, cx_pair, small_random
 from density_reference import density_distribution
 from oracle_reference import reference_distribution
 
@@ -149,6 +149,58 @@ def test_measurement_tail_hand_cases(circuit, expected):
         assert d[key] == pytest.approx(p, rel=1e-9, abs=1e-15), key
 
 
+def _plan_cases():
+    """Conditions, toggles and splits the compiled plan must keep exact,
+    with their outcomes."""
+    # One bit named with both polarities: the condition and product never hold.
+    b = CircuitBuilder(1, 2)
+    b.x(0).measure(0, 0).x(0, condition=((0, True), (0, False))).measure(0, 1)
+    yield "condition on both polarities", b.build(check=False), {"11": 1.0}
+    b = CircuitBuilder(1, 2)
+    b.x(0).measure(0, 0).measure(0, 1).toggle(1, ((0, False), (0, True)))
+    yield "toggle on both polarities", b.build(check=False), {"11": 1.0}
+    # The branches of one split diverge: each must own its amplitudes.
+    b = CircuitBuilder(1, 2)
+    b.h(0).measure(0, 0).x(0, condition=((0, True),)).h(0).measure(0, 1)
+    yield "diverging split", b.build(), {k: 0.25 for k in ("00", "01", "10", "11")}
+    b = CircuitBuilder(1, 2)
+    b.h(0).measure(0, 0).x(0, condition=((0, False),)).measure(0, 1)
+    yield "diverging split, deterministic", b.build(), {"10": 0.5, "11": 0.5}
+    # A reset whose only kept outcome is 1, and one that keeps both.
+    b = CircuitBuilder(1, 1)
+    b.x(0).reset(0).measure(0, 0)
+    yield "reset keeps outcome 1", b.build(), {"0": 1.0}
+    b = CircuitBuilder(2, 2)
+    b.h(0).cx(0, 1).reset(0).x(0).measure(0, 0).measure(1, 1)
+    yield "reset keeps both", b.build(), {"01": 0.5, "11": 0.5}
+    # A condition on a bit above 63.
+    b = CircuitBuilder(1, 70)
+    b.x(0).measure(0, 64).x(0, condition=((64, True),)).measure(0, 65)
+    yield "condition on bit 64", b.build(), {format(1 << 64, "070b"): 1.0}
+
+
+@pytest.mark.parametrize(
+    "circuit,expected", [pytest.param(c, e, id=name) for name, c, e in _plan_cases()]
+)
+def test_plan_hand_cases(circuit, expected):
+    d = distribution(circuit)
+    assert set(d.probs) == set(expected)
+    for key, p in expected.items():
+        assert d[key] == pytest.approx(p, rel=1e-9, abs=1e-15), key
+
+
+def test_a_split_copies_one_branch():
+    # Seven splitting rounds keep both outcomes: 1 + 2 + ... + 64 splits.
+    # The eighth measurement is read out by the tail, not split.
+    b = CircuitBuilder(1, 8)
+    for k in range(8):
+        b.h(0).measure(0, k)
+    c = b.build()
+    d, copies = count_executions(oracle.distribution, "copy", lambda: distribution(c), 127)
+    assert len(d.probs) == 256
+    assert copies == 127
+
+
 def _reference_battery():
     for seed in range(400):
         for c in (adversarial(seed), small_random(seed)):
@@ -159,8 +211,13 @@ def _reference_battery():
     yield bench.gen_qpe(8, 2 * math.pi * 3 / 8)
     yield bench.gen_qpe(8, 1.0)
     yield bench.gen_vqe(8, "full")
-    for _, c, _ in _tail_cases():
-        yield c
+    # 1-2-qubit outputs with up to 2^9 paths.
+    yield pipeline.optimize(bench.gen_qft(10))[0]
+    for strategy in bench.STRATEGIES:
+        yield pipeline.optimize(bench.gen_vqe(10, strategy))[0]
+    for cases in (_tail_cases, _plan_cases):
+        for _, c, _ in cases():
+            yield c
 
 
 def test_distribution_matches_branching_reference():
@@ -180,6 +237,8 @@ def _density_battery():
         for d in range(1, 7):
             for seed in range(3):
                 yield bench.gen_random(bench.RandomSpec(n, d, seed))
+    for _, c, _ in _plan_cases():
+        yield c
 
 
 def test_distribution_matches_density_reference():

@@ -1,7 +1,5 @@
 import heapq
-import inspect
 import math
-import sys
 from dataclasses import replace
 
 import pytest
@@ -26,7 +24,7 @@ from qreuse.qasm import MAX_REGISTER, parse
 from qreuse.reuse import run
 
 import reuse_reference
-from conftest import adversarial, schedule_battery, small_random, wide_battery
+from conftest import adversarial, count_executions, schedule_battery, small_random, wide_battery
 from reuse_reference import reference_run, same_dependency_order
 
 
@@ -316,42 +314,6 @@ class TestIdleWires:
         (out, merges), visits = count_executions(reuse._plan, "propagation", lambda: run(c), 32_895)
         assert (out.n_qubits, merges) == (1, 255)
         assert visits == 32_895
-
-
-def marked_line(function, marker):
-    """The line number of the line of ``function`` that ends with the
-    comment ``# <marker>``."""
-    source, first = inspect.getsourcelines(function)
-    for k, line in enumerate(source):
-        if line.rstrip().endswith(f"# {marker}"):
-            return first + k
-    pytest.fail(f"no line of {function.__qualname__} ends with the marker comment '# {marker}'")
-
-
-def count_executions(function, marker, call, limit):
-    """``call()``'s result and how often it ran ``function``'s line marked
-    ``marker``; fails as soon as the count exceeds ``limit``."""
-    code, line = function.__code__, marked_line(function, marker)
-    executed = 0
-
-    def trace(frame, event, arg):
-        return count if frame.f_code is code else None
-
-    def count(frame, event, arg):
-        nonlocal executed
-        if event == "line" and frame.f_lineno == line:
-            executed += 1
-            if executed > limit:
-                raise AssertionError(f"{function.__qualname__} ran '# {marker}' over {limit} times")
-        return count
-
-    previous = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        result = call()
-    finally:
-        sys.settrace(previous)
-    return result, executed
 
 
 def one_gate_file(n, live):
