@@ -79,7 +79,7 @@ def _record_test(literals) -> tuple[int, int]:
     return mask, want
 
 
-_DENSE, _DIAGONAL, _TOGGLE, _SPLIT = range(4)  # the opcodes of a plan
+_GATE, _TOGGLE, _SPLIT = range(3)  # the opcodes of a plan
 
 
 def _plan(instrs: tuple[Instruction, ...], n: int) -> list[tuple]:
@@ -87,14 +87,9 @@ def _plan(instrs: tuple[Instruction, ...], n: int) -> list[tuple]:
     plan: list[tuple] = []
     for instr in instrs:
         if isinstance(instr, Gate):
-            u00, u01, u10, u11 = kind_matrix(instr.kind)
-            zero, one = _halves(n, instr.targets[0], instr.controls)
             test = _record_test(instr.condition.literals)
-            if u01 == u10 == 0:
-                factors = tuple((h, u) for h, u in ((zero, u00), (one, u11)) if u != 1)
-                plan.append((_DIAGONAL, *test, factors))
-            else:
-                plan.append((_DENSE, *test, zero, one, u00, u01, u10, u11))
+            halves = _halves(n, instr.targets[0], instr.controls)
+            plan.append((_GATE, *test, *halves, *kind_matrix(instr.kind)))
         elif isinstance(instr, ClassicalToggle):
             plan.append((_TOGGLE, *_record_test(instr.product), 1 << instr.target))
         else:
@@ -173,11 +168,11 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
     A path's state has shape ``(2,) * n``, qubit q on axis q. The instructions
     before the read-out are compiled once into a plan of record mask tests,
     slice indices and matrix entries. A gate rewrites its target's ``0`` and
-    ``1`` halves in place, inside the slice where its control holds; a
-    diagonal one scales only the halves whose entry is not 1. A measurement or
-    reset reads ``p1`` from the qubit's ``1`` half and collapses the path's own
-    array in place, scaled by ``1/sqrt(p)`` (a reset moves outcome 1 into the
-    ``0`` half); when both outcomes are kept, outcome 0 continues on a copy.
+    ``1`` halves in place, inside the slice where its control holds. A
+    measurement or reset reads ``p1`` from the qubit's ``1`` half and collapses
+    the path's own array in place, scaled by ``1/sqrt(p)`` (a reset moves
+    outcome 1 into the ``0`` half); when both outcomes are kept, outcome 0
+    continues on a copy.
 
     The longest suffix of the circuit that holds only measurements is not
     branched: when a path reaches it, ``|state|^2`` is summed over the qubits
@@ -209,18 +204,13 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
             op = plan[pos]
             pos += 1
             code = op[0]
-            if code == _DENSE:
+            if code == _GATE:
                 _, mask, want, zero, one, u00, u01, u10, u11 = op
                 if record & mask == want:
                     a0, a1 = state[zero], state[one]
                     new0 = u00 * a0 + u01 * a1
                     state[one] = u10 * a0 + u11 * a1
                     state[zero] = new0
-            elif code == _DIAGONAL:
-                _, mask, want, factors = op
-                if record & mask == want:
-                    for half, u in factors:
-                        state[half] *= u
             elif code == _TOGGLE:
                 _, mask, want, flip = op
                 if record & mask == want:
