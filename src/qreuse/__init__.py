@@ -10,7 +10,6 @@ from .ir import (
     Circuit,
     CircuitBuilder,
     ClassicalToggle,
-    Condition,
     Gate,
     GateKind,
     Measure,
@@ -36,7 +35,6 @@ __all__ = [
     "Circuit",
     "CircuitBuilder",
     "ClassicalToggle",
-    "Condition",
     "Gate",
     "GateKind",
     "Measure",

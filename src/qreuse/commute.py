@@ -54,29 +54,29 @@ class CommuteRule(Enum):
 def _rule_for(meas: Measure, prev: Instruction | None) -> CommuteRule | None:
     """The rule that moves ``meas`` across ``prev``, its wire predecessor,
     leaving aside other accesses to the measured bit in between."""
-    if not isinstance(prev, Gate) or meas.bit in prev.condition.bits():
+    if not isinstance(prev, Gate) or any(b == meas.bit for b, _ in prev.condition):
         return None
-    if any(q == meas.qubit for q, _ in prev.controls):
+    if prev.target != meas.qubit:  # prev is on the measured wire, so that is its control
         return CommuteRule.CONTROLLED_ON_CONTROL
     if is_diagonal(prev):
         return CommuteRule.DIAGONAL
-    if is_bitflip(prev) and meas.qubit in prev.targets:
+    if is_bitflip(prev):
         return CommuteRule.BIT_FLIP
-    if prev.kind.name == "y" and not prev.controls and meas.qubit in prev.targets:
+    if prev.kind.name == "y" and prev.control is None:
         return CommuteRule.Y_DECOMPOSE
     return None
 
 
 def _toggle(meas: Measure, gate: Gate) -> ClassicalToggle:
     """The fix-up a measurement leaves behind when it crosses an X."""
-    return ClassicalToggle(meas.bit, gate.condition.literals, gate.source_line)
+    return ClassicalToggle(meas.bit, gate.condition, gate.source_line)
 
 
 def _split_y(gate: Gate) -> tuple[Gate, Gate]:
     # Y = iXZ up to a global phase: Z first, then X, both inheriting the condition.
     return (
-        Gate(Z_KIND, gate.targets, (), gate.condition, gate.source_line),
-        Gate(X_KIND, gate.targets, (), gate.condition, gate.source_line),
+        Gate(Z_KIND, gate.target, None, gate.condition, gate.source_line),
+        Gate(X_KIND, gate.target, None, gate.condition, gate.source_line),
     )
 
 

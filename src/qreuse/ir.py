@@ -2,9 +2,12 @@
 
 A circuit is a flat, ordered list of instructions over a register of qubits
 and a register of classical bits. Four instruction variants cover the
-dynamic-circuit primitives: gates (optionally quantum-controlled and/or
-classically conditioned), mid-circuit measurement, reset, and classical XOR
-fix-ups. Circuits are immutable values; rewrite passes return new circuits.
+dynamic-circuit primitives: gates, mid-circuit measurement, reset, and
+classical XOR fix-ups. A gate acts on one target qubit, with at most one
+quantum control, and may be conditioned on measured bits. A gate's condition
+and a toggle's product are the same thing, a tuple of ``(bit, value)``
+literals that must all hold. Circuits are immutable values; rewrite passes
+return new circuits.
 
 Every analysis reads one index of per-instruction facts, ``Dependencies``:
 each instruction's qubits, read bits and written bit. A circuit computes it
@@ -25,7 +28,6 @@ from operator import itemgetter
 
 __all__ = [
     "GateKind",
-    "Condition",
     "Gate",
     "Measure",
     "Reset",
@@ -69,9 +71,9 @@ ANGLE_TOL = 1e-12
 class GateKind:
     """A single-qubit gate alphabet entry.
 
-    ``p``/``rx``/``rz`` carry exactly one angle (radians). ``u`` is an opaque
-    named gate with an explicit 2x2 unitary (row-major) so the simulator can
-    still execute it.
+    ``p``/``rx``/``rz`` carry exactly one angle (radians), the others none.
+    ``u`` is an opaque named gate with an explicit 2x2 unitary (row-major)
+    so the simulator can still execute it.
     """
 
     name: str
@@ -84,7 +86,7 @@ class GateKind:
             raise ValueError(f"unknown gate kind {self.name!r}")
         if self.name in PARAMETRIC and self.angle is None:
             raise ValueError(f"{self.name} requires an angle")
-        if self.name not in PARAMETRIC and self.name != "u" and self.angle is not None:
+        if self.name not in PARAMETRIC and self.angle is not None:
             raise ValueError(f"{self.name} takes no angle")
         if self.angle is not None and not math.isfinite(self.angle):
             raise ValueError(f"{self.name} angle must be finite, got {self.angle}")
@@ -112,35 +114,25 @@ def rz_kind(angle: float) -> GateKind:
     return GateKind("rz", angle=float(angle))
 
 
-def opaque_kind(label: str, matrix, angle: float | None = None) -> GateKind:
+def opaque_kind(label: str, matrix) -> GateKind:
     flat = tuple(complex(x) for x in matrix)
     if len(flat) != 4:
         raise ValueError("opaque matrix must have 4 entries (row-major 2x2)")
     if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in flat):
         raise ValueError(f"opaque matrix for {label!r} must have finite entries")
-    return GateKind("u", angle=angle, label=label, matrix=flat)
-
-
-@dataclass(frozen=True, slots=True)
-class Condition:
-    """Conjunction of classical-bit literals; empty means unconditional."""
-
-    literals: tuple[tuple[int, bool], ...] = ()
-
-    @property
-    def always(self) -> bool:
-        return not self.literals
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple(b for b, _ in self.literals) if self.literals else ()
+    return GateKind("u", label=label, matrix=flat)
 
 
 @dataclass(frozen=True, slots=True)
 class Gate:
+    """``kind`` on ``target`` where the quantum ``control`` qubit has the given
+    polarity (``None``: no control), when every ``(bit, value)`` literal of
+    ``condition`` holds (empty: always)."""
+
     kind: GateKind
-    targets: tuple[int, ...]
-    controls: tuple[tuple[int, bool], ...] = ()
-    condition: Condition = Condition()
+    target: int
+    control: tuple[int, bool] | None = None
+    condition: tuple[tuple[int, bool], ...] = ()
     source_line: int | None = field(default=None, compare=False)
 
 
@@ -195,10 +187,8 @@ def _facts(instr: Instruction) -> tuple[tuple[int, ...], tuple[int, ...], int | 
     """An instruction's qubits, read bits, written bit and whether it is a
     reset, in one type dispatch."""
     if isinstance(instr, Gate):
-        qubits = instr.targets
-        if instr.controls:
-            qubits = tuple(map(_first, instr.controls)) + qubits
-        literals = instr.condition.literals
+        control, literals = instr.control, instr.condition
+        qubits = (instr.target,) if control is None else (control[0], instr.target)
         return qubits, tuple(map(_first, literals)) if literals else (), None, False
     if isinstance(instr, Measure):
         return (instr.qubit,), (), instr.bit, False
@@ -209,7 +199,7 @@ def _facts(instr: Instruction) -> tuple[tuple[int, ...], tuple[int, ...], int | 
 
 
 def instruction_qubits(instr: Instruction) -> tuple[int, ...]:
-    """Quantum controls first, then targets."""
+    """The quantum control first, then the target."""
     return _facts(instr)[0]
 
 
@@ -235,27 +225,24 @@ def violations(circuit: Circuit) -> list[tuple[int, str]]:
         if not 0 <= b < circuit.n_clbits:
             errors.append((i, f"clbit {b} out of range in {where}"))
 
+    def check_literals(literals, where: str, reader: str) -> None:
+        seen: set[int] = set()
+        for b, _ in literals:
+            check_clbit(b, where)
+            if b in seen:
+                errors.append((i, f"clbit {b} repeated in {where}"))
+            seen.add(b)
+            if 0 <= b < circuit.n_clbits and not assigned[b]:
+                errors.append((i, f"{reader} reads clbit {b} before assignment"))
+
     for i, instr in enumerate(circuit.instructions):
         if isinstance(instr, Gate):
-            for q in instr.targets:
-                check_qubit(q, "targets")
-            for q, _ in instr.controls:
-                check_qubit(q, "controls")
-            if len(instr.targets) != 1:
-                errors.append((i, "gates take exactly one target"))
-            if len(instr.controls) > 1:
-                errors.append((i, "at most one quantum control"))
-            overlap = set(instr.targets) & {q for q, _ in instr.controls}
-            if overlap:
-                errors.append((i, f"control/target overlap on {sorted(overlap)}"))
-            seen: set[int] = set()
-            for b, _ in instr.condition.literals:
-                check_clbit(b, "condition")
-                if b in seen:
-                    errors.append((i, f"clbit {b} repeated in condition"))
-                seen.add(b)
-                if 0 <= b < circuit.n_clbits and not assigned[b]:
-                    errors.append((i, f"condition reads clbit {b} before assignment"))
+            check_qubit(instr.target, "targets")
+            if instr.control is not None:
+                check_qubit(instr.control[0], "controls")
+                if instr.control[0] == instr.target:
+                    errors.append((i, f"control/target overlap on [{instr.target}]"))
+            check_literals(instr.condition, "condition", "condition")
         elif isinstance(instr, Measure):
             check_qubit(instr.qubit, "measure")
             check_clbit(instr.bit, "measure")
@@ -265,16 +252,9 @@ def violations(circuit: Circuit) -> list[tuple[int, str]]:
             check_qubit(instr.qubit, "reset")
         elif isinstance(instr, ClassicalToggle):
             check_clbit(instr.target, "toggle target")
-            seen = set()
-            for b, _ in instr.product:
-                check_clbit(b, "toggle product")
-                if b == instr.target:
-                    errors.append((i, f"toggle target {b} appears in its own product"))
-                if b in seen:
-                    errors.append((i, f"clbit {b} repeated in toggle product"))
-                seen.add(b)
-                if 0 <= b < circuit.n_clbits and not assigned[b]:
-                    errors.append((i, f"toggle reads clbit {b} before assignment"))
+            if any(b == instr.target for b, _ in instr.product):
+                errors.append((i, f"toggle target {instr.target} appears in its own product"))
+            check_literals(instr.product, "toggle product", "toggle")
             if 0 <= instr.target < circuit.n_clbits and not assigned[instr.target]:
                 errors.append((i, f"toggle target {instr.target} unassigned"))
         else:  # pragma: no cover - exhaustive union
@@ -290,7 +270,7 @@ def validate(circuit: Circuit) -> list[str]:
 def is_diagonal(instr: Instruction) -> bool:
     """True when the gate's unitary is diagonal in the computational basis.
 
-    Quantum controls and classical conditions preserve diagonality; opaque
+    A quantum control and a classical condition preserve diagonality; opaque
     gates are judged by their declared matrix.
     """
     if not isinstance(instr, Gate):
@@ -304,8 +284,8 @@ def is_diagonal(instr: Instruction) -> bool:
 
 
 def is_bitflip(instr: Instruction) -> bool:
-    """True for an X gate without quantum controls (conditions allowed)."""
-    return isinstance(instr, Gate) and instr.kind.name == "x" and not instr.controls
+    """True for an X gate without a quantum control (conditions allowed)."""
+    return isinstance(instr, Gate) and instr.kind.name == "x" and instr.control is None
 
 
 class Dependencies:
@@ -645,9 +625,8 @@ class CircuitBuilder:
         self._instrs.append(instr)
         return self
 
-    def _gate(self, kind: GateKind, target: int, controls=(), condition=()) -> "CircuitBuilder":
-        cond = condition if isinstance(condition, Condition) else Condition(tuple(condition))
-        return self.append(Gate(kind, (target,), tuple(controls), cond))
+    def _gate(self, kind: GateKind, target: int, control=None, condition=()) -> "CircuitBuilder":
+        return self.append(Gate(kind, target, control, tuple(condition)))
 
     def h(self, q: int, **kw) -> "CircuitBuilder":
         return self._gate(H_KIND, q, **kw)
@@ -677,16 +656,16 @@ class CircuitBuilder:
         return self._gate(rz_kind(theta), q, **kw)
 
     def cx(self, control: int, target: int, **kw) -> "CircuitBuilder":
-        return self._gate(X_KIND, target, controls=((control, True),), **kw)
+        return self._gate(X_KIND, target, (control, True), **kw)
 
     def cz(self, control: int, target: int, **kw) -> "CircuitBuilder":
-        return self._gate(Z_KIND, target, controls=((control, True),), **kw)
+        return self._gate(Z_KIND, target, (control, True), **kw)
 
     def cp(self, theta: float, control: int, target: int, **kw) -> "CircuitBuilder":
-        return self._gate(p_kind(theta), target, controls=((control, True),), **kw)
+        return self._gate(p_kind(theta), target, (control, True), **kw)
 
-    def opaque(self, label: str, matrix, target: int, controls=(), **kw) -> "CircuitBuilder":
-        return self._gate(opaque_kind(label, matrix), target, controls=tuple(controls), **kw)
+    def opaque(self, label: str, matrix, target: int, **kw) -> "CircuitBuilder":
+        return self._gate(opaque_kind(label, matrix), target, **kw)
 
     def measure(self, qubit: int, bit: int) -> "CircuitBuilder":
         return self.append(Measure(qubit, bit))

@@ -56,12 +56,12 @@ def kind_matrix(kind: GateKind) -> tuple[complex, complex, complex, complex]:
     return kind.matrix
 
 
-def _halves(n: int, qubit: int, controls=()) -> tuple[tuple, tuple]:
+def _halves(n: int, qubit: int, control: tuple[int, bool] | None = None) -> tuple[tuple, tuple]:
     """Basic indices of the ``0`` and ``1`` halves of ``qubit``'s axis,
-    inside the slice where every ``(control, polarity)`` holds."""
+    inside the slice where the ``(qubit, polarity)`` control holds."""
     index: list = [slice(None)] * n
-    for control, polarity in controls:
-        index[control] = int(polarity)
+    if control is not None:
+        index[control[0]] = int(control[1])
     index[qubit] = 0
     zero = tuple(index)
     index[qubit] = 1
@@ -87,8 +87,8 @@ def _plan(instrs: tuple[Instruction, ...], n: int) -> list[tuple]:
     plan: list[tuple] = []
     for instr in instrs:
         if isinstance(instr, Gate):
-            test = _record_test(instr.condition.literals)
-            halves = _halves(n, instr.targets[0], instr.controls)
+            test = _record_test(instr.condition)
+            halves = _halves(n, instr.target, instr.control)
             plan.append((_GATE, *test, *halves, *kind_matrix(instr.kind)))
         elif isinstance(instr, ClassicalToggle):
             plan.append((_TOGGLE, *_record_test(instr.product), 1 << instr.target))

@@ -35,7 +35,6 @@ import re
 from .ir import (
     Circuit,
     ClassicalToggle,
-    Condition,
     Gate,
     GateKind,
     H_KIND,
@@ -124,10 +123,9 @@ _UNSUPPORTED_HINTS = (
     "ccx",
 )
 
-# Kinds and the condition shared by every instruction that needs them.
+# Kinds shared by every instruction that needs them.
 _FIXED_KINDS = {"h": H_KIND, "x": X_KIND, "y": Y_KIND, "z": Z_KIND, "s": S_KIND, "t": T_KIND}
 _CONTROLLED_KINDS = {"cx": X_KIND, "cz": Z_KIND}
-_ALWAYS = Condition()
 # (statement name, has a second qubit) -> kind name, for statements with an angle.
 _ANGLED = {("p", False): "p", ("rx", False): "rx", ("rz", False): "rz", ("cp", True): "p"}
 # Names that make ``name q[i]`` a malformed statement, not an unknown gate.
@@ -234,7 +232,7 @@ class _Reader:
                 return None  # headers tolerated and ignored on input, never emitted
         m = _RE_GATE.fullmatch(stmt)
         if m:
-            gate = self.gate(m, _ALWAYS, line, col)
+            gate = self.gate(m, (), line, col)
             if gate is not None:
                 return gate
             if m[1] == "reset" and m[2] is None and m[4] is None:
@@ -265,12 +263,12 @@ class _Reader:
     def conditioned(self, cond: str, inner: str, line: int, col: int) -> Gate:
         literals = () if cond == "true" else _literals(cond, line, col)
         m = _RE_GATE.fullmatch(inner)
-        gate = m and self.gate(m, Condition(literals) if literals else _ALWAYS, line, col)
+        gate = m and self.gate(m, literals, line, col)
         if not gate:
             raise QasmUnsupportedError(f"only gate statements may be conditioned, got {inner!r}", line, col)
         return gate
 
-    def gate(self, m: re.Match, condition: Condition, line: int, col: int) -> Gate | None:
+    def gate(self, m: re.Match, condition: tuple, line: int, col: int) -> Gate | None:
         """The gate of a ``_RE_GATE`` match, or None if no gate has its shape
         (``reset q[i]`` included)."""
         name, angle, first, second = m.groups()
@@ -284,7 +282,7 @@ class _Reader:
         else:
             kind = self.one_qubit.get(name)
             if kind is not None:
-                return Gate(kind, (_integer(first, line, col),), (), condition, line)
+                return Gate(kind, _integer(first, line, col), None, condition, line)
             if name == "reset":
                 return None
             if name in _MISUSED:
@@ -295,8 +293,8 @@ class _Reader:
         if kind is None:
             return None
         if second is None:
-            return Gate(kind, (_integer(first, line, col),), (), condition, line)
-        return Gate(kind, (_integer(second, line, col),), ((_integer(first, line, col), True),), condition, line)
+            return Gate(kind, _integer(first, line, col), None, condition, line)
+        return Gate(kind, _integer(second, line, col), (_integer(first, line, col), True), condition, line)
 
     def angled_kind(self, name: str, angle: str, line: int, col: int) -> GateKind | None:
         """Build and remember the kind for an angle text not seen before;
@@ -358,14 +356,14 @@ def _literals_text(literals) -> str:
 def _gate_text(gate: Gate) -> str:
     kind = gate.kind
     if kind.name == "u":
-        if gate.controls:
+        if gate.control is not None:
             raise QasmUnsupportedError("controlled opaque gates cannot be serialized")
-        return f"{kind.label} q[{gate.targets[0]}];"
-    if gate.controls:
-        (c, pol), = gate.controls
+        return f"{kind.label} q[{gate.target}];"
+    t = gate.target
+    if gate.control is not None:
+        c, pol = gate.control
         if not pol:
             raise QasmUnsupportedError("negative quantum controls cannot be serialized")
-        t = gate.targets[0]
         if kind.name == "x":
             return f"cx q[{c}], q[{t}];"
         if kind.name == "z":
@@ -373,10 +371,9 @@ def _gate_text(gate: Gate) -> str:
         if kind.name == "p":
             return f"cp({_fmt(kind.angle)}) q[{c}], q[{t}];"
         raise QasmUnsupportedError(f"controlled {kind.name} is outside the subset")
-    q = gate.targets[0]
     if kind.name in _PARAM_GATES:
-        return f"{kind.name}({_fmt(kind.angle)}) q[{q}];"
-    return f"{kind.name} q[{q}];"
+        return f"{kind.name}({_fmt(kind.angle)}) q[{t}];"
+    return f"{kind.name} q[{t}];"
 
 
 def emit(circuit: Circuit) -> str:
@@ -403,8 +400,8 @@ def emit(circuit: Circuit) -> str:
     for instr in circuit.instructions:
         if isinstance(instr, Gate):
             text = _gate_text(instr)
-            if not instr.condition.always:
-                text = f"if ({_literals_text(instr.condition.literals)}) {text}"
+            if instr.condition:
+                text = f"if ({_literals_text(instr.condition)}) {text}"
             lines.append(text)
         elif isinstance(instr, Measure):
             lines.append(f"c[{instr.bit}] = measure q[{instr.qubit}];")

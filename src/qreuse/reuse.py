@@ -174,8 +174,8 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
         if new == old:  # keep the input's instruction and its tuple
             new = old
         elif isinstance(instr, Gate):
-            controls = ((new[0], instr.controls[0][1]),) if len(new) == 2 else ()
-            instr = Gate(instr.kind, new[-1:], controls, instr.condition, instr.source_line)
+            control = (new[0], instr.control[1]) if len(new) == 2 else None
+            instr = Gate(instr.kind, new[-1], control, instr.condition, instr.source_line)
         elif isinstance(instr, Measure):
             instr = Measure(new[0], instr.bit, instr.source_line)
         else:

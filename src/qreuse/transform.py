@@ -28,7 +28,7 @@ round depend only on the state that round's introductions reached.
 
 from __future__ import annotations
 
-from .ir import Chain, Circuit, Condition, Gate, Measure
+from .ir import Chain, Circuit, Gate, Measure
 from . import commute
 
 __all__ = [
@@ -64,12 +64,12 @@ def eliminate_dead_gates(circuit: Circuit) -> tuple[Circuit, int]:
     return chain.materialise(), removed
 
 
-def _conjoin(condition: Condition, bit: int, polarity: bool) -> Condition | None:
+def _conjoin(condition: tuple, bit: int, polarity: bool) -> tuple | None:
     """Add a literal; ``None`` signals a contradiction (gate never fires)."""
-    for b, pol in condition.literals:
+    for b, pol in condition:
         if b == bit:
             return condition if pol == polarity else None
-    return Condition(condition.literals + ((bit, polarity),))
+    return condition + ((bit, polarity),)
 
 
 def _next_writes(chain: Chain, order: list[int]) -> list[int]:
@@ -99,7 +99,7 @@ def _introduce(chain: Chain, node: int, next_write: list[int]) -> list[int] | No
     """
     instrs = chain.instr
     gate = instrs[node]
-    control, polarity = gate.controls[0]
+    control, polarity = gate.control
     p = chain.before(node, control)
     if p < 0 or not isinstance(instrs[p], Measure) or next_write[p] < chain.label[node]:
         return None
@@ -109,7 +109,7 @@ def _introduce(chain: Chain, node: int, next_write: list[int]) -> list[int] | No
     if cond is None:
         chain.remove(node)
     else:
-        chain.replace(node, Gate(gate.kind, gate.targets, (), cond, gate.source_line))
+        chain.replace(node, Gate(gate.kind, gate.target, None, cond, gate.source_line))
     return [b for b in after if b >= 0]
 
 
@@ -119,14 +119,14 @@ def _exchange(chain: Chain, node: int) -> bool:
     a measurement and its control wire's is not. Returns whether it
     swapped."""
     gate = chain.instr[node]
-    if gate.kind.name not in ("z", "p") or len(gate.controls) != 1 or not gate.controls[0][1]:
+    if gate.kind.name not in ("z", "p") or gate.control is None or not gate.control[1]:
         return False
-    control, target = gate.controls[0][0], gate.targets[0]
+    control, target = gate.control[0], gate.target
     instrs = chain.instr
     t, c = chain.before(node, target), chain.before(node, control)
     if t < 0 or not isinstance(instrs[t], Measure) or (c >= 0 and isinstance(instrs[c], Measure)):
         return False
-    chain.replace(node, Gate(gate.kind, (control,), ((target, True),), gate.condition, gate.source_line))
+    chain.replace(node, Gate(gate.kind, control, (target, True), gate.condition, gate.source_line))
     return True
 
 
@@ -141,7 +141,7 @@ def _introduce_all(chain: Chain, nodes: list[int], next_write: list[int]) -> tup
     while work:
         node = work.pop()
         gate = instrs[node]
-        if isinstance(gate, Gate) and gate.controls:
+        if isinstance(gate, Gate) and gate.control is not None:
             after = _introduce(chain, node, next_write)
             if after is not None:
                 count += 1

@@ -18,7 +18,6 @@ from qreuse.commute import CommuteRule
 from qreuse.ir import (
     Circuit,
     ClassicalToggle,
-    Condition,
     Gate,
     Instruction,
     Measure,
@@ -58,17 +57,17 @@ def _rule_at(instrs, pos: int) -> tuple[CommuteRule, int] | None:
     gate = instrs[g]
     if not isinstance(gate, Gate):
         return None
-    if meas.bit in gate.condition.bits():
+    if meas.bit in [b for b, _ in gate.condition]:
         return None
     if _bit_touched_between(instrs, g, pos, meas.bit):
         return None
-    if any(q == meas.qubit for q, _ in gate.controls):
+    if gate.control is not None and gate.control[0] == meas.qubit:
         return CommuteRule.CONTROLLED_ON_CONTROL, g
     if is_diagonal(gate):
         return CommuteRule.DIAGONAL, g
-    if is_bitflip(gate) and meas.qubit in gate.targets:
+    if is_bitflip(gate) and gate.target == meas.qubit:
         return CommuteRule.BIT_FLIP, g
-    if gate.kind.name == "y" and not gate.controls and meas.qubit in gate.targets:
+    if gate.kind.name == "y" and gate.control is None and gate.target == meas.qubit:
         return CommuteRule.Y_DECOMPOSE, g
     return None
 
@@ -82,11 +81,11 @@ def _apply(instrs: list[Instruction], pos: int, rule: CommuteRule, g: int) -> No
         gate = instrs[g]
         instrs.pop(pos)
         instrs.insert(g, meas)
-        instrs.insert(g + 1, ClassicalToggle(meas.bit, gate.condition.literals))
+        instrs.insert(g + 1, ClassicalToggle(meas.bit, gate.condition))
     else:  # Y = iXZ up to a global phase: Z first, then X, both inheriting the condition
         gate = instrs[g]
-        instrs[g] = Gate(Z_KIND, gate.targets, (), gate.condition)
-        instrs.insert(g + 1, Gate(X_KIND, gate.targets, (), gate.condition))
+        instrs[g] = Gate(Z_KIND, gate.target, None, gate.condition)
+        instrs.insert(g + 1, Gate(X_KIND, gate.target, None, gate.condition))
 
 
 def run(circuit: Circuit) -> tuple[Circuit, dict[str, int]]:
@@ -125,18 +124,18 @@ def run(circuit: Circuit) -> tuple[Circuit, dict[str, int]]:
     return circuit.with_instructions(instrs), counts
 
 
-def _conjoin(condition: Condition, bit: int, polarity: bool) -> Condition | None:
+def _conjoin(condition: tuple, bit: int, polarity: bool) -> tuple | None:
     """Add a literal; ``None`` signals a contradiction (gate never fires)."""
-    for b, pol in condition.literals:
+    for b, pol in condition:
         if b == bit:
             return condition if pol == polarity else None
-    return Condition(condition.literals + ((bit, polarity),))
+    return condition + ((bit, polarity),)
 
 
 def _measured_control(gate: Gate, prev: Instruction | None) -> Measure | None:
     """The measurement a controlled gate's control can be read from: the
     control wire's predecessor ``prev``, when that measures the control."""
-    if isinstance(prev, Measure) and prev.qubit == gate.controls[0][0]:
+    if isinstance(prev, Measure) and prev.qubit == gate.control[0]:
         return prev
     return None
 
@@ -144,24 +143,23 @@ def _measured_control(gate: Gate, prev: Instruction | None) -> Measure | None:
 def _introduced(gate: Gate, meas: Measure) -> Gate | None:
     """The gate conditioned on ``meas``'s bit instead of its quantum control;
     ``None`` when the condition is contradictory and the gate never fires."""
-    cond = _conjoin(gate.condition, meas.bit, gate.controls[0][1])
-    return None if cond is None else Gate(gate.kind, gate.targets, (), cond, gate.source_line)
+    cond = _conjoin(gate.condition, meas.bit, gate.control[1])
+    return None if cond is None else Gate(gate.kind, gate.target, None, cond, gate.source_line)
 
 
 def _exchangeable(gate: Gate, prev_target: Instruction | None, prev_control: Instruction | None) -> bool:
     """A positive CZ/CP whose target wire's predecessor is the target's
     measurement and whose control wire's is not the control's."""
-    if gate.kind.name not in ("z", "p") or len(gate.controls) != 1 or not gate.controls[0][1]:
+    if gate.kind.name not in ("z", "p") or gate.control is None or not gate.control[1]:
         return False
-    control, target = gate.controls[0][0], gate.targets[0]
+    control, target = gate.control[0], gate.target
     target_measured = isinstance(prev_target, Measure) and prev_target.qubit == target
     control_measured = isinstance(prev_control, Measure) and prev_control.qubit == control
     return target_measured and not control_measured
 
 
 def _exchanged(gate: Gate) -> Gate:
-    (control, _), = gate.controls
-    return Gate(gate.kind, (control,), ((gate.targets[0], True),), gate.condition, gate.source_line)
+    return Gate(gate.kind, gate.control[0], (gate.target, True), gate.condition, gate.source_line)
 
 
 def introduce_scan(circuit: Circuit) -> tuple[Circuit, int]:
@@ -173,8 +171,8 @@ def introduce_scan(circuit: Circuit) -> tuple[Circuit, int]:
     last_write_pos: dict[int, int] = {}
     for instr in circuit.instructions:
         new = instr
-        if isinstance(instr, Gate) and instr.controls:
-            p = last_wire_pos.get(instr.controls[0][0])
+        if isinstance(instr, Gate) and instr.control is not None:
+            p = last_wire_pos.get(instr.control[0])
             meas = _measured_control(instr, out[p] if p is not None else None)
             # the bit must still hold the measured value at the gate
             if meas is not None and last_write_pos.get(meas.bit) == p:
@@ -200,8 +198,8 @@ def exchange_scan(circuit: Circuit) -> tuple[Circuit, int]:
     last_on_wire: dict[int, Instruction] = {}
     for instr in circuit.instructions:
         new = instr
-        if isinstance(instr, Gate) and instr.controls and _exchangeable(
-            instr, last_on_wire.get(instr.targets[0]), last_on_wire.get(instr.controls[0][0])
+        if isinstance(instr, Gate) and instr.control is not None and _exchangeable(
+            instr, last_on_wire.get(instr.target), last_on_wire.get(instr.control[0])
         ):
             new = _exchanged(instr)
             exchanged += 1

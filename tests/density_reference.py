@@ -60,10 +60,10 @@ def _embed(n: int, ops: dict[int, np.ndarray]) -> np.ndarray:
 
 
 def _gate_operator(gate: Gate, n: int) -> np.ndarray:
-    target, mat = gate.targets[0], _single(gate.kind)
-    if not gate.controls:
+    target, mat = gate.target, _single(gate.kind)
+    if gate.control is None:
         return _embed(n, {target: mat})
-    (control, polarity), = gate.controls
+    control, polarity = gate.control
     on, off = (_P1, _P0) if polarity else (_P0, _P1)
     return _embed(n, {control: off}) + _embed(n, {control: on, target: mat})
 
@@ -84,7 +84,7 @@ def density_distribution(circuit: Circuit, prune: float = 1e-15) -> dict[str, fl
         if isinstance(instr, Gate):
             u = _gate_operator(instr, n)
             states = {
-                rec: (u @ r @ u.conj().T if _holds(rec, instr.condition.literals) else r)
+                rec: (u @ r @ u.conj().T if _holds(rec, instr.condition) else r)
                 for rec, r in states.items()
             }
         elif isinstance(instr, ClassicalToggle):

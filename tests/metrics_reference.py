@@ -1,13 +1,13 @@
 """Depth and two-qubit gate count as standalone scans of the instructions.
 
 ``ir.depth`` and ``ir.two_qubit_gate_count`` read the circuit's cached
-dependency facts; these recompute every instruction's qubits and bits, as
-the library did before the facts were shared, and must agree with them.
+dependency facts; these read each instruction's own fields instead, so they
+share no code with the facts and must agree with them.
 """
 
 from __future__ import annotations
 
-from qreuse.ir import Circuit, ClassicalToggle, Gate, Measure, instruction_qubits, read_bits
+from qreuse.ir import Circuit, ClassicalToggle, Gate, Measure
 
 
 def depth(circuit: Circuit) -> int:
@@ -17,12 +17,17 @@ def depth(circuit: Circuit) -> int:
     deepest = 0
     for instr in circuit.instructions:
         if isinstance(instr, ClassicalToggle):
-            layer = max((bit_layer[b] for b in read_bits(instr)), default=0)
-            bit_layer[instr.target] = layer
+            # The XOR reads its target as well as its product.
+            bits = [instr.target] + [b for b, _ in instr.product]
+            bit_layer[instr.target] = max(bit_layer[b] for b in bits)
             continue
-        qubits = instruction_qubits(instr)
+        if isinstance(instr, Gate):
+            qubits = [instr.target] if instr.control is None else [instr.control[0], instr.target]
+            bits = [b for b, _ in instr.condition]
+        else:  # a measurement or a reset
+            qubits, bits = [instr.qubit], []
         layer = max(qubit_avail[q] for q in qubits)
-        for b in read_bits(instr):
+        for b in bits:
             layer = max(layer, bit_layer[b] + 1)
         for q in qubits:
             qubit_avail[q] = layer + 1
@@ -33,8 +38,4 @@ def depth(circuit: Circuit) -> int:
 
 
 def two_qubit_gate_count(circuit: Circuit) -> int:
-    return sum(
-        1
-        for instr in circuit.instructions
-        if isinstance(instr, Gate) and len(instruction_qubits(instr)) == 2
-    )
+    return sum(1 for instr in circuit.instructions if isinstance(instr, Gate) and instr.control is not None)

@@ -66,10 +66,10 @@ def _apply_single(state: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.
 
 def _apply_gate(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     mat = kind_matrix(gate.kind)
-    target = gate.targets[0]
-    if not gate.controls:
+    target = gate.target
+    if gate.control is None:
         return _apply_single(state, mat, target, n)
-    (control, polarity), = gate.controls
+    control, polarity = gate.control
     t = state.reshape([2] * n).copy()
     sl = [slice(None)] * n
     sl[control] = 1 if polarity else 0
@@ -127,7 +127,7 @@ def reference_distribution(
             instr = instrs[pos]
             pos += 1
             if isinstance(instr, Gate):
-                if _holds(record, instr.condition.literals):
+                if _holds(record, instr.condition):
                     state = _apply_gate(state, instr, n)
             elif isinstance(instr, ClassicalToggle):
                 if _holds(record, instr.product):

@@ -3,7 +3,7 @@
 This is ``qasm.parse`` as it was before each statement was read with one
 pattern chosen by its leading token: every statement runs the cascade of
 anchored patterns in a fixed order, the gate patterns last, and each
-instruction gets its own ``GateKind`` and ``Condition``. Lines are split
+instruction gets its own ``GateKind``. Lines are split
 with ``str.splitlines()``. ``qasm.parse`` must accept the same circuits
 with the same source lines and raise the same errors, apart from the inputs
 ``tests/test_qasm.py`` lists as changed on purpose.
@@ -17,7 +17,6 @@ import re
 from qreuse.ir import (
     Circuit,
     ClassicalToggle,
-    Condition,
     Gate,
     GateKind,
     Measure,
@@ -101,23 +100,23 @@ def _parse_gate_statement(stmt: str, line: int, col: int, matrices: dict[str, Ga
     m = _RE_PARAM.match(stmt)
     if m:
         name, angle, q = m.group(1), _number(m.group(2), "angle", line, col), int(m.group(3))
-        return Gate(GateKind(name, angle=angle), (q,), (), Condition(), source_line=line)
+        return Gate(GateKind(name, angle=angle), q, source_line=line)
     m = _RE_TWOQ.match(stmt)
     if m:
         name, c, t = m.group(1), int(m.group(2)), int(m.group(3))
         kind = GateKind("x" if name == "cx" else "z")
-        return Gate(kind, (t,), ((c, True),), Condition(), source_line=line)
+        return Gate(kind, t, (c, True), source_line=line)
     m = _RE_CP.match(stmt)
     if m:
         angle, c, t = _number(m.group(1), "angle", line, col), int(m.group(2)), int(m.group(3))
-        return Gate(GateKind("p", angle=angle), (t,), ((c, True),), Condition(), source_line=line)
+        return Gate(GateKind("p", angle=angle), t, (c, True), source_line=line)
     m = _RE_FIXED.match(stmt)
     if m:
         name, q = m.group(1), int(m.group(2))
         if name in _FIXED_GATES:
-            return Gate(GateKind(name), (q,), (), Condition(), source_line=line)
+            return Gate(GateKind(name), q, source_line=line)
         if name in matrices:
-            return Gate(matrices[name], (q,), (), Condition(), source_line=line)
+            return Gate(matrices[name], q, source_line=line)
         if name in ("measure", "reset") + _PARAM_GATES + _TWO_QUBIT + ("cp",):
             raise QasmSyntaxError(f"malformed statement {stmt!r}", line, col)
         raise QasmSemanticError(
@@ -225,7 +224,7 @@ def parse(text: str) -> Circuit:
                         f"only gate statements may be conditioned, got {inner!r}", lineno, col
                     )
                 instructions.append(
-                    Gate(gate.kind, gate.targets, gate.controls, Condition(literals), source_line=lineno)
+                    Gate(gate.kind, gate.target, gate.control, literals, source_line=lineno)
                 )
                 continue
             gate = _parse_gate_statement(stmt, lineno, col, matrices)

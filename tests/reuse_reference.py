@@ -257,14 +257,8 @@ class _Analysis:
             if not self.deps.qubits[node]:
                 out.append(instr)
             elif isinstance(instr, Gate):
-                out.append(
-                    Gate(
-                        instr.kind,
-                        tuple(remap(w) for w in instr.targets),
-                        tuple((remap(w), pol) for w, pol in instr.controls),
-                        instr.condition,
-                    )
-                )
+                control = None if instr.control is None else (remap(instr.control[0]), instr.control[1])
+                out.append(Gate(instr.kind, remap(instr.target), control, instr.condition))
             elif isinstance(instr, Measure):
                 out.append(Measure(remap(instr.qubit), instr.bit))
             else:

@@ -45,7 +45,7 @@ class TestQpe:
         powers = sorted(
             g.kind.angle
             for g in c.instructions
-            if isinstance(g, Gate) and g.controls and g.kind.angle and g.kind.angle > 0
+            if isinstance(g, Gate) and g.control and g.kind.angle and g.kind.angle > 0
         )
         assert powers == [0.5, 1.0, 2.0]
 
@@ -55,7 +55,7 @@ class TestQpe:
         assert validate(c) == []
         # eigenstate qubit is measured first and controls the ladder
         first = c.instructions[0]
-        assert isinstance(first, Gate) and first.kind.name == "h" and first.targets == (3,)
+        assert isinstance(first, Gate) and first.kind.name == "h" and first.target == 3
         assert isinstance(c.instructions[1], Measure)
 
     def test_too_small(self):
@@ -88,7 +88,7 @@ class TestVqe:
             for i in c.instructions
         ]
         assert names == ["rx", "rx", "x", "Measure", "Measure"]
-        assert c.instructions[2].controls == ((0, True),)
+        assert c.instructions[2].control == (0, True)
 
     def test_pair_patterns(self):
         assert entanglement_pairs(4, "linear") == [(0, 1), (1, 2), (2, 3)]

@@ -10,7 +10,6 @@ from qreuse.ir import (
     Chain,
     Circuit,
     CircuitBuilder,
-    Condition,
     Dependencies,
     Gate,
     GateKind,
@@ -25,6 +24,7 @@ from qreuse.ir import (
     read_bits,
     two_qubit_gate_count,
     validate,
+    violations,
     written_bit,
 )
 
@@ -51,7 +51,7 @@ class TestValidate:
         assert validate(Circuit(0, 0)) == []
 
     def test_clbit_out_of_range_in_condition(self):
-        gate = Gate(X_KIND, (0,), (), Condition(((3, True),)))
+        gate = Gate(X_KIND, 0, None, ((3, True),))
         errors = validate(Circuit(2, 2, (Measure(0, 0), gate)))
         assert any("out of range" in e for e in errors)
 
@@ -62,7 +62,7 @@ class TestValidate:
         assert any("before assignment" in e for e in errors)
 
     def test_control_target_overlap(self):
-        gate = Gate(X_KIND, (0,), ((0, True),))
+        gate = Gate(X_KIND, 0, (0, True))
         errors = validate(Circuit(1, 0, (gate,)))
         assert any("overlap" in e for e in errors)
 
@@ -71,6 +71,39 @@ class TestValidate:
         b.measure(0, 0).toggle(0, ((0, True),))
         errors = validate(b.build(check=False))
         assert any("own product" in e for e in errors)
+
+
+# Each case: the message, the register sizes, and the instructions, the last
+# of which is the only fault. Gate conditions and toggle products share one
+# literal check, and these pin its messages for both.
+_VIOLATIONS = [
+    ("clbit 3 out of range in condition", 1, 1, lambda b: b.measure(0, 0).x(0, condition=((3, True),))),
+    ("condition reads clbit 0 before assignment", 1, 1, lambda b: b.h(0).x(0, condition=((0, True),))),
+    ("clbit 0 repeated in condition", 1, 1, lambda b: b.measure(0, 0).x(0, condition=((0, True), (0, False)))),
+    ("control/target overlap on [0]", 1, 0, lambda b: b.h(0).cx(0, 0)),
+    ("qubit 5 out of range in targets", 2, 0, lambda b: b.h(0).x(5)),
+    ("qubit 5 out of range in controls", 2, 0, lambda b: b.h(0).cx(5, 0)),
+    ("qubit 5 out of range in measure", 2, 1, lambda b: b.h(0).measure(5, 0)),
+    ("clbit 5 out of range in measure", 2, 1, lambda b: b.h(0).measure(0, 5)),
+    ("qubit 5 out of range in reset", 2, 0, lambda b: b.h(0).reset(5)),
+    ("toggle target 0 appears in its own product", 1, 1, lambda b: b.measure(0, 0).toggle(0, ((0, True),))),
+    (
+        "clbit 0 repeated in toggle product",
+        1,
+        2,
+        lambda b: b.measure(0, 0).measure(0, 1).toggle(1, ((0, True), (0, True))),
+    ),
+    ("clbit 5 out of range in toggle product", 1, 1, lambda b: b.measure(0, 0).toggle(0, ((5, True),))),
+    ("clbit 5 out of range in toggle target", 1, 1, lambda b: b.measure(0, 0).toggle(5)),
+    ("toggle reads clbit 1 before assignment", 1, 2, lambda b: b.measure(0, 0).toggle(0, ((1, True),))),
+    ("toggle target 1 unassigned", 1, 2, lambda b: b.measure(0, 0).toggle(1, ((0, True),))),
+]
+
+
+@pytest.mark.parametrize("message, n_qubits, n_clbits, steps", _VIOLATIONS, ids=[case[0] for case in _VIOLATIONS])
+def test_each_violation_has_its_own_message(message, n_qubits, n_clbits, steps):
+    circuit = steps(CircuitBuilder(n_qubits, n_clbits)).build(check=False)
+    assert violations(circuit) == [(len(circuit.instructions) - 1, message)]
 
 
 def cone_by_search(circuit, start):
@@ -304,8 +337,8 @@ class TestGatePredicates:
         assert not is_diagonal(gate) and not is_bitflip(gate)
 
     def test_opaque_judged_by_matrix(self):
-        diag = Gate(opaque_kind("u_d", [1, 0, 0, 1j]), (0,))
-        offdiag = Gate(opaque_kind("u_h", [0.6, 0.8, 0.8, -0.6]), (0,))
+        diag = Gate(opaque_kind("u_d", [1, 0, 0, 1j]), 0)
+        offdiag = Gate(opaque_kind("u_h", [0.6, 0.8, 0.8, -0.6]), 0)
         assert is_diagonal(diag) and not is_diagonal(offdiag)
 
 
@@ -321,6 +354,11 @@ class TestGateKind:
     def test_opaque_needs_matrix(self):
         with pytest.raises(ValueError):
             GateKind("u", label="u0")
+
+    def test_opaque_rejects_angle(self):
+        # ``emit`` writes no angle for an opaque gate, so one would not round-trip.
+        with pytest.raises(ValueError, match="takes no angle"):
+            GateKind("u", angle=0.5, label="u_a", matrix=(0, 1, 1, 0))
 
     @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, angle):

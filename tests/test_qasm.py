@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import qasm_reference
 from qreuse import bench
-from qreuse.ir import Circuit, CircuitBuilder, Condition, Gate, Measure
+from qreuse.ir import Circuit, CircuitBuilder, Gate, Measure
 from qreuse.pipeline import MODES, optimize
 from qreuse.qasm import (
     MAX_REGISTER,
@@ -52,12 +52,12 @@ class TestParse:
         c = parse("qubit[2] q;\nbit[1] c;\nc[0] = measure q[0];\nif (c[0]) x q[1];\n")
         gate = c.instructions[1]
         assert isinstance(gate, Gate)
-        assert gate.condition == Condition(((0, True),))
+        assert gate.condition == ((0, True),)
 
     def test_negated_literal_and_conjunction(self):
         text = "qubit[1] q;\nbit[2] c;\nc[0] = measure q[0];\nc[1] = measure q[0];\nif (!c[0] & c[1]) z q[0];\n"
         gate = parse(text).instructions[2]
-        assert gate.condition == Condition(((0, False), (1, True)))
+        assert gate.condition == ((0, False), (1, True))
 
     def test_source_lines_recorded(self):
         c = parse(CX_PAIR_TEXT)
@@ -80,12 +80,12 @@ class TestParse:
     def test_conditioned_two_qubit_gate(self):
         text = "qubit[2] q;\nbit[1] c;\nc[0] = measure q[0];\nif (c[0]) cp(0.5) q[0], q[1];\n"
         gate = parse(text).instructions[1]
-        assert gate.controls == ((0, True),)
-        assert gate.condition == Condition(((0, True),))
+        assert gate.control == (0, True)
+        assert gate.condition == ((0, True),)
 
     def test_if_true_means_unconditional(self):
         gate = parse("qubit[1] q;\nbit[0] c;\nif (true) x q[0];\n").instructions[0]
-        assert gate.condition.always
+        assert gate.condition == ()
 
     def test_syntax_error_has_location(self):
         with pytest.raises(QasmSyntaxError) as err:
@@ -102,7 +102,7 @@ class TestParse:
         # Any whitespace str.strip removes may surround a statement; between
         # its tokens only ASCII whitespace separates.
         for text in ("h q[0];\u00a0", "\u3000h q[0];"):
-            assert parse(f"qubit[1] q;\nbit[0] c;\n{text}\n").instructions[0].targets == (0,)
+            assert parse(f"qubit[1] q;\nbit[0] c;\n{text}\n").instructions[0].target == 0
         with pytest.raises(QasmSyntaxError) as err:
             parse("qubit[1] q;\nbit[0] c;\nh\u00a0q[0];\n")
         assert (err.value.line, err.value.col) == (3, 1)
@@ -270,7 +270,7 @@ class TestEmit:
     def test_negative_quantum_control_rejected(self):
         from qreuse.ir import Circuit, X_KIND
 
-        gate = Gate(X_KIND, (1,), ((0, False),))
+        gate = Gate(X_KIND, 1, (0, False))
         with pytest.raises(QasmUnsupportedError):
             emit(Circuit(2, 0, (gate,)))
 
@@ -392,11 +392,11 @@ class TestIntegers:
     def test_leading_zeros_read_as_the_number(self):
         c = parse("qubit[02] q;\nbit[1] c;\nx q[00];\nc[000] = measure q[01];\n")
         assert c.n_qubits == 2
-        assert c.instructions[0].targets == (0,) and c.instructions[1] == Measure(1, 0)
+        assert c.instructions[0].target == 0 and c.instructions[1] == Measure(1, 0)
 
     def test_digit_limit_counts_leading_zeros(self):
         index = "0" * 4299 + "1"
-        assert parse(f"qubit[2] q;\nbit[0] c;\nx q[{index}];\n").instructions[0].targets == (1,)
+        assert parse(f"qubit[2] q;\nbit[0] c;\nx q[{index}];\n").instructions[0].target == 1
         with pytest.raises(QasmSemanticError, match="4301 digits"):
             parse(f"qubit[2] q;\nbit[0] c;\nx q[0{index}];\n")
 
@@ -439,7 +439,7 @@ def test_gate_kinds_and_the_unconditional_condition_are_shared():
     for g in gates:
         objects.setdefault((g.kind.name, g.kind.angle), set()).add(id(g.kind))
     assert len(objects) > 60 and all(len(ids) == 1 for ids in objects.values())
-    assert len({id(g.condition) for g in gates if g.condition.always}) == 1
+    assert len({id(g.condition) for g in gates if not g.condition}) == 1
 
 
 # -- Differential test against the regex-cascade parser (qasm_reference) --

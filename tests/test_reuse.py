@@ -178,9 +178,8 @@ def with_empty_wire(circuit, w):
     out = []
     for instr in circuit.instructions:
         if isinstance(instr, Gate):
-            targets = tuple(shift(q) for q in instr.targets)
-            controls = tuple((shift(q), pol) for q, pol in instr.controls)
-            instr = Gate(instr.kind, targets, controls, instr.condition)
+            control = None if instr.control is None else (shift(instr.control[0]), instr.control[1])
+            instr = Gate(instr.kind, shift(instr.target), control, instr.condition)
         elif isinstance(instr, (Measure, Reset)):
             instr = replace(instr, qubit=shift(instr.qubit))
         out.append(instr)

@@ -9,7 +9,6 @@ from qreuse.ir import (
     Chain,
     CircuitBuilder,
     ClassicalToggle,
-    Condition,
     Gate,
     Measure,
     two_qubit_gate_count,
@@ -60,16 +59,16 @@ class TestIntroduceClassicalControls:
         out, k = introduce_classical_controls(c)
         assert k == 1
         gate = out.instructions[1]
-        assert gate.controls == () and gate.condition == Condition(((0, True),))
+        assert gate.control is None and gate.condition == ((0, True),)
         assert gate.kind.name == "x"
 
     def test_negative_control_negates_literal(self):
         b = CircuitBuilder(2, 1)
         b.measure(0, 0)
-        b.x(1, controls=((0, False),))
+        b.x(1, control=(0, False))
         out, k = introduce_classical_controls(b.build())
         assert k == 1
-        assert out.instructions[1].condition == Condition(((0, False),))
+        assert out.instructions[1].condition == ((0, False),)
 
     def test_intervening_gate_blocks(self):
         c = CircuitBuilder(2, 1).measure(0, 0).h(0).cx(0, 1).build()
@@ -92,7 +91,7 @@ class TestIntroduceClassicalControls:
 
     def test_contradictory_condition_drops_gate(self):
         b = CircuitBuilder(2, 1)
-        b.measure(0, 0).x(1, controls=((0, True),), condition=((0, False),))
+        b.measure(0, 0).x(1, control=(0, True), condition=((0, False),))
         out, k = introduce_classical_controls(b.build())
         assert k == 1
         assert len(out.instructions) == 1
@@ -104,7 +103,7 @@ class TestExchangeControls:
         out, k = exchange_controls(c)
         assert k == 1
         gate = out.instructions[1]
-        assert gate.controls == ((0, True),) and gate.targets == (1,)
+        assert gate.control == (0, True) and gate.target == 1
 
     def test_cx_not_phase_type(self):
         c = CircuitBuilder(2, 1).measure(0, 0).cx(1, 0).build()
@@ -139,7 +138,7 @@ class TestRun:
         out, _ = run(c)
         conditioned = [
             i for i in out.instructions
-            if isinstance(i, Gate) and i.kind.name == "p" and not i.condition.always
+            if isinstance(i, Gate) and i.kind.name == "p" and i.condition
         ]
         # three correction gates in the transform tail: distances 1, 1, 2
         assert len(conditioned) == 3
@@ -176,7 +175,7 @@ def test_metrics_never_increase(seed):
     out, _ = run(c)
     assert two_qubit_gate_count(out) <= two_qubit_gate_count(c)
     controls = lambda circ: sum(
-        len(i.controls) for i in circ.instructions if isinstance(i, Gate)
+        i.control is not None for i in circ.instructions if isinstance(i, Gate)
     )
     assert controls(out) <= controls(c)
 
@@ -225,7 +224,7 @@ def test_introduction_reaches_one_pass_in_any_order(arrange):
     for c, start in control_battery():
         chain = Chain(start)
         order = chain.order()
-        gates = [v for v in order if isinstance(chain.instr[v], Gate) and chain.instr[v].controls]
+        gates = [v for v in order if isinstance(chain.instr[v], Gate) and chain.instr[v].control]
         if arrange == "reversed":
             gates.reverse()
         elif arrange == "shuffled":
