@@ -76,6 +76,19 @@ def _check_tol(tol: float) -> None:
         sys.exit(EXIT_PARSE)
 
 
+def _equivalent(a, b, tol: float) -> tuple[bool, float]:
+    """``oracle.equivalent``; exits 4 when a circuit is beyond the simulator
+    and 1 when the two circuits cannot be compared."""
+    try:
+        return oracle.equivalent(a, b, tol=tol)
+    except oracle.SimulationLimitError as exc:
+        click.echo(f"error: verification impossible: {exc}", err=True)
+        sys.exit(EXIT_UNVERIFIABLE)
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_PARSE)
+
+
 def _write_text(path: str, text: str) -> None:
     try:
         if path == "-":
@@ -106,11 +119,7 @@ def optimize(input_path, mode, output, report_path, verify, tol):
     result, rep = pipeline.optimize(circuit, mode=mode)
     equivalence = None
     if verify:
-        try:
-            ok, dev = oracle.equivalent(circuit, result, tol=tol)
-        except oracle.SimulationLimitError as exc:
-            click.echo(f"error: verification impossible: {exc}", err=True)
-            sys.exit(EXIT_UNVERIFIABLE)
+        ok, dev = _equivalent(circuit, result, tol)
         equivalence = {"checked": True, "equivalent": ok, "max_deviation": dev, "tol": tol}
     _write_text(output, qasm.emit(result))
     if report_path:
@@ -135,6 +144,7 @@ def optimize(input_path, mode, output, report_path, verify, tol):
 def gen(family, n, theta, single_p, strategy, reps, target_depth, seed, two_qubit_prob, out):
     """Generate a benchmark circuit."""
     try:
+        _size(n, "--n")
         if family == "qpe":
             circuit = bench.gen_qpe(n, theta, single_p=single_p)
         elif family == "qft":
@@ -160,17 +170,17 @@ def verify(first, second, tol):
     _check_tol(tol)
     a = _read_circuit(first)
     b = _read_circuit(second)
-    try:
-        ok, dev = oracle.equivalent(a, b, tol=tol)
-    except oracle.SimulationLimitError as exc:
-        click.echo(f"error: verification impossible: {exc}", err=True)
-        sys.exit(EXIT_UNVERIFIABLE)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+    ok, dev = _equivalent(a, b, tol)
     click.echo(f"TV distance {dev:.3e} ({'<=' if ok else '>'} tol {tol:g})")
     if not ok:
         sys.exit(EXIT_MISMATCH)
+
+
+def _size(n: int, option: str) -> int:
+    """``n``, if a register of ``n`` qubits fits the text format."""
+    if n > qasm.MAX_REGISTER:
+        raise ValueError(f"{option} {n} exceeds the register limit of {qasm.MAX_REGISTER}")
+    return n
 
 
 def _int_list(text: str, option: str) -> list[int]:
@@ -184,12 +194,13 @@ def _shape(pair: str) -> tuple[int, int]:
     n, sep, d = pair.partition("x")
     if not (sep and n.isdigit() and d.isdigit()):
         raise ValueError(f"--shapes takes comma-separated NxD pairs, got {pair!r}")
-    return int(n), int(d)
+    return _size(int(n), "--shapes"), int(d)
 
 
 def _bench_circuits(family, sizes, strategies, shapes, seeds, theta):
     """The sweep's ``(name, circuit)`` pairs; ``ValueError`` on a malformed option."""
-    sizes, seeds = _int_list(sizes, "--sizes"), _int_list(seeds, "--seeds")
+    sizes = [_size(n, "--sizes") for n in _int_list(sizes, "--sizes")]
+    seeds = _int_list(seeds, "--seeds")
     strategies = [s for s in strategies.split(",") if s]
     if family == "qpe":
         return [(f"qpe{n}", bench.gen_qpe(n, theta)) for n in sizes]
@@ -197,11 +208,16 @@ def _bench_circuits(family, sizes, strategies, shapes, seeds, theta):
         return [(f"qft{n}", bench.gen_qft(n)) for n in sizes]
     if family == "vqe":
         return [(f"vqe-{s}{n}", bench.gen_vqe(n, s)) for n in sizes for s in strategies]
+    pairs = [_shape(pair) for pair in shapes.split(",") if pair]
     return [
         (f"random-n{n}-d{d}-s{seed}", bench.gen_random(bench.RandomSpec(n, d, seed)))
-        for n, d in (_shape(pair) for pair in shapes.split(",") if pair)
+        for n, d in pairs
         for seed in seeds
     ]
+
+
+# The report counts ``bench`` averages per (base instance, mode).
+_MEAN_KEYS = ("n_original", "n_reused", "d_original", "d_reused", "g2_original", "g2_reused", "wall_time_seconds")
 
 
 @main.command("bench")
@@ -235,12 +251,11 @@ def bench_cmd(family, sizes, strategies, shapes, seeds, theta, modes, out_dir):
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for doc in docs:
-            path = out / f"{doc['input']}-{doc['mode']}.json"
-            path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     except OSError as exc:
-        click.echo(f"error: cannot write reports: {exc}", err=True)
+        click.echo(f"error: cannot write {out_dir}: {exc}", err=True)
         sys.exit(EXIT_IO)
+    for doc in docs:
+        _write_text(str(out / f"{doc['input']}-{doc['mode']}.json"), json.dumps(doc, indent=2) + "\n")
 
     # Aggregate means per (base instance, mode), seeds averaged out.
     groups: dict[tuple[str, str], list[dict]] = {}
@@ -250,26 +265,12 @@ def bench_cmd(family, sizes, strategies, shapes, seeds, theta, modes, out_dir):
     rows = []
     for (base, mode), members in sorted(groups.items()):
         k = len(members)
-        rows.append(
-            {
-                "instance": base,
-                "mode": mode,
-                "runs": k,
-                "n_original": sum(d["n_original"] for d in members) / k,
-                "n_reused": sum(d["n_reused"] for d in members) / k,
-                "d_original": sum(d["d_original"] for d in members) / k,
-                "d_reused": sum(d["d_reused"] for d in members) / k,
-                "g2_original": sum(d["g2_original"] for d in members) / k,
-                "g2_reused": sum(d["g2_reused"] for d in members) / k,
-                "wall_time_seconds": sum(d["wall_time_seconds"] for d in members) / k,
-            }
-        )
+        row = {"instance": base, "mode": mode, "runs": k}
+        for key in _MEAN_KEYS:
+            row[key] = sum(d[key] for d in members) / k
+        rows.append(row)
     aggregate = {"schema_version": SCHEMA_VERSION, "family": family, "aggregate": rows}
-    try:
-        (out / "aggregate.json").write_text(json.dumps(aggregate, indent=2) + "\n", encoding="utf-8")
-    except OSError as exc:
-        click.echo(f"error: cannot write aggregate: {exc}", err=True)
-        sys.exit(EXIT_IO)
+    _write_text(str(out / "aggregate.json"), json.dumps(aggregate, indent=2) + "\n")
     header = f"{'instance':<24} {'mode':<9} {'n':>6} {'n_reused':>8} {'d':>7} {'d_reused':>8} {'g2':>7} {'g2_out':>7} {'t[s]':>8}"
     click.echo(header)
     for row in rows:

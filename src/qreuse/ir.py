@@ -3,8 +3,8 @@
 A circuit is a flat, ordered list of instructions over a register of qubits
 and a register of classical bits. Four instruction variants cover the
 dynamic-circuit primitives: gates, mid-circuit measurement, reset, and
-classical XOR fix-ups. A gate acts on one target qubit, with at most one
-quantum control, and may be conditioned on measured bits. A gate's condition
+classical XOR fix-ups. A gate acts on one target qubit, when its quantum
+control qubit (if any) is 1 and its condition holds. A gate's condition
 and a toggle's product are the same thing, a tuple of ``(bit, value)``
 literals that must all hold. Circuits are immutable values; rewrite passes
 return new circuits.
@@ -125,13 +125,13 @@ def opaque_kind(label: str, matrix) -> GateKind:
 
 @dataclass(frozen=True, slots=True)
 class Gate:
-    """``kind`` on ``target`` where the quantum ``control`` qubit has the given
-    polarity (``None``: no control), when every ``(bit, value)`` literal of
-    ``condition`` holds (empty: always)."""
+    """``kind`` on ``target`` when the ``control`` qubit is 1 (``None``: no
+    control) and every ``(bit, value)`` literal of ``condition`` holds
+    (empty: always)."""
 
     kind: GateKind
     target: int
-    control: tuple[int, bool] | None = None
+    control: int | None = None
     condition: tuple[tuple[int, bool], ...] = ()
     source_line: int | None = field(default=None, compare=False)
 
@@ -188,7 +188,7 @@ def _facts(instr: Instruction) -> tuple[tuple[int, ...], tuple[int, ...], int | 
     reset, in one type dispatch."""
     if isinstance(instr, Gate):
         control, literals = instr.control, instr.condition
-        qubits = (instr.target,) if control is None else (control[0], instr.target)
+        qubits = (instr.target,) if control is None else (control, instr.target)
         return qubits, tuple(map(_first, literals)) if literals else (), None, False
     if isinstance(instr, Measure):
         return (instr.qubit,), (), instr.bit, False
@@ -239,8 +239,8 @@ def violations(circuit: Circuit) -> list[tuple[int, str]]:
         if isinstance(instr, Gate):
             check_qubit(instr.target, "targets")
             if instr.control is not None:
-                check_qubit(instr.control[0], "controls")
-                if instr.control[0] == instr.target:
+                check_qubit(instr.control, "controls")
+                if instr.control == instr.target:
                     errors.append((i, f"control/target overlap on [{instr.target}]"))
             check_literals(instr.condition, "condition", "condition")
         elif isinstance(instr, Measure):
@@ -656,13 +656,13 @@ class CircuitBuilder:
         return self._gate(rz_kind(theta), q, **kw)
 
     def cx(self, control: int, target: int, **kw) -> "CircuitBuilder":
-        return self._gate(X_KIND, target, (control, True), **kw)
+        return self._gate(X_KIND, target, control, **kw)
 
     def cz(self, control: int, target: int, **kw) -> "CircuitBuilder":
-        return self._gate(Z_KIND, target, (control, True), **kw)
+        return self._gate(Z_KIND, target, control, **kw)
 
     def cp(self, theta: float, control: int, target: int, **kw) -> "CircuitBuilder":
-        return self._gate(p_kind(theta), target, (control, True), **kw)
+        return self._gate(p_kind(theta), target, control, **kw)
 
     def opaque(self, label: str, matrix, target: int, **kw) -> "CircuitBuilder":
         return self._gate(opaque_kind(label, matrix), target, **kw)

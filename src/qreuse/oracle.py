@@ -56,12 +56,12 @@ def kind_matrix(kind: GateKind) -> tuple[complex, complex, complex, complex]:
     return kind.matrix
 
 
-def _halves(n: int, qubit: int, control: tuple[int, bool] | None = None) -> tuple[tuple, tuple]:
+def _halves(n: int, qubit: int, control: int | None = None) -> tuple[tuple, tuple]:
     """Basic indices of the ``0`` and ``1`` halves of ``qubit``'s axis,
-    inside the slice where the ``(qubit, polarity)`` control holds."""
+    inside the slice where the ``control`` qubit is 1."""
     index: list = [slice(None)] * n
     if control is not None:
-        index[control[0]] = int(control[1])
+        index[control] = 1
     index[qubit] = 0
     zero = tuple(index)
     index[qubit] = 1

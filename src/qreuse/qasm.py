@@ -294,7 +294,7 @@ class _Reader:
             return None
         if second is None:
             return Gate(kind, _integer(first, line, col), None, condition, line)
-        return Gate(kind, _integer(second, line, col), (_integer(first, line, col), True), condition, line)
+        return Gate(kind, _integer(second, line, col), _integer(first, line, col), condition, line)
 
     def angled_kind(self, name: str, angle: str, line: int, col: int) -> GateKind | None:
         """Build and remember the kind for an angle text not seen before;
@@ -359,11 +359,8 @@ def _gate_text(gate: Gate) -> str:
         if gate.control is not None:
             raise QasmUnsupportedError("controlled opaque gates cannot be serialized")
         return f"{kind.label} q[{gate.target}];"
-    t = gate.target
-    if gate.control is not None:
-        c, pol = gate.control
-        if not pol:
-            raise QasmUnsupportedError("negative quantum controls cannot be serialized")
+    t, c = gate.target, gate.control
+    if c is not None:
         if kind.name == "x":
             return f"cx q[{c}], q[{t}];"
         if kind.name == "z":

@@ -174,7 +174,7 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
         if new == old:  # keep the input's instruction and its tuple
             new = old
         elif isinstance(instr, Gate):
-            control = (new[0], instr.control[1]) if len(new) == 2 else None
+            control = new[0] if len(new) == 2 else None
             instr = Gate(instr.kind, new[-1], control, instr.condition, instr.source_line)
         elif isinstance(instr, Measure):
             instr = Measure(new[0], instr.bit, instr.source_line)

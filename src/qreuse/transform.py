@@ -64,12 +64,13 @@ def eliminate_dead_gates(circuit: Circuit) -> tuple[Circuit, int]:
     return chain.materialise(), removed
 
 
-def _conjoin(condition: tuple, bit: int, polarity: bool) -> tuple | None:
-    """Add a literal; ``None`` signals a contradiction (gate never fires)."""
+def _conjoin(condition: tuple, bit: int) -> tuple | None:
+    """Add the literal ``bit == 1``; ``None`` signals a contradiction (gate
+    never fires)."""
     for b, pol in condition:
         if b == bit:
-            return condition if pol == polarity else None
-    return condition + ((bit, polarity),)
+            return condition if pol else None
+    return condition + ((bit, True),)
 
 
 def _next_writes(chain: Chain, order: list[int]) -> list[int]:
@@ -92,18 +93,18 @@ def _introduce(chain: Chain, node: int, next_write: list[int]) -> list[int] | No
     """Classical control introduction on the controlled gate ``node``.
 
     The control qualifies when its wire's predecessor is a measurement whose
-    bit no write overwrites before the gate. The gate then takes the bit as
-    a literal with the control's polarity, or is removed when that
-    contradicts its condition. Returns the nodes after the wires the gate
-    left, or ``None`` when the control stays quantum.
+    bit no write overwrites before the gate. The gate then takes the literal
+    ``bit == 1``, or is removed when that contradicts its condition. Returns
+    the nodes after the wires the gate left, or ``None`` when the control
+    stays quantum.
     """
     instrs = chain.instr
     gate = instrs[node]
-    control, polarity = gate.control
+    control = gate.control
     p = chain.before(node, control)
     if p < 0 or not isinstance(instrs[p], Measure) or next_write[p] < chain.label[node]:
         return None
-    cond = _conjoin(gate.condition, instrs[p].bit, polarity)
+    cond = _conjoin(gate.condition, instrs[p].bit)
     leaving = chain.facts.qubits[node] if cond is None else (control,)
     after = [chain.after(node, q) for q in leaving]
     if cond is None:
@@ -114,19 +115,19 @@ def _introduce(chain: Chain, node: int, next_write: list[int]) -> list[int] | No
 
 
 def _exchange(chain: Chain, node: int) -> bool:
-    """Control exchange on the gate ``node``: a CZ/CP with one positive
-    control swaps control and target when its target wire's predecessor is
+    """Control exchange on the gate ``node``: a CZ/CP, symmetric in its two
+    qubits, swaps control and target when its target wire's predecessor is
     a measurement and its control wire's is not. Returns whether it
     swapped."""
     gate = chain.instr[node]
-    if gate.kind.name not in ("z", "p") or gate.control is None or not gate.control[1]:
+    control, target = gate.control, gate.target
+    if gate.kind.name not in ("z", "p") or control is None:
         return False
-    control, target = gate.control[0], gate.target
     instrs = chain.instr
     t, c = chain.before(node, target), chain.before(node, control)
     if t < 0 or not isinstance(instrs[t], Measure) or (c >= 0 and isinstance(instrs[c], Measure)):
         return False
-    chain.replace(node, Gate(gate.kind, control, (target, True), gate.condition, gate.source_line))
+    chain.replace(node, Gate(gate.kind, control, target, gate.condition, gate.source_line))
     return True
 
 
@@ -160,10 +161,10 @@ def introduce_classical_controls(circuit: Circuit) -> tuple[Circuit, int]:
     """Replace measured quantum controls with classical conditions.
 
     A control qualifies when the most recent instruction on its wire is the
-    measurement of that qubit. The control's polarity carries over to the
-    literal, so negative controls read the bit negated. Controls whose qubit
-    was not just measured stay quantum. The result is that of one pass in
-    circuit order, which leaves nothing for a second to replace.
+    measurement of that qubit; the gate then fires when the measured bit is
+    set. Controls whose qubit was not just measured stay quantum. The result
+    is that of one pass in circuit order, which leaves nothing for a second
+    to replace.
     """
     chain = Chain(circuit)
     order = chain.order()
@@ -174,8 +175,8 @@ def introduce_classical_controls(circuit: Circuit) -> tuple[Circuit, int]:
 def exchange_controls(circuit: Circuit) -> tuple[Circuit, int]:
     """Swap control and target of phase-type gates measured on the target side.
 
-    Applies to CZ/CP with a positive control, where the target's wire ends in
-    its measurement but the control's does not. The swapped gate then
+    Applies to controlled CZ/CP, where the target's wire ends in its
+    measurement but the control's does not. The swapped gate then
     qualifies for classical control introduction on the next round.
     """
     chain = Chain(circuit)

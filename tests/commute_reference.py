@@ -61,7 +61,7 @@ def _rule_at(instrs, pos: int) -> tuple[CommuteRule, int] | None:
         return None
     if _bit_touched_between(instrs, g, pos, meas.bit):
         return None
-    if gate.control is not None and gate.control[0] == meas.qubit:
+    if gate.control is not None and gate.control == meas.qubit:
         return CommuteRule.CONTROLLED_ON_CONTROL, g
     if is_diagonal(gate):
         return CommuteRule.DIAGONAL, g
@@ -135,7 +135,7 @@ def _conjoin(condition: tuple, bit: int, polarity: bool) -> tuple | None:
 def _measured_control(gate: Gate, prev: Instruction | None) -> Measure | None:
     """The measurement a controlled gate's control can be read from: the
     control wire's predecessor ``prev``, when that measures the control."""
-    if isinstance(prev, Measure) and prev.qubit == gate.control[0]:
+    if isinstance(prev, Measure) and prev.qubit == gate.control:
         return prev
     return None
 
@@ -143,23 +143,23 @@ def _measured_control(gate: Gate, prev: Instruction | None) -> Measure | None:
 def _introduced(gate: Gate, meas: Measure) -> Gate | None:
     """The gate conditioned on ``meas``'s bit instead of its quantum control;
     ``None`` when the condition is contradictory and the gate never fires."""
-    cond = _conjoin(gate.condition, meas.bit, gate.control[1])
+    cond = _conjoin(gate.condition, meas.bit, True)
     return None if cond is None else Gate(gate.kind, gate.target, None, cond, gate.source_line)
 
 
 def _exchangeable(gate: Gate, prev_target: Instruction | None, prev_control: Instruction | None) -> bool:
-    """A positive CZ/CP whose target wire's predecessor is the target's
+    """A controlled CZ/CP whose target wire's predecessor is the target's
     measurement and whose control wire's is not the control's."""
-    if gate.kind.name not in ("z", "p") or gate.control is None or not gate.control[1]:
+    if gate.kind.name not in ("z", "p") or gate.control is None:
         return False
-    control, target = gate.control[0], gate.target
+    control, target = gate.control, gate.target
     target_measured = isinstance(prev_target, Measure) and prev_target.qubit == target
     control_measured = isinstance(prev_control, Measure) and prev_control.qubit == control
     return target_measured and not control_measured
 
 
 def _exchanged(gate: Gate) -> Gate:
-    return Gate(gate.kind, gate.control[0], (gate.target, True), gate.condition, gate.source_line)
+    return Gate(gate.kind, gate.control, gate.target, gate.condition, gate.source_line)
 
 
 def introduce_scan(circuit: Circuit) -> tuple[Circuit, int]:
@@ -172,7 +172,7 @@ def introduce_scan(circuit: Circuit) -> tuple[Circuit, int]:
     for instr in circuit.instructions:
         new = instr
         if isinstance(instr, Gate) and instr.control is not None:
-            p = last_wire_pos.get(instr.control[0])
+            p = last_wire_pos.get(instr.control)
             meas = _measured_control(instr, out[p] if p is not None else None)
             # the bit must still hold the measured value at the gate
             if meas is not None and last_write_pos.get(meas.bit) == p:
@@ -199,7 +199,7 @@ def exchange_scan(circuit: Circuit) -> tuple[Circuit, int]:
     for instr in circuit.instructions:
         new = instr
         if isinstance(instr, Gate) and instr.control is not None and _exchangeable(
-            instr, last_on_wire.get(instr.target), last_on_wire.get(instr.control[0])
+            instr, last_on_wire.get(instr.target), last_on_wire.get(instr.control)
         ):
             new = _exchanged(instr)
             exchanged += 1

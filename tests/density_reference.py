@@ -63,9 +63,8 @@ def _gate_operator(gate: Gate, n: int) -> np.ndarray:
     target, mat = gate.target, _single(gate.kind)
     if gate.control is None:
         return _embed(n, {target: mat})
-    control, polarity = gate.control
-    on, off = (_P1, _P0) if polarity else (_P0, _P1)
-    return _embed(n, {control: off}) + _embed(n, {control: on, target: mat})
+    control = gate.control
+    return _embed(n, {control: _P0}) + _embed(n, {control: _P1, target: mat})
 
 
 def _holds(record: int, literals) -> bool:

@@ -22,7 +22,7 @@ def depth(circuit: Circuit) -> int:
             bit_layer[instr.target] = max(bit_layer[b] for b in bits)
             continue
         if isinstance(instr, Gate):
-            qubits = [instr.target] if instr.control is None else [instr.control[0], instr.target]
+            qubits = [instr.target] if instr.control is None else [instr.control, instr.target]
             bits = [b for b, _ in instr.condition]
         else:  # a measurement or a reset
             qubits, bits = [instr.qubit], []

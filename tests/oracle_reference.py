@@ -69,10 +69,10 @@ def _apply_gate(state: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     target = gate.target
     if gate.control is None:
         return _apply_single(state, mat, target, n)
-    control, polarity = gate.control
+    control = gate.control
     t = state.reshape([2] * n).copy()
     sl = [slice(None)] * n
-    sl[control] = 1 if polarity else 0
+    sl[control] = 1
     sub = t[tuple(sl)]
     # Removing the control axis shifts later axes down by one.
     t_axis = target - (1 if target > control else 0)

@@ -105,11 +105,11 @@ def _parse_gate_statement(stmt: str, line: int, col: int, matrices: dict[str, Ga
     if m:
         name, c, t = m.group(1), int(m.group(2)), int(m.group(3))
         kind = GateKind("x" if name == "cx" else "z")
-        return Gate(kind, t, (c, True), source_line=line)
+        return Gate(kind, t, c, source_line=line)
     m = _RE_CP.match(stmt)
     if m:
         angle, c, t = _number(m.group(1), "angle", line, col), int(m.group(2)), int(m.group(3))
-        return Gate(GateKind("p", angle=angle), t, (c, True), source_line=line)
+        return Gate(GateKind("p", angle=angle), t, c, source_line=line)
     m = _RE_FIXED.match(stmt)
     if m:
         name, q = m.group(1), int(m.group(2))

@@ -257,7 +257,7 @@ class _Analysis:
             if not self.deps.qubits[node]:
                 out.append(instr)
             elif isinstance(instr, Gate):
-                control = None if instr.control is None else (remap(instr.control[0]), instr.control[1])
+                control = None if instr.control is None else remap(instr.control)
                 out.append(Gate(instr.kind, remap(instr.target), control, instr.condition))
             elif isinstance(instr, Measure):
                 out.append(Measure(remap(instr.qubit), instr.bit))

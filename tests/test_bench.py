@@ -45,7 +45,7 @@ class TestQpe:
         powers = sorted(
             g.kind.angle
             for g in c.instructions
-            if isinstance(g, Gate) and g.control and g.kind.angle and g.kind.angle > 0
+            if isinstance(g, Gate) and g.control is not None and g.kind.angle and g.kind.angle > 0
         )
         assert powers == [0.5, 1.0, 2.0]
 
@@ -88,7 +88,7 @@ class TestVqe:
             for i in c.instructions
         ]
         assert names == ["rx", "rx", "x", "Measure", "Measure"]
-        assert c.instructions[2].control == (0, True)
+        assert c.instructions[2].control == 0
 
     def test_pair_patterns(self):
         assert entanglement_pairs(4, "linear") == [(0, 1), (1, 2), (2, 3)]

@@ -52,6 +52,16 @@ class TestGen:
         assert not out.exists()
 
 
+    def test_register_above_the_limit_is_rejected(self, runner, tmp_path):
+        # A file qasm.parse would reject is never written.
+        out = tmp_path / "big.qasm"
+        n = str(qasm.MAX_REGISTER + 1)
+        result = runner.invoke(main, ["gen", "random", "--n", n, "--depth", "1", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("error: ") and str(qasm.MAX_REGISTER) in result.output
+        assert not out.exists()
+
+
 class TestOptimize:
     def test_report_and_reduction(self, runner, tmp_path):
         src, dst, rep = tmp_path / "in.qasm", tmp_path / "out.qasm", tmp_path / "rep.json"
@@ -270,3 +280,30 @@ class TestBench:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert result.output.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--family", "random", "--shapes", f"10x1,{qasm.MAX_REGISTER + 1}x1"],
+            ["--family", "vqe", "--strategies", "linear", "--sizes", f"4,{qasm.MAX_REGISTER + 1}"],
+        ],
+        ids=["shape", "size"],
+    )
+    def test_register_above_the_limit_is_rejected(self, runner, tmp_path, monkeypatch, args):
+        # Every entry is checked before any circuit is generated.
+        for name in ("gen_random", "gen_vqe"):
+            monkeypatch.setattr(bench, name, lambda *a, **k: pytest.fail("generated a circuit"))
+        out = tmp_path / "big"
+        result = runner.invoke(main, ["bench", *args, "--modes", "proposed", "--out-dir", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("error: ") and str(qasm.MAX_REGISTER) in result.output
+        assert not out.exists()
+
+    def test_out_dir_naming_a_file_is_an_io_error(self, runner, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        result = runner.invoke(
+            main, ["bench", "--family", "qft", "--sizes", "4", "--modes", "proposed", "--out-dir", str(out)]
+        )
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("error: cannot write ")

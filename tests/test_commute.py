@@ -93,7 +93,7 @@ class TestCommuteOnce:
         assert sum(counts.values()) == 1
         assert isinstance(out.instructions[0], Measure)
         assert out.instructions[1].kind.name == "x"
-        assert out.instructions[1].control == (0, True)
+        assert out.instructions[1].control == 0
 
     def test_conditioned_x_toggle_carries_condition(self):
         b = CircuitBuilder(2, 2)

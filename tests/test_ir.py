@@ -62,7 +62,7 @@ class TestValidate:
         assert any("before assignment" in e for e in errors)
 
     def test_control_target_overlap(self):
-        gate = Gate(X_KIND, 0, (0, True))
+        gate = Gate(X_KIND, 0, 0)
         errors = validate(Circuit(1, 0, (gate,)))
         assert any("overlap" in e for e in errors)
 

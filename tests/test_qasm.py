@@ -80,7 +80,7 @@ class TestParse:
     def test_conditioned_two_qubit_gate(self):
         text = "qubit[2] q;\nbit[1] c;\nc[0] = measure q[0];\nif (c[0]) cp(0.5) q[0], q[1];\n"
         gate = parse(text).instructions[1]
-        assert gate.control == (0, True)
+        assert gate.control == 0
         assert gate.condition == ((0, True),)
 
     def test_if_true_means_unconditional(self):
@@ -266,13 +266,6 @@ class TestEmit:
     def test_deterministic(self):
         c = bench.gen_qft(4)
         assert emit(c) == emit(c)
-
-    def test_negative_quantum_control_rejected(self):
-        from qreuse.ir import Circuit, X_KIND
-
-        gate = Gate(X_KIND, 1, (0, False))
-        with pytest.raises(QasmUnsupportedError):
-            emit(Circuit(2, 0, (gate,)))
 
     def test_one_label_for_two_matrices_rejected(self):
         b = CircuitBuilder(1, 1)

@@ -178,7 +178,7 @@ def with_empty_wire(circuit, w):
     out = []
     for instr in circuit.instructions:
         if isinstance(instr, Gate):
-            control = None if instr.control is None else (shift(instr.control[0]), instr.control[1])
+            control = None if instr.control is None else shift(instr.control)
             instr = Gate(instr.kind, shift(instr.target), control, instr.condition)
         elif isinstance(instr, (Measure, Reset)):
             instr = replace(instr, qubit=shift(instr.qubit))

@@ -62,14 +62,6 @@ class TestIntroduceClassicalControls:
         assert gate.control is None and gate.condition == ((0, True),)
         assert gate.kind.name == "x"
 
-    def test_negative_control_negates_literal(self):
-        b = CircuitBuilder(2, 1)
-        b.measure(0, 0)
-        b.x(1, control=(0, False))
-        out, k = introduce_classical_controls(b.build())
-        assert k == 1
-        assert out.instructions[1].condition == ((0, False),)
-
     def test_intervening_gate_blocks(self):
         c = CircuitBuilder(2, 1).measure(0, 0).h(0).cx(0, 1).build()
         out, k = introduce_classical_controls(c)
@@ -91,7 +83,7 @@ class TestIntroduceClassicalControls:
 
     def test_contradictory_condition_drops_gate(self):
         b = CircuitBuilder(2, 1)
-        b.measure(0, 0).x(1, control=(0, True), condition=((0, False),))
+        b.measure(0, 0).cx(0, 1, condition=((0, False),))
         out, k = introduce_classical_controls(b.build())
         assert k == 1
         assert len(out.instructions) == 1
@@ -103,7 +95,7 @@ class TestExchangeControls:
         out, k = exchange_controls(c)
         assert k == 1
         gate = out.instructions[1]
-        assert gate.control == (0, True) and gate.target == 1
+        assert gate.control == 0 and gate.target == 1
 
     def test_cx_not_phase_type(self):
         c = CircuitBuilder(2, 1).measure(0, 0).cx(1, 0).build()
@@ -224,7 +216,7 @@ def test_introduction_reaches_one_pass_in_any_order(arrange):
     for c, start in control_battery():
         chain = Chain(start)
         order = chain.order()
-        gates = [v for v in order if isinstance(chain.instr[v], Gate) and chain.instr[v].control]
+        gates = [v for v in order if isinstance(chain.instr[v], Gate) and chain.instr[v].control is not None]
         if arrange == "reversed":
             gates.reverse()
         elif arrange == "shuffled":
