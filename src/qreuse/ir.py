@@ -53,9 +53,6 @@ __all__ = [
     "two_qubit_gate_count",
     "is_diagonal",
     "is_bitflip",
-    "instruction_qubits",
-    "read_bits",
-    "written_bit",
 ]
 
 GATE_NAMES = frozenset({"h", "x", "y", "z", "s", "t", "p", "rx", "rz", "u"})
@@ -198,20 +195,6 @@ def _facts(instr: Instruction) -> tuple[tuple[int, ...], tuple[int, ...], int | 
     return (), tuple(map(_first, instr.product)) + (instr.target,), instr.target, False
 
 
-def instruction_qubits(instr: Instruction) -> tuple[int, ...]:
-    """The quantum control first, then the target."""
-    return _facts(instr)[0]
-
-
-def read_bits(instr: Instruction) -> tuple[int, ...]:
-    """Classical bits whose value the instruction consumes."""
-    return _facts(instr)[1]
-
-
-def written_bit(instr: Instruction) -> int | None:
-    return _facts(instr)[2]
-
-
 def violations(circuit: Circuit) -> list[tuple[int, str]]:
     """Every invariant violation as ``(instruction index, message)``."""
     errors: list[tuple[int, str]] = []
@@ -291,12 +274,12 @@ def is_bitflip(instr: Instruction) -> bool:
 class Dependencies:
     """Per-instruction dependency facts: the one index every pass reads.
 
-    Position ``i`` holds instruction ``i``'s qubits (``instruction_qubits``
-    order), the bits it reads, the bit it writes (``None``: none) and
-    whether it is a reset. ``Dependencies(circuit)`` computes them; a pass
-    that already knows its output's facts builds them with ``of`` and
-    attaches them with ``make_circuit``. Each wire's positions are derived
-    on first use.
+    Position ``i`` holds instruction ``i``'s qubits (a gate's quantum
+    control first, then its target), the bits it reads, the bit it writes
+    (``None``: none) and whether it is a reset. ``Dependencies(circuit)``
+    computes them; a pass that already knows its output's facts builds them
+    with ``of`` and attaches them with ``make_circuit``. Each wire's
+    positions are derived on first use.
     """
 
     __slots__ = ("n_qubits", "n_clbits", "qubits", "reads", "writes", "is_reset", "_wires")

@@ -376,8 +376,12 @@ def _gate_text(gate: Gate) -> str:
 def emit(circuit: Circuit) -> str:
     """Deterministic text for a circuit; ``parse(emit(c))`` reproduces ``c``."""
     lines: list[str] = []
-    if circuit.name:
-        lines.append(f"// circuit: {circuit.name}")
+    name = circuit.name
+    if name:
+        # parse reads the name back from one comment line, stripped.
+        if "\n" in name or "\r" in name or name != name.strip():
+            raise QasmUnsupportedError(f"circuit name {name!r} cannot be serialized")
+        lines.append(f"// circuit: {name}")
     declared: dict[str, tuple[complex, ...]] = {}
     for instr in circuit.instructions:
         if not isinstance(instr, Gate) or instr.kind.name != "u":

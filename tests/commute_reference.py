@@ -5,35 +5,38 @@ schedule: every rule application scans backward for the measurement's wire
 predecessor and for accesses to its bit, and an outer sweep repeats until a
 whole pass moves nothing. ``introduce_scan`` and ``exchange_scan`` are the
 introduction and exchange passes as they were before the rules became steps
-on ``ir.Chain``: each keeps its own dicts of the latest position on every
-wire and bit. ``transform_run`` is the rewrite schedule with full introduction and
-exchange scans, alternating until a round fires neither. ``commute.run``, ``transform.run`` and the one-pass
-``transform`` functions must make exactly the same decisions.
+on one linked list: each keeps its own dicts of the latest position on every
+wire and bit. ``transform_run`` is the rewrite schedule with full
+introduction and exchange scans, alternating until a round fires neither,
+and dead-gate elimination by the forward reach of ``facts_reference``.
+``commute.run``, ``transform.run`` and the one-pass ``transform`` functions
+must make exactly the same decisions. Every instruction fact, and which
+gates are diagonal or bit flips, is read from the instruction fields here
+or in ``facts_reference``.
 """
 
 from __future__ import annotations
 
-from qreuse import transform
 from qreuse.commute import CommuteRule
-from qreuse.ir import (
-    Circuit,
-    ClassicalToggle,
-    Gate,
-    Instruction,
-    Measure,
-    X_KIND,
-    Z_KIND,
-    instruction_qubits,
-    is_bitflip,
-    is_diagonal,
-    read_bits,
-    written_bit,
-)
+from qreuse.ir import Circuit, ClassicalToggle, Gate, Instruction, Measure, X_KIND, Z_KIND
+
+from facts_reference import forward_reach, qubits, reads, written
+
+_DIAGONAL_KINDS = frozenset({"z", "s", "t", "p", "rz"})
+
+
+def _diagonal(gate: Gate) -> bool:
+    """A phase-type kind, or an opaque matrix whose off-diagonal entries are
+    at most 1e-12 in magnitude. A control or condition keeps it diagonal."""
+    if gate.kind.name == "u":
+        m = gate.kind.matrix
+        return abs(m[1]) <= 1e-12 and abs(m[2]) <= 1e-12
+    return gate.kind.name in _DIAGONAL_KINDS
 
 
 def _wire_prev(instrs, pos: int, qubit: int) -> int | None:
     for j in range(pos - 1, -1, -1):
-        if qubit in instruction_qubits(instrs[j]):
+        if qubit in qubits(instrs[j]):
             return j
     return None
 
@@ -42,7 +45,7 @@ def _bit_touched_between(instrs, lo: int, hi: int, bit: int) -> bool:
     # Moving a measurement of `bit` across this span must not reorder it with
     # any other access to the same bit.
     for j in range(lo + 1, hi):
-        if bit in read_bits(instrs[j]) or written_bit(instrs[j]) == bit:
+        if bit in reads(instrs[j]) or written(instrs[j]) == bit:
             return True
     return False
 
@@ -63,9 +66,9 @@ def _rule_at(instrs, pos: int) -> tuple[CommuteRule, int] | None:
         return None
     if gate.control is not None and gate.control == meas.qubit:
         return CommuteRule.CONTROLLED_ON_CONTROL, g
-    if is_diagonal(gate):
+    if _diagonal(gate):
         return CommuteRule.DIAGONAL, g
-    if is_bitflip(gate) and gate.target == meas.qubit:
+    if gate.kind.name == "x" and gate.control is None and gate.target == meas.qubit:
         return CommuteRule.BIT_FLIP, g
     if gate.kind.name == "y" and gate.control is None and gate.target == meas.qubit:
         return CommuteRule.Y_DECOMPOSE, g
@@ -181,9 +184,9 @@ def introduce_scan(circuit: Circuit) -> tuple[Circuit, int]:
                 if new is None:
                     continue
         idx = len(out)
-        for q in instruction_qubits(new):
+        for q in qubits(new):
             last_wire_pos[q] = idx
-        b = written_bit(new)
+        b = written(new)
         if b is not None:
             last_write_pos[b] = idx
         out.append(new)
@@ -203,7 +206,7 @@ def exchange_scan(circuit: Circuit) -> tuple[Circuit, int]:
         ):
             new = _exchanged(instr)
             exchanged += 1
-        for q in instruction_qubits(new):
+        for q in qubits(new):
             last_on_wire[q] = new
         out.append(new)
     return circuit.with_instructions(out), exchanged
@@ -230,5 +233,17 @@ def transform_run(circuit: Circuit) -> tuple[Circuit, dict[str, int]]:
     result, more = run(result)
     for rule, k in more.items():
         counts[rule] += k
-    result, counts["dead_gates"] = transform.eliminate_dead_gates(result)
+    result, counts["dead_gates"] = eliminate_dead_gates(result)
     return result, counts
+
+
+def eliminate_dead_gates(circuit: Circuit) -> tuple[Circuit, int]:
+    """Drop every gate whose forward cone writes no bit, all at once: a dead
+    gate's cone is empty of writes, so removing it changes no other gate's."""
+    bit_reach = forward_reach(circuit)[1]
+    kept = [
+        instr
+        for instr, bits in zip(circuit.instructions, bit_reach)
+        if bits or not isinstance(instr, Gate)
+    ]
+    return circuit.with_instructions(kept), len(circuit.instructions) - len(kept)

@@ -1,13 +1,14 @@
 """Per-merge qubit reuse, kept as the reference for ``reuse.run``.
 
 This is the reuse pass as it was before it planned every merge on one
-analysis: each round rebuilds the dependency index of the current circuit,
-takes the first-fit pair by the same mask tests, and reschedules and rebuilds
-the whole circuit for that one merge. ``reuse.run`` must make the same merge
-decisions; its schedule may order independent instructions differently, which
-``same_dependency_order`` tolerates. ``plan_scan`` is the one-analysis
-planner as it was when every merge rescanned every live group; it reaches
-circuits far wider than the per-merge pass can.
+analysis: each round rebuilds the wires, scheduling edges and forward reach
+of the current circuit, takes the first-fit pair by the same mask tests, and
+reschedules and rebuilds the whole circuit for that one merge. ``reuse.run``
+must make the same merge decisions; its schedule may order independent
+instructions differently, which ``same_dependency_order`` tolerates.
+``plan_scan`` is the one-analysis planner as it was when every merge
+rescanned every live group; it reaches circuits far wider than the per-merge
+pass can. Both read every instruction fact through ``facts_reference``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,13 @@ import heapq
 from collections import Counter
 from dataclasses import replace
 
-from qreuse.ir import Circuit, Dependencies, Gate, Instruction, Measure, Reset
+from qreuse.ir import Circuit, Gate, Instruction, Measure, Reset
+
+import facts_reference
+from facts_reference import forward_reach, qubits, reads, written
 
 
-def plan_scan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int, int]]:
+def plan_scan(circuit: Circuit) -> list[tuple[int, int]]:
     """First-fit merges ``(mover, host)`` of wire groups: lowest host first,
     then lowest mover, repeated until no pair qualifies.
 
@@ -30,38 +34,24 @@ def plan_scan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int
     rejected; one sweep over hosts and movers in that order therefore makes
     the same merges as restarting the search after each one.
     """
-    bit_reach = deps.forward_reach()
-
-    # Wires each instruction precedes in the schedule order.
-    n = len(deps.qubits)
-    precedes = [0] * n
-    for i in range(n - 1, -1, -1):
-        m = 0
-        for q in deps.qubits[i]:
-            m |= 1 << q
-        for j in successors[i]:
-            m |= precedes[j]
-        precedes[i] = m
+    bit_reach = forward_reach(circuit)[1]
+    precedes = _precedes(circuit, facts_reference.successors(circuit))
+    wires = facts_reference.wires(circuit)
 
     # Per live wire (one with an instruction; idle wires take no part):
     # the bits its instructions reach, the bits they access, the wires its
     # first instruction precedes, and its group's members. A cone only
     # follows scheduling edges, so the wires a group reaches are among those
     # it blocks, and the cycle test below also rules out reaching the host.
-    live = [w for w, positions in enumerate(deps.wires) if positions]
+    live = [w for w, positions in enumerate(wires) if positions]
     reach_bits, accessed, blocked, members = [], [], [], []
     for w in live:
-        positions = deps.wires[w]
-        bm = am = 0
+        positions = wires[w]
+        bm = 0
         for i in positions:
             bm |= bit_reach[i]
-            for b in deps.reads[i]:
-                am |= 1 << b
-            b = deps.writes[i]
-            if b is not None:
-                am |= 1 << b
         reach_bits.append(bm)
-        accessed.append(am)
+        accessed.append(_accessed(circuit, positions))
         blocked.append(precedes[positions[0]])
         members.append(1 << w)
 
@@ -101,13 +91,12 @@ def same_dependency_order(a: Circuit, b: Circuit) -> bool:
 
 
 def _dependency_order(circuit: Circuit):
-    deps = Dependencies(circuit)
     instrs = circuit.instructions
-    wires = [[instrs[i] for i in positions] for positions in deps.wires]
+    wires = [[instrs[i] for i in positions] for positions in facts_reference.wires(circuit)]
     bits: list[list] = [[Counter()] for _ in range(circuit.n_clbits)]
-    for i, instr in enumerate(instrs):
-        w = deps.writes[i]
-        for b in deps.reads[i]:
+    for instr in instrs:
+        w = written(instr)
+        for b in reads(instr):
             if b != w:
                 bits[b][-1][instr] += 1
         if w is not None:
@@ -115,46 +104,32 @@ def _dependency_order(circuit: Circuit):
     return wires, bits
 
 
-def forward_reach(deps: Dependencies) -> tuple[list[int], list[int]]:
-    """Per instruction, bitmasks of the qubits its forward cone touches and
-    of the bits that cone writes: ``Dependencies.forward_reach`` as it was
-    when it also returned the qubit half, which ``reuse.run`` no longer needs.
+def _precedes(circuit: Circuit, successors: list[list[int]]) -> list[int]:
+    """Per instruction, the mask of the wires it precedes in the schedule
+    order: its own and those of everything after it along ``successors``."""
+    instrs = circuit.instructions
+    precedes = [0] * len(instrs)
+    for i in range(len(instrs) - 1, -1, -1):
+        m = 0
+        for q in qubits(instrs[i]):
+            m |= 1 << q
+        for j in successors[i]:
+            m |= precedes[j]
+        precedes[i] = m
+    return precedes
 
-    The cone follows qubit wires (two-qubit gates fan out to both wires)
-    and stops before a Reset, whose output no longer depends on anything
-    earlier. A written bit reaches every later instruction that reads it.
-    One backward pass: each wire carries the reach of its next
-    instruction, each bit a running OR of its later readers' reach.
-    """
-    n = len(deps.qubits)
-    qubit_reach = [0] * n
-    bit_reach = [0] * n
-    wire_qubits = [0] * deps.n_qubits
-    wire_bits = [0] * deps.n_qubits
-    reader_qubits = [0] * deps.n_clbits
-    reader_bits = [0] * deps.n_clbits
-    qubits_of, reads_of, writes_of, is_reset = deps.qubits, deps.reads, deps.writes, deps.is_reset
-    for i in range(n - 1, -1, -1):
-        qubits = qubits_of[i]
-        qm = bm = 0
-        for q in qubits:
-            qm |= (1 << q) | wire_qubits[q]
-            bm |= wire_bits[q]
-        b = writes_of[i]
-        if b is not None:
-            qm |= reader_qubits[b]
-            bm |= (1 << b) | reader_bits[b]
-        qubit_reach[i] = qm
-        bit_reach[i] = bm
-        for b in reads_of[i]:
-            reader_qubits[b] |= qm
-            reader_bits[b] |= bm
-        if is_reset[i]:
-            qm = bm = 0
-        for q in qubits:
-            wire_qubits[q] = qm
-            wire_bits[q] = bm
-    return qubit_reach, bit_reach
+
+def _accessed(circuit: Circuit, positions: list[int]) -> int:
+    """The mask of the bits the instructions at ``positions`` read or write."""
+    mask = 0
+    for i in positions:
+        instr = circuit.instructions[i]
+        for b in reads(instr):
+            mask |= 1 << b
+        w = written(instr)
+        if w is not None:
+            mask |= 1 << w
+    return mask
 
 
 class _Analysis:
@@ -162,21 +137,10 @@ class _Analysis:
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        deps = Dependencies(circuit)
-        self.deps = deps
-        qubit_reach, bit_reach = forward_reach(deps)
-        self.successors = successors = deps.successors()
-
-        # Wires each instruction precedes in the schedule order.
-        n = len(deps.qubits)
-        precedes = [0] * n
-        for i in range(n - 1, -1, -1):
-            m = 0
-            for q in deps.qubits[i]:
-                m |= 1 << q
-            for j in successors[i]:
-                m |= precedes[j]
-            precedes[i] = m
+        self.wires = facts_reference.wires(circuit)
+        qubit_reach, bit_reach = forward_reach(circuit)
+        self.successors = facts_reference.successors(circuit)
+        precedes = _precedes(circuit, self.successors)
 
         # Per wire: the reach of its instructions, the bits they access, and
         # the wires its first instruction precedes. Merging q after q' cycles
@@ -185,19 +149,14 @@ class _Analysis:
         self.reach_bits = []
         self.wire_bits = []
         self.blocked = []
-        for positions in deps.wires:
-            qm = bm = accessed = 0
+        for positions in self.wires:
+            qm = bm = 0
             for i in positions:
                 qm |= qubit_reach[i]
                 bm |= bit_reach[i]
-                for b in deps.reads[i]:
-                    accessed |= 1 << b
-                b = deps.writes[i]
-                if b is not None:
-                    accessed |= 1 << b
             self.reach_qubits.append(qm)
             self.reach_bits.append(bm)
-            self.wire_bits.append(accessed)
+            self.wire_bits.append(_accessed(circuit, positions))
             self.blocked.append(precedes[positions[0]] if positions else 0)
 
     def independent(self, q: int, q_prime: int) -> bool:
@@ -218,8 +177,8 @@ class _Analysis:
         instrs = self.circuit.instructions
         n = len(instrs)
         reset_node = n
-        host = self.deps.wires[q_prime]
-        succ = self.successors + [self.deps.wires[q][:1]]
+        host = self.wires[q_prime]
+        succ = self.successors + [self.wires[q][:1]]
         if host:
             succ[host[-1]] = succ[host[-1]] + [reset_node]
         indegree = [0] * (n + 1)
@@ -254,15 +213,15 @@ class _Analysis:
                 out.append(Reset(remap(q_prime)))
                 continue
             instr = instrs[node]
-            if not self.deps.qubits[node]:
-                out.append(instr)
-            elif isinstance(instr, Gate):
+            if isinstance(instr, Gate):
                 control = None if instr.control is None else remap(instr.control)
                 out.append(Gate(instr.kind, remap(instr.target), control, instr.condition))
             elif isinstance(instr, Measure):
                 out.append(Measure(remap(instr.qubit), instr.bit))
-            else:
+            elif isinstance(instr, Reset):
                 out.append(Reset(remap(instr.qubit)))
+            else:
+                out.append(instr)
         return out
 
 

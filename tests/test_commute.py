@@ -11,7 +11,6 @@ from qreuse.ir import (
     Dependencies,
     Gate,
     Measure,
-    instruction_qubits,
     validate,
 )
 

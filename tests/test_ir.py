@@ -15,19 +15,16 @@ from qreuse.ir import (
     GateKind,
     Measure,
     X_KIND,
-    Reset,
     depth,
-    instruction_qubits,
     is_bitflip,
     is_diagonal,
     opaque_kind,
-    read_bits,
     two_qubit_gate_count,
     validate,
     violations,
-    written_bit,
 )
 
+import facts_reference
 from conftest import adversarial, cx_pair, schedule_battery, small_random
 
 
@@ -110,26 +107,28 @@ def cone_by_search(circuit, start):
     """Mask of the bits one instruction's forward cone writes, by graph search.
 
     Follows each wire to its next instruction unless that is a reset, and
-    from a written bit to every later reader of it.
+    from a written bit to every later reader of it. Reads every fact from
+    the instruction fields, through ``facts_reference``.
     """
     instrs = circuit.instructions
+    qubits, reads, written = facts_reference.qubits, facts_reference.reads, facts_reference.written
     seen, stack = set(), [start]
     while stack:
         i = stack.pop()
         if i in seen:
             continue
         seen.add(i)
-        for q in instruction_qubits(instrs[i]):
-            j = next((j for j in range(i + 1, len(instrs)) if q in instruction_qubits(instrs[j])), None)
-            if j is not None and not isinstance(instrs[j], Reset):
+        for q in qubits(instrs[i]):
+            j = next((j for j in range(i + 1, len(instrs)) if q in qubits(instrs[j])), None)
+            if j is not None and not facts_reference.is_reset(instrs[j]):
                 stack.append(j)
-        b = written_bit(instrs[i])
+        b = written(instrs[i])
         if b is not None:
-            stack.extend(j for j in range(i + 1, len(instrs)) if b in read_bits(instrs[j]))
+            stack.extend(j for j in range(i + 1, len(instrs)) if b in reads(instrs[j]))
     bits = 0
     for i in seen:
-        if written_bit(instrs[i]) is not None:
-            bits |= 1 << written_bit(instrs[i])
+        if written(instrs[i]) is not None:
+            bits |= 1 << written(instrs[i])
     return bits
 
 
@@ -176,11 +175,14 @@ class TestForwardCone:
                 assert all(contains(i, j) for j in range(i + 1, len(deps.reads)) if b in deps.reads[j])
 
     def test_matches_graph_search(self):
+        # Both the index's one backward pass and the reference's closure over
+        # its own cone steps, which the reuse references read.
         circuits = [gen(seed) for seed in range(0, 400, 7) for gen in (adversarial, small_random)]
         for c in circuits:
             bit_reach = Dependencies(c).forward_reach()
+            reference_reach = facts_reference.forward_reach(c)[1]
             for i in range(len(c.instructions)):
-                assert bit_reach[i] == cone_by_search(c, i)
+                assert bit_reach[i] == reference_reach[i] == cone_by_search(c, i)
 
 
 class TestDepth:
@@ -389,5 +391,5 @@ def test_toggle_twice_is_identity_on_distribution():
 
 
 def test_instruction_qubits_order():
-    gate = CircuitBuilder(2, 0).cx(1, 0).build().instructions[0]
-    assert instruction_qubits(gate) == (1, 0)
+    # The quantum control first, then the target.
+    assert Dependencies(CircuitBuilder(2, 0).cx(1, 0).build()).qubits == [(1, 0)]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qreuse import bench, oracle
-from qreuse.ir import Circuit, Dependencies, validate
+from qreuse.ir import Circuit, Dependencies, Gate, Measure, Reset, validate
 from qreuse.pipeline import MODES, optimize
 from qreuse.qasm import emit, parse
 
@@ -223,3 +224,59 @@ def test_optimized_output_round_trips(seed, mode):
     for c in (adversarial(seed), small_random(seed)):
         out, _ = optimize(c, mode)
         assert parse(emit(out)) == out, (c.name, mode)
+
+
+def relabelled(circuit, qubit=lambda q: q, bit=lambda b: b):
+    """The circuit's instructions with every qubit and bit renamed by the
+    two maps."""
+    def literals(pairs):
+        return tuple((bit(b), value) for b, value in pairs)
+
+    out = []
+    for instr in circuit.instructions:
+        if isinstance(instr, Gate):
+            control = None if instr.control is None else qubit(instr.control)
+            target, condition = qubit(instr.target), literals(instr.condition)
+            instr = dataclasses.replace(instr, target=target, control=control, condition=condition)
+        elif isinstance(instr, Measure):
+            instr = dataclasses.replace(instr, qubit=qubit(instr.qubit), bit=bit(instr.bit))
+        elif isinstance(instr, Reset):
+            instr = dataclasses.replace(instr, qubit=qubit(instr.qubit))
+        else:
+            instr = dataclasses.replace(instr, target=bit(instr.target), product=literals(instr.product))
+        out.append(instr)
+    return circuit.with_instructions(out)
+
+
+def report_counts(report):
+    return dataclasses.astuple(dataclasses.replace(report, wall_time=0.0))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_bit_relabelling_commutes_with_optimize(mode, seed, data):
+    # No pass orders anything by bit label: renaming the classical bits
+    # renames the output's bits the same way and changes no count.
+    for c in (adversarial(seed), small_random(seed), bench.gen_random(bench.RandomSpec(16, 4, seed))):
+        perm = data.draw(st.permutations(range(c.n_clbits)))
+        out, report = optimize(c, mode)
+        permuted_out, permuted_report = optimize(relabelled(c, bit=perm.__getitem__), mode)
+        assert report_counts(permuted_report) == report_counts(report), (c.name, mode)
+        assert permuted_out.instructions == relabelled(out, bit=perm.__getitem__).instructions, (c.name, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_disjoint_union_needs_no_more_qubits_than_its_parts(mode, seed):
+    # Two circuits on disjoint registers, one after the other: reuse may
+    # find merges across them, but must not lose any within either.
+    a, b = small_random(seed), adversarial(seed + 1000)
+    union = Circuit(
+        a.n_qubits + b.n_qubits,
+        a.n_clbits + b.n_clbits,
+        a.instructions + relabelled(b, lambda q: q + a.n_qubits, lambda x: x + a.n_clbits).instructions,
+    )
+    n_union = optimize(union, mode)[0].n_qubits
+    assert n_union <= optimize(a, mode)[0].n_qubits + optimize(b, mode)[0].n_qubits, mode

@@ -279,6 +279,22 @@ class TestEmit:
         with pytest.raises(QasmUnsupportedError, match="cannot be serialized"):
             emit(c)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["demo\nh q[0];", "demo\rh q[0];", " demo", "demo "],
+        ids=["newline", "carriage-return", "leading-space", "trailing-space"],
+    )
+    def test_name_that_does_not_parse_back_rejected(self, name):
+        # The name sits on one comment line, which parse reads back stripped:
+        # a line break would start a statement, outer whitespace would be lost.
+        with pytest.raises(QasmUnsupportedError, match="cannot be serialized"):
+            emit(Circuit(1, 0, (), name))
+
+    def test_parsed_name_round_trips(self):
+        c = parse("//  circuit:  qft 8 (v2) // proposed \nqubit[1] q;\nbit[0] c;\nh q[0];\n")
+        assert c.name == "qft 8 (v2) // proposed"
+        assert parse(emit(c)) == c
+
     def test_qpe_roundtrip_is_identity(self):
         c = bench.gen_qpe(4, 2 * math.pi * 3 / 8)
         assert parse(emit(c)) == c

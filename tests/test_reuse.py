@@ -14,15 +14,14 @@ from qreuse.ir import (
     Measure,
     Reset,
     depth,
-    read_bits,
     two_qubit_gate_count,
     validate,
-    written_bit,
 )
 from qreuse.pipeline import MODES, optimize
 from qreuse.qasm import MAX_REGISTER, parse
 from qreuse.reuse import run
 
+import facts_reference
 import reuse_reference
 from conftest import adversarial, count_executions, schedule_battery, small_random, wide_battery
 from reuse_reference import reference_run, same_dependency_order
@@ -48,7 +47,7 @@ def reference_cycles(circuit, q, q_prime):
     """
     instrs = circuit.instructions
     n = len(instrs)
-    wires = Dependencies(circuit).wires
+    wires = facts_reference.wires(circuit)
     adjacency = [[] for _ in range(n + 1)]
     indegree = [0] * (n + 1)
 
@@ -66,11 +65,11 @@ def reference_cycles(circuit, q, q_prime):
     for bit in range(circuit.n_clbits):
         last_write, reads_since = None, []
         for i in range(n):
-            if written_bit(instrs[i]) == bit:
+            if facts_reference.written(instrs[i]) == bit:
                 for r in reads_since + ([last_write] if last_write is not None else []):
                     add_edge(r, i)
                 last_write, reads_since = i, []
-            elif bit in read_bits(instrs[i]):
+            elif bit in facts_reference.reads(instrs[i]):
                 if last_write is not None:
                     add_edge(last_write, i)
                 reads_since.append(i)
@@ -333,7 +332,7 @@ def test_plan_matches_the_full_rescan():
     # live ones in the one-gate files.
     def plans(c):
         deps = c.dependencies()
-        return reuse._plan(deps, deps.successors()), reuse_reference.plan_scan(deps, deps.successors())
+        return reuse._plan(deps, deps.successors()), reuse_reference.plan_scan(c)
 
     merged = 0
     for c in plan_inputs():
