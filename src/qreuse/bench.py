@@ -139,6 +139,8 @@ def gen_vqe(
     """
     if n < 2:
         raise ValueError("the ansatz needs at least 2 qubits")
+    if reps < 1:
+        raise ValueError(f"the ansatz needs reps >= 1, got {reps}")
     pairs = entanglement_pairs(n, strategy)
     needed = n * reps
     if angles is None:
@@ -171,6 +173,9 @@ class RandomSpec:
     def __post_init__(self) -> None:
         if self.n_qubits < 1 or self.target_depth < 1:
             raise ValueError("random circuits need n_qubits >= 1 and target_depth >= 1")
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not 0.0 <= self.two_qubit_prob <= 1.0:
+            raise ValueError(f"two_qubit_prob must lie in [0, 1], got {self.two_qubit_prob}")
 
 
 def gen_random(spec: RandomSpec) -> Circuit:

@@ -51,19 +51,29 @@ class CommuteRule(Enum):
     CONTROLLED_ON_CONTROL = "controlled_on_control"
 
 
-def _rule_for(meas: Measure, prev: Instruction | None) -> CommuteRule | None:
-    """The rule that moves ``meas`` across ``prev``, its wire predecessor,
-    leaving aside other accesses to the measured bit in between."""
-    if not isinstance(prev, Gate) or any(b == meas.bit for b, _ in prev.condition):
+# Each rule's tally key, read once: an Enum member's ``value`` is a property.
+_DIAGONAL, _BIT_FLIP, _Y_DECOMPOSE, _CONTROLLED_ON_CONTROL = (rule.value for rule in CommuteRule)
+
+
+def _rule_for(meas: Measure, prev: Instruction | None) -> str | None:
+    """The tally key of the rule that moves ``meas`` across ``prev``, its
+    wire predecessor, leaving aside other accesses to the measured bit in
+    between."""
+    if type(prev) is not Gate:
         return None
+    if prev.condition:
+        bit = meas.bit
+        for b, _ in prev.condition:
+            if b == bit:
+                return None
     if prev.target != meas.qubit:  # prev is on the measured wire, so that is its control
-        return CommuteRule.CONTROLLED_ON_CONTROL
+        return _CONTROLLED_ON_CONTROL
     if is_diagonal(prev):
-        return CommuteRule.DIAGONAL
+        return _DIAGONAL
     if is_bitflip(prev):
-        return CommuteRule.BIT_FLIP
+        return _BIT_FLIP
     if prev.kind.name == "y" and prev.control is None:
-        return CommuteRule.Y_DECOMPOSE
+        return _Y_DECOMPOSE
     return None
 
 
@@ -88,7 +98,7 @@ def push(chain: Chain) -> dict[str, int]:
     limit = (2 * len(order) + 8) ** 2
     total = 0
     instr, label, before = chain.instr, chain.label, chain.before
-    reads = chain.facts.reads
+    qubits, reads = chain.facts.qubits, chain.facts.reads
     # Per bit, the latest node by label that accesses it, among the nodes
     # visited or inserted so far.
     last = [-1] * chain.facts.n_clbits
@@ -106,7 +116,7 @@ def push(chain: Chain) -> dict[str, int]:
         for b in reads[m]:
             last[b] = m
         meas = instr[m]
-        if not isinstance(meas, Measure):
+        if type(meas) is not Measure:
             continue
         # Every earlier node is visited, and no move crosses an access to
         # the bit, so its previous access stays this one throughout.
@@ -123,15 +133,15 @@ def push(chain: Chain) -> dict[str, int]:
             # Stuck when the previous access to the bit lies after the gate.
             if p >= 0 and label[p] > label[g]:
                 break
-            if rule is CommuteRule.Y_DECOMPOSE:
+            if rule is _Y_DECOMPOSE:
                 z, x = _split_y(gate)
-                chain.replace(g, z)
+                chain.replace(g, z, qubits[g], reads[g])
                 record(chain.insert_after(g, x))
             else:
                 chain.move_before(m, g, q)
-                if rule is CommuteRule.BIT_FLIP:
+                if rule is _BIT_FLIP:
                     record(chain.insert_after(m, _toggle(meas, gate)))
-            counts[rule.value] += 1
+            counts[rule] += 1
             total += 1
             if total > limit:
                 raise RuntimeError("commutation rule applications exceeded the watchdog bound")

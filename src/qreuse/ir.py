@@ -120,7 +120,13 @@ def opaque_kind(label: str, matrix) -> GateKind:
     return GateKind("u", label=label, matrix=flat)
 
 
-@dataclass(frozen=True, slots=True)
+# The instruction classes are built by the hot loops of every pass, so each
+# writes its fields through its slot descriptors instead of the frozen
+# dataclass's ``object.__setattr__`` calls; the setters are taken once, after
+# the class.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
     """``kind`` on ``target`` when the ``control`` qubit is 1 (``None``: no
     control) and every ``(bit, value)`` literal of ``condition`` holds
@@ -132,27 +138,69 @@ class Gate:
     condition: tuple[tuple[int, bool], ...] = ()
     source_line: int | None = field(default=None, compare=False)
 
+    def __init__(self, kind, target, control=None, condition=(), source_line=None):
+        _set_gate_kind(self, kind)
+        _set_gate_target(self, target)
+        _set_gate_control(self, control)
+        _set_gate_condition(self, condition)
+        _set_gate_source_line(self, source_line)
 
-@dataclass(frozen=True, slots=True)
+
+_set_gate_kind = Gate.kind.__set__
+_set_gate_target = Gate.target.__set__
+_set_gate_control = Gate.control.__set__
+_set_gate_condition = Gate.condition.__set__
+_set_gate_source_line = Gate.source_line.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Measure:
     qubit: int
     bit: int
     source_line: int | None = field(default=None, compare=False)
 
+    def __init__(self, qubit, bit, source_line=None):
+        _set_measure_qubit(self, qubit)
+        _set_measure_bit(self, bit)
+        _set_measure_source_line(self, source_line)
 
-@dataclass(frozen=True, slots=True)
+
+_set_measure_qubit = Measure.qubit.__set__
+_set_measure_bit = Measure.bit.__set__
+_set_measure_source_line = Measure.source_line.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Reset:
     qubit: int
     source_line: int | None = field(default=None, compare=False)
 
+    def __init__(self, qubit, source_line=None):
+        _set_reset_qubit(self, qubit)
+        _set_reset_source_line(self, source_line)
 
-@dataclass(frozen=True, slots=True)
+
+_set_reset_qubit = Reset.qubit.__set__
+_set_reset_source_line = Reset.source_line.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ClassicalToggle:
     """``target ^= AND(product)``; empty product toggles unconditionally."""
 
     target: int
     product: tuple[tuple[int, bool], ...] = ()
     source_line: int | None = field(default=None, compare=False)
+
+    def __init__(self, target, product=(), source_line=None):
+        _set_toggle_target(self, target)
+        _set_toggle_product(self, product)
+        _set_toggle_source_line(self, source_line)
+
+
+_set_toggle_target = ClassicalToggle.target.__set__
+_set_toggle_product = ClassicalToggle.product.__set__
+_set_toggle_source_line = ClassicalToggle.source_line.__set__
 
 
 Instruction = Gate | Measure | Reset | ClassicalToggle
@@ -502,7 +550,7 @@ class Chain:
         self._detach(node)
         self._place(node, gate)
         wp, wn = self.wire_prev, self.wire_next
-        s, gs = 2 * node, self.wire_slot(gate, q)
+        s, gs = 2 * node, 2 * gate + (self.wire0[gate] != q)
         a, b = wp[gs], wn[s]
         _link(wp, wn, s, a, gs)
         _link(wp, wn, gs, s, b)
@@ -531,19 +579,20 @@ class Chain:
             _link(wp, wn, 2 * new + k, a, wn[a])
         return new
 
-    def replace(self, node: int, instr: Instruction) -> None:
-        """Put ``instr`` in ``node``'s place. Its qubits must be among the
-        node's; a wire it no longer touches skips the node."""
-        qubits, reads, write, reset = _facts(instr)
+    def replace(
+        self, node: int, gate: Gate, qubits: tuple[int, ...], reads: tuple[int, ...]
+    ) -> None:
+        """Put ``gate``, whose qubits and read bits the caller hands over, in
+        the gate ``node``'s place. Its qubits must be among the node's; a
+        wire it no longer touches skips the node. A gate writes no bit and
+        is no reset, so those facts stay."""
         facts = self.facts
         for q in facts.qubits[node]:
             if q not in qubits:
                 _unlink(self.wire_prev, self.wire_next, self.wire_slot(node, q))
-        self.instr[node] = instr
+        self.instr[node] = gate
         facts.qubits[node] = qubits
         facts.reads[node] = reads
-        facts.writes[node] = write
-        facts.is_reset[node] = reset
 
     def remove(self, node: int) -> None:
         """Take ``node`` out of the order and its wires."""

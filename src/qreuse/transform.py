@@ -16,14 +16,19 @@ conditioned bit-flips this exposes, and finally dead-gate elimination. All
 four steps update one ``ir.Chain``, built from the input's facts, in place;
 the result is turned back into a circuit, with its facts, once.
 
-Each control rule is one step on one gate of the chain, ``_introduce`` and
-``_exchange``, which ``_introduce_all`` and ``_exchange_all`` apply to a
-worklist; the public one-pass functions and ``run``'s fixpoint call these
-helpers. Any worklist order gives the result of passes in circuit order.
-Introduction only takes gates off wires: no node moves, the next write to
-each bit is fixed, and a control's wire predecessor, once a measurement,
-stays one. An exchange changes no wire predecessor, so the exchanges of one
-round depend only on the state that round's introductions reached.
+Each control rule is one worklist helper, ``_introduce_all`` and
+``_exchange_all``, which decides and rewrites each gate of its worklist in
+place; the public one-pass functions and ``run``'s fixpoint call these
+helpers. A helper tests the cheap conditions that usually fail first (is it
+a controlled gate, of the right kind, is its wire predecessor a
+measurement), so a gate that does not qualify costs only those tests; it
+hands the rewritten gate's qubits and read bits to ``Chain.replace``, which
+then computes no facts. Any worklist order gives the result of passes in
+circuit order. Introduction only takes gates off wires: no node moves, the
+next write to each bit is fixed, and a control's wire predecessor, once a
+measurement, stays one. An exchange changes no wire predecessor, so the
+exchanges of one round depend only on the state that round's introductions
+reached.
 """
 
 from __future__ import annotations
@@ -89,72 +94,75 @@ def _next_writes(chain: Chain, order: list[int]) -> list[int]:
     return next_write
 
 
-def _introduce(chain: Chain, node: int, next_write: list[int]) -> list[int] | None:
-    """Classical control introduction on the controlled gate ``node``.
-
-    The control qualifies when its wire's predecessor is a measurement whose
-    bit no write overwrites before the gate. The gate then takes the literal
-    ``bit == 1``, or is removed when that contradicts its condition. Returns
-    the nodes after the wires the gate left, or ``None`` when the control
-    stays quantum.
-    """
-    instrs = chain.instr
-    gate = instrs[node]
-    control = gate.control
-    p = chain.before(node, control)
-    if p < 0 or not isinstance(instrs[p], Measure) or next_write[p] < chain.label[node]:
-        return None
-    cond = _conjoin(gate.condition, instrs[p].bit)
-    leaving = chain.facts.qubits[node] if cond is None else (control,)
-    after = [chain.after(node, q) for q in leaving]
-    if cond is None:
-        chain.remove(node)
-    else:
-        chain.replace(node, Gate(gate.kind, gate.target, None, cond, gate.source_line))
-    return [b for b in after if b >= 0]
-
-
-def _exchange(chain: Chain, node: int) -> bool:
-    """Control exchange on the gate ``node``: a CZ/CP, symmetric in its two
-    qubits, swaps control and target when its target wire's predecessor is
-    a measurement and its control wire's is not. Returns whether it
-    swapped."""
-    gate = chain.instr[node]
-    control, target = gate.control, gate.target
-    if gate.kind.name not in ("z", "p") or control is None:
-        return False
-    instrs = chain.instr
-    t, c = chain.before(node, target), chain.before(node, control)
-    if t < 0 or not isinstance(instrs[t], Measure) or (c >= 0 and isinstance(instrs[c], Measure)):
-        return False
-    chain.replace(node, Gate(gate.kind, control, target, gate.condition, gate.source_line))
-    return True
-
-
 def _introduce_all(chain: Chain, nodes: list[int], next_write: list[int]) -> tuple[int, list[int]]:
-    """Introduce on the controlled gates among ``nodes``, retrying the gate
-    after each wire a gate leaves, until none qualifies. Returns the number
-    of introductions and the nodes whose wire predecessor changed."""
-    instrs = chain.instr
+    """Classical control introduction on the controlled gates among
+    ``nodes``, retrying the gate after each wire a gate leaves, until none
+    qualifies. Returns the number of introductions and the nodes whose wire
+    predecessor changed.
+
+    A control qualifies when its wire's predecessor is a measurement whose
+    bit no write overwrites before the gate. The gate then takes the literal
+    ``bit == 1``, or is removed when that contradicts its condition.
+    """
+    instrs, label, before, after = chain.instr, chain.label, chain.before, chain.after
+    qubits_of, reads_of = chain.facts.qubits, chain.facts.reads
     work = list(nodes)
     touched: list[int] = []
     count = 0
     while work:
         node = work.pop()
         gate = instrs[node]
-        if isinstance(gate, Gate) and gate.control is not None:
-            after = _introduce(chain, node, next_write)
-            if after is not None:
-                count += 1
-                work += after
-                touched += after
+        if type(gate) is not Gate:
+            continue
+        control = gate.control
+        if control is None:
+            continue
+        p = before(node, control)
+        if p < 0:
+            continue
+        meas = instrs[p]
+        if type(meas) is not Measure or next_write[p] < label[node]:
+            continue
+        condition = gate.condition
+        cond = _conjoin(condition, meas.bit)
+        if cond is None:
+            nexts = [after(node, q) for q in qubits_of[node]]
+            chain.remove(node)
+        else:
+            nexts = [after(node, control)]
+            target = gate.target
+            reads = reads_of[node] if cond is condition else reads_of[node] + (meas.bit,)
+            classical = Gate(gate.kind, target, None, cond, gate.source_line)
+            chain.replace(node, classical, (target,), reads)
+        nexts = [b for b in nexts if b >= 0]
+        count += 1
+        work += nexts
+        touched += nexts
     return count, touched
 
 
 def _exchange_all(chain: Chain, nodes: list[int]) -> list[int]:
-    """Exchange every gate among ``nodes`` that qualifies; returns those."""
-    instrs = chain.instr
-    return [node for node in nodes if isinstance(instrs[node], Gate) and _exchange(chain, node)]
+    """Control exchange on the gates among ``nodes``; returns those it
+    swapped. A CZ/CP, symmetric in its two qubits, swaps control and target
+    when its target wire's predecessor is a measurement and its control
+    wire's is not."""
+    instrs, before, reads_of = chain.instr, chain.before, chain.facts.reads
+    exchanged = []
+    for node in nodes:
+        gate = instrs[node]
+        if type(gate) is not Gate or gate.control is None or gate.kind.name not in ("z", "p"):
+            continue
+        control, target = gate.control, gate.target
+        t = before(node, target)
+        if t < 0 or type(instrs[t]) is not Measure:
+            continue
+        c = before(node, control)
+        if c >= 0 and type(instrs[c]) is Measure:
+            continue
+        swapped = Gate(gate.kind, control, target, gate.condition, gate.source_line)
+        chain.replace(node, swapped, (target, control), reads_of[node])
+        exchanged.append(node)
+    return exchanged
 
 
 def introduce_classical_controls(circuit: Circuit) -> tuple[Circuit, int]:

@@ -107,6 +107,11 @@ class TestVqe:
         with pytest.raises(ValueError):
             gen_vqe(4, "ring")
 
+    @pytest.mark.parametrize("reps", [0, -2])
+    def test_reps_below_one_rejected(self, reps):
+        with pytest.raises(ValueError, match="reps"):
+            gen_vqe(4, "linear", reps=reps)
+
     def test_reps_stack_layers(self):
         one = gen_vqe(3, "linear", reps=1)
         two = gen_vqe(3, "linear", reps=2)
@@ -136,6 +141,15 @@ class TestRandom:
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             RandomSpec(0, 3, 1)
+
+    @pytest.mark.parametrize("prob", [math.nan, -3.0, -1e-9, 1.0 + 1e-9, 2.0, math.inf])
+    def test_two_qubit_prob_outside_unit_interval_rejected(self, prob):
+        with pytest.raises(ValueError, match="two_qubit_prob"):
+            RandomSpec(4, 3, 1, two_qubit_prob=prob)
+
+    @pytest.mark.parametrize("prob", [0.0, 1.0])
+    def test_two_qubit_prob_bounds_accepted(self, prob):
+        assert validate(gen_random(RandomSpec(4, 3, 1, two_qubit_prob=prob))) == []
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 9), st.integers(1, 8), st.integers(1, 10))

@@ -51,6 +51,22 @@ class TestGen:
         assert result.output.startswith("error: ") and "finite" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("prob", ["nan", "-3", "2"])
+    def test_two_qubit_prob_outside_unit_interval_is_rejected(self, runner, tmp_path, prob):
+        out = tmp_path / "random.qasm"
+        args = ["gen", "random", "--n", "4", "--two-qubit-prob", prob, "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("error: ") and "two_qubit_prob" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_vqe_reps_below_one_is_rejected(self, runner, tmp_path, reps):
+        out = tmp_path / "vqe.qasm"
+        result = runner.invoke(main, ["gen", "vqe", "--n", "4", "--reps", reps, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("error: ") and "reps" in result.output
+        assert not out.exists()
 
     def test_register_above_the_limit_is_rejected(self, runner, tmp_path):
         # A file qasm.parse would reject is never written.

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -10,11 +12,14 @@ from qreuse.ir import (
     Chain,
     Circuit,
     CircuitBuilder,
+    ClassicalToggle,
     Dependencies,
     Gate,
     GateKind,
     Measure,
+    Reset,
     X_KIND,
+    Z_KIND,
     depth,
     is_bitflip,
     is_diagonal,
@@ -25,7 +30,7 @@ from qreuse.ir import (
 )
 
 import facts_reference
-from conftest import adversarial, cx_pair, schedule_battery, small_random
+from conftest import adversarial, cx_pair, schedule_battery, small_random, wide_battery
 
 
 class TestValidate:
@@ -277,6 +282,112 @@ class TestDependencies:
             )
             for out in outputs:
                 assert facts(out.dependencies()) == facts(Dependencies(out)), c.name
+
+    def test_rewrite_steps_hand_over_the_facts_of_their_gate(self, monkeypatch):
+        # Each step tells ``Chain.replace`` the new gate's qubits and read
+        # bits instead of having them computed; check them at every call.
+        calls = {"introduce": 0, "exchange": 0, "y_split": 0}
+        replace = Chain.replace
+
+        def checked(chain, node, gate, qubits, reads):
+            old = chain.instr[node]
+            assert (qubits, reads) == ir._facts(gate)[:2], (old, gate)
+            if old.kind.name == "y":
+                calls["y_split"] += 1
+            elif gate.control is None:
+                calls["introduce"] += 1
+            else:
+                calls["exchange"] += 1
+            replace(chain, node, gate, qubits, reads)
+
+        monkeypatch.setattr(Chain, "replace", checked)
+        for c in (*schedule_battery(), *wide_battery()):
+            transform.run(c)
+        assert all(calls.values()), calls
+
+
+class TestInstructionContract:
+    # Each instruction class with a full positional argument list and the
+    # fields that argument list sets.
+    CASES = [
+        (Gate, (Z_KIND, 1, 0, ((2, True),), 9)),
+        (Measure, (1, 2, 9)),
+        (Reset, (1, 9)),
+        (ClassicalToggle, (2, ((0, False), (1, True)), 9)),
+    ]
+    IDS = [cls.__name__ for cls, _ in CASES]
+
+    @pytest.mark.parametrize("cls, args", CASES, ids=IDS)
+    def test_frozen(self, cls, args):
+        instr = cls(*args)
+        for f in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(instr, f.name, getattr(instr, f.name))
+        with pytest.raises((AttributeError, TypeError)):
+            instr.extra = 1
+
+    @pytest.mark.parametrize("cls, args", CASES, ids=IDS)
+    def test_equality_and_hash_ignore_source_line(self, cls, args):
+        a, b = cls(*args[:-1], 9), cls(*args[:-1], 10)
+        assert a == b and hash(a) == hash(b)
+        assert a.source_line == 9 and b.source_line == 10
+        first = dataclasses.fields(cls)[0].name
+        assert dataclasses.replace(a, **{first: 7}) != a
+
+    @pytest.mark.parametrize("cls, args", CASES, ids=IDS)
+    def test_positional_and_keyword_construction(self, cls, args):
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert names[-1] == "source_line" and len(names) == len(args)
+        positional = cls(*args)
+        keyword = cls(**dict(zip(names, args)))
+        assert positional == keyword
+        assert [getattr(positional, n) for n in names] == list(args)
+        assert [getattr(keyword, n) for n in names] == list(args)
+
+    def test_defaults(self):
+        assert Gate(Z_KIND, 1) == Gate(Z_KIND, 1, None, (), None)
+        g = Gate(Z_KIND, 1)
+        assert (g.control, g.condition, g.source_line) == (None, (), None)
+        m = Measure(1, 2)
+        assert m.source_line is None
+        assert Reset(3).source_line is None
+        t = ClassicalToggle(2)
+        assert (t.product, t.source_line) == ((), None)
+        with pytest.raises(TypeError):
+            Gate(Z_KIND)
+        with pytest.raises(TypeError):
+            Measure(1)
+        with pytest.raises(TypeError):
+            Gate(Z_KIND, 1, colour=2)
+
+    @pytest.mark.parametrize("cls, args", CASES, ids=IDS)
+    def test_replace_keeps_other_fields(self, cls, args):
+        instr = cls(*args)
+        first = dataclasses.fields(cls)[0].name
+        changed = dataclasses.replace(instr, **{first: 7})
+        assert getattr(changed, first) == 7 and changed.source_line == 9
+        assert dataclasses.replace(changed, **{first: getattr(instr, first)}) == instr
+
+    @pytest.mark.parametrize("cls, args", CASES, ids=IDS)
+    def test_pickle_round_trip(self, cls, args):
+        instr = cls(*args)
+        back = pickle.loads(pickle.dumps(instr))
+        assert back == instr and type(back) is cls
+        assert back.source_line == instr.source_line
+
+    def test_repr(self):
+        z = "GateKind(name='z', angle=None, label=None, matrix=None)"
+        assert repr(Gate(Z_KIND, 1, 0, ((2, True),), 9)) == (
+            f"Gate(kind={z}, target=1, control=0, condition=((2, True),), source_line=9)"
+        )
+        assert repr(Gate(Z_KIND, 1)) == (
+            f"Gate(kind={z}, target=1, control=None, condition=(), source_line=None)"
+        )
+        assert repr(Measure(1, 2)) == "Measure(qubit=1, bit=2, source_line=None)"
+        assert repr(Reset(1, 9)) == "Reset(qubit=1, source_line=9)"
+        assert repr(ClassicalToggle(2, ((0, False),))) == (
+            "ClassicalToggle(target=2, product=((0, False),), source_line=None)"
+        )
 
 
 def _check_chain(chain: Chain) -> None:
