@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -17,6 +19,13 @@ def write_qpe(path, n=4):
     path.write_text(qasm.emit(bench.gen_qpe(n, 2 * math.pi * 3 / 8)), encoding="utf-8")
 
 
+def documented_report_keys() -> list[str]:
+    """The report keys README lists, in order, without the optional ones."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listing = re.search(r"Reports are JSON documents\s*\((.*?)\)", readme, re.DOTALL)[1]
+    return re.findall(r"`(\w+)`", listing.split("optional")[0])
+
+
 class TestGen:
     def test_qpe_roundtrips(self, runner, tmp_path):
         out = tmp_path / "qpe.qasm"
@@ -31,6 +40,12 @@ class TestGen:
         assert runner.invoke(main, args + ["--out", str(a)]).exit_code == 0
         assert runner.invoke(main, args + ["--out", str(b)]).exit_code == 0
         assert a.read_text() == b.read_text()
+
+    def test_qft_roundtrips(self, runner, tmp_path):
+        out = tmp_path / "qft.qasm"
+        result = runner.invoke(main, ["gen", "qft", "--n", "4", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert qasm.parse(out.read_text(encoding="utf-8")) == bench.gen_qft(4)
 
     def test_single_p_variant(self, runner, tmp_path):
         out = tmp_path / "qpep.qasm"
@@ -110,6 +125,7 @@ class TestOptimize:
         )
         assert result.exit_code == 0, result.output
         doc = json.loads(rep.read_text())
+        assert list(doc) == documented_report_keys() + ["equivalence"]
         assert doc["equivalence"]["equivalent"] is True
         assert doc["n_reused"] == 1
 
@@ -203,6 +219,14 @@ class TestVerify:
         b.write_text("qubit[1] q;\nbit[1] c;\nc[0] = measure q[0];\n")
         assert runner.invoke(main, ["verify", str(a), str(b)]).exit_code == 2
 
+    def test_different_classical_registers_are_a_parse_error(self, runner, tmp_path):
+        a, b = tmp_path / "a.qasm", tmp_path / "b.qasm"
+        a.write_text("qubit[1] q;\nbit[1] c;\nc[0] = measure q[0];\n")
+        b.write_text("qubit[1] q;\nbit[2] c;\nc[0] = measure q[0];\n")
+        result = runner.invoke(main, ["verify", str(a), str(b)])
+        assert result.exit_code == 1, result.output
+        assert result.output == "error: circuits declare different classical registers\n"
+
     def test_beyond_oracle_cap_is_unverifiable(self, runner, tmp_path):
         a = tmp_path / "qpe13.qasm"
         write_qpe(a, n=13)
@@ -243,6 +267,23 @@ class TestBench:
         aggregate = json.loads((out / "aggregate.json").read_text())
         assert aggregate["schema_version"] == 1
         assert len(aggregate["aggregate"]) == 3
+
+    def test_instance_documents_have_the_documented_keys(self, runner, tmp_path):
+        out = tmp_path / "sweep"
+        result = runner.invoke(main, ["bench", "--family", "qpe", "--sizes", "4", "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        paths = sorted(out.glob("qpe4-*.json"))
+        assert [p.name for p in paths] == ["qpe4-baseline.json", "qpe4-proposed.json"]
+        for p in paths:
+            assert list(json.loads(p.read_text())) == documented_report_keys()
+
+    def test_unknown_mode_is_a_parse_error(self, runner, tmp_path):
+        out = tmp_path / "modes"
+        args = ["bench", "--family", "qft", "--sizes", "4", "--modes", "proposed,bogus", "--out-dir", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert result.output == "error: unknown mode 'bogus'\n"
+        assert not out.exists()
 
     def test_vqe_strategies_column(self, runner, tmp_path):
         out = tmp_path / "vqe"

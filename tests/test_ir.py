@@ -52,6 +52,10 @@ class TestValidate:
     def test_empty_circuit_ok(self):
         assert validate(Circuit(0, 0)) == []
 
+    def test_builder_rejects_an_invalid_circuit(self):
+        with pytest.raises(ValueError, match=r"^invalid circuit: .*out of range"):
+            CircuitBuilder(1, 1).x(2).build()
+
     def test_clbit_out_of_range_in_condition(self):
         gate = Gate(X_KIND, 0, None, ((3, True),))
         errors = validate(Circuit(2, 2, (Measure(0, 0), gate)))

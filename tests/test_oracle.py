@@ -28,6 +28,11 @@ def test_deterministic_zero():
     assert distribution(c).probs == {"0": 1.0}
 
 
+def test_no_bits_is_one_empty_outcome():
+    c = CircuitBuilder(1, 0).h(0).build()
+    assert distribution(c).probs == {"": 1.0}
+
+
 def test_cx_pair_vs_reused_single_wire_form():
     # Both qubits prepared in |+>, then the cx/measure pattern, versus the
     # single-wire rewrite with a reset and a classical fix-up.
@@ -177,6 +182,22 @@ def _plan_cases():
     b = CircuitBuilder(1, 70)
     b.x(0).measure(0, 64).x(0, condition=((64, True),)).measure(0, 65)
     yield "condition on bit 64", b.build(), {format(1 << 64, "070b"): 1.0}
+    # rz and opaque kinds, each between two h (or alone, off the diagonal),
+    # then the same gate conditioned on a fair coin in bit 0.
+    turn = complex(0.5, math.sqrt(3) / 2)  # exp(i pi/3)
+    rotations = [
+        ("rz", lambda b, **kw: b.h(0).rz(math.pi / 3, 0, **kw).h(0), 0.25),
+        ("diagonal opaque", lambda b, **kw: b.h(0).opaque("u_d", [1, 0, 0, turn], 0, **kw).h(0), 0.25),
+        ("off-diagonal opaque", lambda b, **kw: b.opaque("u_o", [0.6, -0.8, 0.8, 0.6], 0, **kw), 0.64),
+    ]
+    for name, rotate, one in rotations:
+        b = CircuitBuilder(1, 1)
+        rotate(b)
+        yield name, b.measure(0, 0).build(), {"0": 1 - one, "1": one}
+        b = CircuitBuilder(2, 2)
+        b.h(1).measure(1, 0)
+        rotate(b, condition=((0, True),))
+        yield f"conditioned {name}", b.measure(0, 1).build(), {"00": 0.5, "01": 0.5 * (1 - one), "11": 0.5 * one}
 
 
 @pytest.mark.parametrize(

@@ -273,6 +273,30 @@ class TestEmit:
         with pytest.raises(QasmUnsupportedError, match="two different matrices"):
             emit(b.build())
 
+    @pytest.mark.parametrize(
+        "add",
+        [
+            lambda b: b.opaque("u_a", [0, 1, 1, 0], 1, control=0),
+            lambda b: b.h(1, control=0),
+            lambda b: b.rx(0.5, 1, control=0),
+        ],
+        ids=["opaque", "h", "rx"],
+    )
+    def test_controlled_gate_without_a_statement_rejected(self, add):
+        # Only x, z and p have a controlled statement (cx, cz, cp).
+        b = CircuitBuilder(2, 0)
+        add(b)
+        with pytest.raises(QasmUnsupportedError, match="controlled"):
+            emit(b.build())
+
+    def test_label_used_twice_is_declared_once(self):
+        b = CircuitBuilder(2, 2)
+        b.opaque("u_a", [0, 1, 1, 0], 0).opaque("u_a", [0, 1, 1, 0], 1).measure(0, 0).measure(1, 1)
+        c = b.build()
+        text = emit(c)
+        assert text.count("// matrix") == 1
+        assert parse(text) == c
+
     @pytest.mark.parametrize("label", ["h", "U_a"])
     def test_label_that_does_not_parse_back_rejected(self, label):
         c = CircuitBuilder(1, 0).opaque(label, [0, 1, 1, 0], 0).build()
