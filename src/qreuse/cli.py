@@ -8,6 +8,7 @@ JSON documents with a schema_version field.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -32,20 +33,8 @@ def report_document(
     report: PassReport,
     equivalence: dict | None = None,
 ) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "input": name,
-        "mode": mode,
-        "n_original": report.n_original,
-        "n_reused": report.n_reused,
-        "d_original": report.d_original,
-        "d_reused": report.d_reused,
-        "g2_original": report.g2_original,
-        "g2_reused": report.g2_reused,
-        "rule_counts": report.rule_counts,
-        "reuse_count": report.reuse_count,
-        "wall_time_seconds": report.wall_time,
-    }
+    doc = {"schema_version": SCHEMA_VERSION, "input": name, "mode": mode, **dataclasses.asdict(report)}
+    doc["wall_time_seconds"] = doc.pop("wall_time")
     if equivalence is not None:
         doc["equivalence"] = equivalence
     return doc
@@ -198,22 +187,19 @@ def _shape(pair: str) -> tuple[int, int]:
 
 
 def _bench_circuits(family, sizes, strategies, shapes, seeds, theta):
-    """The sweep's ``(name, circuit)`` pairs; ``ValueError`` on a malformed option."""
+    """The sweep's circuits, each named by its generator; ``ValueError`` on a
+    malformed option."""
     sizes = [_size(n, "--sizes") for n in _int_list(sizes, "--sizes")]
     seeds = _int_list(seeds, "--seeds")
     strategies = [s for s in strategies.split(",") if s]
     if family == "qpe":
-        return [(f"qpe{n}", bench.gen_qpe(n, theta)) for n in sizes]
+        return [bench.gen_qpe(n, theta) for n in sizes]
     if family == "qft":
-        return [(f"qft{n}", bench.gen_qft(n)) for n in sizes]
+        return [bench.gen_qft(n) for n in sizes]
     if family == "vqe":
-        return [(f"vqe-{s}{n}", bench.gen_vqe(n, s)) for n in sizes for s in strategies]
+        return [bench.gen_vqe(n, s) for n in sizes for s in strategies]
     pairs = [_shape(pair) for pair in shapes.split(",") if pair]
-    return [
-        (f"random-n{n}-d{d}-s{seed}", bench.gen_random(bench.RandomSpec(n, d, seed)))
-        for n, d in pairs
-        for seed in seeds
-    ]
+    return [bench.gen_random(bench.RandomSpec(n, d, seed)) for n, d in pairs for seed in seeds]
 
 
 # The report counts ``bench`` averages per (base instance, mode).
@@ -237,16 +223,16 @@ def bench_cmd(family, sizes, strategies, shapes, seeds, theta, modes, out_dir):
             click.echo(f"error: unknown mode {mode!r}", err=True)
             sys.exit(EXIT_PARSE)
     try:
-        instances = _bench_circuits(family, sizes, strategies, shapes, seeds, theta)
+        circuits = _bench_circuits(family, sizes, strategies, shapes, seeds, theta)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PARSE)
 
     docs = []
-    for name, circuit in instances:
+    for circuit in circuits:
         for mode in mode_list:
             _, rep = pipeline.optimize(circuit, mode=mode)
-            docs.append(report_document(name, mode, rep))
+            docs.append(report_document(circuit.name, mode, rep))
 
     out = Path(out_dir)
     try:

@@ -43,9 +43,6 @@ __all__ = [
     "Z_KIND",
     "S_KIND",
     "T_KIND",
-    "p_kind",
-    "rx_kind",
-    "rz_kind",
     "opaque_kind",
     "validate",
     "violations",
@@ -59,8 +56,7 @@ GATE_NAMES = frozenset({"h", "x", "y", "z", "s", "t", "p", "rx", "rz", "u"})
 PARAMETRIC = frozenset({"p", "rx", "rz"})
 _DIAGONAL_NAMES = frozenset({"z", "s", "t", "p", "rz"})
 
-# Off-diagonal magnitude below this counts as diagonal for opaque matrices;
-# also the angle tolerance used by tests.
+# Off-diagonal magnitude below this counts as diagonal for opaque matrices.
 ANGLE_TOL = 1e-12
 
 
@@ -97,18 +93,6 @@ Y_KIND = GateKind("y")
 Z_KIND = GateKind("z")
 S_KIND = GateKind("s")
 T_KIND = GateKind("t")
-
-
-def p_kind(angle: float) -> GateKind:
-    return GateKind("p", angle=float(angle))
-
-
-def rx_kind(angle: float) -> GateKind:
-    return GateKind("rx", angle=float(angle))
-
-
-def rz_kind(angle: float) -> GateKind:
-    return GateKind("rz", angle=float(angle))
 
 
 def opaque_kind(label: str, matrix) -> GateKind:
@@ -679,13 +663,13 @@ class CircuitBuilder:
         return self._gate(T_KIND, q, **kw)
 
     def p(self, theta: float, q: int, **kw) -> "CircuitBuilder":
-        return self._gate(p_kind(theta), q, **kw)
+        return self._gate(GateKind("p", angle=float(theta)), q, **kw)
 
     def rx(self, theta: float, q: int, **kw) -> "CircuitBuilder":
-        return self._gate(rx_kind(theta), q, **kw)
+        return self._gate(GateKind("rx", angle=float(theta)), q, **kw)
 
     def rz(self, theta: float, q: int, **kw) -> "CircuitBuilder":
-        return self._gate(rz_kind(theta), q, **kw)
+        return self._gate(GateKind("rz", angle=float(theta)), q, **kw)
 
     def cx(self, control: int, target: int, **kw) -> "CircuitBuilder":
         return self._gate(X_KIND, target, control, **kw)
@@ -694,7 +678,7 @@ class CircuitBuilder:
         return self._gate(Z_KIND, target, control, **kw)
 
     def cp(self, theta: float, control: int, target: int, **kw) -> "CircuitBuilder":
-        return self._gate(p_kind(theta), target, control, **kw)
+        return self._gate(GateKind("p", angle=float(theta)), target, control, **kw)
 
     def opaque(self, label: str, matrix, target: int, **kw) -> "CircuitBuilder":
         return self._gate(opaque_kind(label, matrix), target, **kw)

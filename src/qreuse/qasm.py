@@ -32,22 +32,7 @@ from __future__ import annotations
 import math
 import re
 
-from .ir import (
-    Circuit,
-    ClassicalToggle,
-    Gate,
-    GateKind,
-    H_KIND,
-    Measure,
-    Reset,
-    S_KIND,
-    T_KIND,
-    X_KIND,
-    Y_KIND,
-    Z_KIND,
-    opaque_kind,
-    violations,
-)
+from .ir import PARAMETRIC, Circuit, ClassicalToggle, Gate, GateKind, Measure, Reset, opaque_kind, violations
 
 __all__ = [
     "QasmError",
@@ -63,13 +48,23 @@ __all__ = [
 # generated benchmark (at most a few hundred qubits).
 MAX_REGISTER = 1 << 16
 
-_FIXED_GATES = ("h", "x", "y", "z", "s", "t")
-_PARAM_GATES = ("p", "rx", "rz")
-_TWO_QUBIT = ("cx", "cz")
+# Gate statement name -> (kind name, whether the statement has a control
+# qubit). A statement takes an angle iff its kind does (``ir.PARAMETRIC``).
+_STATEMENTS = {
+    **{name: (name, False) for name in ("h", "x", "y", "z", "s", "t", "p", "rx", "rz")},
+    "cx": ("x", True),
+    "cz": ("z", True),
+    "cp": ("p", True),
+}
+# Kind name -> its statement without a control and its statement with one;
+# None where the table has no such statement.
+_SPELLINGS: dict[str, list[str | None]] = {kind: [None, None] for kind, _ in _STATEMENTS.values()}
+for _name, (_kind, _controlled) in _STATEMENTS.items():
+    _SPELLINGS[_kind][_controlled] = _name
+# The kinds without an angle, shared by every parse.
+_FIXED = {kind: GateKind(kind) for kind, _ in _STATEMENTS.values() if kind not in PARAMETRIC}
 # Built-in gate and statement names, which no opaque label may take.
-_RESERVED = frozenset(
-    _FIXED_GATES + _PARAM_GATES + _TWO_QUBIT + ("cp", "measure", "reset", "if", "include", "qubit", "bit")
-)
+_RESERVED = frozenset(_STATEMENTS).union(("measure", "reset", "if", "include", "qubit", "bit"))
 
 
 class QasmError(ValueError):
@@ -123,13 +118,6 @@ _UNSUPPORTED_HINTS = (
     "ccx",
 )
 
-# Kinds shared by every instruction that needs them.
-_FIXED_KINDS = {"h": H_KIND, "x": X_KIND, "y": Y_KIND, "z": Z_KIND, "s": S_KIND, "t": T_KIND}
-_CONTROLLED_KINDS = {"cx": X_KIND, "cz": Z_KIND}
-# (statement name, has a second qubit) -> kind name, for statements with an angle.
-_ANGLED = {("p", False): "p", ("rx", False): "rx", ("rz", False): "rz", ("cp", True): "p"}
-# Names that make ``name q[i]`` a malformed statement, not an unknown gate.
-_MISUSED = frozenset(("measure", "cp") + _PARAM_GATES + _TWO_QUBIT)
 _REGISTER_NAMES = {"qubit": "q", "bit": "c"}
 # First two characters of the statements that are not gates, or may not be.
 _LEADS = frozenset(("c[", "if", "qu", "bi", "OP", "in"))
@@ -182,22 +170,21 @@ def _literals(text: str, line: int, col: int) -> tuple[tuple[int, bool], ...]:
 
 
 class _Reader:
-    """One parse's state: the register sizes declared so far, the kind of
-    each ``name q[i]`` (the fixed gates, then each ``// matrix`` label from
-    its declaration on) and one kind per angled (name, angle text), since a
+    """One parse's state: the register sizes declared so far and the kinds
+    its gates share: one per kind name without an angle, per ``// matrix``
+    label from its declaration on, and per (kind name, angle text), since a
     qft or qpe repeats a few angles over thousands of statements."""
 
-    __slots__ = ("sizes", "one_qubit", "angled")
+    __slots__ = ("sizes", "kinds")
 
     def __init__(self) -> None:
         self.sizes: dict[str, int | None] = {"qubit": None, "bit": None}
-        self.one_qubit: dict[str, GateKind] = dict(_FIXED_KINDS)
-        self.angled: dict[tuple[str, str], GateKind] = {}
+        self.kinds: dict[str | tuple[str, str], GateKind] = dict(_FIXED)
 
     def matrix(self, label: str, numbers: list[str], line: int) -> None:
         if label in _RESERVED:
             raise QasmSemanticError(f"matrix annotation names the built-in {label!r}", line)
-        if label in self.one_qubit:
+        if label in self.kinds:
             raise QasmSemanticError(f"matrix annotation for {label!r} is declared twice", line)
         if len(numbers) != 8:
             raise QasmSyntaxError(f"matrix annotation for {label!r} needs 8 numbers", line)
@@ -205,7 +192,7 @@ class _Reader:
         entries = [complex(vals[i], vals[i + 1]) for i in range(0, 8, 2)]
         if not _unitary(*entries):
             raise QasmSemanticError(f"matrix annotation for {label!r} is not unitary", line)
-        self.one_qubit[label] = opaque_kind(label, entries)
+        self.kinds[label] = opaque_kind(label, entries)
 
     def statement(self, stmt: str, line: int, col: int):
         """The instruction a stripped, non-empty statement at ``line`` and
@@ -272,25 +259,21 @@ class _Reader:
         """The gate of a ``_RE_GATE`` match, or None if no gate has its shape
         (``reset q[i]`` included)."""
         name, angle, first, second = m.groups()
-        if angle is not None:
-            kind_name = _ANGLED.get((name, second is not None))
-            if kind_name is None:
-                return None
-            kind = self.angled.get((kind_name, angle)) or self.angled_kind(kind_name, angle, line, col)
-        elif second is not None:
-            kind = _CONTROLLED_KINDS.get(name)
+        # Any other name reads as an opaque label: one qubit, no angle.
+        kind_name, controlled = _STATEMENTS.get(name) or (name, False)
+        if controlled is (second is None):
+            kind = None  # a statement name in another shape, such as ``cx q[0]``
+        elif angle is None:
+            kind = self.kinds.get(kind_name)
         else:
-            kind = self.one_qubit.get(name)
-            if kind is not None:
-                return Gate(kind, _integer(first, line, col), None, condition, line)
-            if name == "reset":
-                return None
-            if name in _MISUSED:
-                raise QasmSyntaxError(f"malformed statement {m.string!r}", line, col)
-            raise QasmSemanticError(
-                f"unknown gate {name!r}; opaque gates need a preceding matrix annotation", line, col
-            )
+            kind = self.kinds.get((kind_name, angle)) or self.angled_kind(kind_name, angle, line, col)
         if kind is None:
+            if angle is None and second is None and name != "reset":
+                if name in _STATEMENTS or name == "measure":
+                    raise QasmSyntaxError(f"malformed statement {m.string!r}", line, col)
+                raise QasmSemanticError(
+                    f"unknown gate {name!r}; opaque gates need a preceding matrix annotation", line, col
+                )
             return None
         if second is None:
             return Gate(kind, _integer(first, line, col), None, condition, line)
@@ -298,10 +281,10 @@ class _Reader:
 
     def angled_kind(self, name: str, angle: str, line: int, col: int) -> GateKind | None:
         """Build and remember the kind for an angle text not seen before;
-        None if the text is no decimal literal."""
-        if not _RE_NUM.fullmatch(angle):
+        None if the kind takes no angle or the text is no decimal literal."""
+        if name not in PARAMETRIC or not _RE_NUM.fullmatch(angle):
             return None
-        kind = self.angled[name, angle] = GateKind(name, angle=_number(angle, "angle", line, col))
+        kind = self.kinds[name, angle] = GateKind(name, angle=_number(angle, "angle", line, col))
         return kind
 
 
@@ -353,62 +336,52 @@ def _literals_text(literals) -> str:
     return " & ".join(("" if pol else "!") + f"c[{b}]" for b, pol in literals)
 
 
-def _gate_text(gate: Gate) -> str:
-    kind = gate.kind
-    if kind.name == "u":
-        if gate.control is not None:
-            raise QasmUnsupportedError("controlled opaque gates cannot be serialized")
-        return f"{kind.label} q[{gate.target}];"
-    t, c = gate.target, gate.control
-    if c is not None:
-        if kind.name == "x":
-            return f"cx q[{c}], q[{t}];"
-        if kind.name == "z":
-            return f"cz q[{c}], q[{t}];"
-        if kind.name == "p":
-            return f"cp({_fmt(kind.angle)}) q[{c}], q[{t}];"
-        raise QasmUnsupportedError(f"controlled {kind.name} is outside the subset")
-    if kind.name in _PARAM_GATES:
-        return f"{kind.name}({_fmt(kind.angle)}) q[{t}];"
-    return f"{kind.name} q[{t}];"
+def _gate_text(gate: Gate, declared: dict[str, tuple[complex, ...]]) -> str:
+    """A gate's statement; an opaque gate's matrix is entered in ``declared``
+    under its label."""
+    kind, t, c = gate.kind, gate.target, gate.control
+    name = _SPELLINGS.get(kind.name, (None, None))[c is not None]
+    if name is None:
+        if c is not None:
+            raise QasmUnsupportedError(f"controlled {kind.label or kind.name} is outside the subset")
+        if declared.setdefault(kind.label, kind.matrix) != kind.matrix:
+            raise QasmUnsupportedError(f"opaque label {kind.label!r} names two different matrices")
+        return f"{kind.label} q[{t}];"
+    angle = kind.angle
+    if c is None:
+        return f"{name} q[{t}];" if angle is None else f"{name}({_fmt(angle)}) q[{t}];"
+    return f"{name} q[{c}], q[{t}];" if angle is None else f"{name}({_fmt(angle)}) q[{c}], q[{t}];"
 
 
 def emit(circuit: Circuit) -> str:
     """Deterministic text for a circuit; ``parse(emit(c))`` reproduces ``c``."""
-    lines: list[str] = []
     name = circuit.name
-    if name:
-        # parse reads the name back from one comment line, stripped.
-        if "\n" in name or "\r" in name or name != name.strip():
-            raise QasmUnsupportedError(f"circuit name {name!r} cannot be serialized")
-        lines.append(f"// circuit: {name}")
-    declared: dict[str, tuple[complex, ...]] = {}
+    # parse reads the name back from one comment line, stripped.
+    if "\n" in name or "\r" in name or name != name.strip():
+        raise QasmUnsupportedError(f"circuit name {name!r} cannot be serialized")
+    declared: dict[str, tuple[complex, ...]] = {}  # opaque label -> matrix, in order of first use
+    body: list[str] = []
+    append = body.append
     for instr in circuit.instructions:
-        if not isinstance(instr, Gate) or instr.kind.name != "u":
-            continue
-        label, matrix = instr.kind.label, instr.kind.matrix
-        if label in declared:
-            if declared[label] != matrix:
-                raise QasmUnsupportedError(f"opaque label {label!r} names two different matrices")
-            continue
+        if isinstance(instr, Gate):
+            text = _gate_text(instr, declared)
+            if instr.condition:
+                text = f"if ({_literals_text(instr.condition)}) {text}"
+            append(text)
+        elif isinstance(instr, Measure):
+            append(f"c[{instr.bit}] = measure q[{instr.qubit}];")
+        elif isinstance(instr, Reset):
+            append(f"reset q[{instr.qubit}];")
+        else:
+            rhs = "true" if not instr.product else f"({_literals_text(instr.product)})"
+            append(f"c[{instr.target}] = c[{instr.target}] ^ {rhs};")
+    lines = [f"// circuit: {name}"] if name else []
+    for label, matrix in declared.items():
         if label in _RESERVED or not _RE_LABEL.fullmatch(label):
             raise QasmUnsupportedError(f"opaque label {label!r} cannot be serialized")
         numbers = " ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in matrix)
         lines.append(f"// matrix {label}: {numbers}")
-        declared[label] = matrix
     lines.append(f"qubit[{circuit.n_qubits}] q;")
     lines.append(f"bit[{circuit.n_clbits}] c;")
-    for instr in circuit.instructions:
-        if isinstance(instr, Gate):
-            text = _gate_text(instr)
-            if instr.condition:
-                text = f"if ({_literals_text(instr.condition)}) {text}"
-            lines.append(text)
-        elif isinstance(instr, Measure):
-            lines.append(f"c[{instr.bit}] = measure q[{instr.qubit}];")
-        elif isinstance(instr, Reset):
-            lines.append(f"reset q[{instr.qubit}];")
-        else:
-            rhs = "true" if not instr.product else f"({_literals_text(instr.product)})"
-            lines.append(f"c[{instr.target}] = c[{instr.target}] ^ {rhs};")
+    lines += body
     return "\n".join(lines) + "\n"

@@ -475,6 +475,12 @@ def test_gate_kinds_and_the_unconditional_condition_are_shared():
     assert len({id(g.condition) for g in gates if not g.condition}) == 1
 
 
+def test_statements_of_one_kind_share_it():
+    c = parse("qubit[2] q;\nbit[0] c;\ncp(0.5) q[0], q[1];\np(0.5) q[1];\ncx q[0], q[1];\nx q[0];\n")
+    cp, p, cx, x = (g.kind for g in c.instructions)
+    assert cp is p and cx is x
+
+
 # -- Differential test against the regex-cascade parser (qasm_reference) --
 
 def outcome(read, text: str):
