@@ -29,6 +29,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .ir import (
+    DIAGONAL_NAMES,
     Chain,
     Circuit,
     ClassicalToggle,
@@ -37,7 +38,6 @@ from .ir import (
     Measure,
     X_KIND,
     Z_KIND,
-    is_bitflip,
     is_diagonal,
 )
 
@@ -68,12 +68,16 @@ def _rule_for(meas: Measure, prev: Instruction | None) -> str | None:
                 return None
     if prev.target != meas.qubit:  # prev is on the measured wire, so that is its control
         return _CONTROLLED_ON_CONTROL
-    if is_diagonal(prev):
+    name = prev.kind.name
+    if name in DIAGONAL_NAMES:
         return _DIAGONAL
-    if is_bitflip(prev):
-        return _BIT_FLIP
-    if prev.kind.name == "y" and prev.control is None:
-        return _Y_DECOMPOSE
+    if name == "u":
+        return _DIAGONAL if is_diagonal(prev) else None
+    if prev.control is None:
+        if name == "x":
+            return _BIT_FLIP
+        if name == "y":
+            return _Y_DECOMPOSE
     return None
 
 
@@ -97,7 +101,7 @@ def push(chain: Chain) -> dict[str, int]:
     counts = {rule.value: 0 for rule in CommuteRule}
     limit = (2 * len(order) + 8) ** 2
     total = 0
-    instr, label, before = chain.instr, chain.label, chain.before
+    instr, label, before, bit_tuples = chain.instr, chain.label, chain.before, chain.bit_tuples
     qubits, reads = chain.facts.qubits, chain.facts.reads
     # Per bit, the latest node by label that accesses it, among the nodes
     # visited or inserted so far.
@@ -134,13 +138,16 @@ def push(chain: Chain) -> dict[str, int]:
             if p >= 0 and label[p] > label[g]:
                 break
             if rule is _Y_DECOMPOSE:
+                # Z keeps the Y's node and facts, and X takes them too.
                 z, x = _split_y(gate)
-                chain.replace(g, z, qubits[g], reads[g])
-                record(chain.insert_after(g, x))
+                chain.put(g, z, qubits[g])
+                record(chain.insert_after(g, x, qubits[g], reads[g], None))
             else:
                 chain.move_before(m, g, q)
                 if rule is _BIT_FLIP:
-                    record(chain.insert_after(m, _toggle(meas, gate)))
+                    # The toggle reads the X's condition bits and its target.
+                    toggle_reads = reads[g] + bit_tuples(meas.bit)[0]
+                    record(chain.insert_after(m, _toggle(meas, gate), (), toggle_reads, meas.bit))
             counts[rule] += 1
             total += 1
             if total > limit:

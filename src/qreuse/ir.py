@@ -14,8 +14,9 @@ each instruction's qubits, read bits and written bit. A circuit computes it
 on first use and caches it; a pass that builds a circuit from facts it
 already knows hands them over instead. The rewrite passes share one mutable
 form of it, ``Chain``: the circuit as a linked list with order labels, wire
-links and facts, which they update in place, from the first commutation to
-dead-gate elimination, and turn back into a circuit once. The one pass that
+links and facts, which they update in place, one call per rewrite step with
+the facts the step knows, from the first commutation to dead-gate
+elimination, and turn back into a circuit once. The one pass that
 asks about the order of a bit's accesses, ``commute.push``, tracks them
 itself as it goes.
 """
@@ -54,13 +55,13 @@ __all__ = [
 
 GATE_NAMES = frozenset({"h", "x", "y", "z", "s", "t", "p", "rx", "rz", "u"})
 PARAMETRIC = frozenset({"p", "rx", "rz"})
-_DIAGONAL_NAMES = frozenset({"z", "s", "t", "p", "rz"})
+DIAGONAL_NAMES = frozenset({"z", "s", "t", "p", "rz"})
 
 # Off-diagonal magnitude below this counts as diagonal for opaque matrices.
 ANGLE_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GateKind:
     """A single-qubit gate alphabet entry.
 
@@ -74,17 +75,31 @@ class GateKind:
     label: str | None = None
     matrix: tuple[complex, complex, complex, complex] | None = None
 
-    def __post_init__(self) -> None:
-        if self.name not in GATE_NAMES:
-            raise ValueError(f"unknown gate kind {self.name!r}")
-        if self.name in PARAMETRIC and self.angle is None:
-            raise ValueError(f"{self.name} requires an angle")
-        if self.name not in PARAMETRIC and self.angle is not None:
-            raise ValueError(f"{self.name} takes no angle")
-        if self.angle is not None and not math.isfinite(self.angle):
-            raise ValueError(f"{self.name} angle must be finite, got {self.angle}")
-        if self.name == "u" and (self.label is None or self.matrix is None):
+    def __init__(self, name, angle=None, label=None, matrix=None):
+        if name not in GATE_NAMES:
+            raise ValueError(f"unknown gate kind {name!r}")
+        if name in PARAMETRIC and angle is None:
+            raise ValueError(f"{name} requires an angle")
+        if name not in PARAMETRIC and angle is not None:
+            raise ValueError(f"{name} takes no angle")
+        if angle is not None and not math.isfinite(angle):
+            raise ValueError(f"{name} angle must be finite, got {angle}")
+        if name == "u" and (label is None or matrix is None):
             raise ValueError("opaque gates need a label and a 2x2 matrix")
+        _set_kind_name(self, name)
+        _set_kind_angle(self, angle)
+        _set_kind_label(self, label)
+        _set_kind_matrix(self, matrix)
+
+
+# Kinds and instructions are built by the parser and by the hot loops of
+# every pass, so each class writes its fields through its slot descriptors
+# instead of the frozen dataclass's ``object.__setattr__`` calls; the setters
+# are taken once, after the class.
+_set_kind_name = GateKind.name.__set__
+_set_kind_angle = GateKind.angle.__set__
+_set_kind_label = GateKind.label.__set__
+_set_kind_matrix = GateKind.matrix.__set__
 
 
 H_KIND = GateKind("h")
@@ -102,12 +117,6 @@ def opaque_kind(label: str, matrix) -> GateKind:
     if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in flat):
         raise ValueError(f"opaque matrix for {label!r} must have finite entries")
     return GateKind("u", label=label, matrix=flat)
-
-
-# The instruction classes are built by the hot loops of every pass, so each
-# writes its fields through its slot descriptors instead of the frozen
-# dataclass's ``object.__setattr__`` calls; the setters are taken once, after
-# the class.
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -290,7 +299,7 @@ def is_diagonal(instr: Instruction) -> bool:
     """
     if not isinstance(instr, Gate):
         return False
-    if instr.kind.name in _DIAGONAL_NAMES:
+    if instr.kind.name in DIAGONAL_NAMES:
         return True
     if instr.kind.name == "u":
         m = instr.kind.matrix
@@ -421,15 +430,6 @@ class Dependencies:
 _GAP = 1 << 32
 
 
-def _link(prev: list[int], nxt: list[int], s: int, a: int, b: int) -> None:
-    """Link slot ``s`` between slots ``a`` and ``b`` (-1: none)."""
-    prev[s], nxt[s] = a, b
-    if a >= 0:
-        nxt[a] = s
-    if b >= 0:
-        prev[b] = s
-
-
 def _unlink(prev: list[int], nxt: list[int], s: int) -> None:
     """Join slot ``s``'s neighbours and detach it."""
     a, b = prev[s], nxt[s]
@@ -453,6 +453,11 @@ class Chain:
     module reads the slots. ``label`` orders the nodes: a node placed
     between two others takes the midpoint of their labels, and all labels
     are renumbered when a gap is used up, which keeps their order.
+
+    Each rewrite step is one call that updates only what the step changes,
+    with the facts the step hands over. The chain holds one ``(q,)`` per
+    qubit and one ``(b,)`` and ``((b, True),)`` per bit, built on first
+    use, which the steps' facts and conditions share.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -483,6 +488,8 @@ class Chain:
                 s += 1
         self.wire_prev, self.wire_next = wp, wn
         self.wire0 = [qubits[0] if qubits else -1 for qubits in deps.qubits]
+        self._one_qubit: list[tuple[int] | None] = [None] * deps.n_qubits
+        self._one_bit: list[tuple | None] = [None] * deps.n_clbits
 
     def wire_slot(self, node: int, q: int) -> int:
         return 2 * node + (self.wire0[node] != q)
@@ -505,82 +512,118 @@ class Chain:
             node = self.next[node]
         return out
 
-    def _detach(self, node: int) -> None:
-        if node == self.head:
-            self.head = self.next[node]
-        _unlink(self.prev, self.next, node)
-
-    def _place(self, node: int, before: int) -> None:
-        """Link ``node`` into the global order right before ``before``."""
-        a = self.prev[before]
-        _link(self.prev, self.next, node, a, before)
-        if a < 0:
-            self.head = node
-        lo = self.label[a] if a >= 0 else 0
-        if self.label[before] - lo < 2:
-            self._relabel()
-            lo = self.label[a] if a >= 0 else 0
-        self.label[node] = (lo + self.label[before]) // 2
-
     def _relabel(self) -> None:
         node, k = self.head, 1
         while node >= 0:
             self.label[node] = k * _GAP
             node, k = self.next[node], k + 1
 
+    def bit_tuples(self, b: int) -> tuple[tuple[int], tuple[tuple[int, bool]]]:
+        """The chain's ``(b,)`` and ``((b, True),)``: bit ``b`` read, and the
+        literal ``b == 1``."""
+        pair = self._one_bit[b]
+        if pair is None:
+            pair = self._one_bit[b] = ((b,), ((b, True),))
+        return pair
+
+    def drop_control(self, node: int, gate: Gate, reads: tuple[int, ...]) -> int:
+        """Put ``gate``, the controlled gate ``node`` without its control,
+        reading ``reads``, in ``node``'s place; the control's wire then skips
+        the node. Returns the node after it on that wire; -1 when none."""
+        wp, wn = self.wire_prev, self.wire_next
+        s = 2 * node + (self.wire0[node] != self.instr[node].control)
+        a, b = wp[s], wn[s]
+        if a >= 0:
+            wn[a] = b
+        if b >= 0:
+            wp[b] = a
+        wp[s] = wn[s] = -1
+        target = gate.target
+        qubits = self._one_qubit[target]
+        if qubits is None:
+            qubits = self._one_qubit[target] = (target,)
+        self.instr[node] = gate
+        self.facts.qubits[node] = qubits
+        self.facts.reads[node] = reads
+        return b >> 1
+
+    def put(self, node: int, gate: Gate, qubits: tuple[int, ...]) -> None:
+        """Put ``gate``, on the gate ``node``'s wires and reading its bits, in
+        its place; ``qubits`` are the same wires in ``gate``'s order, control
+        first."""
+        self.instr[node] = gate
+        self.facts.qubits[node] = qubits
+
     def move_before(self, node: int, gate: int, q: int) -> None:
         """Move ``node`` (one qubit ``q``, no bit crossed) right before
         ``gate``, its predecessor on wire ``q``."""
-        self._detach(node)
-        self._place(node, gate)
+        prev, nxt, label = self.prev, self.next, self.label
+        a, b = prev[node], nxt[node]
+        if a >= 0:
+            nxt[a] = b
+        else:
+            self.head = b
+        if b >= 0:
+            prev[b] = a
+        a = prev[gate]
+        prev[node], nxt[node], prev[gate] = a, gate, node
+        if a >= 0:
+            nxt[a] = node
+        else:
+            self.head = node
+        if label[gate] - (label[a] if a >= 0 else 0) < 2:
+            self._relabel()
+        label[node] = ((label[a] if a >= 0 else 0) + label[gate]) // 2
+        # On wire q, the node's slot and the gate's trade places.
         wp, wn = self.wire_prev, self.wire_next
         s, gs = 2 * node, 2 * gate + (self.wire0[gate] != q)
         a, b = wp[gs], wn[s]
-        _link(wp, wn, s, a, gs)
-        _link(wp, wn, gs, s, b)
+        wp[s], wn[s], wp[gs], wn[gs] = a, gs, s, b
+        if a >= 0:
+            wn[a] = s
+        if b >= 0:
+            wp[b] = gs
 
-    def insert_after(self, node: int, instr: Instruction) -> int:
-        """Add ``instr`` between ``node`` and the node after it; each of its
-        qubits must be one of ``node``'s. Returns the new node."""
+    def insert_after(self, node: int, instr: Instruction, qubits: tuple, reads: tuple, write: int | None) -> int:
+        """Add ``instr``, no reset, whose qubits, read bits and written bit
+        the caller hands over, between ``node`` and the node after it, which
+        must exist; each of its qubits must be one of ``node``'s. Returns the
+        new node."""
         new = len(self.instr)
         self.instr.append(instr)
-        self.prev.append(-1)
-        self.next.append(-1)
-        self.label.append(0)
-        self._place(new, self.next[node])
-        qubits, reads, write, reset = _facts(instr)
+        prev, nxt, label = self.prev, self.next, self.label
+        b = nxt[node]
+        prev.append(node)
+        nxt.append(b)
+        label.append(0)
+        nxt[node] = prev[b] = new
+        if label[b] - label[node] < 2:
+            self._relabel()
+        label[new] = (label[node] + label[b]) // 2
         facts = self.facts
         facts.qubits.append(qubits)
         facts.reads.append(reads)
         facts.writes.append(write)
-        facts.is_reset.append(reset)
+        facts.is_reset.append(False)
         self.wire0.append(qubits[0] if qubits else -1)
         wp, wn = self.wire_prev, self.wire_next
         wp += (-1, -1)
         wn += (-1, -1)
-        for k, q in enumerate(qubits):
-            a = self.wire_slot(node, q)
-            _link(wp, wn, 2 * new + k, a, wn[a])
+        s = 2 * new
+        for q in qubits:
+            a = 2 * node + (self.wire0[node] != q)
+            c = wn[a]
+            wp[s], wn[s], wn[a] = a, c, s
+            if c >= 0:
+                wp[c] = s
+            s += 1
         return new
-
-    def replace(
-        self, node: int, gate: Gate, qubits: tuple[int, ...], reads: tuple[int, ...]
-    ) -> None:
-        """Put ``gate``, whose qubits and read bits the caller hands over, in
-        the gate ``node``'s place. Its qubits must be among the node's; a
-        wire it no longer touches skips the node. A gate writes no bit and
-        is no reset, so those facts stay."""
-        facts = self.facts
-        for q in facts.qubits[node]:
-            if q not in qubits:
-                _unlink(self.wire_prev, self.wire_next, self.wire_slot(node, q))
-        self.instr[node] = gate
-        facts.qubits[node] = qubits
-        facts.reads[node] = reads
 
     def remove(self, node: int) -> None:
         """Take ``node`` out of the order and its wires."""
-        self._detach(node)
+        if node == self.head:
+            self.head = self.next[node]
+        _unlink(self.prev, self.next, node)
         for q in self.facts.qubits[node]:
             _unlink(self.wire_prev, self.wire_next, self.wire_slot(node, q))
         self.instr[node] = None

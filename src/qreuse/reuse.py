@@ -9,17 +9,18 @@ reach produces. The merge appends ``q``'s instructions after a fresh reset of
 precedes some instruction of ``q_prime``. A wire without instructions takes
 no part: it is never planned and gets no output wire.
 
-The circuit is analysed once, on its ``Dependencies``: the ones the
-rewrite passes handed over, or the input's own. A merge changes none of the
-facts these tests read, when each is expressed over the original wires: a
-reset stops the forward reach exactly where the host wire used to end, and
-the scheduling edges only gain one ``host last -> reset -> mover first``
-chain. So every merge is planned on per-group masks (a group is the set of
-original wires sharing one wire, named by its host's original wire). The
-merged circuit is then scheduled once with a stable topological sort that
-keeps the original order wherever dependencies allow, and its wires are
-renumbered once. The result carries its facts: the input's, renumbered the
-same way.
+The circuit is analysed once, in one backward pass over its
+``Dependencies`` (the ones the rewrite passes handed over, or the input's
+own) that keeps masks per wire and per bit, not per instruction. A merge
+changes none of the facts these tests read, when each is expressed over the
+original wires: a reset stops the forward reach exactly where the host wire
+used to end, and the scheduling edges only gain one ``host last -> reset ->
+mover first`` chain. So every merge is planned on per-group masks (a group
+is the set of original wires sharing one wire, named by its host's original
+wire). Only then are the scheduling edges built, and the merged circuit is
+scheduled once with a stable topological sort that keeps the original order
+wherever dependencies allow, and its wires are renumbered once. The result
+carries its facts: the input's, renumbered the same way.
 """
 
 from __future__ import annotations
@@ -31,7 +32,54 @@ from .ir import Circuit, Dependencies, Gate, Instruction, Measure, Reset
 __all__ = ["run"]
 
 
-def _plan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int, int]]:
+def _wire_masks(deps: Dependencies) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The live wires (those with an instruction) and, per live wire, the
+    bits its instructions reach, the bits they access, and the wires its
+    first instruction precedes in the schedule order.
+
+    One backward pass. As in ``Dependencies.forward_reach``, each wire
+    carries the reach of its next instruction, cut at a reset, and each bit
+    its later readers' reach. Each wire also carries what its next
+    instruction precedes, and each bit what its next write and its reads
+    since then precede: the bit edges of ``Dependencies.successors`` run
+    from a read to the next write, and from a write to the next write and
+    the reads in between.
+    """
+    n_qubits, n_clbits = deps.n_qubits, deps.n_clbits
+    reach_next, reach_of = [0] * n_qubits, [0] * n_qubits
+    accessed_of, precedes_next = [0] * n_qubits, [0] * n_qubits
+    reader_reach, write_precedes, reads_precede = [0] * n_clbits, [0] * n_clbits, [0] * n_clbits
+    qubits_of, reads_of, writes_of, is_reset = deps.qubits, deps.reads, deps.writes, deps.is_reset
+    for i in range(len(qubits_of) - 1, -1, -1):
+        qubits, reads, w = qubits_of[i], reads_of[i], writes_of[i]
+        bm = pm = am = 0
+        for q in qubits:
+            bm |= reach_next[q]
+            pm |= precedes_next[q] | 1 << q
+        for b in reads:
+            am |= 1 << b
+            if b != w:
+                pm |= write_precedes[b]
+        if w is not None:
+            am |= 1 << w
+            bm |= 1 << w | reader_reach[w]
+            pm |= write_precedes[w] | reads_precede[w]
+            write_precedes[w], reads_precede[w] = pm, 0
+        for b in reads:
+            reader_reach[b] |= bm
+            if b != w:
+                reads_precede[b] |= pm
+        cut = 0 if is_reset[i] else bm
+        for q in qubits:
+            reach_of[q] |= bm
+            accessed_of[q] |= am
+            reach_next[q], precedes_next[q] = cut, pm
+    # After the pass, a wire's ``precedes_next`` is its first instruction's.
+    live = [w for w in range(n_qubits) if precedes_next[w]]
+    return live, [reach_of[w] for w in live], [accessed_of[w] for w in live], [precedes_next[w] for w in live]
+
+
+def _plan(deps: Dependencies) -> list[tuple[int, int]]:
     """First-fit merges ``(mover, host)`` of wire groups: lowest host first,
     then lowest mover, repeated until no pair qualifies.
 
@@ -40,43 +88,13 @@ def _plan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int, in
     the same merges as restarting the search after each one. An absorbed
     group is never tested or read again, so both the mover scan and the
     per-merge update run over the groups not yet absorbed.
+
+    A cone only follows scheduling edges, so the wires a group reaches are
+    among those it blocks, and the cycle test below also rules out reaching
+    the host.
     """
-    bit_reach = deps.forward_reach()
-    wires = deps.wires
-
-    # Wires each instruction precedes in the schedule order.
-    n = len(deps.qubits)
-    precedes = [0] * n
-    for i in range(n - 1, -1, -1):
-        m = 0
-        for q in deps.qubits[i]:
-            m |= 1 << q
-        for j in successors[i]:
-            m |= precedes[j]
-        precedes[i] = m
-
-    # Per live wire (one with an instruction; idle wires take no part):
-    # the bits its instructions reach, the bits they access, the wires its
-    # first instruction precedes, and its group's members. A cone only
-    # follows scheduling edges, so the wires a group reaches are among those
-    # it blocks, and the cycle test below also rules out reaching the host.
-    live = [w for w, positions in enumerate(wires) if positions]
-    reach_bits, accessed, blocked, members = [], [], [], []
-    for w in live:
-        positions = wires[w]
-        bm = am = 0
-        for i in positions:
-            bm |= bit_reach[i]
-            for b in deps.reads[i]:
-                am |= 1 << b
-            b = deps.writes[i]
-            if b is not None:
-                am |= 1 << b
-        reach_bits.append(bm)
-        accessed.append(am)
-        blocked.append(precedes[positions[0]])
-        members.append(1 << w)
-
+    live, reach_bits, accessed, blocked = _wire_masks(deps)
+    members = [1 << w for w in live]
     n_live = len(live)
     unabsorbed = list(range(n_live))
     merges: list[tuple[int, int]] = []
@@ -108,11 +126,11 @@ def _plan(deps: Dependencies, successors: list[list[int]]) -> list[tuple[int, in
 def run(circuit: Circuit) -> tuple[Circuit, int]:
     """Plan every merge, then schedule and renumber the circuit once."""
     deps = circuit.dependencies()
-    successors = deps.successors()
-    merges = _plan(deps, successors)
+    merges = _plan(deps)
     wires = deps.wires
     if not merges and all(wires):
         return circuit, 0
+    successors = deps.successors()
 
     # One reset node per merge, chained between the host group's current
     # last node and the mover group's first. It sorts right after the node it
@@ -161,12 +179,14 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
     # Each instruction is renumbered once, in input order, and each merge
     # adds one reset; the schedule then picks them in its order. The facts
     # are the input's, renumbered the same way. An instruction touches at
-    # most two qubits, and a gate's control comes first.
+    # most two qubits, and a gate's control comes first. Each output wire
+    # has one ``(w,)``.
+    one = [(w,) for w in range(len(hosts))]
     renamed: list[Instruction] = []
     qubits = []
     for instr, old in zip(instrs, deps.qubits):
         if len(old) == 1:
-            new = (wire[old[0]],)
+            new = one[wire[old[0]]]
         elif old:
             new = (wire[old[0]], wire[old[1]])
         else:
@@ -184,7 +204,7 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
         qubits.append(new)
     for g, h in merges:
         renamed.append(Reset(wire[h], instrs[wires[g][0]].source_line))
-        qubits.append((wire[h],))
+        qubits.append(one[wire[h]])
     k = len(merges)
     facts = Dependencies.of(
         len(hosts),

@@ -21,9 +21,11 @@ Each control rule is one worklist helper, ``_introduce_all`` and
 place; the public one-pass functions and ``run``'s fixpoint call these
 helpers. A helper tests the cheap conditions that usually fail first (is it
 a controlled gate, of the right kind, is its wire predecessor a
-measurement), so a gate that does not qualify costs only those tests; it
-hands the rewritten gate's qubits and read bits to ``Chain.replace``, which
-then computes no facts. Any worklist order gives the result of passes in
+measurement), so a gate that does not qualify costs only those tests. Each
+rewrite is then one chain call with the new gate's facts:
+``Chain.drop_control`` for an introduction, which hands back the next node
+on the control's wire to retry, and ``Chain.put`` with the reversed qubits
+for an exchange. Any worklist order gives the result of passes in
 circuit order. Introduction only takes gates off wires: no node moves, the
 next write to each bit is fixed, and a control's wire predecessor, once a
 measurement, stays one. An exchange changes no wire predecessor, so the
@@ -69,13 +71,13 @@ def eliminate_dead_gates(circuit: Circuit) -> tuple[Circuit, int]:
     return chain.materialise(), removed
 
 
-def _conjoin(condition: tuple, bit: int) -> tuple | None:
-    """Add the literal ``bit == 1``; ``None`` signals a contradiction (gate
-    never fires)."""
+def _conjoin(condition: tuple, bit: int, literal: tuple) -> tuple | None:
+    """Add ``literal``, the chain's ``((bit, True),)``; ``None`` signals a
+    contradiction (gate never fires)."""
     for b, pol in condition:
         if b == bit:
             return condition if pol else None
-    return condition + ((bit, True),)
+    return condition + literal
 
 
 def _next_writes(chain: Chain, order: list[int]) -> list[int]:
@@ -105,7 +107,7 @@ def _introduce_all(chain: Chain, nodes: list[int], next_write: list[int]) -> tup
     ``bit == 1``, or is removed when that contradicts its condition.
     """
     instrs, label, before, after = chain.instr, chain.label, chain.before, chain.after
-    qubits_of, reads_of = chain.facts.qubits, chain.facts.reads
+    bit_tuples, drop_control, reads_of = chain.bit_tuples, chain.drop_control, chain.facts.reads
     work = list(nodes)
     touched: list[int] = []
     count = 0
@@ -123,21 +125,26 @@ def _introduce_all(chain: Chain, nodes: list[int], next_write: list[int]) -> tup
         meas = instrs[p]
         if type(meas) is not Measure or next_write[p] < label[node]:
             continue
-        condition = gate.condition
-        cond = _conjoin(condition, meas.bit)
-        if cond is None:
-            nexts = [after(node, q) for q in qubits_of[node]]
-            chain.remove(node)
-        else:
-            nexts = [after(node, control)]
-            target = gate.target
-            reads = reads_of[node] if cond is condition else reads_of[node] + (meas.bit,)
-            classical = Gate(gate.kind, target, None, cond, gate.source_line)
-            chain.replace(node, classical, (target,), reads)
-        nexts = [b for b in nexts if b >= 0]
         count += 1
-        work += nexts
-        touched += nexts
+        bit = meas.bit
+        read, literal = bit_tuples(bit)
+        condition = gate.condition
+        cond = _conjoin(condition, bit, literal)
+        if cond is None:
+            for q in (control, gate.target):
+                b = after(node, q)
+                if b >= 0:
+                    work.append(b)
+                    touched.append(b)
+            chain.remove(node)
+            continue
+        # With no condition, ``()`` plus a tuple is that tuple in CPython:
+        # the gate's condition and read bits are the chain's shared ones.
+        reads = reads_of[node] if cond is condition else reads_of[node] + read
+        b = drop_control(node, Gate(gate.kind, gate.target, None, cond, gate.source_line), reads)
+        if b >= 0:
+            work.append(b)
+            touched.append(b)
     return count, touched
 
 
@@ -146,7 +153,7 @@ def _exchange_all(chain: Chain, nodes: list[int]) -> list[int]:
     swapped. A CZ/CP, symmetric in its two qubits, swaps control and target
     when its target wire's predecessor is a measurement and its control
     wire's is not."""
-    instrs, before, reads_of = chain.instr, chain.before, chain.facts.reads
+    instrs, before, put = chain.instr, chain.before, chain.put
     exchanged = []
     for node in nodes:
         gate = instrs[node]
@@ -160,7 +167,7 @@ def _exchange_all(chain: Chain, nodes: list[int]) -> list[int]:
         if c >= 0 and type(instrs[c]) is Measure:
             continue
         swapped = Gate(gate.kind, control, target, gate.condition, gate.source_line)
-        chain.replace(node, swapped, (target, control), reads_of[node])
+        put(node, swapped, (target, control))
         exchanged.append(node)
     return exchanged
 

@@ -288,23 +288,39 @@ class TestDependencies:
                 assert facts(out.dependencies()) == facts(Dependencies(out)), c.name
 
     def test_rewrite_steps_hand_over_the_facts_of_their_gate(self, monkeypatch):
-        # Each step tells ``Chain.replace`` the new gate's qubits and read
-        # bits instead of having them computed; check them at every call.
-        calls = {"introduce": 0, "exchange": 0, "y_split": 0}
-        replace = Chain.replace
+        # Each step tells the chain the new instruction's facts instead of
+        # having them computed; check the facts the chain then holds for it
+        # at every call.
+        calls = {"introduce": 0, "exchange": 0, "y_split": 0, "toggle": 0, "split_x": 0}
+        drop_control, put, insert_after = Chain.drop_control, Chain.put, Chain.insert_after
 
-        def checked(chain, node, gate, qubits, reads):
+        def held(chain, node):
+            facts = chain.facts
+            return facts.qubits[node], facts.reads[node], facts.writes[node], facts.is_reset[node]
+
+        def checked_drop_control(chain, node, gate, reads):
+            after = drop_control(chain, node, gate, reads)
+            assert gate.control is None and chain.instr[node] is gate
+            assert held(chain, node) == ir._facts(gate), gate
+            calls["introduce"] += 1
+            return after
+
+        def checked_put(chain, node, gate, qubits):
             old = chain.instr[node]
-            assert (qubits, reads) == ir._facts(gate)[:2], (old, gate)
-            if old.kind.name == "y":
-                calls["y_split"] += 1
-            elif gate.control is None:
-                calls["introduce"] += 1
-            else:
-                calls["exchange"] += 1
-            replace(chain, node, gate, qubits, reads)
+            put(chain, node, gate, qubits)
+            assert held(chain, node) == ir._facts(gate), (old, gate)
+            calls["y_split" if old.kind.name == "y" else "exchange"] += 1
 
-        monkeypatch.setattr(Chain, "replace", checked)
+        def checked_insert_after(chain, node, instr, qubits, reads, write):
+            new = insert_after(chain, node, instr, qubits, reads, write)
+            assert chain.instr[new] is instr
+            assert held(chain, new) == ir._facts(instr), instr
+            calls["toggle" if isinstance(instr, ClassicalToggle) else "split_x"] += 1
+            return new
+
+        monkeypatch.setattr(Chain, "drop_control", checked_drop_control)
+        monkeypatch.setattr(Chain, "put", checked_put)
+        monkeypatch.setattr(Chain, "insert_after", checked_insert_after)
         for c in (*schedule_battery(), *wide_battery()):
             transform.run(c)
         assert all(calls.values()), calls
@@ -488,6 +504,44 @@ class TestGateKind:
     def test_non_finite_matrix_entry_rejected(self, entry):
         with pytest.raises(ValueError, match="finite"):
             opaque_kind("u_bad", [entry, 0, 0, 1])
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            (("w",), {}, "unknown gate kind 'w'"),
+            (("p",), {}, "p requires an angle"),
+            (("h",), {"angle": 0.5}, "h takes no angle"),
+            (("u", 0.5), {"label": "u_a", "matrix": (0, 1, 1, 0)}, "u takes no angle"),
+            (("rx", math.inf), {}, "rx angle must be finite, got inf"),
+            (("u",), {"label": "u0"}, "opaque gates need a label and a 2x2 matrix"),
+            (("u",), {"matrix": (0, 1, 1, 0)}, "opaque gates need a label and a 2x2 matrix"),
+        ],
+    )
+    def test_each_check_has_its_message(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GateKind(*args, **kwargs)
+
+    KINDS = [GateKind("h"), GateKind("p", 0.25), GateKind("rz", angle=-1.5), opaque_kind("u_a", (0, 1, 1, 0))]
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+    def test_value_semantics(self, kind):
+        fields = {f.name: getattr(kind, f.name) for f in dataclasses.fields(GateKind)}
+        twin = GateKind(**fields)
+        assert twin is not kind and twin == kind and hash(twin) == hash(kind)
+        back = pickle.loads(pickle.dumps(kind))
+        assert back == kind and hash(back) == hash(kind)
+        assert dataclasses.replace(kind) == kind
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kind.name = "x"
+
+    def test_replace_checks_the_new_fields(self):
+        kind = GateKind("p", 0.5)
+        assert dataclasses.replace(kind, angle=0.25) == GateKind("p", angle=0.25) != kind
+        assert dataclasses.replace(kind, name="rz") == GateKind("rz", 0.5)
+        with pytest.raises(ValueError, match="^h takes no angle$"):
+            dataclasses.replace(kind, name="h")
+        with pytest.raises(ValueError, match="^p angle must be finite, got nan$"):
+            dataclasses.replace(kind, angle=math.nan)
 
 
 def test_toggle_twice_is_identity_on_distribution():

@@ -332,7 +332,7 @@ def test_plan_matches_the_full_rescan():
     # live ones in the one-gate files.
     def plans(c):
         deps = c.dependencies()
-        return reuse._plan(deps, deps.successors()), reuse_reference.plan_scan(c)
+        return reuse._plan(deps), reuse_reference.plan_scan(c)
 
     merged = 0
     for c in plan_inputs():
@@ -345,6 +345,21 @@ def test_plan_matches_the_full_rescan():
             got, expected = plans(one_gate_file(n, live))
             assert got == expected and len(got) == len(live) - 1, n
     assert merged
+
+
+def test_wire_masks_match_the_reference_analysis():
+    # The one backward pass against the per-wire masks the reference builds
+    # from its own scheduling edges and forward reach, before and after the
+    # rewrites (which add toggles, conditions and removed gates).
+    inputs = (*schedule_battery(), *wide_battery(), *(adversarial(s) for s in range(400, 600)))
+    for c in inputs:
+        for circuit in (c, transform.run(c)[0]):
+            live, reach, accessed, blocked = reuse._wire_masks(circuit.dependencies())
+            expected = reuse_reference._Analysis(circuit)
+            assert live == [w for w, positions in enumerate(expected.wires) if positions], circuit.name
+            assert reach == [expected.reach_bits[w] for w in live], circuit.name
+            assert accessed == [expected.wire_bits[w] for w in live], circuit.name
+            assert blocked == [expected.blocked[w] for w in live], circuit.name
 
 
 @settings(max_examples=40, deadline=None)
