@@ -15,7 +15,6 @@ from .ir import (
     Measure,
     Reset,
     depth,
-    is_bitflip,
     is_diagonal,
     two_qubit_gate_count,
     validate,
@@ -40,7 +39,6 @@ __all__ = [
     "Measure",
     "Reset",
     "depth",
-    "is_bitflip",
     "is_diagonal",
     "two_qubit_gate_count",
     "validate",

@@ -16,9 +16,10 @@ already knows hands them over instead. The rewrite passes share one mutable
 form of it, ``Chain``: the circuit as a linked list with order labels, wire
 links and facts, which they update in place, one call per rewrite step with
 the facts the step knows, from the first commutation to dead-gate
-elimination, and turn back into a circuit once. The one pass that
-asks about the order of a bit's accesses, ``commute.push``, tracks them
-itself as it goes.
+elimination, and turn back into a circuit once. The index caches nothing
+derived from its columns: the passes that ask about the order of a bit's
+accesses, ``commute.push`` and ``reuse``, track it themselves as they go,
+and only ``reuse`` builds scheduling edges.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "depth",
     "two_qubit_gate_count",
     "is_diagonal",
-    "is_bitflip",
 ]
 
 GATE_NAMES = frozenset({"h", "x", "y", "z", "s", "t", "p", "rx", "rz", "u"})
@@ -208,6 +208,12 @@ class Circuit:
     # Cached ``Dependencies``; not part of the value.
     _deps: "Dependencies | None" = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if self.n_qubits < 0:
+            raise ValueError(f"qubit register size must be non-negative, got {self.n_qubits}")
+        if self.n_clbits < 0:
+            raise ValueError(f"bit register size must be non-negative, got {self.n_clbits}")
+
     def with_instructions(self, instructions) -> "Circuit":
         return replace(self, instructions=tuple(instructions))
 
@@ -239,7 +245,7 @@ def _facts(instr: Instruction) -> tuple[tuple[int, ...], tuple[int, ...], int | 
 def violations(circuit: Circuit) -> list[tuple[int, str]]:
     """Every invariant violation as ``(instruction index, message)``."""
     errors: list[tuple[int, str]] = []
-    assigned = [False] * max(circuit.n_clbits, 0)
+    assigned = [False] * circuit.n_clbits
 
     def check_qubit(q: int, where: str) -> None:
         if not 0 <= q < circuit.n_qubits:
@@ -307,11 +313,6 @@ def is_diagonal(instr: Instruction) -> bool:
     return False
 
 
-def is_bitflip(instr: Instruction) -> bool:
-    """True for an X gate without a quantum control (conditions allowed)."""
-    return isinstance(instr, Gate) and instr.kind.name == "x" and instr.control is None
-
-
 class Dependencies:
     """Per-instruction dependency facts: the one index every pass reads.
 
@@ -319,17 +320,17 @@ class Dependencies:
     control first, then its target), the bits it reads, the bit it writes
     (``None``: none) and whether it is a reset. ``Dependencies(circuit)``
     computes them; a pass that already knows its output's facts builds them
-    with ``of`` and attaches them with ``make_circuit``. Each wire's
-    positions are derived on first use.
+    with ``of`` and attaches them with ``make_circuit``. Nothing else is
+    kept: a pass that needs wire order or scheduling edges derives them in
+    its own pass over these columns.
     """
 
-    __slots__ = ("n_qubits", "n_clbits", "qubits", "reads", "writes", "is_reset", "_wires")
+    __slots__ = ("n_qubits", "n_clbits", "qubits", "reads", "writes", "is_reset")
 
     def __init__(self, circuit: Circuit):
         self.n_qubits, self.n_clbits = circuit.n_qubits, circuit.n_clbits
         columns = tuple(zip(*map(_facts, circuit.instructions))) or ((), (), (), ())
         self.qubits, self.reads, self.writes, self.is_reset = map(list, columns)
-        self._wires = None
 
     @classmethod
     def of(cls, n_qubits: int, n_clbits: int, qubits, reads, writes, is_reset) -> "Dependencies":
@@ -337,7 +338,6 @@ class Dependencies:
         deps = cls.__new__(cls)
         deps.n_qubits, deps.n_clbits = n_qubits, n_clbits
         deps.qubits, deps.reads, deps.writes, deps.is_reset = qubits, reads, writes, is_reset
-        deps._wires = None
         return deps
 
     def take(self, positions) -> "Dependencies":
@@ -357,34 +357,23 @@ class Dependencies:
         object.__setattr__(circuit, "_deps", self)
         return circuit
 
-    @property
-    def wires(self) -> list[list[int]]:
-        """Each wire's instruction positions in circuit order."""
-        if self._wires is None:
-            self._wires = [[] for _ in range(self.n_qubits)]
-            for i, qubits in enumerate(self.qubits):
-                for q in qubits:
-                    self._wires[q].append(i)
-        return self._wires
-
-    def forward_reach(self, order=None) -> list[int]:
+    def forward_reach(self, order) -> list[int]:
         """Per instruction, the bitmask of the bits its forward cone writes.
 
         ``order`` lists the positions that make up the circuit, in circuit
-        order (default: all of them); the result follows it. The cone
-        follows qubit wires (two-qubit gates fan out to both wires) and stops
-        before a Reset, whose output no longer depends on anything earlier.
+        order; the result follows it. The cone follows qubit wires
+        (two-qubit gates fan out to both wires) and stops before a Reset,
+        whose output no longer depends on anything earlier.
         A written bit reaches every later instruction that reads it. One
         backward pass: each wire carries the reach of its next instruction,
         each bit a running OR of its later readers' reach.
         """
-        nodes = range(len(self.qubits)) if order is None else order
-        bit_reach = [0] * len(nodes)
+        bit_reach = [0] * len(order)
         wire_bits = [0] * self.n_qubits
         reader_bits = [0] * self.n_clbits
         qubits_of, reads_of, writes_of, is_reset = self.qubits, self.reads, self.writes, self.is_reset
-        for k in range(len(nodes) - 1, -1, -1):
-            i = nodes[k]
+        for k in range(len(order) - 1, -1, -1):
+            i = order[k]
             qubits = qubits_of[i]
             bm = 0
             for q in qubits:
@@ -400,31 +389,6 @@ class Dependencies:
             for q in qubits:
                 wire_bits[q] = bm
         return bit_reach
-
-    def successors(self) -> list[list[int]]:
-        """Scheduling edges: each wire's chain, running through resets, and
-        the order of conflicting accesses to every classical bit (a read
-        follows the last write, a write follows the last write and every read
-        since it)."""
-        succ: list[list[int]] = [[] for _ in self.qubits]
-        for positions in self.wires:
-            for a, b in zip(positions, positions[1:]):
-                succ[a].append(b)
-        last_write: dict[int, int] = {}
-        reads_since: dict[int, list[int]] = {}
-        for i, w in enumerate(self.writes):
-            for b in self.reads[i]:
-                if b != w:
-                    if b in last_write:
-                        succ[last_write[b]].append(i)
-                    reads_since.setdefault(b, []).append(i)
-            if w is not None:
-                if w in last_write:
-                    succ[last_write[w]].append(i)
-                for r in reads_since.pop(w, ()):
-                    succ[r].append(i)
-                last_write[w] = i
-        return succ
 
 
 _GAP = 1 << 32

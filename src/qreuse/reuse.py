@@ -17,10 +17,12 @@ original wires: a reset stops the forward reach exactly where the host wire
 used to end, and the scheduling edges only gain one ``host last -> reset ->
 mover first`` chain. So every merge is planned on per-group masks (a group
 is the set of original wires sharing one wire, named by its host's original
-wire). Only then are the scheduling edges built, and the merged circuit is
-scheduled once with a stable topological sort that keeps the original order
-wherever dependencies allow, and its wires are renumbered once. The result
-carries its facts: the input's, renumbered the same way.
+wire). Only then are the scheduling edges built, in the one pass that
+renumbers the wires of every instruction; this module alone states the
+scheduling rule, backward in the masks and forward in the edges. The merged
+circuit is scheduled once with a stable topological sort that keeps the
+original order wherever dependencies allow. The result carries its facts:
+the input's, renumbered the same way.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ def _wire_masks(deps: Dependencies) -> tuple[list[int], list[int], list[int], li
     carries the reach of its next instruction, cut at a reset, and each bit
     its later readers' reach. Each wire also carries what its next
     instruction precedes, and each bit what its next write and its reads
-    since then precede: the bit edges of ``Dependencies.successors`` run
-    from a read to the next write, and from a write to the next write and
-    the reads in between.
+    since then precede: the bit edges ``run`` builds go from a read to the
+    next write, and from a write to the next write and the reads in between.
     """
     n_qubits, n_clbits = deps.n_qubits, deps.n_clbits
     reach_next, reach_of = [0] * n_qubits, [0] * n_qubits
@@ -79,9 +80,10 @@ def _wire_masks(deps: Dependencies) -> tuple[list[int], list[int], list[int], li
     return live, [reach_of[w] for w in live], [accessed_of[w] for w in live], [precedes_next[w] for w in live]
 
 
-def _plan(deps: Dependencies) -> list[tuple[int, int]]:
-    """First-fit merges ``(mover, host)`` of wire groups: lowest host first,
-    then lowest mover, repeated until no pair qualifies.
+def _plan(deps: Dependencies) -> tuple[list[int], list[tuple[int, int]]]:
+    """The live wires, and first-fit merges ``(mover, host)`` of wire
+    groups: lowest host first, then lowest mover, repeated until no pair
+    qualifies.
 
     A group's masks only grow as it absorbs others, so a rejected pair stays
     rejected; one sweep over hosts and movers in that order therefore makes
@@ -120,51 +122,15 @@ def _plan(deps: Dependencies) -> list[tuple[int, int]]:
             unabsorbed.remove(g)
             merges.append((live[g], live[h]))
         members[h], accessed[h] = host, host_bits
-    return merges
+    return live, merges
 
 
 def run(circuit: Circuit) -> tuple[Circuit, int]:
     """Plan every merge, then schedule and renumber the circuit once."""
     deps = circuit.dependencies()
-    merges = _plan(deps)
-    wires = deps.wires
-    if not merges and all(wires):
+    live, merges = _plan(deps)
+    if not merges and len(live) == circuit.n_qubits:
         return circuit, 0
-    successors = deps.successors()
-
-    # One reset node per merge, chained between the host group's current
-    # last node and the mover group's first. It sorts right after the node it
-    # follows and takes the source line of the mover's first instruction.
-    # The node it follows is always an original instruction (a group's tail
-    # only moves to its mover's tail), and no two resets follow the same one,
-    # so instruction i sorts as 2i and a reset after it as 2i + 1.
-    instrs = circuit.instructions
-    n = len(instrs)
-    tail: dict[int, int] = {}
-    sort_key = list(range(0, 2 * n, 2))
-    for g, h in merges:
-        node, first, last = len(sort_key), wires[g][0], tail.get(h, wires[h][-1])
-        successors.append([first])
-        sort_key.append(2 * last + 1)
-        successors[last].append(node)
-        tail[h] = tail.get(g, wires[g][-1])
-
-    indegree = [0] * len(sort_key)
-    for outs in successors:
-        for j in outs:
-            indegree[j] += 1
-    ready = [(sort_key[i], i) for i in range(len(sort_key)) if indegree[i] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        _, node = heapq.heappop(ready)
-        order.append(node)
-        for nxt in successors[node]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                heapq.heappush(ready, (sort_key[nxt], nxt))
-    if len(order) != len(sort_key):
-        raise RuntimeError("the planned merges cycle; the mask test missed it")
 
     # A group's wire is its host's rank among the surviving hosts, which is
     # where the monotone renumbering after each merge would put it. Idle
@@ -172,19 +138,56 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
     owner = list(range(circuit.n_qubits))
     for g, h in reversed(merges):
         owner[g] = owner[h]
-    hosts = [h for h, positions in enumerate(wires) if positions and owner[h] == h]
+    hosts = [h for h in live if owner[h] == h]
     rank = {h: r for r, h in enumerate(hosts)}
     wire = [rank.get(h, -1) for h in owner]
 
-    # Each instruction is renumbered once, in input order, and each merge
-    # adds one reset; the schedule then picks them in its order. The facts
+    # Each instruction is renumbered once, in input order, and the same pass
+    # builds its scheduling edges: from the instruction before it on each of
+    # its wires (through resets), from the last write of each bit it reads,
+    # and, when it writes a bit, from that bit's last write and every read
+    # since. It records each wire's first and last instruction. The facts
     # are the input's, renumbered the same way. An instruction touches at
-    # most two qubits, and a gate's control comes first. Each output wire
-    # has one ``(w,)``.
+    # most two qubits, a gate's control first; each output wire has one
+    # ``(w,)``.
+    instrs = circuit.instructions
     one = [(w,) for w in range(len(hosts))]
     renamed: list[Instruction] = []
     qubits = []
-    for instr, old in zip(instrs, deps.qubits):
+    successors: list[list[int]] = []
+    indegree: list[int] = []
+    first, last = [-1] * circuit.n_qubits, [-1] * circuit.n_qubits
+    last_write = [-1] * circuit.n_clbits
+    reads_since: dict[int, list[int]] = {}
+    for i, (instr, old, reads, w) in enumerate(zip(instrs, deps.qubits, deps.reads, deps.writes)):
+        successors.append([])
+        edges = 0
+        for q in old:
+            p = last[q]
+            if p < 0:
+                first[q] = i
+            else:
+                successors[p].append(i)
+                edges += 1
+            last[q] = i
+        for b in reads:
+            if b != w:
+                p = last_write[b]
+                if p >= 0:
+                    successors[p].append(i)
+                    edges += 1
+                reads_since.setdefault(b, []).append(i)
+        if w is not None:
+            p = last_write[w]
+            if p >= 0:
+                successors[p].append(i)
+                edges += 1
+            for r in reads_since.pop(w, ()):
+                successors[r].append(i)
+                edges += 1
+            last_write[w] = i
+        indegree.append(edges)
+
         if len(old) == 1:
             new = one[wire[old[0]]]
         elif old:
@@ -202,9 +205,39 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
             instr = Reset(new[0], instr.source_line)
         renamed.append(instr)
         qubits.append(new)
+
+    # One reset node per merge, chained between the host group's current
+    # last node and the mover group's first. It sorts right after the node it
+    # follows and takes the source line of the mover's first instruction.
+    # The node it follows is always an original instruction (a group's last
+    # node only moves to its mover's last), and no two resets follow the
+    # same one, so instruction i sorts as 2i and a reset after it as 2i + 1.
+    n = len(instrs)
+    sort_key = list(range(0, 2 * n, 2))
     for g, h in merges:
-        renamed.append(Reset(wire[h], instrs[wires[g][0]].source_line))
+        start, end = first[g], last[h]
+        successors[end].append(len(sort_key))
+        successors.append([start])
+        indegree.append(1)
+        indegree[start] += 1
+        sort_key.append(2 * end + 1)
+        last[h] = last[g]
+        renamed.append(Reset(wire[h], instrs[start].source_line))
         qubits.append(one[wire[h]])
+
+    ready = [(sort_key[i], i) for i in range(len(sort_key)) if indegree[i] == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        _, node = heapq.heappop(ready)
+        order.append(node)
+        for nxt in successors[node]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                heapq.heappush(ready, (sort_key[nxt], nxt))
+    if len(order) != len(sort_key):
+        raise RuntimeError("the planned merges cycle; the mask test missed it")
+
     k = len(merges)
     facts = Dependencies.of(
         len(hosts),

@@ -8,12 +8,12 @@ from qreuse.commute import CommuteRule, run
 from qreuse.ir import (
     CircuitBuilder,
     ClassicalToggle,
-    Dependencies,
     Gate,
     Measure,
     validate,
 )
 
+import facts_reference
 from commute_reference import _rule_at, run as reference_run
 from conftest import schedule_battery, small_random
 
@@ -130,7 +130,7 @@ class TestRun:
     def test_qpe_measurements_end_up_behind_their_h(self):
         c = bench.gen_qpe(4, 2 * math.pi * 3 / 8)
         out, _ = run(c)
-        wires = Dependencies(out).wires
+        wires = facts_reference.wires(out)
         for q in range(3):  # counting qubits
             positions = wires[q]
             meas_at = [k for k, p in enumerate(positions) if isinstance(out.instructions[p], Measure)]

@@ -21,7 +21,6 @@ from qreuse.ir import (
     X_KIND,
     Z_KIND,
     depth,
-    is_bitflip,
     is_diagonal,
     opaque_kind,
     two_qubit_gate_count,
@@ -51,6 +50,21 @@ class TestValidate:
 
     def test_empty_circuit_ok(self):
         assert validate(Circuit(0, 0)) == []
+
+    @pytest.mark.parametrize(
+        "n_qubits, n_clbits, message",
+        [
+            (-2, -1, "qubit register size must be non-negative, got -2"),
+            (1, -1, "bit register size must be non-negative, got -1"),
+        ],
+    )
+    def test_negative_register_size_is_refused(self, n_qubits, n_clbits, message):
+        # Emit would write ``qubit[-2] q;``, which parse refuses, so no
+        # circuit with a negative register may exist.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CircuitBuilder(n_qubits, n_clbits).build(check=False)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Circuit(n_qubits, n_clbits)
 
     def test_builder_rejects_an_invalid_circuit(self):
         with pytest.raises(ValueError, match=r"^invalid circuit: .*out of range"):
@@ -142,7 +156,7 @@ def cone_by_search(circuit, start):
 
 
 def reach_of(circuit, position):
-    return Dependencies(circuit).forward_reach()[position]
+    return Dependencies(circuit).forward_reach(range(len(circuit.instructions)))[position]
 
 
 class TestForwardCone:
@@ -171,12 +185,12 @@ class TestForwardCone:
         # cone steps to next.
         c = small_random(seed)
         deps = Dependencies(c)
-        bit_reach = deps.forward_reach()
+        bit_reach = deps.forward_reach(range(len(c.instructions)))
 
         def contains(i, j):
             return not bit_reach[j] & ~bit_reach[i]
 
-        for positions in deps.wires:
+        for positions in facts_reference.wires(c):
             for i, j in zip(positions, positions[1:]):
                 assert deps.is_reset[j] or contains(i, j)
         for i, b in enumerate(deps.writes):
@@ -188,7 +202,7 @@ class TestForwardCone:
         # its own cone steps, which the reuse references read.
         circuits = [gen(seed) for seed in range(0, 400, 7) for gen in (adversarial, small_random)]
         for c in circuits:
-            bit_reach = Dependencies(c).forward_reach()
+            bit_reach = Dependencies(c).forward_reach(range(len(c.instructions)))
             reference_reach = facts_reference.forward_reach(c)[1]
             for i in range(len(c.instructions)):
                 assert bit_reach[i] == reference_reach[i] == cone_by_search(c, i)
@@ -266,7 +280,7 @@ class TestDependencies:
         # Each pass attaches its output's facts instead of computing them;
         # they must be what computing them from the instructions gives.
         def facts(d):
-            return d.n_qubits, d.n_clbits, d.qubits, d.reads, d.writes, d.is_reset, d.wires
+            return d.n_qubits, d.n_clbits, d.qubits, d.reads, d.writes, d.is_reset
 
         def fixpoint(c):
             chain = Chain(c)
@@ -450,24 +464,20 @@ def test_only_ir_knows_the_wire_slot_layout(module):
 class TestGatePredicates:
     def test_cp_is_diagonal(self):
         gate = CircuitBuilder(2, 0).cp(0.4, 0, 1).build().instructions[0]
-        assert is_diagonal(gate) and not is_bitflip(gate)
+        assert is_diagonal(gate)
 
     def test_h_is_neither(self):
         gate = CircuitBuilder(1, 0).h(0).build().instructions[0]
-        assert not is_diagonal(gate) and not is_bitflip(gate)
+        assert not is_diagonal(gate)
 
-    def test_conditioned_x_is_bitflip(self):
+    def test_conditioned_x_is_not_diagonal(self):
         b = CircuitBuilder(2, 1).measure(0, 0).x(1, condition=((0, True),))
         gate = b.build().instructions[1]
-        assert is_bitflip(gate) and not is_diagonal(gate)
-
-    def test_cx_is_not_bitflip(self):
-        gate = CircuitBuilder(2, 0).cx(0, 1).build().instructions[0]
-        assert not is_bitflip(gate)
+        assert not is_diagonal(gate)
 
     def test_y_is_neither(self):
         gate = CircuitBuilder(1, 0).y(0).build().instructions[0]
-        assert not is_diagonal(gate) and not is_bitflip(gate)
+        assert not is_diagonal(gate)
 
     def test_opaque_judged_by_matrix(self):
         diag = Gate(opaque_kind("u_d", [1, 0, 0, 1j]), 0)
