@@ -186,17 +186,38 @@ def gen_random(spec: RandomSpec) -> Circuit:
     qubit with a uniformly drawn free partner, otherwise a one-qubit gate.
     """
     rng = SplitMix64(spec.seed)
-    b = CircuitBuilder(
-        spec.n_qubits,
-        spec.n_qubits,
-        name=f"random-n{spec.n_qubits}-d{spec.target_depth}-s{spec.seed}",
-    )
+    n = spec.n_qubits
+    b = CircuitBuilder(n, n, name=f"random-n{n}-d{spec.target_depth}-s{spec.seed}")
+    top = 1 << (n.bit_length() - 1)
     for _ in range(spec.target_depth - 1):
-        free = list(range(spec.n_qubits))
+        # The free qubits, in increasing order: a Fenwick tree counts the
+        # qubits not yet taken as a partner. Each first qubit ``q`` is the
+        # smallest free one, so the ``firsts`` taken so far are that set's
+        # smallest members and the k-th free qubit is its ``firsts + k``-th.
+        # A draw costs O(log n), where ``list.pop`` moved O(n) entries.
+        tree = [i & -i for i in range(n + 1)]
+        partnered = bytearray(n)
+        free, firsts, q = n, 0, -1
         while free:
-            q = free.pop(0)
+            q += 1
+            while partnered[q]:
+                q += 1
+            firsts += 1
+            free -= 1
             if free and rng.uniform() < spec.two_qubit_prob:
-                partner = free.pop(rng.randrange(len(free)))
+                k = firsts + rng.randrange(free)
+                partner, step = 0, top
+                while step:
+                    if partner + step <= n and tree[partner + step] <= k:
+                        partner += step
+                        k -= tree[partner]
+                    step >>= 1
+                partnered[partner] = 1
+                free -= 1
+                i = partner + 1
+                while i <= n:
+                    tree[i] -= 1
+                    i += i & -i
                 a, t = (q, partner) if rng.next_u64() & 1 == 0 else (partner, q)
                 kind = rng.choice(_TWO_QUBIT_POOL)
                 if kind == "cx":

@@ -245,48 +245,63 @@ def _facts(instr: Instruction) -> tuple[tuple[int, ...], tuple[int, ...], int | 
 def violations(circuit: Circuit) -> list[tuple[int, str]]:
     """Every invariant violation as ``(instruction index, message)``."""
     errors: list[tuple[int, str]] = []
-    assigned = [False] * circuit.n_clbits
+    n_qubits, n_clbits = circuit.n_qubits, circuit.n_clbits
+    assigned = [False] * n_clbits
 
-    def check_qubit(q: int, where: str) -> None:
-        if not 0 <= q < circuit.n_qubits:
-            errors.append((i, f"qubit {q} out of range in {where}"))
+    # Indices are tested inline; these report what a test found, and the
+    # literal check runs only on a non-empty condition or product.
+    def bad_qubit(i: int, q: int, where: str) -> None:
+        errors.append((i, f"qubit {q} out of range in {where}"))
 
-    def check_clbit(b: int, where: str) -> None:
-        if not 0 <= b < circuit.n_clbits:
-            errors.append((i, f"clbit {b} out of range in {where}"))
+    def bad_clbit(i: int, b: int, where: str) -> None:
+        errors.append((i, f"clbit {b} out of range in {where}"))
 
-    def check_literals(literals, where: str, reader: str) -> None:
+    def check_literals(i: int, literals, where: str, reader: str) -> None:
         seen: set[int] = set()
         for b, _ in literals:
-            check_clbit(b, where)
+            inside = 0 <= b < n_clbits
+            if not inside:
+                bad_clbit(i, b, where)
             if b in seen:
                 errors.append((i, f"clbit {b} repeated in {where}"))
             seen.add(b)
-            if 0 <= b < circuit.n_clbits and not assigned[b]:
+            if inside and not assigned[b]:
                 errors.append((i, f"{reader} reads clbit {b} before assignment"))
 
     for i, instr in enumerate(circuit.instructions):
         if isinstance(instr, Gate):
-            check_qubit(instr.target, "targets")
-            if instr.control is not None:
-                check_qubit(instr.control, "controls")
-                if instr.control == instr.target:
-                    errors.append((i, f"control/target overlap on [{instr.target}]"))
-            check_literals(instr.condition, "condition", "condition")
+            target, control = instr.target, instr.control
+            if not 0 <= target < n_qubits:
+                bad_qubit(i, target, "targets")
+            if control is not None:
+                if not 0 <= control < n_qubits:
+                    bad_qubit(i, control, "controls")
+                if control == target:
+                    errors.append((i, f"control/target overlap on [{target}]"))
+            if instr.condition:
+                check_literals(i, instr.condition, "condition", "condition")
         elif isinstance(instr, Measure):
-            check_qubit(instr.qubit, "measure")
-            check_clbit(instr.bit, "measure")
-            if 0 <= instr.bit < circuit.n_clbits:
-                assigned[instr.bit] = True
+            qubit, bit = instr.qubit, instr.bit
+            if not 0 <= qubit < n_qubits:
+                bad_qubit(i, qubit, "measure")
+            if 0 <= bit < n_clbits:
+                assigned[bit] = True
+            else:
+                bad_clbit(i, bit, "measure")
         elif isinstance(instr, Reset):
-            check_qubit(instr.qubit, "reset")
+            if not 0 <= instr.qubit < n_qubits:
+                bad_qubit(i, instr.qubit, "reset")
         elif isinstance(instr, ClassicalToggle):
-            check_clbit(instr.target, "toggle target")
-            if any(b == instr.target for b, _ in instr.product):
-                errors.append((i, f"toggle target {instr.target} appears in its own product"))
-            check_literals(instr.product, "toggle product", "toggle")
-            if 0 <= instr.target < circuit.n_clbits and not assigned[instr.target]:
-                errors.append((i, f"toggle target {instr.target} unassigned"))
+            target = instr.target
+            inside = 0 <= target < n_clbits
+            if not inside:
+                bad_clbit(i, target, "toggle target")
+            if instr.product:
+                if any(b == target for b, _ in instr.product):
+                    errors.append((i, f"toggle target {target} appears in its own product"))
+                check_literals(i, instr.product, "toggle product", "toggle")
+            if inside and not assigned[target]:
+                errors.append((i, f"toggle target {target} unassigned"))
         else:  # pragma: no cover - exhaustive union
             errors.append((i, f"unknown instruction {instr!r}"))
     return errors

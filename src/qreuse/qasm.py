@@ -25,6 +25,14 @@ built-in gate or statement. A circuit that breaks an ``ir.violations``
 invariant is rejected at the line of its first offending statement. Emission is
 deterministic: fixed ordering, 17-significant-digit floats, so identical
 circuits produce byte-identical text.
+
+A line that holds exactly one built-in gate, measurement or reset
+statement, spaced as ``emit`` writes it (``cp(0.25) q[0], q[1];``,
+``c[0] = measure q[0];``, nothing before or after), is read with one match
+of the whole line. Every other line, and any such line the match cannot
+build (an opaque label, an angle that is not a decimal literal, an index
+over the digit limit), is read statement by statement. Both routes give
+the same instructions and the same errors, with the same line and column.
 """
 
 from __future__ import annotations
@@ -105,6 +113,12 @@ _RE_LIT = re.compile(r"(!?)c\[(\d+)\]", re.ASCII)
 _RE_LABEL = re.compile(_LABEL, re.ASCII)
 _RE_MATRIX = re.compile(rf"//\s*matrix\s+({_LABEL})\s*:\s*(.+)", re.ASCII)
 _RE_NAME = re.compile(r"//\s*circuit:\s*(.*)", re.ASCII)
+# A whole line as ``emit`` writes a measurement, gate or reset: a name with
+# an optional decimal angle and one or two qubits; ``_Reader.canonical``
+# builds it.
+_RE_LINE = re.compile(
+    rf"(?:c\[(\d+)\] = measure|({_LABEL})(?:\(({_NUM})\))?) q\[(\d+)\](?:, q\[(\d+)\])?;", re.ASCII
+)
 
 _UNSUPPORTED_HINTS = (
     "barrier",
@@ -255,6 +269,35 @@ class _Reader:
             raise QasmUnsupportedError(f"only gate statements may be conditioned, got {inner!r}", line, col)
         return gate
 
+    def canonical(self, m: re.Match, line: int) -> Gate | Measure | Reset | None:
+        """The instruction of a ``_RE_LINE`` match at ``line``, or None where
+        ``statement`` must read the line: a name outside ``_STATEMENTS`` but
+        ``reset``, a shape no such statement has, or an index past the
+        interpreter's digit limit."""
+        bit, name, angle, first, second = m.groups()
+        if bit is None and name != "reset":
+            entry = _STATEMENTS.get(name)
+            if entry is None or entry[1] is (second is None):
+                return None
+            if angle is None:
+                kind = self.kinds.get(entry[0])
+            else:
+                kind = self.kinds.get((entry[0], angle)) or self.angled_kind(entry[0], angle, line, 1)
+            if kind is None:
+                return None
+        elif angle is not None or second is not None:
+            return None  # a measurement or reset in another shape
+        try:
+            if bit is not None:
+                return Measure(int(first), int(bit), line)
+            if name == "reset":
+                return Reset(int(first), line)
+            if second is None:
+                return Gate(kind, int(first), None, (), line)
+            return Gate(kind, int(second), int(first), (), line)
+        except ValueError:  # ``statement`` reports the over-long index
+            return None
+
     def gate(self, m: re.Match, condition: tuple, line: int, col: int) -> Gate | None:
         """The gate of a ``_RE_GATE`` match, or None if no gate has its shape
         (``reset q[i]`` included)."""
@@ -266,7 +309,9 @@ class _Reader:
         elif angle is None:
             kind = self.kinds.get(kind_name)
         else:
-            kind = self.kinds.get((kind_name, angle)) or self.angled_kind(kind_name, angle, line, col)
+            kind = self.kinds.get((kind_name, angle))
+            if kind is None and _RE_NUM.fullmatch(angle):
+                kind = self.angled_kind(kind_name, angle, line, col)
         if kind is None:
             if angle is None and second is None and name != "reset":
                 if name in _STATEMENTS or name == "measure":
@@ -280,9 +325,9 @@ class _Reader:
         return Gate(kind, _integer(second, line, col), _integer(first, line, col), condition, line)
 
     def angled_kind(self, name: str, angle: str, line: int, col: int) -> GateKind | None:
-        """Build and remember the kind for an angle text not seen before;
-        None if the kind takes no angle or the text is no decimal literal."""
-        if name not in PARAMETRIC or not _RE_NUM.fullmatch(angle):
+        """Build and remember the kind for a decimal angle text not seen
+        before; None if the kind takes no angle."""
+        if name not in PARAMETRIC:
             return None
         kind = self.kinds[name, angle] = GateKind(name, angle=_number(angle, "angle", line, col))
         return kind
@@ -290,13 +335,19 @@ class _Reader:
 
 def parse(text: str) -> Circuit:
     reader = _Reader()
-    statement = reader.statement
+    statement, canonical, line_match = reader.statement, reader.canonical, _RE_LINE.fullmatch
     name = ""
     instructions = []
     append = instructions.append
 
     # Lines end at "\n", "\r\n" or a lone "\r", as in an editor.
     for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
+        m = line_match(raw)
+        if m is not None:
+            instr = canonical(m, lineno)
+            if instr is not None:
+                append(instr)
+                continue
         if "//" in raw:
             stripped = raw.strip()
             if stripped.startswith("//"):

@@ -23,6 +23,8 @@ from qreuse.ir import (
 )
 from qreuse.qasm import emit
 
+import bench_reference
+
 
 class TestQpe:
     def test_structure_and_depth(self):
@@ -150,6 +152,18 @@ class TestRandom:
     @pytest.mark.parametrize("prob", [0.0, 1.0])
     def test_two_qubit_prob_bounds_accepted(self, prob):
         assert validate(gen_random(RandomSpec(4, 3, 1, two_qubit_prob=prob))) == []
+
+    @pytest.mark.parametrize(
+        "n,d,seed,prob",
+        [
+            (1, 3, 1, 0.5), (2, 4, 5, 0.5), (3, 6, 2, 1.0), (8, 4, 7, 0.5), (17, 5, 3, 0.3),
+            (32, 8, 1271847596999488994, 0.5), (33, 3, 9, 1.0), (64, 3, 4, 0.0), (120, 2, 11, 0.5),
+            (1000, 3, 6, 0.9), (4096, 2, 1, 0.5),
+        ],
+    )
+    def test_draw_matches_the_list_draw(self, n, d, seed, prob):
+        spec = RandomSpec(n, d, seed, two_qubit_prob=prob)
+        assert gen_random(spec) == bench_reference.gen_random(spec)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 9), st.integers(1, 8), st.integers(1, 10))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qreuse import bench, oracle
-from qreuse.ir import Circuit, Dependencies, Gate, Measure, Reset, validate
+from qreuse.ir import Circuit, Dependencies, Gate, Measure, Reset, two_qubit_gate_count, validate
 from qreuse.pipeline import MODES, optimize
 from qreuse.qasm import emit, parse
 
@@ -44,6 +44,8 @@ def battery_digest(circuits=None) -> str:
     for c in schedule_battery() if circuits is None else circuits:
         for mode in MODES:
             out, r = optimize(c, mode)
+            # Baseline reports its input's count without counting again.
+            assert r.g2_reused == two_qubit_gate_count(out), (c.name, mode)
             counts = (
                 r.n_original, r.n_reused, r.d_original, r.d_reused,
                 r.g2_original, r.g2_reused, r.reuse_count, sorted(r.rule_counts.items()),

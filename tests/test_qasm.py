@@ -501,6 +501,8 @@ ODD_ACCEPTED = [
     "qubit[2] q;\nbit[2] c;\nc[0] = measure q[0];\nif(c[0])x q[1];\nif (true) h q[0];\nif ( !c[0] ) cz q[1] ,q[0];\n",
     "qubit[2] q;\nbit[2] c;\nc[0] = measure q[0];  c[1] = measure q[1];  c[1] = c[1] ^ (!c[0]);  // done\n",
     "// circuit:   named  \n// matrix u_a :  0 0 1 0 1 0 0 0 \nqubit[1] q;\nbit[0] c;\nu_a q[0];\n// comment; h q[0]\n",
+    # Lines near the shape that parse reads with one match.
+    "qubit[2] q;\nbit[2] c;\nOPENQASM q[0];\nh q[0];;\nreset q[0];\nh q[0];\u00a0\n",
 ]
 
 
@@ -561,6 +563,8 @@ MALFORMED = [
             "includes q[0];", "OPENQASMx 3;", "inv q[0];", "gate foo q { h q; }", "barrier q[0];",
             "for i in [0:1] { h q[0]; }", "delay[10ns] q[0];", "gphase(0.5);", "ccx q[0], q[1], q[2];",
             "u_b q[0];", "_ q[0];", "x  q [0];", "x q[-1];", "x q[+1];",
+            # Near the shape that parse reads with one match.
+            "p(1;2) q[0];", "p(1//2) q[0];", "p(inf) q[0];", "cx q[1], q[1];", "c[1] = measure q[7];",
             # An angle already read in another shape.
             "cp(0.5) q[0], q[1]; cp(0.5) q[0];", "p(0.5) q[0]; p(0.5) q[0], q[1];", "rx(1) q[0]; cp(1) q[0];",
         )
