@@ -372,39 +372,6 @@ class Dependencies:
         object.__setattr__(circuit, "_deps", self)
         return circuit
 
-    def forward_reach(self, order) -> list[int]:
-        """Per instruction, the bitmask of the bits its forward cone writes.
-
-        ``order`` lists the positions that make up the circuit, in circuit
-        order; the result follows it. The cone follows qubit wires
-        (two-qubit gates fan out to both wires) and stops before a Reset,
-        whose output no longer depends on anything earlier.
-        A written bit reaches every later instruction that reads it. One
-        backward pass: each wire carries the reach of its next instruction,
-        each bit a running OR of its later readers' reach.
-        """
-        bit_reach = [0] * len(order)
-        wire_bits = [0] * self.n_qubits
-        reader_bits = [0] * self.n_clbits
-        qubits_of, reads_of, writes_of, is_reset = self.qubits, self.reads, self.writes, self.is_reset
-        for k in range(len(order) - 1, -1, -1):
-            i = order[k]
-            qubits = qubits_of[i]
-            bm = 0
-            for q in qubits:
-                bm |= wire_bits[q]
-            b = writes_of[i]
-            if b is not None:
-                bm |= (1 << b) | reader_bits[b]
-            bit_reach[k] = bm
-            for b in reads_of[i]:
-                reader_bits[b] |= bm
-            if is_reset[i]:
-                bm = 0
-            for q in qubits:
-                wire_bits[q] = bm
-        return bit_reach
-
 
 _GAP = 1 << 32
 

@@ -39,9 +39,11 @@ def _wire_masks(deps: Dependencies) -> tuple[list[int], list[int], list[int], li
     bits its instructions reach, the bits they access, and the wires its
     first instruction precedes in the schedule order.
 
-    One backward pass. As in ``Dependencies.forward_reach``, each wire
-    carries the reach of its next instruction, cut at a reset, and each bit
-    its later readers' reach. Each wire also carries what its next
+    An instruction reaches the bit it writes, what the next instruction on
+    each of its wires reaches unless that is a reset, and, when it writes a
+    bit, what every later reader of that bit reaches. One backward pass:
+    each wire carries the reach of its next instruction, cut at a reset, and
+    each bit its later readers' reach. Each wire also carries what its next
     instruction precedes, and each bit what its next write and its reads
     since then precede: the bit edges ``run`` builds go from a read to the
     next write, and from a write to the next write and the reads in between.

@@ -49,16 +49,27 @@ __all__ = [
 def _remove_dead_gates(chain: Chain) -> int:
     """Remove every gate whose forward cone contains no measurement.
 
-    A gate's cone writes a bit exactly when it reaches a measurement, so one
-    backward reach pass decides every gate at once. Measurements, resets, and
-    toggles always stay.
+    A node is live when it writes a bit, or when the next node on one of its
+    wires is live and is not a reset: a gate's cone reaches a measurement
+    exactly then. So one backward pass decides every gate at once, with one
+    flag per wire that says whether the next node on it is live and is not a
+    reset. Measurements, resets, and toggles always stay.
     """
-    order = chain.order()
-    dead = [
-        node
-        for node, bits in zip(order, chain.facts.forward_reach(order))
-        if not bits and isinstance(chain.instr[node], Gate)
-    ]
+    facts, instrs = chain.facts, chain.instr
+    qubits_of, writes, is_reset = facts.qubits, facts.writes, facts.is_reset
+    wire_live = [False] * facts.n_qubits
+    dead = []
+    for node in reversed(chain.order()):
+        qubits = qubits_of[node]
+        live = writes[node] is not None
+        for q in qubits:
+            if wire_live[q]:
+                live = True
+        if not live and type(instrs[node]) is Gate:
+            dead.append(node)
+        live = live and not is_reset[node]
+        for q in qubits:
+            wire_live[q] = live
     for node in dead:
         chain.remove(node)
     return len(dead)

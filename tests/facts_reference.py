@@ -6,7 +6,7 @@ same index would share every mistake in it, so the references read these
 facts here instead: each straight from the ``Gate``/``Measure``/``Reset``/
 ``ClassicalToggle`` fields, with no code in common with the product. Wire
 positions, scheduling edges and forward reach are built from them by this
-module's own search.
+module's own search, and forward reach once more by a plain graph search.
 """
 
 from __future__ import annotations
@@ -137,3 +137,31 @@ def forward_reach(circuit: Circuit) -> tuple[list[int], list[int]]:
             bm |= bit_reach[j]
         qubit_reach[i], bit_reach[i] = qm, bm
     return qubit_reach, bit_reach
+
+
+def cone_by_search(circuit, start):
+    """Mask of the bits one instruction's forward cone writes, by graph search.
+
+    Follows each wire to its next instruction unless that is a reset, and
+    from a written bit to every later reader of it, without
+    ``cone_steps``.
+    """
+    instrs = circuit.instructions
+    seen, stack = set(), [start]
+    while stack:
+        i = stack.pop()
+        if i in seen:
+            continue
+        seen.add(i)
+        for q in qubits(instrs[i]):
+            j = next((j for j in range(i + 1, len(instrs)) if q in qubits(instrs[j])), None)
+            if j is not None and not is_reset(instrs[j]):
+                stack.append(j)
+        b = written(instrs[i])
+        if b is not None:
+            stack.extend(j for j in range(i + 1, len(instrs)) if b in reads(instrs[j]))
+    bits = 0
+    for i in seen:
+        if written(instrs[i]) is not None:
+            bits |= 1 << written(instrs[i])
+    return bits

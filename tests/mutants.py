@@ -1,0 +1,54 @@
+"""Mutants that the tier-1 tests must kill: ``(file, old text, new text, why)``.
+
+Each entry is a text patch of one file under ``src/qreuse``: ``old`` must
+occur there exactly once, and ``run_mutants.py`` replaces it with ``new`` in
+a copy of the tree, then runs the tests there and expects one to fail. A
+change to a mutated line updates its entry.
+
+    python tests/run_mutants.py
+"""
+
+MUTANTS = [
+    (
+        "src/qreuse/transform.py",
+        "        live = live and not is_reset[node]\n",
+        "",
+        "dead gates: liveness passes a reset, so a gate whose only way to a measurement is through a reset stays",
+    ),
+    (
+        "src/qreuse/transform.py",
+        "        live = writes[node] is not None\n",
+        "        live = False\n",
+        "dead gates: a measurement or toggle does not make its node live, so every gate goes",
+    ),
+    (
+        "src/qreuse/transform.py",
+        "        for q in qubits:\n            if wire_live[q]:\n",
+        "        for q in qubits[:1]:\n            if wire_live[q]:\n",
+        "dead gates: only a gate's first wire (its control) is read, so a CX live only through its target goes",
+    ),
+    (
+        "src/qreuse/reuse.py",
+        "            for r in reads_since.pop(w, ()):\n",
+        "            for r in reads_since.pop(w, ())[:0]:\n",
+        "reuse: a write is no longer scheduled after the reads of the bit's previous value",
+    ),
+    (
+        "src/qreuse/reuse.py",
+        "        last[h] = last[g]\n",
+        "",
+        "reuse: a group's last node never advances to its mover's, so a second merge onto it resets too early",
+    ),
+    (
+        "src/qreuse/ir.py",
+        "        return qubits, tuple(map(_first, literals)) if literals else (), None, False\n",
+        "        return qubits, (), None, False\n",
+        "facts: a gate reads no condition bits, so no pass sees a conditioned gate's bit dependency",
+    ),
+    (
+        "src/qreuse/transform.py",
+        "        put(node, swapped, (target, control))\n",
+        "        put(node, swapped, (control, target))\n",
+        "control exchange: the swapped gate's facts keep the old qubit order, not control first",
+    ),
+]

@@ -29,6 +29,7 @@ from qreuse.ir import (
 )
 
 import facts_reference
+from facts_reference import cone_by_search
 from conftest import adversarial, cx_pair, schedule_battery, small_random, wide_battery
 
 
@@ -126,40 +127,15 @@ def test_each_violation_has_its_own_message(message, n_qubits, n_clbits, steps):
     assert violations(circuit) == [(len(circuit.instructions) - 1, message)]
 
 
-def cone_by_search(circuit, start):
-    """Mask of the bits one instruction's forward cone writes, by graph search.
-
-    Follows each wire to its next instruction unless that is a reset, and
-    from a written bit to every later reader of it. Reads every fact from
-    the instruction fields, through ``facts_reference``.
-    """
-    instrs = circuit.instructions
-    qubits, reads, written = facts_reference.qubits, facts_reference.reads, facts_reference.written
-    seen, stack = set(), [start]
-    while stack:
-        i = stack.pop()
-        if i in seen:
-            continue
-        seen.add(i)
-        for q in qubits(instrs[i]):
-            j = next((j for j in range(i + 1, len(instrs)) if q in qubits(instrs[j])), None)
-            if j is not None and not facts_reference.is_reset(instrs[j]):
-                stack.append(j)
-        b = written(instrs[i])
-        if b is not None:
-            stack.extend(j for j in range(i + 1, len(instrs)) if b in reads(instrs[j]))
-    bits = 0
-    for i in seen:
-        if written(instrs[i]) is not None:
-            bits |= 1 << written(instrs[i])
-    return bits
-
-
 def reach_of(circuit, position):
-    return Dependencies(circuit).forward_reach(range(len(circuit.instructions)))[position]
+    return facts_reference.forward_reach(circuit)[1][position]
 
 
 class TestForwardCone:
+    """The reference reach that the commute and reuse references read. The
+    product decides dead gates by the same rule, one flag per wire
+    (``test_transform.py::TestDeadGates``)."""
+
     def test_cx_pair_cone_covers_both_measurements(self):
         assert reach_of(cx_pair(), 1) == 0b11  # the CX
 
@@ -178,34 +154,14 @@ class TestForwardCone:
         b.h(0).measure(0, 0).x(1, condition=((0, True),)).measure(1, 1)
         assert reach_of(b.build(), 0) == 0b11
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10 ** 6))
-    def test_monotone(self, seed):
-        # An instruction's reach contains the reach of every instruction its
-        # cone steps to next.
-        c = small_random(seed)
-        deps = Dependencies(c)
-        bit_reach = deps.forward_reach(range(len(c.instructions)))
-
-        def contains(i, j):
-            return not bit_reach[j] & ~bit_reach[i]
-
-        for positions in facts_reference.wires(c):
-            for i, j in zip(positions, positions[1:]):
-                assert deps.is_reset[j] or contains(i, j)
-        for i, b in enumerate(deps.writes):
-            if b is not None:
-                assert all(contains(i, j) for j in range(i + 1, len(deps.reads)) if b in deps.reads[j])
-
     def test_matches_graph_search(self):
-        # Both the index's one backward pass and the reference's closure over
-        # its own cone steps, which the reuse references read.
+        # The reference's closure over its own cone steps against a plain
+        # search.
         circuits = [gen(seed) for seed in range(0, 400, 7) for gen in (adversarial, small_random)]
         for c in circuits:
-            bit_reach = Dependencies(c).forward_reach(range(len(c.instructions)))
             reference_reach = facts_reference.forward_reach(c)[1]
             for i in range(len(c.instructions)):
-                assert bit_reach[i] == reference_reach[i] == cone_by_search(c, i)
+                assert reference_reach[i] == cone_by_search(c, i)
 
 
 class TestDepth:

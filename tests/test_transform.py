@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -21,8 +22,19 @@ from qreuse.transform import (
     run,
 )
 
+import commute_reference
+import facts_reference
 from commute_reference import controls_loop, exchange_scan, introduce_scan, transform_run
-from conftest import cx_pair, schedule_battery, small_random
+from conftest import adversarial, cx_pair, schedule_battery, small_random
+from facts_reference import cone_by_search
+
+
+def tagged(circuit):
+    """``circuit`` with each instruction's position as its source line, which
+    instruction equality ignores, so a pass's survivors can be told apart."""
+    return circuit.with_instructions(
+        dataclasses.replace(instr, source_line=i) for i, instr in enumerate(circuit.instructions)
+    )
 
 
 class TestDeadGates:
@@ -51,6 +63,57 @@ class TestDeadGates:
         out, removed = eliminate_dead_gates(b.build())
         assert removed == 2
         assert len(out.instructions) == 1
+
+    def test_liveness_through_a_classical_condition(self):
+        b = CircuitBuilder(2, 2)
+        b.h(0).measure(0, 0).x(1, condition=((0, True),)).measure(1, 1)
+        c = b.build()
+        out, removed = eliminate_dead_gates(c)
+        assert removed == 0 and out.instructions == c.instructions
+
+    @pytest.mark.parametrize("measured", [0, 1], ids=["control", "target"])
+    def test_two_qubit_gate_live_through_one_wire(self, measured):
+        # Control first, target second in the gate's wires; the h before the
+        # CX on the other wire lives through the CX.
+        b = CircuitBuilder(2, 1)
+        b.h(1 - measured).cx(0, 1).measure(measured, 0)
+        c = b.build()
+        out, removed = eliminate_dead_gates(c)
+        assert removed == 0 and out.instructions == c.instructions
+
+    def test_decisions_match_graph_search(self):
+        # A gate goes exactly when its forward cone writes no bit; the
+        # reference, which reads the reference reach, removes the same ones.
+        for c in [gen(seed) for seed in range(0, 400, 7) for gen in (adversarial, small_random)]:
+            c = tagged(c)
+            dead = {i for i, instr in enumerate(c.instructions) if isinstance(instr, Gate) and not cone_by_search(c, i)}
+            out, removed = eliminate_dead_gates(c)
+            assert [instr.source_line for instr in out.instructions] == [
+                i for i in range(len(c.instructions)) if i not in dead
+            ], c.name
+            assert removed == len(dead)
+            assert (out, removed) == commute_reference.eliminate_dead_gates(c)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_kept_exactly_when_a_wire_successor_is_live(self, seed):
+        # Liveness passes backward along wires and stops at a reset: a gate
+        # stays exactly when the next instruction on one of its wires is a
+        # measurement or a gate that stays.
+        c = tagged(small_random(seed))
+        instrs = c.instructions
+        kept = {instr.source_line for instr in eliminate_dead_gates(c)[0].instructions}
+        successors = [[] for _ in instrs]
+        for positions in facts_reference.wires(c):
+            for i, j in zip(positions, positions[1:]):
+                successors[i].append(j)
+
+        def live(j):
+            return isinstance(instrs[j], Measure) or (isinstance(instrs[j], Gate) and j in kept)
+
+        for i, instr in enumerate(instrs):
+            if isinstance(instr, Gate):
+                assert (i in kept) == any(live(j) for j in successors[i])
 
 
 class TestIntroduceClassicalControls:
