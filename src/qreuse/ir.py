@@ -505,10 +505,7 @@ class Chain:
         ``gate``, its predecessor on wire ``q``."""
         prev, nxt, label = self.prev, self.next, self.label
         a, b = prev[node], nxt[node]
-        if a >= 0:
-            nxt[a] = b
-        else:
-            self.head = b
+        nxt[a] = b  # ``gate`` lies before ``node``, so ``a`` is a node
         if b >= 0:
             prev[b] = a
         a = prev[gate]

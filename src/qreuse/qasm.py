@@ -26,13 +26,15 @@ invariant is rejected at the line of its first offending statement. Emission is
 deterministic: fixed ordering, 17-significant-digit floats, so identical
 circuits produce byte-identical text.
 
-A line that holds exactly one built-in gate, measurement or reset
-statement, spaced as ``emit`` writes it (``cp(0.25) q[0], q[1];``,
-``c[0] = measure q[0];``, nothing before or after), is read with one match
-of the whole line. Every other line, and any such line the match cannot
-build (an opaque label, an angle that is not a decimal literal, an index
-over the digit limit), is read statement by statement. Both routes give
-the same instructions and the same errors, with the same line and column.
+A line that holds exactly one gate, measurement or reset statement,
+spaced as ``emit`` writes it (``cp(0.25) q[0], q[1];``,
+``c[0] = measure q[0];``, ``u_a q[0];``, nothing before or after), is read
+with one match of the whole line, opaque labels and over-long indices
+included. Of such lines, only an ``include`` line and a shape that no
+statement has (``cx q[0];``, an undeclared label) go on to be read
+statement by statement, as every other line is. Both routes build a gate or
+reset with ``_Reader.gate`` and give the same instructions and the same
+errors, with the same line and column.
 """
 
 from __future__ import annotations
@@ -101,23 +103,20 @@ _NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 _LABEL = r"[a-z_][a-z0-9_]*"
 # Each statement is read with one pattern, chosen by its first two
 # characters. Every gate statement, ``reset`` included, has the shape
-# ``name[(angle)] q[i][, q[j]]``; an angle text is checked against ``_RE_NUM``
-# once per parse.
-_RE_GATE = re.compile(rf"({_LABEL})(?:\(([^)]*)\))?\s+q\[(\d+)\](?:\s*,\s*q\[(\d+)\])?", re.ASCII)
+# ``name[(angle)] q[i][, q[j]]``, which ``_Reader.gate`` reads.
+_RE_GATE = re.compile(rf"({_LABEL})(?:\(({_NUM})\))?\s+q\[(\d+)\](?:\s*,\s*q\[(\d+)\])?", re.ASCII)
 _RE_BITS = re.compile(r"c\[(\d+)\]\s*=\s*(?:measure\s+q\[(\d+)\]|c\[(\d+)\]\s*\^\s*(.+))", re.ASCII)
 _RE_IF = re.compile(r"if\s*\((.*?)\)\s*(.+)", re.ASCII)
 _RE_DECL = re.compile(r"(qubit|bit)\[(\d+)\]\s+(\w+)", re.ASCII)
 _RE_HEADER = re.compile(r"(?:OPENQASM|include)\b", re.ASCII)
-_RE_NUM = re.compile(_NUM, re.ASCII)
 _RE_LIT = re.compile(r"(!?)c\[(\d+)\]", re.ASCII)
 _RE_LABEL = re.compile(_LABEL, re.ASCII)
 _RE_MATRIX = re.compile(rf"//\s*matrix\s+({_LABEL})\s*:\s*(.+)", re.ASCII)
 _RE_NAME = re.compile(r"//\s*circuit:\s*(.*)", re.ASCII)
-# A whole line as ``emit`` writes a measurement, gate or reset: a name with
-# an optional decimal angle and one or two qubits; ``_Reader.canonical``
-# builds it.
+# A whole line as ``emit`` writes a measurement, or else a gate or reset
+# with ``_RE_GATE``'s four groups.
 _RE_LINE = re.compile(
-    rf"(?:c\[(\d+)\] = measure|({_LABEL})(?:\(({_NUM})\))?) q\[(\d+)\](?:, q\[(\d+)\])?;", re.ASCII
+    rf"c\[(\d+)\] = measure q\[(\d+)\];|({_LABEL})(?:\(({_NUM})\))? q\[(\d+)\](?:, q\[(\d+)\])?;", re.ASCII
 )
 
 _UNSUPPORTED_HINTS = (
@@ -183,6 +182,16 @@ def _literals(text: str, line: int, col: int) -> tuple[tuple[int, bool], ...]:
     return tuple(literals)
 
 
+def _refuse_lone(m: re.Match, line: int, col: int) -> None:
+    """Raise for a ``_RE_GATE`` match of one qubit and no angle that reads as
+    no statement: a statement name in another shape, or an undeclared label."""
+    name, angle, _, second = m.groups()
+    if angle is None and second is None:
+        if name in _STATEMENTS or name == "measure":
+            raise QasmSyntaxError(f"malformed statement {m.string!r}", line, col)
+        raise QasmSemanticError(f"unknown gate {name!r}; opaque gates need a preceding matrix annotation", line, col)
+
+
 class _Reader:
     """One parse's state: the register sizes declared so far and the kinds
     its gates share: one per kind name without an angle, per ``// matrix``
@@ -233,11 +242,10 @@ class _Reader:
                 return None  # headers tolerated and ignored on input, never emitted
         m = _RE_GATE.fullmatch(stmt)
         if m:
-            gate = self.gate(m, (), line, col)
-            if gate is not None:
-                return gate
-            if m[1] == "reset" and m[2] is None and m[4] is None:
-                return Reset(_integer(m[3], line, col), line)
+            instr = self.gate(*m.groups(), (), line, col)
+            if instr is not None:
+                return instr
+            _refuse_lone(m, line, col)
         if stmt.startswith(_UNSUPPORTED_HINTS):
             head = stmt.split("(")[0].split()[0]
             raise QasmUnsupportedError(f"construct {head!r} is outside the subset", line, col)
@@ -264,65 +272,39 @@ class _Reader:
     def conditioned(self, cond: str, inner: str, line: int, col: int) -> Gate:
         literals = () if cond == "true" else _literals(cond, line, col)
         m = _RE_GATE.fullmatch(inner)
-        gate = m and self.gate(m, literals, line, col)
-        if not gate:
-            raise QasmUnsupportedError(f"only gate statements may be conditioned, got {inner!r}", line, col)
-        return gate
+        if m and m[1] != "reset":  # a reset is refused here whatever its index
+            gate = self.gate(*m.groups(), literals, line, col)
+            if gate is not None:
+                return gate
+            _refuse_lone(m, line, col)
+        raise QasmUnsupportedError(f"only gate statements may be conditioned, got {inner!r}", line, col)
 
-    def canonical(self, m: re.Match, line: int) -> Gate | Measure | Reset | None:
-        """The instruction of a ``_RE_LINE`` match at ``line``, or None where
-        ``statement`` must read the line: a name outside ``_STATEMENTS`` but
-        ``reset``, a shape no such statement has, or an index past the
-        interpreter's digit limit."""
-        bit, name, angle, first, second = m.groups()
-        if bit is None and name != "reset":
-            entry = _STATEMENTS.get(name)
-            if entry is None or entry[1] is (second is None):
-                return None
-            if angle is None:
-                kind = self.kinds.get(entry[0])
-            else:
-                kind = self.kinds.get((entry[0], angle)) or self.angled_kind(entry[0], angle, line, 1)
-            if kind is None:
-                return None
-        elif angle is not None or second is not None:
-            return None  # a measurement or reset in another shape
-        try:
-            if bit is not None:
-                return Measure(int(first), int(bit), line)
-            if name == "reset":
-                return Reset(int(first), line)
-            if second is None:
-                return Gate(kind, int(first), None, (), line)
-            return Gate(kind, int(second), int(first), (), line)
-        except ValueError:  # ``statement`` reports the over-long index
-            return None
-
-    def gate(self, m: re.Match, condition: tuple, line: int, col: int) -> Gate | None:
-        """The gate of a ``_RE_GATE`` match, or None if no gate has its shape
-        (``reset q[i]`` included)."""
-        name, angle, first, second = m.groups()
-        # Any other name reads as an opaque label: one qubit, no angle.
+    def gate(
+        self, name: str, angle: str | None, first: str, second: str | None, condition: tuple, line: int, col: int
+    ) -> Gate | Reset | None:
+        """The ``Gate`` of ``name[(angle)] q[first][, q[second]]`` under
+        ``condition``, the ``Reset`` of ``reset q[first]``, or None where no
+        statement has that shape. Any name outside ``_STATEMENTS`` reads as
+        an opaque label: one qubit, no angle."""
         kind_name, controlled = _STATEMENTS.get(name) or (name, False)
         if controlled is (second is None):
-            kind = None  # a statement name in another shape, such as ``cx q[0]``
-        elif angle is None:
+            return None  # a statement name in another shape, such as ``cx q[0]``
+        if angle is None:
             kind = self.kinds.get(kind_name)
+            if kind is None and name == "reset":
+                return Reset(_integer(first, line, col), line)
         else:
-            kind = self.kinds.get((kind_name, angle))
-            if kind is None and _RE_NUM.fullmatch(angle):
-                kind = self.angled_kind(kind_name, angle, line, col)
+            kind = self.kinds.get((kind_name, angle)) or self.angled_kind(kind_name, angle, line, col)
         if kind is None:
-            if angle is None and second is None and name != "reset":
-                if name in _STATEMENTS or name == "measure":
-                    raise QasmSyntaxError(f"malformed statement {m.string!r}", line, col)
-                raise QasmSemanticError(
-                    f"unknown gate {name!r}; opaque gates need a preceding matrix annotation", line, col
-                )
             return None
-        if second is None:
-            return Gate(kind, _integer(first, line, col), None, condition, line)
-        return Gate(kind, _integer(second, line, col), _integer(first, line, col), condition, line)
+        try:
+            if second is None:
+                return Gate(kind, int(first), None, condition, line)
+            return Gate(kind, int(second), int(first), condition, line)
+        except ValueError:  # an index past the digit limit: ``_integer`` refuses the first one read
+            for text in filter(None, (second, first)):
+                _integer(text, line, col)
+            raise
 
     def angled_kind(self, name: str, angle: str, line: int, col: int) -> GateKind | None:
         """Build and remember the kind for a decimal angle text not seen
@@ -335,7 +317,7 @@ class _Reader:
 
 def parse(text: str) -> Circuit:
     reader = _Reader()
-    statement, canonical, line_match = reader.statement, reader.canonical, _RE_LINE.fullmatch
+    statement, gate, line_match = reader.statement, reader.gate, _RE_LINE.fullmatch
     name = ""
     instructions = []
     append = instructions.append
@@ -344,7 +326,14 @@ def parse(text: str) -> Circuit:
     for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         m = line_match(raw)
         if m is not None:
-            instr = canonical(m, lineno)
+            bit, qubit, op, angle, first, second = m.groups()
+            if bit is None:
+                instr = gate(op, angle, first, second, (), lineno, 1)
+            else:
+                try:
+                    instr = Measure(int(qubit), int(bit), lineno)
+                except ValueError:  # an index past the digit limit, which ``_integer`` refuses
+                    instr = Measure(_integer(qubit, lineno, 1), _integer(bit, lineno, 1), lineno)
             if instr is not None:
                 append(instr)
                 continue

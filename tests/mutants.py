@@ -51,4 +51,29 @@ MUTANTS = [
         "        put(node, swapped, (control, target))\n",
         "control exchange: the swapped gate's facts keep the old qubit order, not control first",
     ),
+    (
+        "src/qreuse/qasm.py",
+        "            return Gate(kind, int(second), int(first), condition, line)\n",
+        "            return Gate(kind, int(first), int(second), condition, line)\n",
+        "parse: a two-qubit gate is read with its control and target swapped",
+    ),
+    (
+        "src/qreuse/qasm.py",
+        "        if controlled is (second is None):\n            return None",
+        "        if False:\n            return None",
+        "parse: a gate is read whatever its qubit shape, so ``cx q[0]`` reads as an X and ``h q[0], q[1]`` as a controlled H",
+    ),
+    (
+        "src/qreuse/commute.py",
+        "        return _DIAGONAL if is_diagonal(prev) else None\n",
+        "        return None\n",
+        "commute: a measurement no longer moves past an opaque gate whose matrix is diagonal",
+    ),
+    (
+        "src/qreuse/cli.py",
+        "        click.echo(f\"equivalence FAILED: TV distance {equivalence['max_deviation']:.3e}\", err=True)\n"
+        "        sys.exit(EXIT_MISMATCH)\n",
+        "        click.echo(f\"equivalence FAILED: TV distance {equivalence['max_deviation']:.3e}\", err=True)\n",
+        "cli: optimize --verify reports a mismatch but exits 0",
+    ),
 ]

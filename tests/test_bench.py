@@ -101,6 +101,10 @@ class TestVqe:
             (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
         ]
 
+    def test_one_qubit_rejected(self):
+        with pytest.raises(ValueError, match="^the ansatz needs at least 2 qubits$"):
+            gen_vqe(1, "linear")
+
     def test_angle_count_enforced(self):
         with pytest.raises(ValueError):
             gen_vqe(4, "linear", angles=[0.1])

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qreuse import bench, qasm
+from qreuse import bench, pipeline, qasm
 from qreuse.cli import main
+from qreuse.ir import Gate
 
 
 @pytest.fixture
@@ -143,6 +144,32 @@ class TestOptimize:
 
     def test_missing_file_is_io_error(self, runner, tmp_path):
         assert runner.invoke(main, ["optimize", str(tmp_path / "nope.qasm")]).exit_code == 3
+
+    def test_output_in_a_missing_directory_is_io_error(self, runner, tmp_path):
+        src = tmp_path / "in.qasm"
+        write_qpe(src)
+        result = runner.invoke(main, ["optimize", str(src), "-o", str(tmp_path / "nowhere" / "out.qasm")])
+        assert result.exit_code == 3, result.output
+        assert "cannot write" in result.output
+
+    def test_verify_mismatch_exits_2_and_still_writes(self, runner, tmp_path, monkeypatch):
+        # An optimize that drops the first gate gives an output that differs.
+        optimize = pipeline.optimize
+
+        def drop_first_gate(circuit, mode="proposed"):
+            out, report = optimize(circuit, mode)
+            instrs = list(out.instructions)
+            del instrs[next(i for i, instr in enumerate(instrs) if isinstance(instr, Gate))]
+            return out.with_instructions(instrs), report
+
+        monkeypatch.setattr(pipeline, "optimize", drop_first_gate)
+        src, dst, rep = tmp_path / "in.qasm", tmp_path / "out.qasm", tmp_path / "rep.json"
+        write_qpe(src)
+        result = runner.invoke(main, ["optimize", str(src), "--verify", "-o", str(dst), "--report", str(rep)])
+        assert result.exit_code == 2, result.output
+        assert "equivalence FAILED" in result.output
+        assert json.loads(rep.read_text())["equivalence"]["equivalent"] is False
+        assert qasm.parse(dst.read_text()).n_qubits == 2
 
     def test_verify_beyond_oracle_cap_is_unverifiable(self, runner, tmp_path):
         # A valid 13-qubit input is one past the exact simulator's cap.

@@ -73,6 +73,19 @@ class TestApplicableRule:
         b.measure(0, 0).x(0, condition=((0, True),)).measure(0, 0)
         assert rules_applied(b.build()) == {}
 
+    def test_opaque_diagonal_moves_and_opaque_mixer_stops(self):
+        # diag(1, i) is an S written as a matrix; the rotation mixes |0> and |1>.
+        mixer = (math.cos(0.4), -math.sin(0.4), math.sin(0.4), math.cos(0.4))
+        b = CircuitBuilder(1, 1).h(0).opaque("u_mix", mixer, 0)
+        c = b.opaque("u_diag", (1, 0, 0, 1j), 0).measure(0, 0).build()
+        out, counts = run(c)
+        assert {rule: k for rule, k in counts.items() if k} == {CommuteRule.DIAGONAL.value: 1}
+        assert out.instructions == (*c.instructions[:2], c.instructions[3], c.instructions[2])
+        assert oracle.equivalent(c, out)[0]
+        # Past the rotation, the measurement would read another distribution.
+        crossed = c.with_instructions((c.instructions[0], c.instructions[3], *c.instructions[1:3]))
+        assert not oracle.equivalent(c, crossed)[0]
+
 
 class TestCommuteOnce:
     """Circuits where ``run`` applies exactly one rule."""

@@ -471,6 +471,10 @@ class TestGateKind:
         with pytest.raises(ValueError, match="finite"):
             opaque_kind("u_bad", [entry, 0, 0, 1])
 
+    def test_opaque_matrix_needs_four_entries(self):
+        with pytest.raises(ValueError, match=r"^opaque matrix must have 4 entries \(row-major 2x2\)$"):
+            opaque_kind("u_a", (1, 0, 0, 1, 0))
+
     @pytest.mark.parametrize(
         "args, kwargs, message",
         [
