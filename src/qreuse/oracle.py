@@ -1,8 +1,12 @@
 """Exact reference semantics for dynamic circuits.
 
-Dense statevector simulation with explicit branching on measurements and
-resets. The observable object is the joint probability distribution over the
-declared classical bits, which is what every rewrite pass must preserve.
+Path enumeration in plain Python, with explicit branching on measurements
+and resets. A path keeps a flat list of amplitudes over only the qubits in
+its state: a measured or reset qubit leaves the state and holds a known
+classical value until a gate touches it again, so the one- and two-qubit
+circuits that reuse produces run on lists of two or four numbers. The
+observable object is the joint probability distribution over the declared
+classical bits, which is what every rewrite pass must preserve.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 from .ir import Circuit, ClassicalToggle, Gate, GateKind, Instruction, Measure, Reset
 
@@ -56,18 +62,6 @@ def kind_matrix(kind: GateKind) -> tuple[complex, complex, complex, complex]:
     return kind.matrix
 
 
-def _halves(n: int, qubit: int, control: int | None = None) -> tuple[tuple, tuple]:
-    """Basic indices of the ``0`` and ``1`` halves of ``qubit``'s axis,
-    inside the slice where the ``control`` qubit is 1."""
-    index: list = [slice(None)] * n
-    if control is not None:
-        index[control] = 1
-    index[qubit] = 0
-    zero = tuple(index)
-    index[qubit] = 1
-    return zero, tuple(index)
-
-
 def _record_test(literals) -> tuple[int, int]:
     """``(mask, want)`` such that ``record & mask == want`` iff every literal holds."""
     mask = want = 0
@@ -79,27 +73,104 @@ def _record_test(literals) -> tuple[int, int]:
     return mask, want
 
 
-_GATE, _TOGGLE, _SPLIT = range(3)  # the opcodes of a plan
+# The opcodes of a plan, the most often run first: a run of toggles, a qubit
+# entering the state, a general gate, a measurement or reset of a qubit
+# outside the state, a split of one in it, a bit flip and a diagonal gate.
+_TOGGLES, _ENTER, _GENERAL, _KNOWN, _SPLIT, _FLIP, _DIAGONAL = range(7)
 
 
-def _plan(instrs: tuple[Instruction, ...], n: int) -> list[tuple]:
-    """One op per instruction: its record test, slices and matrix entries, worked out once."""
+def _select(base: list[int], size: int, t: int, side: int) -> list[int]:
+    """The entries of ``base[:size]`` at the positions whose bit ``t`` is
+    ``side``, gathered as slices: runs of ``2^t`` or strides of ``2^(t+1)``,
+    whichever are fewer. The two sides list partner positions in the same order."""
+    half = 1 << t
+    first = half if side else 0
+    if 2 * half * half < size:
+        parts = (base[r:size:2 * half] for r in range(first, first + half))
+    else:
+        parts = (base[b:b + half] for b in range(first, size, 2 * half))
+    return list(chain.from_iterable(parts))
+
+
+def _table(tables: dict, index: list[int], k: int, t: int, c: int | None, side: int) -> list[int]:
+    """The indices of ``k`` bits whose bit ``t`` is ``side``, inside those
+    whose bit ``c`` is 1 unless ``c`` is None, kept in ``tables`` so that
+    each is built once; every table holds the ints of ``index``.
+
+    Without a control the list is ascending, which is the order of the
+    shorter state a split continues on. With one, it is gathered from the
+    control's ascending ``1`` half, so that the two sides list partner
+    indices in the same order.
+    """
+    key = (k, t, c, side)
+    if key not in tables:
+        if c is None:
+            tables[key] = sorted(_select(index, 1 << k, t, side))
+        else:  # position p of the control's 1 half is index p with bit c put in
+            base = _table(tables, index, k, c, None, 1)
+            tables[key] = _select(base, 1 << k - 1, t - (t > c), side)
+    return tables[key]
+
+
+def _plan(instrs: tuple[Instruction, ...], n: int) -> tuple[list[tuple], list[int]]:
+    """The ops for ``instrs``, and the qubits in the state after the last op
+    (bit j of an index is ``inside[j]``).
+
+    Which qubits are in the state depends only on the instruction sequence,
+    so each op's index tables (see ``_table``) are worked out here, once: a
+    gate's list its target's ``0`` and ``1`` halves, inside the half where
+    its control is 1, and a split's the halves of the qubit that leaves.
+    Consecutive toggles are one op.
+    """
+    table = partial(_table, {}, list(range(1 << n)))
+    where = [-1] * n  # each qubit's bit in the index, -1 outside the state
+    inside: list[int] = []
     plan: list[tuple] = []
     for instr in instrs:
         if isinstance(instr, Gate):
+            u00, u01, u10, u11 = kind_matrix(instr.kind)
+            diagonal = u01 == 0 and u10 == 0
+            qubits = (instr.target,) if instr.control is None else (instr.target, instr.control)
+            if diagonal and all(where[q] < 0 for q in qubits):
+                continue  # on known values: a phase of the whole path, which no probability sees
+            for q in qubits:
+                if where[q] < 0:
+                    where[q] = len(inside)
+                    inside.append(q)
+                    plan.append((_ENTER, 1 << q))
+            k, t = len(inside), where[instr.target]
+            c = None if instr.control is None else where[instr.control]
             test = _record_test(instr.condition)
-            halves = _halves(n, instr.target, instr.control)
-            plan.append((_GATE, *test, *halves, *kind_matrix(instr.kind)))
-        elif isinstance(instr, ClassicalToggle):
-            plan.append((_TOGGLE, *_record_test(instr.product), 1 << instr.target))
-        else:
-            zero, one = _halves(n, instr.qubit)
-            # (outcome 1's record bit, the half it lands on, the half it clears)
-            if isinstance(instr, Reset):
-                plan.append((_SPLIT, zero, one, 0, zero, one))
+            if diagonal:
+                zero = () if u00 == 1 else table(k, t, c, 0)
+                one = () if u11 == 1 else table(k, t, c, 1)
+                plan.append((_DIAGONAL, *test, zero, one, u00, u11))
+            elif u00 == 0 and u11 == 0:
+                plan.append((_FLIP, *test, table(k, t, c, 0), table(k, t, c, 1), u01, u10))
             else:
-                plan.append((_SPLIT, zero, one, 1 << instr.bit, one, zero))
-    return plan
+                plan.append((_GENERAL, *test, table(k, t, c, 0), table(k, t, c, 1), u00, u01, u10, u11))
+        elif isinstance(instr, ClassicalToggle):
+            toggle = (*_record_test(instr.product), 1 << instr.target)
+            if plan and plan[-1][0] == _TOGGLES:
+                plan[-1][1].append(toggle)
+            else:
+                plan.append((_TOGGLES, [toggle]))
+        else:
+            q, qbit = instr.qubit, 1 << instr.qubit
+            reset = isinstance(instr, Reset)
+            bit = 0 if reset else 1 << instr.bit
+            j = where[q]
+            if j < 0:  # a measurement reads the known value, a reset clears it
+                plan.append((_KNOWN, bit, qbit, qbit if reset else 0))
+                continue
+            k = len(inside)
+            # outcome 1 leaves a measured qubit known as 1, a reset one as 0
+            plan.append((_SPLIT, table(k, j, None, 0), table(k, j, None, 1), bit, 0 if reset else qbit))
+            del inside[j]
+            where[q] = -1
+            for pos in range(j, k - 1):
+                where[inside[pos]] = pos
+    return plan, inside
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,137 +193,167 @@ class OutcomeDistribution:
         return 0.5 * sum(abs(self[k] - other[k]) for k in keys)
 
 
-def _key(record: int, n_bits: int) -> str:
-    if n_bits == 0:
-        return ""
-    return format(record, f"0{n_bits}b")
-
-
 def _check_branches(branches: int) -> None:
     if branches > MAX_BRANCHES:
         raise SimulationLimitError(f"branch count exceeded {MAX_BRANCHES}; circuit too dynamic")
 
 
-def _measurement_tail(
-    instrs: tuple[Instruction, ...], n: int
-) -> tuple[int, tuple[int, ...], int, list[int]]:
-    """Read-out plan for the longest measurement-only suffix of ``instrs``.
+def _read_out(
+    tail: tuple[Instruction, ...], inside: list[int]
+) -> tuple[int, list[tuple[int, int]], list[int], list[int]]:
+    """Read-out plan for the measurement-only suffix ``tail``, reached with the
+    qubits ``inside`` in the state.
 
-    Returns the suffix's start, the qubits it never measures (the axes to sum
-    out of ``|state|^2``), the mask of bits it writes, and for each flat index
-    of the marginal (measured qubits in ascending order, the lowest qubit most
-    significant) the record bits the suffix sets to one.
+    Returns the mask of bits the suffix writes; for each measured qubit
+    outside the state, its bit in a path's ``known`` mask and the record bits
+    it sets when that bit is 1; for each index of the state, its class (one
+    per assignment of the measured qubits inside); and each class's record
+    bits.
     """
-    start = len(instrs)
-    while start and isinstance(instrs[start - 1], Measure):
-        start -= 1
-    source = {m.bit: m.qubit for m in instrs[start:]}  # the later write wins
-    measured = sorted(set(source.values()))
+    source = {m.bit: m.qubit for m in tail}  # the later write wins
+    ones: dict[int, int] = {}
+    for bit, q in source.items():
+        ones[q] = ones.get(q, 0) | 1 << bit
+    outside = [(1 << q, bits) for q, bits in ones.items() if q not in inside]
     leaf_bits = [0]
-    for q in measured:
-        ones = sum(1 << b for b, src in source.items() if src == q)
-        leaf_bits = [bits | (ones if v else 0) for bits in leaf_bits for v in (0, 1)]
-    traced = tuple(a for a in range(n) if a not in source.values())
-    written = sum(1 << b for b in source)
-    return start, traced, written, leaf_bits
+    for q in inside:  # index bit j is inside[j]: each qubit doubles the list
+        bits = ones.get(q, 0)
+        leaf_bits += [b | bits for b in leaf_bits]
+    class_bits = sorted(set(leaf_bits))
+    of = {bits: m for m, bits in enumerate(class_bits)}
+    return sum(1 << b for b in source), outside, [of[b] for b in leaf_bits], class_bits
 
 
 def distribution(circuit: Circuit) -> OutcomeDistribution:
     """Joint distribution of the classical register after running the circuit.
 
-    Depth-first path enumeration: unitaries act on a dense amplitude array,
+    Depth-first path enumeration: unitaries act on a path's amplitudes,
     measurements and resets split the path with Born-rule weights, conditions
     and toggles update each path's classical record. Branches with weight
     below ``PRUNE`` are dropped.
 
-    A path's state has shape ``(2,) * n``, qubit q on axis q. The instructions
-    before the read-out are compiled once into a plan of record mask tests,
-    slice indices and matrix entries. A gate rewrites its target's ``0`` and
-    ``1`` halves in place, inside the slice where its control holds. A
-    measurement or reset reads ``p1`` from the qubit's ``1`` half and collapses
-    the path's own array in place, scaled by ``1/sqrt(p)`` (a reset moves
-    outcome 1 into the ``0`` half); when both outcomes are kept, outcome 0
-    continues on a copy.
+    A path keeps only the qubits in its state: its amplitudes are a flat list
+    of ``2^k`` complex numbers, not normalised (their squared magnitudes sum
+    to the path's weight). Every qubit starts outside the state, so a path
+    starts as ``[1]``. A measured or reset qubit leaves the state: each kept
+    outcome continues on a list of the indices where the qubit has that
+    value, half the length, and the path's ``known`` bitmask holds the
+    qubit's value (0 after a reset). The next gate on a qubit outside the
+    state first pads the list to twice its length, with the qubit as the top
+    index bit at its known value; a diagonal gate on qubits all outside the
+    state only changes the path's global phase, which no probability sees,
+    and is left out. A measurement or reset of a qubit outside the state is
+    deterministic: one kept branch. Which qubits are in the state at each
+    step depends only on the instructions, so the instructions before the
+    read-out are compiled once into a plan of record mask tests, index tables
+    and matrix entries (see ``_plan``). A gate is a diagonal, a bit flip or a
+    general two-by-two update of the index pairs its tables list.
 
     The longest suffix of the circuit that holds only measurements is not
-    branched: when a path reaches it, ``|state|^2`` is summed over the qubits
-    the suffix never measures, and every outcome of the measured qubits with
-    ``weight * marginal > PRUNE`` becomes one leaf. Its record applies the
-    suffix's writes in order, so a qubit measured twice writes equal bits and
-    the later write to a bit wins. A path's weight only shrinks, so these are
-    the outcomes that step-by-step branching keeps. Each branch of a
-    measurement or reset, and each leaf of the suffix, counts once against
-    ``MAX_BRANCHES``.
+    branched: when a path reaches it, ``|amplitude|^2`` is summed per
+    assignment of the measured qubits in the state, the measured qubits
+    outside it read their known values, and every assignment whose sum
+    exceeds ``PRUNE`` becomes one leaf. Its record applies the suffix's writes
+    in order, so a qubit measured twice writes equal bits and the later write
+    to a bit wins. A path's weight only shrinks, so these are the outcomes
+    that step-by-step branching keeps. Each branch of a measurement or reset,
+    and each leaf of the suffix, counts once against ``MAX_BRANCHES``.
     """
-    import numpy as np
-
     n = circuit.n_qubits
     if n > MAX_QUBITS:
         raise SimulationLimitError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
     instrs = circuit.instructions
-    tail, traced, written, leaf_bits = _measurement_tail(instrs, n)
-    plan = _plan(instrs[:tail], n)
-    initial = np.zeros((2,) * n, dtype=complex)
-    initial[(0,) * n] = 1.0
+    tail = len(instrs)
+    while tail and isinstance(instrs[tail - 1], Measure):
+        tail -= 1
+    plan, inside = _plan(instrs[:tail], n)
+    written, outside, classes, class_bits = _read_out(instrs[tail:], inside)
+    end = len(plan)
     acc: dict[int, float] = {}
     branches = 0
-    # Stack entries: (next plan position, state, classical record, weight).
-    stack: list[tuple[int, np.ndarray, int, float]] = [(0, initial, 0, 1.0)]
+    # Stack entries: (next plan position, amplitudes, classical record,
+    # values of the qubits outside the state, weight).
+    stack: list[tuple[int, list[complex], int, int, float]] = [(0, [1 + 0j], 0, 0, 1.0)]
     while stack:
-        pos, state, record, weight = stack.pop()
-        while pos < tail:
+        pos, amps, record, known, weight = stack.pop()
+        while pos < end:
             op = plan[pos]
             pos += 1
             code = op[0]
-            if code == _GATE:
+            if code == _TOGGLES:
+                for mask, want, flip in op[1]:
+                    if record & mask == want:
+                        record ^= flip
+            elif code == _ENTER:
+                qbit = op[1]
+                if known & qbit:
+                    known ^= qbit
+                    amps[:0] = [0j] * len(amps)
+                else:
+                    amps += [0j] * len(amps)
+            elif code == _GENERAL:
                 _, mask, want, zero, one, u00, u01, u10, u11 = op
                 if record & mask == want:
-                    a0, a1 = state[zero], state[one]
-                    new0 = u00 * a0 + u01 * a1
-                    state[one] = u10 * a0 + u11 * a1
-                    state[zero] = new0
-            elif code == _TOGGLE:
-                _, mask, want, flip = op
-                if record & mask == want:
-                    record ^= flip
-            else:
-                _, zero, one, bit, land, clear = op
-                a1 = state[one]
-                p1 = float(np.vdot(a1, a1).real)
-                p0 = 1.0 - p1
-                keep0, keep1 = p0 * weight > PRUNE, p1 * weight > PRUNE
+                    for i, j in zip(zero, one):
+                        a0, a1 = amps[i], amps[j]
+                        amps[i] = u00 * a0 + u01 * a1
+                        amps[j] = u10 * a0 + u11 * a1
+            elif code == _KNOWN:  # the one outcome of a qubit outside the state
+                _, bit, qbit, clear = op
+                branches += 1
+                _check_branches(branches)
+                record = record | bit if known & qbit else record & ~bit
+                known &= ~clear
+            elif code == _SPLIT:
+                _, zero, one, bit, value = op
+                p1 = 0.0
+                for i in one:
+                    a = amps[i]
+                    p1 += a.real * a.real + a.imag * a.imag
+                p0 = weight - p1
+                keep0, keep1 = p0 > PRUNE, p1 > PRUNE
                 branches += keep0 + keep1
                 _check_branches(branches)
                 record &= ~bit
-                if keep0 and keep1:
-                    fresh = np.zeros_like(state)  # copy
-                    fresh[zero] = state[zero] / math.sqrt(p0)
                 if keep1:
-                    state[land] = a1 / math.sqrt(p1)
-                    state[clear] = 0
-                    stack.append((pos, state, record | bit, weight * p1))
-                    if not keep0:
-                        break  # the branch just pushed is popped next
-                    state = fresh
-                elif keep0:
-                    state[zero] /= math.sqrt(p0)
-                    state[one] = 0
-                else:
-                    break
-                weight *= p0
+                    ones = list(map(amps.__getitem__, one))  # copy
+                    stack.append((pos, ones, record | bit, known | value, p1))
+                if not keep0:
+                    break  # a pushed branch is popped next
+                amps = list(map(amps.__getitem__, zero))
+                weight = p0
+            elif code == _FLIP:
+                _, mask, want, zero, one, u01, u10 = op
+                if record & mask == want:
+                    for i, j in zip(zero, one):
+                        amps[i], amps[j] = u01 * amps[j], u10 * amps[i]
+            else:  # _DIAGONAL
+                _, mask, want, zero, one, u00, u11 = op
+                if record & mask == want:
+                    for i in zero:
+                        amps[i] *= u00
+                    for i in one:
+                        amps[i] *= u11
         else:  # reached the tail; a break above pushed or dropped the path
             if not written:  # no read-out: the path ends with its whole weight
                 acc[record] = acc.get(record, 0.0) + weight
                 continue
-            marginal = (np.abs(state) ** 2).sum(axis=traced).reshape(-1)
-            kept = np.flatnonzero(weight * marginal > PRUNE)
-            branches += len(kept)
-            _check_branches(branches)
+            marginal = [0.0] * len(class_bits)
+            for m, a in zip(classes, amps):
+                marginal[m] += a.real * a.real + a.imag * a.imag
             base = record & ~written
-            for i, p in zip(kept.tolist(), marginal[kept].tolist()):
-                leaf = base | leaf_bits[i]
-                acc[leaf] = acc.get(leaf, 0.0) + weight * p
-    probs = {_key(rec, circuit.n_clbits): p for rec, p in acc.items()}
+            for qbit, bits in outside:
+                if known & qbit:
+                    base |= bits
+            for m, p in enumerate(marginal):
+                if p > PRUNE:
+                    branches += 1
+                    leaf = base | class_bits[m]
+                    acc[leaf] = acc.get(leaf, 0.0) + p
+            _check_branches(branches)
+    n_bits = circuit.n_clbits
+    spec = f"0{n_bits}b"
+    probs = {format(rec, spec) if n_bits else "": p for rec, p in acc.items()}
     return OutcomeDistribution(circuit.n_clbits, probs)
 
 

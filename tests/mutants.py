@@ -70,6 +70,24 @@ MUTANTS = [
         "commute: a measurement no longer moves past an opaque gate whose matrix is diagonal",
     ),
     (
+        "src/qreuse/oracle.py",
+        "                if known & qbit:\n                    known ^= qbit\n",
+        "                if False:\n                    known ^= qbit\n",
+        "oracle: a qubit re-enters its path's state as 0, whatever value it was measured with",
+    ),
+    (
+        "src/qreuse/oracle.py",
+        "                _, bit, qbit, clear = op\n                branches += 1\n",
+        "                _, bit, qbit, clear = op\n",
+        "oracle: a measurement or reset of a qubit outside the state counts no branch",
+    ),
+    (
+        "src/qreuse/oracle.py",
+        "            if diagonal and all(where[q] < 0 for q in qubits):\n",
+        "            if diagonal and where[instr.target] < 0:\n",
+        "oracle: a controlled diagonal gate is left out when only its target is outside the state",
+    ),
+    (
         "src/qreuse/cli.py",
         "        click.echo(f\"equivalence FAILED: TV distance {equivalence['max_deviation']:.3e}\", err=True)\n"
         "        sys.exit(EXIT_MISMATCH)\n",

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreuse import bench, oracle, pipeline
+from qreuse import bench, oracle, pipeline, qasm, transform
 from qreuse.ir import CircuitBuilder, Measure
 from qreuse.oracle import OutcomeDistribution, SimulationLimitError, distribution, equivalent
 
@@ -95,6 +96,18 @@ def test_branch_guard(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_BRANCHES", 16)
     with pytest.raises(SimulationLimitError):
         distribution(b.build())
+
+
+def test_branch_guard_counts_qubits_outside_the_state(monkeypatch):
+    # The split of the first measurement keeps 2 branches. On each, the
+    # measurement and the reset of the qubit it left outside the state keep
+    # 1 each, and the read-out 1 leaf: 8 in all.
+    c = _outside_state_circuit()
+    monkeypatch.setattr(oracle, "MAX_BRANCHES", 7)
+    with pytest.raises(SimulationLimitError):
+        distribution(c)
+    monkeypatch.setattr(oracle, "MAX_BRANCHES", 8)
+    assert distribution(c).probs == pytest.approx({"001": 0.5, "010": 0.5})
 
 
 def test_branch_guard_bounds_a_measurement_tail(monkeypatch):
@@ -210,6 +223,71 @@ def test_plan_hand_cases(circuit, expected):
         assert d[key] == pytest.approx(p, rel=1e-9, abs=1e-15), key
 
 
+def _outside_state_circuit():
+    """A measurement and a reset of a qubit already outside the state."""
+    b = CircuitBuilder(1, 3)
+    b.h(0).measure(0, 0).measure(0, 1).reset(0).toggle(1, ()).measure(0, 2)
+    return b.build()
+
+
+def _compaction_cases():
+    """Circuits where qubits leave and re-enter a path's state, with their
+    outcomes (None: checked against the references only)."""
+    third = math.pi / 3  # rx(pi/3) leaves |1> at 1 with probability 3/4, |0> with 1/4
+    b = CircuitBuilder(1, 2)
+    b.x(0).measure(0, 0).x(0).measure(0, 1)
+    yield "bit flip on a qubit measured as 1", b.build(), {"01": 1.0}
+    b = CircuitBuilder(1, 2)
+    b.x(0).measure(0, 0).rx(third, 0).measure(0, 1)
+    yield "rotation on a qubit measured as 1", b.build(), {"01": 0.25, "11": 0.75}
+    b = CircuitBuilder(1, 2)
+    b.x(0).x(0).measure(0, 0).rx(third, 0).measure(0, 1)
+    yield "rotation on a qubit measured as 0", b.build(), {"00": 0.75, "10": 0.25}
+    b = CircuitBuilder(1, 2)
+    b.h(0).measure(0, 0).rx(third, 0).measure(0, 1)
+    yield "rotation after either outcome", b.build(), {"00": 0.375, "10": 0.125, "01": 0.125, "11": 0.375}
+    b = CircuitBuilder(2, 2)
+    b.h(0).measure(0, 0).cx(0, 1).measure(1, 1)
+    yield "control re-enters at its outcome", b.build(), {"00": 0.5, "11": 0.5}
+    b = CircuitBuilder(3, 4)
+    b.h(0).h(1).rx(third, 2).measure(1, 0).cx(1, 2).h(1).cx(2, 0).measure(0, 1).rx(third, 0)
+    b.measure(1, 2).measure(2, 3).measure(0, 1)
+    yield "a middle qubit leaves and re-enters on top", b.build(), None
+    b = CircuitBuilder(2, 2)
+    b.h(0).measure(0, 0).p(1.0, 0, condition=((0, True),)).cz(0, 1).h(0).measure(0, 1)
+    yield "diagonal gates on known values", b.build(), {k: 0.25 for k in ("00", "01", "10", "11")}
+    b = CircuitBuilder(2, 2)
+    b.x(1).measure(1, 0).h(0).cz(0, 1).h(0).measure(0, 1)
+    yield "phase from a qubit measured as 1", b.build(), {"11": 1.0}
+    yield "measurement and reset outside the state", _outside_state_circuit(), {"001": 0.5, "010": 0.5}
+    # The read-out mixes q0 in the state with q1 outside it, and the later
+    # write to bits 1 and 2 wins: bits 0, 1 and 3 read q1, bit 2 reads q0.
+    b = CircuitBuilder(2, 4)
+    b.h(0).h(1).measure(1, 0).s(0)
+    b.measure(0, 1).measure(1, 1).measure(1, 2).measure(0, 2).measure(1, 3)
+    yield "read-out inside and outside the state", b.build(), {k: 0.25 for k in ("0000", "0100", "1011", "1111")}
+    # q1 is never touched; it is measured mid-circuit and in the read-out.
+    b = CircuitBuilder(3, 3)
+    b.measure(1, 1).h(0).cx(0, 2).measure(0, 0).measure(1, 1).measure(2, 2)
+    yield "a qubit no instruction touches", b.build(), {"000": 0.5, "101": 0.5}
+
+
+@pytest.mark.parametrize(
+    "circuit,expected", [pytest.param(c, e, id=name) for name, c, e in _compaction_cases()]
+)
+def test_compaction_hand_cases(circuit, expected):
+    d = distribution(circuit)
+    if expected is not None:
+        assert set(d.probs) == set(expected)
+        for key, p in expected.items():
+            assert d[key] == pytest.approx(p, rel=1e-9, abs=1e-15), key
+    branching = reference_distribution(circuit)
+    density = OutcomeDistribution(circuit.n_clbits, density_distribution(circuit))
+    for want in (branching, density):
+        assert set(d.probs) == set(want.probs)
+        assert d.total_variation(want) <= 1e-12
+
+
 def test_a_split_copies_one_branch():
     # Seven splitting rounds keep both outcomes: 1 + 2 + ... + 64 splits.
     # The eighth measurement is read out by the tail, not split.
@@ -236,7 +314,10 @@ def _reference_battery():
     yield pipeline.optimize(bench.gen_qft(10))[0]
     for strategy in bench.STRATEGIES:
         yield pipeline.optimize(bench.gen_vqe(10, strategy))[0]
-    for cases in (_tail_cases, _plan_cases):
+    # 10 wires, 2^10 paths: each measured qubit leaves its path's state.
+    yield transform.run(bench.gen_qft(10))[0]
+    yield transform.run(bench.gen_vqe(10, "full"))[0]
+    for cases in (_tail_cases, _plan_cases, _compaction_cases):
         for _, c, _ in cases():
             yield c
 
@@ -258,8 +339,9 @@ def _density_battery():
         for d in range(1, 7):
             for seed in range(3):
                 yield bench.gen_random(bench.RandomSpec(n, d, seed))
-    for _, c, _ in _plan_cases():
-        yield c
+    for cases in (_plan_cases, _compaction_cases):
+        for _, c, _ in cases():
+            yield c
 
 
 def test_distribution_matches_density_reference():
@@ -273,15 +355,39 @@ def test_distribution_matches_density_reference():
         assert got.total_variation(want) <= 1e-12, c
 
 
-@pytest.mark.parametrize("module", ["qreuse", "qreuse.cli"])
-def test_import_leaves_numpy_unloaded(module):
-    # Only simulation needs numpy; compiling must not pay for its import.
-    src = str(Path(oracle.__file__).parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import {module}; print('numpy' in sys.modules)"
+_SRC = str(Path(oracle.__file__).parents[1])
+_EQUIVALENT = (
+    "from qreuse import bench, oracle; c = bench.gen_qpe(3, 1.0); assert oracle.equivalent(c, c)[0]"
+)
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param("import qreuse", id="qreuse"),
+    pytest.param("import qreuse.cli", id="qreuse.cli"),
+    pytest.param(_EQUIVALENT, id="oracle.equivalent"),
+])
+def test_import_leaves_numpy_unloaded(code):
+    # Neither compiling nor simulating imports numpy: only the references use it.
+    code = f"import sys; sys.path.insert(0, {_SRC!r}); {code}; print('numpy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
     )
     assert out.stdout.strip() == "False"
+
+
+def test_optimize_verify_leaves_numpy_unloaded(tmp_path):
+    # ``-X importtime`` lists every module the process imports.
+    src = tmp_path / "qpe4.qasm"
+    src.write_text(qasm.emit(bench.gen_qpe(4, 1.0)))
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qreuse.cli",
+         "optimize", str(src), "--verify", "-o", str(tmp_path / "out.qasm")],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": _SRC},
+    )
+    assert out.returncode == 0, out.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines() if "|" in line]
+    assert "qreuse.oracle" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
 @settings(max_examples=30, deadline=None)
