@@ -2,11 +2,13 @@
 
 Path enumeration in plain Python, with explicit branching on measurements
 and resets. A path keeps a flat list of amplitudes over only the qubits in
-its state: a measured or reset qubit leaves the state and holds a known
-classical value until a gate touches it again, so the one- and two-qubit
-circuits that reuse produces run on lists of two or four numbers. The
-observable object is the joint probability distribution over the declared
-classical bits, which is what every rewrite pass must preserve.
+its state. A qubit outside the state is a classical bit of the path: every
+qubit starts outside at 0, and a measured or reset one leaves the state and
+holds its value. Controls, flips and phases on such bits update the path's
+record; only the target of any other gate enters the state. So the one- and
+two-qubit circuits that reuse produces run on lists of two or four numbers.
+The observable object is the joint probability distribution over the
+declared classical bits, which is what every rewrite pass must preserve.
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ def _record_test(literals) -> tuple[int, int]:
 
 # The opcodes of a plan, the most often run first: a run of toggles, a qubit
 # entering the state, a general gate, a measurement or reset of a qubit
-# outside the state, a split of one in it, a bit flip and a diagonal gate.
-_TOGGLES, _ENTER, _GENERAL, _KNOWN, _SPLIT, _FLIP, _DIAGONAL = range(7)
+# outside the state, a split of one in it, a swap of slices (a bit flip) and
+# a diagonal gate.
+_TOGGLES, _ENTER, _GENERAL, _KNOWN, _SPLIT, _SWAP, _DIAGONAL = range(7)
 
 
 def _select(base: list[int], size: int, t: int, side: int) -> list[int]:
@@ -112,51 +115,111 @@ def _table(tables: dict, index: list[int], k: int, t: int, c: int | None, side: 
     return tables[key]
 
 
-def _plan(instrs: tuple[Instruction, ...], n: int) -> tuple[list[tuple], list[int]]:
+def _swaps(tables: dict, k: int, t: int, c: int | None) -> list[tuple[slice, slice]]:
+    """Pairs of equal-length slices of a list of ``2^k`` amplitudes: the
+    positions whose bit ``t`` is 0 and their partners whose bit ``t`` is 1,
+    inside those whose bit ``c`` is 1 unless ``c`` is None. Kept in
+    ``tables`` so that each list is built once.
+
+    Bits ``t`` and ``c`` split the other index bits into groups of adjacent
+    free bits. Each slice runs over the widest group with one step, and
+    there is a slice for each value of the other groups' bits.
+    """
+    key = (k, t, c)
+    if key not in tables:
+        fixed = [t] if c is None else sorted((t, c))
+        edges = [-1, *fixed, k]
+        groups = [(low + 1, high - low - 1) for low, high in zip(edges, edges[1:])]
+        first, width = max(groups, key=lambda group: group[1])
+        starts = [0 if c is None else 1 << c]
+        for other, bits in groups:
+            if other != first:
+                starts = [s | v << other for s in starts for v in range(1 << bits)]
+        step, half = 1 << first, 1 << t
+        span = step << width
+        tables[key] = [
+            (slice(s, s + span, step), slice(s + half, s + half + span, step)) for s in starts
+        ]
+    return tables[key]
+
+
+def _toggle(plan: list[tuple], mask: int, want: int, flip: int) -> None:
+    """Append a toggle of the bits ``flip``, when ``record & mask == want``,
+    to the plan's last run of toggles, or start a run."""
+    if plan and plan[-1][0] == _TOGGLES:
+        plan[-1][1].append((mask, want, flip))
+    else:
+        plan.append((_TOGGLES, [(mask, want, flip)]))
+
+
+def _plan(instrs: tuple[Instruction, ...], n: int, n_bits: int) -> tuple[list[tuple], list[int]]:
     """The ops for ``instrs``, and the qubits in the state after the last op
     (bit j of an index is ``inside[j]``).
+
+    A path's record holds its ``n_bits`` classical bits and, above them, the
+    known value of each qubit outside its state: qubit q is bit
+    ``n_bits + q``. So a control outside the state is one more literal of
+    the op's record test, that its known value is 1. A flip of a qubit
+    outside the state toggles its known value, and a diagonal gate whose
+    target is outside is a diagonal on its control, ``diag(1, u_vv)`` when
+    the target is known as v (with no control, a phase of the whole path,
+    which no probability sees). Only the target of any other gate enters
+    the state.
 
     Which qubits are in the state depends only on the instruction sequence,
     so each op's index tables (see ``_table``) are worked out here, once: a
     gate's list its target's ``0`` and ``1`` halves, inside the half where
-    its control is 1, and a split's the halves of the qubit that leaves.
-    Consecutive toggles are one op.
+    its control is 1, and a split's the halves of the qubit that leaves. A
+    flip swaps the slices ``_swaps`` lists instead, and only a flip other
+    than ``x`` then multiplies. Consecutive toggles are one op.
     """
-    table = partial(_table, {}, list(range(1 << n)))
+    tables: dict = {}
+    table = partial(_table, tables, list(range(1 << n)))
     where = [-1] * n  # each qubit's bit in the index, -1 outside the state
     inside: list[int] = []
     plan: list[tuple] = []
     for instr in instrs:
         if isinstance(instr, Gate):
             u00, u01, u10, u11 = kind_matrix(instr.kind)
+            target, control = instr.target, instr.control
+            literals = instr.condition
+            if control is not None and where[control] < 0:
+                literals = (*literals, (n_bits + control, 1))
+                control = None
             diagonal = u01 == 0 and u10 == 0
-            qubits = (instr.target,) if instr.control is None else (instr.target, instr.control)
-            if diagonal and all(where[q] < 0 for q in qubits):
-                continue  # on known values: a phase of the whole path, which no probability sees
-            for q in qubits:
-                if where[q] < 0:
-                    where[q] = len(inside)
-                    inside.append(q)
-                    plan.append((_ENTER, 1 << q))
-            k, t = len(inside), where[instr.target]
-            c = None if instr.control is None else where[instr.control]
-            test = _record_test(instr.condition)
-            if diagonal:
+            flip = u00 == 0 and u11 == 0
+            if where[target] < 0:
+                if flip and control is None:  # its phase is the whole path's
+                    _toggle(plan, *_record_test(literals), 1 << n_bits + target)
+                    continue
+                if diagonal:
+                    if control is not None:  # diag(1, u_vv) on the control, v the target's value
+                        for v, u in enumerate((u00, u11)):
+                            if u != 1:
+                                test = _record_test((*literals, (n_bits + target, v)))
+                                one = table(len(inside), where[control], None, 1)
+                                plan.append((_DIAGONAL, *test, (), one, 1, u))
+                    continue  # with no control, a phase of the whole path
+                where[target] = len(inside)
+                inside.append(target)
+                plan.append((_ENTER, 1 << n_bits + target))
+            k, t = len(inside), where[target]
+            c = None if control is None else where[control]
+            test = _record_test(literals)
+            if flip:  # a swap of each pair, then the diagonal diag(u01, u10)
+                plan.append((_SWAP, *test, _swaps(tables, k, t, c)))
+                u00, u11 = u01, u10
+            if diagonal or flip:
                 zero = () if u00 == 1 else table(k, t, c, 0)
                 one = () if u11 == 1 else table(k, t, c, 1)
-                plan.append((_DIAGONAL, *test, zero, one, u00, u11))
-            elif u00 == 0 and u11 == 0:
-                plan.append((_FLIP, *test, table(k, t, c, 0), table(k, t, c, 1), u01, u10))
+                if zero or one:
+                    plan.append((_DIAGONAL, *test, zero, one, u00, u11))
             else:
                 plan.append((_GENERAL, *test, table(k, t, c, 0), table(k, t, c, 1), u00, u01, u10, u11))
         elif isinstance(instr, ClassicalToggle):
-            toggle = (*_record_test(instr.product), 1 << instr.target)
-            if plan and plan[-1][0] == _TOGGLES:
-                plan[-1][1].append(toggle)
-            else:
-                plan.append((_TOGGLES, [toggle]))
+            _toggle(plan, *_record_test(instr.product), 1 << instr.target)
         else:
-            q, qbit = instr.qubit, 1 << instr.qubit
+            q, qbit = instr.qubit, 1 << n_bits + instr.qubit
             reset = isinstance(instr, Reset)
             bit = 0 if reset else 1 << instr.bit
             j = where[q]
@@ -165,7 +228,7 @@ def _plan(instrs: tuple[Instruction, ...], n: int) -> tuple[list[tuple], list[in
                 continue
             k = len(inside)
             # outcome 1 leaves a measured qubit known as 1, a reset one as 0
-            plan.append((_SPLIT, table(k, j, None, 0), table(k, j, None, 1), bit, 0 if reset else qbit))
+            plan.append((_SPLIT, table(k, j, None, 0), table(k, j, None, 1), bit, 0 if reset else bit | qbit))
             del inside[j]
             where[q] = -1
             for pos in range(j, k - 1):
@@ -199,22 +262,22 @@ def _check_branches(branches: int) -> None:
 
 
 def _read_out(
-    tail: tuple[Instruction, ...], inside: list[int]
+    tail: tuple[Instruction, ...], inside: list[int], n_bits: int
 ) -> tuple[int, list[tuple[int, int]], list[int], list[int]]:
     """Read-out plan for the measurement-only suffix ``tail``, reached with the
     qubits ``inside`` in the state.
 
     Returns the mask of bits the suffix writes; for each measured qubit
-    outside the state, its bit in a path's ``known`` mask and the record bits
-    it sets when that bit is 1; for each index of the state, its class (one
-    per assignment of the measured qubits inside); and each class's record
-    bits.
+    outside the state, the bit of a path's record that holds its value (see
+    ``_plan``) and the record bits it sets when that bit is 1; for each index
+    of the state, its class (one per assignment of the measured qubits
+    inside); and each class's record bits.
     """
     source = {m.bit: m.qubit for m in tail}  # the later write wins
     ones: dict[int, int] = {}
     for bit, q in source.items():
         ones[q] = ones.get(q, 0) | 1 << bit
-    outside = [(1 << q, bits) for q, bits in ones.items() if q not in inside]
+    outside = [(1 << n_bits + q, bits) for q, bits in ones.items() if q not in inside]
     leaf_bits = [0]
     for q in inside:  # index bit j is inside[j]: each qubit doubles the list
         bits = ones.get(q, 0)
@@ -234,20 +297,26 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
 
     A path keeps only the qubits in its state: its amplitudes are a flat list
     of ``2^k`` complex numbers, not normalised (their squared magnitudes sum
-    to the path's weight). Every qubit starts outside the state, so a path
-    starts as ``[1]``. A measured or reset qubit leaves the state: each kept
-    outcome continues on a list of the indices where the qubit has that
-    value, half the length, and the path's ``known`` bitmask holds the
-    qubit's value (0 after a reset). The next gate on a qubit outside the
-    state first pads the list to twice its length, with the qubit as the top
-    index bit at its known value; a diagonal gate on qubits all outside the
-    state only changes the path's global phase, which no probability sees,
-    and is left out. A measurement or reset of a qubit outside the state is
-    deterministic: one kept branch. Which qubits are in the state at each
-    step depends only on the instructions, so the instructions before the
-    read-out are compiled once into a plan of record mask tests, index tables
-    and matrix entries (see ``_plan``). A gate is a diagonal, a bit flip or a
-    general two-by-two update of the index pairs its tables list.
+    to the path's weight). Every qubit starts outside the state, known as 0,
+    so a path starts as ``[1]``. A path's one int record holds its classical
+    bits and, above them, the known values of the qubits outside its state.
+    A measured or reset qubit leaves the state: each kept outcome continues
+    on a list of the indices where the qubit has that value, half the
+    length, and the record holds the value (0 after a reset). A gate on
+    qubits outside the state is classical where it can be: a control there
+    is a test that its value is 1, a flip (``x``, ``y``) of one toggles its
+    value, and a diagonal gate whose target is there is a diagonal on its
+    control, chosen by the target's value, or with no control only a phase
+    of the whole path, which no probability sees. The target of any other
+    gate enters the state: the list is padded to twice its length, with the
+    qubit as the top index bit at its known value. A measurement or reset of
+    a qubit outside the state is deterministic: one kept branch. Which
+    qubits are in the state at each step depends only on the instructions,
+    so the instructions before the read-out are compiled once into a plan of
+    record mask tests, index tables and matrix entries (see ``_plan``). A
+    gate is a diagonal, a bit flip that swaps slices of the list (then, for
+    ``y``, a diagonal), or a general two-by-two update of the index pairs its
+    tables list.
 
     The longest suffix of the circuit that holds only measurements is not
     branched: when a path reaches it, ``|amplitude|^2`` is summed per
@@ -266,16 +335,17 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
     tail = len(instrs)
     while tail and isinstance(instrs[tail - 1], Measure):
         tail -= 1
-    plan, inside = _plan(instrs[:tail], n)
-    written, outside, classes, class_bits = _read_out(instrs[tail:], inside)
+    n_bits = circuit.n_clbits
+    plan, inside = _plan(instrs[:tail], n, n_bits)
+    written, outside, classes, class_bits = _read_out(instrs[tail:], inside, n_bits)
+    keep = (1 << n_bits) - 1 & ~written  # the record bits a leaf takes from its path
     end = len(plan)
     acc: dict[int, float] = {}
     branches = 0
-    # Stack entries: (next plan position, amplitudes, classical record,
-    # values of the qubits outside the state, weight).
-    stack: list[tuple[int, list[complex], int, int, float]] = [(0, [1 + 0j], 0, 0, 1.0)]
+    # Stack entries: (next plan position, amplitudes, record, weight).
+    stack: list[tuple[int, list[complex], int, float]] = [(0, [1 + 0j], 0, 1.0)]
     while stack:
-        pos, amps, record, known, weight = stack.pop()
+        pos, amps, record, weight = stack.pop()
         while pos < end:
             op = plan[pos]
             pos += 1
@@ -285,9 +355,9 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
                     if record & mask == want:
                         record ^= flip
             elif code == _ENTER:
-                qbit = op[1]
-                if known & qbit:
-                    known ^= qbit
+                qbit = op[1]  # enter
+                if record & qbit:
+                    record ^= qbit
                     amps[:0] = [0j] * len(amps)
                 else:
                     amps += [0j] * len(amps)
@@ -295,17 +365,17 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
                 _, mask, want, zero, one, u00, u01, u10, u11 = op
                 if record & mask == want:
                     for i, j in zip(zero, one):
-                        a0, a1 = amps[i], amps[j]
+                        a0, a1 = amps[i], amps[j]  # pair
                         amps[i] = u00 * a0 + u01 * a1
                         amps[j] = u10 * a0 + u11 * a1
             elif code == _KNOWN:  # the one outcome of a qubit outside the state
                 _, bit, qbit, clear = op
                 branches += 1
                 _check_branches(branches)
-                record = record | bit if known & qbit else record & ~bit
-                known &= ~clear
+                record = record | bit if record & qbit else record & ~bit
+                record &= ~clear
             elif code == _SPLIT:
-                _, zero, one, bit, value = op
+                _, zero, one, bit, set1 = op
                 p1 = 0.0
                 for i in one:
                     a = amps[i]
@@ -317,18 +387,18 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
                 record &= ~bit
                 if keep1:
                     ones = list(map(amps.__getitem__, one))  # copy
-                    stack.append((pos, ones, record | bit, known | value, p1))
+                    stack.append((pos, ones, record | set1, p1))
                 if not keep0:
                     break  # a pushed branch is popped next
                 amps = list(map(amps.__getitem__, zero))
                 weight = p0
-            elif code == _FLIP:
-                _, mask, want, zero, one, u01, u10 = op
+            elif code == _SWAP:
+                _, mask, want, pairs = op
                 if record & mask == want:
-                    for i, j in zip(zero, one):
-                        amps[i], amps[j] = u01 * amps[j], u10 * amps[i]
+                    for zero, one in pairs:
+                        amps[zero], amps[one] = amps[one], amps[zero]
             else:  # _DIAGONAL
-                _, mask, want, zero, one, u00, u11 = op
+                _, mask, want, zero, one, u00, u11 = op  # diagonal
                 if record & mask == want:
                     for i in zero:
                         amps[i] *= u00
@@ -336,14 +406,15 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
                         amps[i] *= u11
         else:  # reached the tail; a break above pushed or dropped the path
             if not written:  # no read-out: the path ends with its whole weight
-                acc[record] = acc.get(record, 0.0) + weight
+                leaf = record & keep
+                acc[leaf] = acc.get(leaf, 0.0) + weight
                 continue
             marginal = [0.0] * len(class_bits)
             for m, a in zip(classes, amps):
                 marginal[m] += a.real * a.real + a.imag * a.imag
-            base = record & ~written
+            base = record & keep
             for qbit, bits in outside:
-                if known & qbit:
+                if record & qbit:
                     base |= bits
             for m, p in enumerate(marginal):
                 if p > PRUNE:
@@ -351,7 +422,6 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
                     leaf = base | class_bits[m]
                     acc[leaf] = acc.get(leaf, 0.0) + p
             _check_branches(branches)
-    n_bits = circuit.n_clbits
     spec = f"0{n_bits}b"
     probs = {format(rec, spec) if n_bits else "": p for rec, p in acc.items()}
     return OutcomeDistribution(circuit.n_clbits, probs)

@@ -71,8 +71,8 @@ MUTANTS = [
     ),
     (
         "src/qreuse/oracle.py",
-        "                if known & qbit:\n                    known ^= qbit\n",
-        "                if False:\n                    known ^= qbit\n",
+        "                if record & qbit:\n                    record ^= qbit\n",
+        "                if False:\n                    record ^= qbit\n",
         "oracle: a qubit re-enters its path's state as 0, whatever value it was measured with",
     ),
     (
@@ -83,9 +83,39 @@ MUTANTS = [
     ),
     (
         "src/qreuse/oracle.py",
-        "            if diagonal and all(where[q] < 0 for q in qubits):\n",
-        "            if diagonal and where[instr.target] < 0:\n",
+        "                    if control is not None:  # diag(1, u_vv) on the control, v the target's value\n",
+        "                    if False:\n",
         "oracle: a controlled diagonal gate is left out when only its target is outside the state",
+    ),
+    (
+        "src/qreuse/oracle.py",
+        "                literals = (*literals, (n_bits + control, 1))\n",
+        "                literals = (*literals, (n_bits + control, 0))\n",
+        "oracle: a control outside the state is tested for the known value 0, not 1",
+    ),
+    (
+        "src/qreuse/oracle.py",
+        "                                test = _record_test((*literals, (n_bits + target, v)))\n",
+        "                                test = _record_test(literals)\n",
+        "oracle: a controlled phase whose target is outside the state applies for either known value",
+    ),
+    (
+        "src/qreuse/oracle.py",
+        "                    _toggle(plan, *_record_test(literals), 1 << n_bits + target)\n",
+        "                    _toggle(plan, *_record_test(literals), 0)\n",
+        "oracle: a flip of a qubit outside the state leaves its known value alone",
+    ),
+    (
+        "src/qreuse/oracle.py",
+        "        starts = [0 if c is None else 1 << c]\n",
+        "        starts = [0]\n",
+        "oracle: a controlled unit flip swaps the slices where its control is 0",
+    ),
+    (
+        "src/qreuse/oracle.py",
+        "                u00, u11 = u01, u10\n",
+        "                u00, u11 = u10, u01\n",
+        "oracle: a flip's entries swap sides after the swap, so a controlled y acts as a controlled -y",
     ),
     (
         "src/qreuse/cli.py",

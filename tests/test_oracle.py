@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qreuse import bench, oracle, pipeline, qasm, transform
-from qreuse.ir import CircuitBuilder, Measure
+from qreuse.ir import CircuitBuilder, Gate, GateKind, Measure
 from qreuse.oracle import OutcomeDistribution, SimulationLimitError, distribution, equivalent
 
 from commute_reference import _apply, _rule_at
@@ -191,6 +191,11 @@ def _plan_cases():
     b = CircuitBuilder(2, 2)
     b.h(0).cx(0, 1).reset(0).x(0).measure(0, 0).measure(1, 1)
     yield "reset keeps both", b.build(), {"01": 0.5, "11": 0.5}
+    # A controlled y on its +1 eigenstate (s h |0>) kicks back no phase; -y
+    # would kick back -1 and turn the control's |+> into |->.
+    b = CircuitBuilder(2, 1)
+    b.h(1).s(1).h(0).append(Gate(GateKind("y"), 1, 0)).h(0).measure(0, 0)
+    yield "controlled y on its eigenstate", b.build(), {"0": 1.0}
     # A condition on a bit above 63.
     b = CircuitBuilder(1, 70)
     b.x(0).measure(0, 64).x(0, condition=((64, True),)).measure(0, 65)
@@ -231,8 +236,9 @@ def _outside_state_circuit():
 
 
 def _compaction_cases():
-    """Circuits where qubits leave and re-enter a path's state, with their
-    outcomes (None: checked against the references only)."""
+    """Circuits where qubits stay outside a path's state, leave it and
+    re-enter it, with their outcomes (None: checked against the references
+    only)."""
     third = math.pi / 3  # rx(pi/3) leaves |1> at 1 with probability 3/4, |0> with 1/4
     b = CircuitBuilder(1, 2)
     b.x(0).measure(0, 0).x(0).measure(0, 1)
@@ -270,6 +276,45 @@ def _compaction_cases():
     b = CircuitBuilder(3, 3)
     b.measure(1, 1).h(0).cx(0, 2).measure(0, 0).measure(1, 1).measure(2, 2)
     yield "a qubit no instruction touches", b.build(), {"000": 0.5, "101": 0.5}
+    # A qubit outside the state is a classical bit of the path. Below, q1 is
+    # known as v: it starts as 0, and an x on it toggles its known value.
+    def known(v, n_qubits, n_bits):
+        b = CircuitBuilder(n_qubits, n_bits)
+        return b.x(1) if v else b
+
+    for v in (0, 1):
+        one = f"{v}1"  # q1 in bit 1, q0 read as 1 in bit 0
+        # A control outside the state tests its known value.
+        b = known(v, 2, 2).rx(third, 0).cx(1, 0).measure(0, 0).measure(1, 1)
+        p1 = 0.75 if v else 0.25
+        yield f"cx with its control outside at {v}", b.build(), {f"{v}0": 1 - p1, one: p1}
+        b = known(v, 2, 2).append(Gate(GateKind("rx", angle=third), 0, 1)).measure(0, 0).measure(1, 1)
+        yield f"rx with its control outside at {v}", b.build(), {"10": 0.75, one: 0.25} if v else {"00": 1.0}
+        b = known(v, 2, 2).h(0).cz(1, 0).h(0).measure(0, 0).measure(1, 1)
+        yield f"cz with its control outside at {v}", b.build(), {f"{v}{v}": 1.0}
+        # A flip of a qubit outside the state toggles its known value; y's
+        # phase is the whole path's.
+        b = known(v, 3, 3).y(0).cx(1, 2).measure(0, 0).y(0).cx(1, 0).measure(0, 1).measure(2, 2)
+        yield f"x, y and cx on qubits outside at {v}", b.build(), {f"{v}{v}1": 1.0}
+        # A controlled diagonal whose target is outside is diag(1, u_vv) on
+        # its control: with the s, q0 gains a relative phase pi/2 -/+ pi/2.
+        b = known(v, 2, 2).h(0).s(0).append(Gate(GateKind("rz", angle=math.pi), 1, 0))
+        b.h(0).measure(0, 0).measure(1, 1)
+        yield f"crz with its target outside at {v}", b.build(), {f"{v}{v}": 1.0}
+        b = known(v, 2, 2).h(0).cp(math.pi, 0, 1).h(0).measure(0, 0).measure(1, 1)
+        yield f"cp with its target outside at {v}", b.build(), {f"{v}{v}": 1.0}
+    # q1 is known as 1; the condition names bit 0 with both polarities.
+    b = CircuitBuilder(2, 2)
+    b.x(1).measure(1, 0).cx(1, 0, condition=((0, True), (0, False))).measure(0, 1)
+    yield "never-holding condition, control outside", b.build(check=False), {"01": 1.0}
+    # Unit flips swap slices for each order of control and target bits.
+    b = CircuitBuilder(4, 4)
+    for q in range(4):
+        b.rx(third * (q + 1) / 2, q)
+    b.cx(0, 3).cx(3, 1).cx(2, 0).cx(1, 2).x(3).cx(0, 1)
+    for q in range(4):
+        b.measure(q, q)
+    yield "unit flips on every bit order", b.build(), None
 
 
 @pytest.mark.parametrize(
@@ -298,6 +343,37 @@ def test_a_split_copies_one_branch():
     d, copies = count_executions(oracle.distribution, "copy", lambda: distribution(c), 127)
     assert len(d.probs) == 256
     assert copies == 127
+
+
+def test_qubits_outside_the_state_cost_no_pair_updates():
+    # qft12: each h brings its qubit into the state, and every cp's control
+    # is outside it at 0, a failed test: 1 + 2 + ... + 2048 general-gate
+    # pair updates (with every control entering the state, 22,529).
+    qft = bench.gen_qft(12)
+    _, pairs = count_executions(oracle.distribution, "pair", lambda: distribution(qft), 4095)
+    assert pairs == 4095
+    # qpe12: the x on the eigenstate qubit toggles its known value, and each
+    # controlled power is a phase on its counting qubit, so only the 11
+    # counting qubits enter and no op runs on a 12-qubit state.
+    qpe = bench.gen_qpe(12, 2 * math.pi * 5 / 2 ** 11)
+    d, entered = count_executions(oracle.distribution, "enter", lambda: distribution(qpe), 11)
+    assert entered == 11
+    assert d.probs == pytest.approx({format(5, "011b"): 1.0})
+
+
+def test_a_unit_flip_swaps_without_multiplying():
+    b = CircuitBuilder(3, 3)
+    for q in range(3):
+        b.rx(math.pi * (q + 1) / 5, q)
+    b.cx(0, 2).x(1).cx(2, 1).x(0).cx(1, 0)
+    for q in range(3):
+        b.measure(q, q)
+    c = b.build()
+    d, diagonals = count_executions(oracle.distribution, "diagonal", lambda: distribution(c), 0)
+    assert diagonals == 0
+    _, pairs = count_executions(oracle.distribution, "pair", lambda: distribution(c), 7)
+    assert pairs == 1 + 2 + 4  # the three rx
+    assert d.total_variation(reference_distribution(c)) <= 1e-12
 
 
 def _reference_battery():
