@@ -3,7 +3,8 @@
 Four local rules, each applied to a measurement and the nearest earlier
 instruction on the measured wire:
 
-* diagonal gates swap freely with the measurement,
+* diagonal gates (``ir.is_diagonal``, read from the kind's unitary) swap
+  freely with the measurement,
 * a plain (possibly conditioned) X swaps by toggling the measured bit,
 * Y is rewritten as Z then X, after which the other rules take over,
 * a gate that merely uses the measured qubit as a quantum control lets the
@@ -29,7 +30,6 @@ from __future__ import annotations
 from enum import Enum
 
 from .ir import (
-    DIAGONAL_NAMES,
     Chain,
     Circuit,
     ClassicalToggle,
@@ -53,6 +53,8 @@ class CommuteRule(Enum):
 
 # Each rule's tally key, read once: an Enum member's ``value`` is a property.
 _DIAGONAL, _BIT_FLIP, _Y_DECOMPOSE, _CONTROLLED_ON_CONTROL = (rule.value for rule in CommuteRule)
+# The two rules that build new gates, by the kind they cross.
+_FLIPS = {"x": _BIT_FLIP, "y": _Y_DECOMPOSE}
 
 
 def _rule_for(meas: Measure, prev: Instruction | None) -> str | None:
@@ -68,17 +70,9 @@ def _rule_for(meas: Measure, prev: Instruction | None) -> str | None:
                 return None
     if prev.target != meas.qubit:  # prev is on the measured wire, so that is its control
         return _CONTROLLED_ON_CONTROL
-    name = prev.kind.name
-    if name in DIAGONAL_NAMES:
+    if is_diagonal(prev):
         return _DIAGONAL
-    if name == "u":
-        return _DIAGONAL if is_diagonal(prev) else None
-    if prev.control is None:
-        if name == "x":
-            return _BIT_FLIP
-        if name == "y":
-            return _Y_DECOMPOSE
-    return None
+    return _FLIPS.get(prev.kind.name) if prev.control is None else None
 
 
 def _toggle(meas: Measure, gate: Gate) -> ClassicalToggle:

@@ -9,6 +9,10 @@ and a toggle's product are the same thing, a tuple of ``(bit, value)``
 literals that must all hold. Circuits are immutable values; rewrite passes
 return new circuits.
 
+What a gate does is known here only: every ``GateKind`` carries its 2x2
+unitary's entries, from one table, which the oracle simulates and the
+passes test (``is_diagonal``, a controlled phase).
+
 Every analysis reads one index of per-instruction facts, ``Dependencies``:
 each instruction's qubits, read bits and written bit. A circuit computes it
 on first use and caches it; a pass that builds a circuit from facts it
@@ -24,6 +28,7 @@ and only ``reuse`` builds scheduling edges.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
@@ -39,12 +44,9 @@ __all__ = [
     "CircuitBuilder",
     "Dependencies",
     "Chain",
-    "H_KIND",
+    "FIXED_KINDS",
     "X_KIND",
-    "Y_KIND",
     "Z_KIND",
-    "S_KIND",
-    "T_KIND",
     "opaque_kind",
     "validate",
     "violations",
@@ -53,11 +55,34 @@ __all__ = [
     "is_diagonal",
 ]
 
-GATE_NAMES = frozenset({"h", "x", "y", "z", "s", "t", "p", "rx", "rz", "u"})
-PARAMETRIC = frozenset({"p", "rx", "rz"})
-DIAGONAL_NAMES = frozenset({"z", "s", "t", "p", "rz"})
+_SQRT2 = math.sqrt(0.5)
 
-# Off-diagonal magnitude below this counts as diagonal for opaque matrices.
+
+def _rx(angle: float) -> tuple[complex, complex, complex, complex]:
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return (c, -1j * s, -1j * s, c)
+
+
+# What each gate kind does: its 2x2 unitary as the entries (u00, u01, u10,
+# u11), row-major; a function of the angle for a parametric kind. ``u`` is
+# opaque: its entries are the matrix it declares.
+_UNITARIES = {
+    "h": (_SQRT2, _SQRT2, _SQRT2, -_SQRT2),
+    "x": (0, 1, 1, 0),
+    "y": (0, -1j, 1j, 0),
+    "z": (1, 0, 0, -1),
+    "s": (1, 0, 0, 1j),
+    "t": (1, 0, 0, cmath.exp(1j * math.pi / 4)),
+    "p": lambda angle: (1, 0, 0, cmath.exp(1j * angle)),
+    "rx": _rx,
+    "rz": lambda angle: (cmath.exp(-0.5j * angle), 0, 0, cmath.exp(0.5j * angle)),
+    "u": None,
+}
+GATE_NAMES = frozenset(_UNITARIES)
+PARAMETRIC = frozenset(name for name, entries in _UNITARIES.items() if callable(entries))
+
+# An off-diagonal entry of at most this magnitude counts as zero: a kind is
+# diagonal when both of its off-diagonal entries do.
 ANGLE_TOL = 1e-12
 
 
@@ -66,14 +91,17 @@ class GateKind:
     """A single-qubit gate alphabet entry.
 
     ``p``/``rx``/``rz`` carry exactly one angle (radians), the others none.
-    ``u`` is an opaque named gate with an explicit 2x2 unitary (row-major)
-    so the simulator can still execute it.
+    ``u`` is an opaque named gate with an explicit 2x2 unitary (row-major, 4
+    finite entries, kept as complex numbers); no other kind takes a label or
+    matrix. ``unitary`` is derived, computed once: the entries ``(u00, u01,
+    u10, u11)`` that the oracle and every pass read.
     """
 
     name: str
     angle: float | None = None
     label: str | None = None
     matrix: tuple[complex, complex, complex, complex] | None = None
+    unitary: tuple[complex, complex, complex, complex] = field(init=False, compare=False, repr=False)
 
     def __init__(self, name, angle=None, label=None, matrix=None):
         if name not in GATE_NAMES:
@@ -84,12 +112,24 @@ class GateKind:
             raise ValueError(f"{name} takes no angle")
         if angle is not None and not math.isfinite(angle):
             raise ValueError(f"{name} angle must be finite, got {angle}")
-        if name == "u" and (label is None or matrix is None):
-            raise ValueError("opaque gates need a label and a 2x2 matrix")
+        entries = _UNITARIES[name]
+        if name == "u":
+            if label is None or matrix is None:
+                raise ValueError("opaque gates need a label and a 2x2 matrix")
+            entries = matrix = tuple(map(complex, matrix))
+            if len(matrix) != 4:
+                raise ValueError("opaque matrix must have 4 entries (row-major 2x2)")
+            if not all(map(cmath.isfinite, matrix)):
+                raise ValueError(f"opaque matrix for {label!r} must have finite entries")
+        elif label is not None or matrix is not None:
+            raise ValueError(f"{name} takes no label or matrix")
+        elif angle is not None:
+            entries = entries(angle)
         _set_kind_name(self, name)
         _set_kind_angle(self, angle)
         _set_kind_label(self, label)
         _set_kind_matrix(self, matrix)
+        _set_kind_unitary(self, entries)
 
 
 # Kinds and instructions are built by the parser and by the hot loops of
@@ -100,23 +140,16 @@ _set_kind_name = GateKind.name.__set__
 _set_kind_angle = GateKind.angle.__set__
 _set_kind_label = GateKind.label.__set__
 _set_kind_matrix = GateKind.matrix.__set__
+_set_kind_unitary = GateKind.unitary.__set__
 
-
-H_KIND = GateKind("h")
-X_KIND = GateKind("x")
-Y_KIND = GateKind("y")
-Z_KIND = GateKind("z")
-S_KIND = GateKind("s")
-T_KIND = GateKind("t")
+# One shared kind per name without an angle.
+FIXED_KINDS = {name: GateKind(name) for name, entries in _UNITARIES.items() if type(entries) is tuple}
+X_KIND = FIXED_KINDS["x"]
+Z_KIND = FIXED_KINDS["z"]
 
 
 def opaque_kind(label: str, matrix) -> GateKind:
-    flat = tuple(complex(x) for x in matrix)
-    if len(flat) != 4:
-        raise ValueError("opaque matrix must have 4 entries (row-major 2x2)")
-    if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in flat):
-        raise ValueError(f"opaque matrix for {label!r} must have finite entries")
-    return GateKind("u", label=label, matrix=flat)
+    return GateKind("u", label=label, matrix=matrix)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -313,19 +346,15 @@ def validate(circuit: Circuit) -> list[str]:
 
 
 def is_diagonal(instr: Instruction) -> bool:
-    """True when the gate's unitary is diagonal in the computational basis.
+    """True when the gate's unitary is diagonal in the computational basis:
+    both off-diagonal entries of its kind are within ``ANGLE_TOL`` of zero.
 
-    A quantum control and a classical condition preserve diagonality; opaque
-    gates are judged by their declared matrix.
+    A quantum control and a classical condition preserve diagonality.
     """
     if not isinstance(instr, Gate):
         return False
-    if instr.kind.name in DIAGONAL_NAMES:
-        return True
-    if instr.kind.name == "u":
-        m = instr.kind.matrix
-        return abs(m[1]) <= ANGLE_TOL and abs(m[2]) <= ANGLE_TOL
-    return False
+    _, u01, u10, _ = instr.kind.unitary
+    return abs(u01) <= ANGLE_TOL and abs(u10) <= ANGLE_TOL
 
 
 class Dependencies:
@@ -631,22 +660,22 @@ class CircuitBuilder:
         return self.append(Gate(kind, target, control, tuple(condition)))
 
     def h(self, q: int, **kw) -> "CircuitBuilder":
-        return self._gate(H_KIND, q, **kw)
+        return self._gate(FIXED_KINDS["h"], q, **kw)
 
     def x(self, q: int, **kw) -> "CircuitBuilder":
         return self._gate(X_KIND, q, **kw)
 
     def y(self, q: int, **kw) -> "CircuitBuilder":
-        return self._gate(Y_KIND, q, **kw)
+        return self._gate(FIXED_KINDS["y"], q, **kw)
 
     def z(self, q: int, **kw) -> "CircuitBuilder":
         return self._gate(Z_KIND, q, **kw)
 
     def s(self, q: int, **kw) -> "CircuitBuilder":
-        return self._gate(S_KIND, q, **kw)
+        return self._gate(FIXED_KINDS["s"], q, **kw)
 
     def t(self, q: int, **kw) -> "CircuitBuilder":
-        return self._gate(T_KIND, q, **kw)
+        return self._gate(FIXED_KINDS["t"], q, **kw)
 
     def p(self, theta: float, q: int, **kw) -> "CircuitBuilder":
         return self._gate(GateKind("p", angle=float(theta)), q, **kw)

@@ -13,16 +13,14 @@ declared classical bits, which is what every rewrite pass must preserve.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 
-from .ir import Circuit, ClassicalToggle, Gate, GateKind, Instruction, Measure, Reset
+from .ir import Circuit, ClassicalToggle, Gate, Instruction, Measure, Reset
 
 __all__ = [
-    "MAX_BRANCHES", "MAX_QUBITS", "PRUNE",
+    "MAX_BRANCHES", "MAX_QUBITS",
     "OutcomeDistribution", "SimulationLimitError", "distribution", "equivalent",
 ]
 
@@ -33,35 +31,9 @@ MAX_QUBITS = 12
 MAX_BRANCHES = 1 << 20
 PRUNE = 1e-14
 
-_SQRT2 = math.sqrt(0.5)
-
-# Entries (u00, u01, u10, u11) of the fixed one-qubit gates, row-major.
-_FIXED = {
-    "h": (_SQRT2, _SQRT2, _SQRT2, -_SQRT2),
-    "x": (0, 1, 1, 0),
-    "y": (0, -1j, 1j, 0),
-    "z": (1, 0, 0, -1),
-    "s": (1, 0, 0, 1j),
-    "t": (1, 0, 0, cmath.exp(1j * math.pi / 4)),
-}
-
 
 class SimulationLimitError(RuntimeError):
     """Raised when a circuit exceeds the qubit or branch budget."""
-
-
-def kind_matrix(kind: GateKind) -> tuple[complex, complex, complex, complex]:
-    """The gate's 2x2 unitary as its entries ``(u00, u01, u10, u11)``."""
-    if kind.name in _FIXED:
-        return _FIXED[kind.name]
-    if kind.name == "p":
-        return (1, 0, 0, cmath.exp(1j * kind.angle))
-    if kind.name == "rz":
-        return (cmath.exp(-0.5j * kind.angle), 0, 0, cmath.exp(0.5j * kind.angle))
-    if kind.name == "rx":
-        c, s = math.cos(kind.angle / 2), math.sin(kind.angle / 2)
-        return (c, -1j * s, -1j * s, c)
-    return kind.matrix
 
 
 def _record_test(literals) -> tuple[int, int]:
@@ -164,7 +136,8 @@ def _plan(instrs: tuple[Instruction, ...], n: int, n_bits: int) -> tuple[list[tu
     target is outside is a diagonal on its control, ``diag(1, u_vv)`` when
     the target is known as v (with no control, a phase of the whole path,
     which no probability sees). Only the target of any other gate enters
-    the state.
+    the state. A gate's entries are its kind's ``unitary``: a flip has
+    ``u00 == u11 == 0`` and a diagonal ``u01 == u10 == 0``, exactly.
 
     Which qubits are in the state depends only on the instruction sequence,
     so each op's index tables (see ``_table``) are worked out here, once: a
@@ -180,7 +153,7 @@ def _plan(instrs: tuple[Instruction, ...], n: int, n_bits: int) -> tuple[list[tu
     plan: list[tuple] = []
     for instr in instrs:
         if isinstance(instr, Gate):
-            u00, u01, u10, u11 = kind_matrix(instr.kind)
+            u00, u01, u10, u11 = instr.kind.unitary
             target, control = instr.target, instr.control
             literals = instr.condition
             if control is not None and where[control] < 0:

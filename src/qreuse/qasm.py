@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import re
 
-from .ir import PARAMETRIC, Circuit, ClassicalToggle, Gate, GateKind, Measure, Reset, opaque_kind, violations
+from .ir import FIXED_KINDS, PARAMETRIC, Circuit, ClassicalToggle, Gate, GateKind, Measure, Reset, violations
 
 __all__ = [
     "QasmError",
@@ -71,8 +71,6 @@ _STATEMENTS = {
 _SPELLINGS: dict[str, list[str | None]] = {kind: [None, None] for kind, _ in _STATEMENTS.values()}
 for _name, (_kind, _controlled) in _STATEMENTS.items():
     _SPELLINGS[_kind][_controlled] = _name
-# The kinds without an angle, shared by every parse.
-_FIXED = {kind: GateKind(kind) for kind, _ in _STATEMENTS.values() if kind not in PARAMETRIC}
 # Built-in gate and statement names, which no opaque label may take.
 _RESERVED = frozenset(_STATEMENTS).union(("measure", "reset", "if", "include", "qubit", "bit"))
 
@@ -202,7 +200,7 @@ class _Reader:
 
     def __init__(self) -> None:
         self.sizes: dict[str, int | None] = {"qubit": None, "bit": None}
-        self.kinds: dict[str | tuple[str, str], GateKind] = dict(_FIXED)
+        self.kinds: dict[str | tuple[str, str], GateKind] = dict(FIXED_KINDS)
 
     def matrix(self, label: str, numbers: list[str], line: int) -> None:
         if label in _RESERVED:
@@ -215,7 +213,7 @@ class _Reader:
         entries = [complex(vals[i], vals[i + 1]) for i in range(0, 8, 2)]
         if not _unitary(*entries):
             raise QasmSemanticError(f"matrix annotation for {label!r} is not unitary", line)
-        self.kinds[label] = opaque_kind(label, entries)
+        self.kinds[label] = GateKind("u", label=label, matrix=entries)
 
     def statement(self, stmt: str, line: int, col: int):
         """The instruction a stripped, non-empty statement at ``line`` and

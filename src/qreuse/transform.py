@@ -7,8 +7,9 @@ Three transformations work together with measurement commutation:
 * classical control introduction replaces a quantum control sitting right
   after its wire's measurement with a classical condition on the measured
   bit,
-* control exchange flips control and target of CZ/CP gates whose target
-  (but not control) was just measured, unlocking the previous rule.
+* control exchange flips control and target of a controlled phase (a
+  unitary ``diag(1, u11)``: CZ, CP) whose target (but not control) was just
+  measured, unlocking the previous rule.
 
 ``run`` chains them in the order the rewrites feed each other: commute,
 then introduction/exchange to a fixpoint, one more commutation round for the
@@ -161,14 +162,15 @@ def _introduce_all(chain: Chain, nodes: list[int], next_write: list[int]) -> tup
 
 def _exchange_all(chain: Chain, nodes: list[int]) -> list[int]:
     """Control exchange on the gates among ``nodes``; returns those it
-    swapped. A CZ/CP, symmetric in its two qubits, swaps control and target
-    when its target wire's predecessor is a measurement and its control
-    wire's is not."""
+    swapped. A controlled ``diag(1, u11)`` (CZ, CP, a controlled S or T),
+    symmetric in its two qubits, swaps control and target when its target
+    wire's predecessor is a measurement and its control wire's is not."""
     instrs, before, put = chain.instr, chain.before, chain.put
     exchanged = []
     for node in nodes:
         gate = instrs[node]
-        if type(gate) is not Gate or gate.control is None or gate.kind.name not in ("z", "p"):
+        # A controlled diag(1, u11): (u00, u01, u10) == (1, 0, 0).
+        if type(gate) is not Gate or gate.control is None or gate.kind.unitary[:3] != (1, 0, 0):
             continue
         control, target = gate.control, gate.target
         t = before(node, target)
@@ -201,9 +203,9 @@ def introduce_classical_controls(circuit: Circuit) -> tuple[Circuit, int]:
 def exchange_controls(circuit: Circuit) -> tuple[Circuit, int]:
     """Swap control and target of phase-type gates measured on the target side.
 
-    Applies to controlled CZ/CP, where the target's wire ends in its
-    measurement but the control's does not. The swapped gate then
-    qualifies for classical control introduction on the next round.
+    Applies to a controlled ``diag(1, u11)`` (CZ, CP), where the target's
+    wire ends in its measurement but the control's does not. The swapped
+    gate then qualifies for classical control introduction on the next round.
     """
     chain = Chain(circuit)
     exchanged = _exchange_all(chain, chain.order())

@@ -17,21 +17,39 @@ or in ``facts_reference``.
 
 from __future__ import annotations
 
+import math
+
 from qreuse.commute import CommuteRule
 from qreuse.ir import Circuit, ClassicalToggle, Gate, Instruction, Measure, X_KIND, Z_KIND
 
 from facts_reference import forward_reach, qubits, reads, written
 
 _DIAGONAL_KINDS = frozenset({"z", "s", "t", "p", "rz"})
+# The kinds that are diag(1, phase) at every angle.
+_PHASE_KINDS = frozenset({"z", "s", "t", "p"})
 
 
 def _diagonal(gate: Gate) -> bool:
-    """A phase-type kind, or an opaque matrix whose off-diagonal entries are
-    at most 1e-12 in magnitude. A control or condition keeps it diagonal."""
+    """A phase-type kind, an ``rx`` whose angle is a multiple of 2pi up to
+    ``|sin(angle/2)| <= 1e-12``, or an opaque matrix whose off-diagonal
+    entries are at most 1e-12 in magnitude. A control or condition keeps it
+    diagonal."""
     if gate.kind.name == "u":
         m = gate.kind.matrix
         return abs(m[1]) <= 1e-12 and abs(m[2]) <= 1e-12
+    if gate.kind.name == "rx":
+        return abs(math.sin(gate.kind.angle / 2)) <= 1e-12
     return gate.kind.name in _DIAGONAL_KINDS
+
+
+def _phase(gate: Gate) -> bool:
+    """``diag(1, phase)`` exactly: a phase kind, ``rz(0)``, or an opaque
+    matrix of that form. Such a controlled gate is symmetric in its qubits."""
+    kind = gate.kind
+    if kind.name == "u":
+        m = kind.matrix
+        return m[0] == 1 and m[1] == 0 and m[2] == 0
+    return kind.name in _PHASE_KINDS or (kind.name == "rz" and kind.angle == 0)
 
 
 def _wire_prev(instrs, pos: int, qubit: int) -> int | None:
@@ -151,9 +169,9 @@ def _introduced(gate: Gate, meas: Measure) -> Gate | None:
 
 
 def _exchangeable(gate: Gate, prev_target: Instruction | None, prev_control: Instruction | None) -> bool:
-    """A controlled CZ/CP whose target wire's predecessor is the target's
-    measurement and whose control wire's is not the control's."""
-    if gate.kind.name not in ("z", "p") or gate.control is None:
+    """A controlled phase (CZ, CP, ...) whose target wire's predecessor is
+    the target's measurement and whose control wire's is not the control's."""
+    if not _phase(gate) or gate.control is None:
         return False
     control, target = gate.control, gate.target
     target_measured = isinstance(prev_target, Measure) and prev_target.qubit == target

@@ -65,9 +65,9 @@ MUTANTS = [
     ),
     (
         "src/qreuse/commute.py",
-        "        return _DIAGONAL if is_diagonal(prev) else None\n",
-        "        return None\n",
-        "commute: a measurement no longer moves past an opaque gate whose matrix is diagonal",
+        "    if is_diagonal(prev):\n",
+        "    if prev.kind.name in (\"z\", \"s\", \"t\", \"p\", \"rz\"):\n",
+        "commute: diagonal by kind name, so a measurement no longer moves past an opaque gate whose matrix is diagonal",
     ),
     (
         "src/qreuse/oracle.py",
@@ -116,6 +116,30 @@ MUTANTS = [
         "                u00, u11 = u01, u10\n",
         "                u00, u11 = u10, u01\n",
         "oracle: a flip's entries swap sides after the swap, so a controlled y acts as a controlled -y",
+    ),
+    (
+        "src/qreuse/transform.py",
+        "gate.control is None or gate.kind.unitary[:3] != (1, 0, 0):\n",
+        "gate.control is None or gate.kind.unitary[1:3] != (0, 0):\n",
+        "control exchange: any controlled diagonal is swapped, so a controlled rz, not symmetric, is too",
+    ),
+    (
+        "src/qreuse/ir.py",
+        "    \"rz\": lambda angle: (cmath.exp(-0.5j * angle), 0, 0, cmath.exp(0.5j * angle)),\n",
+        "    \"rz\": lambda angle: (cmath.exp(0.5j * angle), 0, 0, cmath.exp(-0.5j * angle)),\n",
+        "gate table: rz's exponents have the wrong sign, so rz(a) acts as rz(-a)",
+    ),
+    (
+        "src/qreuse/ir.py",
+        "        elif label is not None or matrix is not None:\n",
+        "        elif False:\n",
+        "gate kind: a built-in kind takes a label or matrix, which emit drops, so it reads back unequal",
+    ),
+    (
+        "src/qreuse/ir.py",
+        "    return abs(u01) <= ANGLE_TOL and abs(u10) <= ANGLE_TOL\n",
+        "    return u01 == 0 and u10 == 0\n",
+        "diagonal: off-diagonal entries must be exactly zero, so rx(2pi) and near-diagonal opaque gates stop commuting",
     ),
     (
         "src/qreuse/cli.py",

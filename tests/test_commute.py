@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qreuse import bench, ir, oracle
@@ -85,6 +86,15 @@ class TestApplicableRule:
         # Past the rotation, the measurement would read another distribution.
         crossed = c.with_instructions((c.instructions[0], c.instructions[3], *c.instructions[1:3]))
         assert not oracle.equivalent(c, crossed)[0]
+
+    @pytest.mark.parametrize("angle", [0.0, 2 * math.pi])
+    def test_rx_at_a_multiple_of_two_pi_is_diagonal(self, angle):
+        # Its off-diagonal entries are within ``ir.ANGLE_TOL`` of zero.
+        c = CircuitBuilder(1, 1).h(0).rx(angle, 0).measure(0, 0).build()
+        out, counts = run(c)
+        assert {rule: k for rule, k in counts.items() if k} == {CommuteRule.DIAGONAL.value: 1}
+        assert out.instructions == (c.instructions[0], c.instructions[2], c.instructions[1])
+        assert oracle.equivalent(c, out)[0]
 
 
 class TestCommuteOnce:

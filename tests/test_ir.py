@@ -435,6 +435,20 @@ class TestGatePredicates:
         gate = CircuitBuilder(1, 0).y(0).build().instructions[0]
         assert not is_diagonal(gate)
 
+    @pytest.mark.parametrize("angle", [0.0, 2 * math.pi, -2 * math.pi, 4 * math.pi])
+    def test_rx_at_a_multiple_of_two_pi_is_diagonal(self, angle):
+        # sin(angle / 2) is within ``ANGLE_TOL`` of zero: the same test as for
+        # every other kind.
+        assert is_diagonal(CircuitBuilder(1, 0).rx(angle, 0).build().instructions[0])
+
+    @pytest.mark.parametrize("angle", [1e-9, 0.7, math.pi, 2 * math.pi + 1e-9])
+    def test_rx_elsewhere_is_not_diagonal(self, angle):
+        assert not is_diagonal(CircuitBuilder(1, 0).rx(angle, 0).build().instructions[0])
+
+    def test_every_phase_kind_is_diagonal(self):
+        b = CircuitBuilder(2, 0).z(0).s(0).t(0).p(0.3, 0).rz(-1.2, 0).cz(0, 1).cp(2.0, 0, 1)
+        assert all(map(is_diagonal, b.build().instructions))
+
     def test_opaque_judged_by_matrix(self):
         diag = Gate(opaque_kind("u_d", [1, 0, 0, 1j]), 0)
         offdiag = Gate(opaque_kind("u_h", [0.6, 0.8, 0.8, -0.6]), 0)
@@ -485,6 +499,13 @@ class TestGateKind:
             (("rx", math.inf), {}, "rx angle must be finite, got inf"),
             (("u",), {"label": "u0"}, "opaque gates need a label and a 2x2 matrix"),
             (("u",), {"matrix": (0, 1, 1, 0)}, "opaque gates need a label and a 2x2 matrix"),
+            # ``emit`` writes a built-in kind by its name alone, so a label or
+            # matrix would not round-trip.
+            (("h",), {"label": "zz", "matrix": (0, 1, 1, 0)}, "h takes no label or matrix"),
+            (("x",), {"label": "zz"}, "x takes no label or matrix"),
+            (("p", 0.5), {"matrix": (1, 0, 0, 1)}, "p takes no label or matrix"),
+            (("u",), {"label": "u_a", "matrix": (1, 0, 0)}, "opaque matrix must have 4 entries (row-major 2x2)"),
+            (("u",), {"label": "u_a", "matrix": (1, 0, 0, math.nan)}, "opaque matrix for 'u_a' must have finite entries"),
         ],
     )
     def test_each_check_has_its_message(self, args, kwargs, message):
@@ -495,7 +516,7 @@ class TestGateKind:
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
     def test_value_semantics(self, kind):
-        fields = {f.name: getattr(kind, f.name) for f in dataclasses.fields(GateKind)}
+        fields = {f.name: getattr(kind, f.name) for f in dataclasses.fields(GateKind) if f.init}
         twin = GateKind(**fields)
         assert twin is not kind and twin == kind and hash(twin) == hash(kind)
         back = pickle.loads(pickle.dumps(kind))
@@ -503,6 +524,30 @@ class TestGateKind:
         assert dataclasses.replace(kind) == kind
         with pytest.raises(dataclasses.FrozenInstanceError):
             kind.name = "x"
+
+    def test_opaque_matrix_is_stored_as_a_complex_tuple(self):
+        # A list would make the kind unhashable and read back unequal.
+        kind = GateKind("u", label="u_a", matrix=[0, 1, 1, 0])
+        assert kind.matrix == (0j, 1 + 0j, 1 + 0j, 0j)
+        assert type(kind.matrix) is tuple and {type(x) for x in kind.matrix} == {complex}
+        assert kind.unitary is kind.matrix
+        assert kind == opaque_kind("u_a", (0, 1, 1, 0)) and hash(kind) == hash(opaque_kind("u_a", (0, 1, 1, 0)))
+
+    def test_unitary_is_derived_from_the_other_fields(self):
+        # Not an argument, not compared and not shown: it follows from them.
+        kind = GateKind("p", 0.25)
+        field = {f.name: f for f in dataclasses.fields(GateKind)}["unitary"]
+        assert (field.init, field.compare, field.repr) == (False, False, False)
+        assert "unitary" not in repr(kind)
+        assert dataclasses.replace(kind, angle=0.5).unitary == GateKind("p", 0.5).unitary != kind.unitary
+        assert pickle.loads(pickle.dumps(kind)).unitary == kind.unitary
+
+    def test_fixed_kinds_are_the_kinds_without_an_angle(self):
+        assert sorted(ir.FIXED_KINDS) == ["h", "s", "t", "x", "y", "z"]
+        assert all(kind == GateKind(name) for name, kind in ir.FIXED_KINDS.items())
+        assert ir.FIXED_KINDS["x"] is X_KIND and ir.FIXED_KINDS["z"] is Z_KIND
+        assert ir.GATE_NAMES == {*ir.FIXED_KINDS, *ir.PARAMETRIC, "u"}
+        assert ir.PARAMETRIC == {"p", "rx", "rz"}
 
     def test_replace_checks_the_new_fields(self):
         kind = GateKind("p", 0.5)

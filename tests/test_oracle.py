@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qreuse import bench, oracle, pipeline, qasm, transform
-from qreuse.ir import CircuitBuilder, Gate, GateKind, Measure
+from qreuse.ir import FIXED_KINDS, CircuitBuilder, Gate, GateKind, Measure, opaque_kind
 from qreuse.oracle import OutcomeDistribution, SimulationLimitError, distribution, equivalent
 
 from commute_reference import _apply, _rule_at
 from conftest import adversarial, count_executions, cx_pair, small_random
 from density_reference import density_distribution
-from oracle_reference import reference_distribution
+from oracle_reference import kind_matrix, reference_distribution
 
 
 def test_hadamard_born_rule():
@@ -396,6 +396,22 @@ def _reference_battery():
     for cases in (_tail_cases, _plan_cases, _compaction_cases):
         for _, c, _ in cases():
             yield c
+
+
+_ANGLES = (0.0, 0.3, -1.5, math.pi, 2 * math.pi, -12.5)
+_KINDS = [
+    *FIXED_KINDS.values(),
+    *(GateKind(name, angle) for name in ("p", "rx", "rz") for angle in _ANGLES),
+    opaque_kind("u_a", (0.6, 0.8j, 0.8j, 0.6)),
+]
+
+
+@pytest.mark.parametrize("kind", _KINDS, ids=lambda k: f"{k.name}({k.angle})" if k.angle is not None else k.name)
+def test_kind_unitary_matches_the_reference_matrix(kind):
+    # ``ir`` holds each kind's entries; the reference builds its own numpy matrix.
+    want = kind_matrix(kind).reshape(-1)
+    assert len(kind.unitary) == 4
+    assert max(abs(u - w) for u, w in zip(kind.unitary, want)) <= 1e-15
 
 
 def test_distribution_matches_branching_reference():

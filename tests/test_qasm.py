@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import qasm_reference
 from qreuse import bench
-from qreuse.ir import Circuit, CircuitBuilder, Gate, Measure
+from qreuse.ir import Circuit, CircuitBuilder, Gate, GateKind, Measure
 from qreuse.pipeline import MODES, optimize
 from qreuse.qasm import (
     MAX_REGISTER,
@@ -335,6 +335,13 @@ class TestEmit:
         again = parse(emit(c))
         assert again.instructions == c.instructions
         assert emit(again) == emit(c)
+
+    def test_opaque_matrix_given_as_a_list_roundtrips(self):
+        # The kind stores any sequence of 4 entries as a tuple of complex
+        # numbers, which is what ``parse`` builds.
+        c = Circuit(1, 1, (Gate(GateKind("u", label="u_a", matrix=[0, 1, 1, 0]), 0), Measure(0, 0)))
+        assert parse(emit(c)) == c
+        assert len({c.instructions[0].kind, parse(emit(c)).instructions[0].kind}) == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from qreuse import bench, commute, oracle, transform
 from qreuse.ir import (
+    FIXED_KINDS,
     Chain,
     CircuitBuilder,
     ClassicalToggle,
     Gate,
+    GateKind,
     Measure,
     two_qubit_gate_count,
     validate,
@@ -164,6 +166,35 @@ class TestExchangeControls:
         c = CircuitBuilder(2, 1).measure(0, 0).cx(1, 0).build()
         out, k = exchange_controls(c)
         assert k == 0 and out.instructions == c.instructions
+
+    def test_controlled_s_swaps_roles(self):
+        # A controlled diag(1, i), built through the API (no statement writes
+        # it), is symmetric in its qubits like a CZ.
+        b = CircuitBuilder(2, 2).h(0).h(1).measure(0, 0)
+        c = b.append(Gate(FIXED_KINDS["s"], 0, 1)).h(1).measure(1, 1).build()
+        out, k = exchange_controls(c)
+        assert k == 1
+        gate = out.instructions[3]
+        assert (gate.kind, gate.control, gate.target) == (FIXED_KINDS["s"], 0, 1)
+        assert exchange_scan(c) == (out, 1)
+        assert oracle.equivalent(c, out)[0]
+        full, counts = run(c)
+        assert counts["exchanges"] == 1 and counts["classical_controls"] == 1
+        assert two_qubit_gate_count(full) == 0 and oracle.equivalent(c, full)[0]
+
+    def test_controlled_rz_not_phase_type(self):
+        # diag(e^-ia, e^ia) is diagonal but not diag(1, phase): swapping its
+        # qubits changes the circuit.
+        b = CircuitBuilder(2, 2).h(0).h(1).measure(0, 0)
+        c = b.append(Gate(GateKind("rz", 1.0), 0, 1)).h(1).measure(1, 1).build()
+        out, k = exchange_controls(c)
+        assert k == 0 and out.instructions == c.instructions
+        assert exchange_scan(c) == (c, 0)
+        full, counts = run(c)
+        assert counts["exchanges"] == 0 and oracle.equivalent(c, full)[0]
+        gate = c.instructions[3]
+        swapped = c.with_instructions((*c.instructions[:3], Gate(gate.kind, 1, 0), *c.instructions[4:]))
+        assert not oracle.equivalent(c, swapped)[0]
 
     def test_both_sides_measured_prefers_introduction(self):
         b = CircuitBuilder(2, 2)
