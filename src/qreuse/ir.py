@@ -94,7 +94,8 @@ class GateKind:
     ``u`` is an opaque named gate with an explicit 2x2 unitary (row-major, 4
     finite entries, kept as complex numbers); no other kind takes a label or
     matrix. ``unitary`` is derived, computed once: the entries ``(u00, u01,
-    u10, u11)`` that the oracle and every pass read.
+    u10, u11)`` that the oracle and every pass read. So is ``diagonal``:
+    both off-diagonal entries are within ``ANGLE_TOL`` of zero.
     """
 
     name: str
@@ -102,6 +103,7 @@ class GateKind:
     label: str | None = None
     matrix: tuple[complex, complex, complex, complex] | None = None
     unitary: tuple[complex, complex, complex, complex] = field(init=False, compare=False, repr=False)
+    diagonal: bool = field(init=False, compare=False, repr=False)
 
     def __init__(self, name, angle=None, label=None, matrix=None):
         if name not in GATE_NAMES:
@@ -130,6 +132,8 @@ class GateKind:
         _set_kind_label(self, label)
         _set_kind_matrix(self, matrix)
         _set_kind_unitary(self, entries)
+        _, u01, u10, _ = entries
+        _set_kind_diagonal(self, abs(u01) <= ANGLE_TOL and abs(u10) <= ANGLE_TOL)
 
 
 # Kinds and instructions are built by the parser and by the hot loops of
@@ -141,6 +145,7 @@ _set_kind_angle = GateKind.angle.__set__
 _set_kind_label = GateKind.label.__set__
 _set_kind_matrix = GateKind.matrix.__set__
 _set_kind_unitary = GateKind.unitary.__set__
+_set_kind_diagonal = GateKind.diagonal.__set__
 
 # One shared kind per name without an angle.
 FIXED_KINDS = {name: GateKind(name) for name, entries in _UNITARIES.items() if type(entries) is tuple}
@@ -347,14 +352,11 @@ def validate(circuit: Circuit) -> list[str]:
 
 def is_diagonal(instr: Instruction) -> bool:
     """True when the gate's unitary is diagonal in the computational basis:
-    both off-diagonal entries of its kind are within ``ANGLE_TOL`` of zero.
+    its kind's ``diagonal``.
 
     A quantum control and a classical condition preserve diagonality.
     """
-    if not isinstance(instr, Gate):
-        return False
-    _, u01, u10, _ = instr.kind.unitary
-    return abs(u01) <= ANGLE_TOL and abs(u10) <= ANGLE_TOL
+    return isinstance(instr, Gate) and instr.kind.diagonal
 
 
 class Dependencies:
@@ -651,6 +653,9 @@ class CircuitBuilder:
         self.n_clbits = n_clbits
         self.name = name
         self._instrs: list[Instruction] = []
+        # One kind per parametric name and angle, keyed on the angle's bits
+        # so that -0.0 stays apart from 0.0.
+        self._kinds: dict[tuple[str, str], GateKind] = {}
 
     def append(self, instr: Instruction) -> "CircuitBuilder":
         self._instrs.append(instr)
@@ -658,6 +663,14 @@ class CircuitBuilder:
 
     def _gate(self, kind: GateKind, target: int, control=None, condition=()) -> "CircuitBuilder":
         return self.append(Gate(kind, target, control, tuple(condition)))
+
+    def _angled(self, name: str, theta: float) -> GateKind:
+        theta = float(theta)
+        key = name, theta.hex()
+        kind = self._kinds.get(key)
+        if kind is None:
+            kind = self._kinds[key] = GateKind(name, angle=theta)
+        return kind
 
     def h(self, q: int, **kw) -> "CircuitBuilder":
         return self._gate(FIXED_KINDS["h"], q, **kw)
@@ -678,13 +691,13 @@ class CircuitBuilder:
         return self._gate(FIXED_KINDS["t"], q, **kw)
 
     def p(self, theta: float, q: int, **kw) -> "CircuitBuilder":
-        return self._gate(GateKind("p", angle=float(theta)), q, **kw)
+        return self._gate(self._angled("p", theta), q, **kw)
 
     def rx(self, theta: float, q: int, **kw) -> "CircuitBuilder":
-        return self._gate(GateKind("rx", angle=float(theta)), q, **kw)
+        return self._gate(self._angled("rx", theta), q, **kw)
 
     def rz(self, theta: float, q: int, **kw) -> "CircuitBuilder":
-        return self._gate(GateKind("rz", angle=float(theta)), q, **kw)
+        return self._gate(self._angled("rz", theta), q, **kw)
 
     def cx(self, control: int, target: int, **kw) -> "CircuitBuilder":
         return self._gate(X_KIND, target, control, **kw)
@@ -693,7 +706,7 @@ class CircuitBuilder:
         return self._gate(Z_KIND, target, control, **kw)
 
     def cp(self, theta: float, control: int, target: int, **kw) -> "CircuitBuilder":
-        return self._gate(GateKind("p", angle=float(theta)), target, control, **kw)
+        return self._gate(self._angled("p", theta), target, control, **kw)
 
     def opaque(self, label: str, matrix, target: int, **kw) -> "CircuitBuilder":
         return self._gate(opaque_kind(label, matrix), target, **kw)

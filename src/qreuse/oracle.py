@@ -7,8 +7,11 @@ qubit starts outside at 0, and a measured or reset one leaves the state and
 holds its value. Controls, flips and phases on such bits update the path's
 record; only the target of any other gate enters the state. So the one- and
 two-qubit circuits that reuse produces run on lists of two or four numbers.
-The observable object is the joint probability distribution over the
-declared classical bits, which is what every rewrite pass must preserve.
+Where a measurement leaves a path's state empty, the rest of the circuit is
+walked once per value of the record bits it touches, and every path that
+reaches it shares that walk's outcomes. The observable object is the joint
+probability distribution over the declared classical bits, which is what
+every rewrite pass must preserve.
 """
 
 from __future__ import annotations
@@ -49,41 +52,45 @@ def _record_test(literals) -> tuple[int, int]:
 
 # The opcodes of a plan, the most often run first: a run of toggles, a qubit
 # entering the state, a general gate, a measurement or reset of a qubit
-# outside the state, a split of one in it, a swap of slices (a bit flip) and
-# a diagonal gate.
-_TOGGLES, _ENTER, _GENERAL, _KNOWN, _SPLIT, _SWAP, _DIAGONAL = range(7)
+# outside the state, a split of one in it, a swap of slices (a bit flip), a
+# diagonal gate and a lookup of the shared future of an empty state.
+_TOGGLES, _ENTER, _GENERAL, _KNOWN, _SPLIT, _SWAP, _DIAGONAL, _SHARE = range(8)
 
 
 def _select(base: list[int], size: int, t: int, side: int) -> list[int]:
     """The entries of ``base[:size]`` at the positions whose bit ``t`` is
-    ``side``, gathered as slices: runs of ``2^t`` or strides of ``2^(t+1)``,
-    whichever are fewer. The two sides list partner positions in the same order."""
+    ``side``, in order: one slice when ``t`` is the lowest or the top bit,
+    else runs of ``2^t`` or strides of ``2^(t+1)``, whichever are fewer,
+    the strides zipped back into order."""
     half = 1 << t
-    first = half if side else 0
-    if 2 * half * half < size:
-        parts = (base[r:size:2 * half] for r in range(first, first + half))
-    else:
-        parts = (base[b:b + half] for b in range(first, size, 2 * half))
-    return list(chain.from_iterable(parts))
+    step, first = 2 * half, half if side else 0
+    if half == 1:
+        return base[first:size:2]
+    if step == size:
+        return base[first:first + half]
+    if half * step < size:
+        return list(chain.from_iterable(zip(*[base[r:size:step] for r in range(first, first + half)])))
+    return list(chain.from_iterable([base[b:b + half] for b in range(first, size, step)]))
 
 
-def _table(tables: dict, index: list[int], k: int, t: int, c: int | None, side: int) -> list[int]:
-    """The indices of ``k`` bits whose bit ``t`` is ``side``, inside those
-    whose bit ``c`` is 1 unless ``c`` is None, kept in ``tables`` so that
-    each is built once; every table holds the ints of ``index``.
+def _halves(tables: dict, index: list[int], k: int, t: int, c: int | None) -> tuple[list[int], list[int]]:
+    """The indices of ``k`` bits whose bit ``t`` is 0, and those whose bit
+    ``t`` is 1, inside those whose bit ``c`` is 1 unless ``c`` is None, kept
+    in ``tables`` so that each pair is built once; every table holds the
+    ints of ``index``.
 
-    Without a control the list is ascending, which is the order of the
-    shorter state a split continues on. With one, it is gathered from the
-    control's ascending ``1`` half, so that the two sides list partner
-    indices in the same order.
+    The lists are ascending: without a control that is the order of the
+    shorter state a split continues on, and with one, both sides list
+    partner indices in the same order.
     """
-    key = (k, t, c, side)
+    key = (k, t, c)
     if key not in tables:
         if c is None:
-            tables[key] = sorted(_select(index, 1 << k, t, side))
+            size = 1 << k
+            tables[key] = _select(index, size, t, 0), _select(index, size, t, 1)
         else:  # position p of the control's 1 half is index p with bit c put in
-            base = _table(tables, index, k, c, None, 1)
-            tables[key] = _select(base, 1 << k - 1, t - (t > c), side)
+            base, size, t = _halves(tables, index, k, c, None)[1], 1 << k - 1, t - (t > c)
+            tables[key] = _select(base, size, t, 0), _select(base, size, t, 1)
     return tables[key]
 
 
@@ -115,18 +122,23 @@ def _swaps(tables: dict, k: int, t: int, c: int | None) -> list[tuple[slice, sli
     return tables[key]
 
 
-def _toggle(plan: list[tuple], mask: int, want: int, flip: int) -> None:
+def _toggle(plan: list[tuple], mask: int, want: int, flip: int) -> int:
     """Append a toggle of the bits ``flip``, when ``record & mask == want``,
-    to the plan's last run of toggles, or start a run."""
+    to the plan's last run of toggles, or start a run; returns ``flip``."""
     if plan and plan[-1][0] == _TOGGLES:
         plan[-1][1].append((mask, want, flip))
     else:
         plan.append((_TOGGLES, [(mask, want, flip)]))
+    return flip
 
 
-def _plan(instrs: tuple[Instruction, ...], n: int, n_bits: int) -> tuple[list[tuple], list[int]]:
-    """The ops for ``instrs``, and the qubits in the state after the last op
-    (bit j of an index is ``inside[j]``).
+def _plan(
+    instrs: tuple[Instruction, ...], n: int, n_bits: int
+) -> tuple[list[tuple], list[int], list[tuple[int, int, int]]]:
+    """The ops for ``instrs``, the qubits in the state after the last op
+    (bit j of an index is ``inside[j]``), and the positions where a split
+    leaves the state empty, each with the record bits that the ops before it
+    may set and the number of splits before it.
 
     A path's record holds its ``n_bits`` classical bits and, above them, the
     known value of each qubit outside its state: qubit q is bit
@@ -140,17 +152,24 @@ def _plan(instrs: tuple[Instruction, ...], n: int, n_bits: int) -> tuple[list[tu
     ``u00 == u11 == 0`` and a diagonal ``u01 == u10 == 0``, exactly.
 
     Which qubits are in the state depends only on the instruction sequence,
-    so each op's index tables (see ``_table``) are worked out here, once: a
+    so each op's index tables (see ``_halves``) are worked out here, once: a
     gate's list its target's ``0`` and ``1`` halves, inside the half where
     its control is 1, and a split's the halves of the qubit that leaves. A
     flip swaps the slices ``_swaps`` lists instead, and only a flip other
     than ``x`` then multiplies. Consecutive toggles are one op.
+
+    Every record starts as 0, and only a toggle, a split's outcome 1 and a
+    measurement of a qubit outside the state set bits, so a bit that no op
+    before a position may set is 0 there on every path.
     """
     tables: dict = {}
-    table = partial(_table, tables, list(range(1 << n)))
+    swaps: dict = {}
+    halves = partial(_halves, tables, list(range(1 << n)))
     where = [-1] * n  # each qubit's bit in the index, -1 outside the state
     inside: list[int] = []
     plan: list[tuple] = []
+    empties: list[tuple[int, int, int]] = []
+    may_set = splits = 0  # the record bits the ops so far may set, and their splits
     for instr in instrs:
         if isinstance(instr, Gate):
             u00, u01, u10, u11 = instr.kind.unitary
@@ -163,14 +182,14 @@ def _plan(instrs: tuple[Instruction, ...], n: int, n_bits: int) -> tuple[list[tu
             flip = u00 == 0 and u11 == 0
             if where[target] < 0:
                 if flip and control is None:  # its phase is the whole path's
-                    _toggle(plan, *_record_test(literals), 1 << n_bits + target)
+                    may_set |= _toggle(plan, *_record_test(literals), 1 << n_bits + target)
                     continue
                 if diagonal:
                     if control is not None:  # diag(1, u_vv) on the control, v the target's value
                         for v, u in enumerate((u00, u11)):
                             if u != 1:
                                 test = _record_test((*literals, (n_bits + target, v)))
-                                one = table(len(inside), where[control], None, 1)
+                                one = halves(len(inside), where[control], None)[1]
                                 plan.append((_DIAGONAL, *test, (), one, 1, u))
                     continue  # with no control, a phase of the whole path
                 where[target] = len(inside)
@@ -180,17 +199,16 @@ def _plan(instrs: tuple[Instruction, ...], n: int, n_bits: int) -> tuple[list[tu
             c = None if control is None else where[control]
             test = _record_test(literals)
             if flip:  # a swap of each pair, then the diagonal diag(u01, u10)
-                plan.append((_SWAP, *test, _swaps(tables, k, t, c)))
+                plan.append((_SWAP, *test, _swaps(swaps, k, t, c)))
                 u00, u11 = u01, u10
             if diagonal or flip:
-                zero = () if u00 == 1 else table(k, t, c, 0)
-                one = () if u11 == 1 else table(k, t, c, 1)
-                if zero or one:
-                    plan.append((_DIAGONAL, *test, zero, one, u00, u11))
+                if u00 != 1 or u11 != 1:
+                    zero, one = halves(k, t, c)
+                    plan.append((_DIAGONAL, *test, () if u00 == 1 else zero, () if u11 == 1 else one, u00, u11))
             else:
-                plan.append((_GENERAL, *test, table(k, t, c, 0), table(k, t, c, 1), u00, u01, u10, u11))
+                plan.append((_GENERAL, *test, *halves(k, t, c), u00, u01, u10, u11))
         elif isinstance(instr, ClassicalToggle):
-            _toggle(plan, *_record_test(instr.product), 1 << instr.target)
+            may_set |= _toggle(plan, *_record_test(instr.product), 1 << instr.target)
         else:
             q, qbit = instr.qubit, 1 << n_bits + instr.qubit
             reset = isinstance(instr, Reset)
@@ -198,15 +216,20 @@ def _plan(instrs: tuple[Instruction, ...], n: int, n_bits: int) -> tuple[list[tu
             j = where[q]
             if j < 0:  # a measurement reads the known value, a reset clears it
                 plan.append((_KNOWN, bit, qbit, qbit if reset else 0))
+                may_set |= bit
                 continue
             k = len(inside)
-            # outcome 1 leaves a measured qubit known as 1, a reset one as 0
-            plan.append((_SPLIT, table(k, j, None, 0), table(k, j, None, 1), bit, 0 if reset else bit | qbit))
+            set1 = 0 if reset else bit | qbit  # outcome 1 leaves a measured qubit known as 1, a reset one as 0
+            plan.append((_SPLIT, *halves(k, j, None), bit, set1))
+            may_set |= set1
+            splits += 1
+            if k == 1:
+                empties.append((len(plan), may_set, splits))
             del inside[j]
             where[q] = -1
             for pos in range(j, k - 1):
                 where[inside[pos]] = pos
-    return plan, inside
+    return plan, inside, empties
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,6 +283,254 @@ def _read_out(
     return sum(1 << b for b in source), outside, [of[b] for b in leaf_bits], class_bits
 
 
+def _lift(plan: list[tuple], n_bits: int, written: int) -> tuple[list[tuple], list[tuple[int, int, int]]]:
+    """``plan`` without its longest trailing run of toggles that reads and
+    writes no qubit's known value and no bit in ``written`` (the bits the
+    read-out writes), and that run. Such a run commutes with the read-out,
+    so it can move each outcome once the walk is done (see ``_move``)."""
+    if plan[-1][0] != _TOGGLES:
+        return plan, []
+    run = plan[-1][1]
+    stop = written | -1 << n_bits
+    cut = len(run)
+    while cut and not (run[cut - 1][0] | run[cut - 1][2]) & stop:
+        cut -= 1
+    body = plan[:-1] if cut == 0 else [*plan[:-1], (_TOGGLES, run[:cut])]
+    return body, run[cut:]
+
+
+def _share(
+    plan: list[tuple], empties: list[tuple[int, int, int]], n_bits: int,
+    written: int, outside: list[tuple[int, int]], keep: int,
+) -> tuple[list[tuple], list[tuple[int, int, int]]]:
+    """``plan`` with its trailing toggles lifted (see ``_lift``) and a
+    ``_SHARE`` op at each position of ``empties`` where sharing pays, and
+    the lifted toggles; or ``plan`` itself and no toggles where no position
+    shares. The read-out (see ``_read_out``) writes the bits ``written`` and
+    reads the known values in ``outside``.
+
+    The op holds ``touch``, the record bits that the ops after it and the
+    read-out read or write, and the kept bits outside them. It goes in only
+    where fewer bits of ``touch`` may be set than splits come before it: a
+    key ``record & touch`` then takes fewer values than paths may reach it.
+    """
+    body, lifted = _lift(plan, n_bits, written)
+    touch, at = written, len(body)
+    for qbit, _ in outside:
+        touch |= qbit
+    shares = []
+    for pos, before, splits in reversed(empties):
+        while at > pos:  # OR in what each op reads or writes
+            at -= 1
+            op = body[at]
+            code = op[0]
+            if code == _TOGGLES:
+                for mask, _, flip in op[1]:
+                    touch |= mask | flip
+            elif code == _KNOWN:
+                touch |= op[1] | op[2] | op[3]
+            elif code == _SPLIT:
+                touch |= op[3] | op[4]
+            else:  # a record test's mask, or the bit of a qubit that enters
+                touch |= op[1]
+        if pos < len(body) and (touch & before).bit_count() < splits:
+            shares.append((pos, (_SHARE, touch, keep & ~touch)))
+    if not shares:
+        return plan, []
+    shared: list[tuple] = []
+    start = 0
+    for pos, op in reversed(shares):
+        shared += body[start:pos]
+        shared.append(op)
+        start = pos
+    return shared + body[start:], lifted
+
+
+def _move(run: list[tuple[int, int, int]], acc: dict[int, float]) -> dict[int, float]:
+    """``acc`` with each outcome moved by the toggles ``run``, in order.
+
+    When every toggle has at most one literal, the run is one affine map
+    over GF(2): each bit it writes ends as its own value XOR the parity of
+    some bits, XOR a constant. An outcome then moves by the constant XOR one
+    table entry per byte of the bits the map reads: a byte starts at the
+    lowest read bit it does not cover yet, and its table lists the moves of
+    the values of its bits up to the highest read one. Otherwise each
+    outcome runs the toggles.
+    """
+    moved: dict[int, float] = {}
+    if any(mask & mask - 1 for mask, _, _ in run):
+        for leaf, p in acc.items():
+            for mask, want, flip in run:
+                if leaf & mask == want:
+                    leaf ^= flip
+            moved[leaf] = moved.get(leaf, 0.0) + p
+        return moved
+    form: dict[int, tuple[int, int]] = {}  # a written bit: the bits and constant it ends as
+    for mask, want, flip in run:
+        bits, const = form.get(flip, (flip, 0))
+        if mask:  # flip ^= literal bit ^ (the literal is negative)
+            other, other_const = form.get(mask, (mask, 0))
+            form[flip] = bits ^ other, const ^ other_const ^ (not want)
+        elif not want:  # no literal: always (a literal on both polarities never holds)
+            form[flip] = bits, const ^ 1
+    offset = read = 0
+    moves: dict[int, int] = {}  # a read bit: the written bits it flips
+    for flip, (bits, const) in form.items():
+        if const:
+            offset |= flip
+        bits ^= flip
+        read |= bits
+        while bits:
+            low = bits & -bits
+            moves[low] = moves.get(low, 0) ^ flip
+            bits ^= low
+    tables = []
+    while read:
+        shift = (read & -read).bit_length() - 1
+        width = (read >> shift & 255).bit_length()
+        table = [0]
+        for j in range(shift, shift + width):
+            column = moves.get(1 << j, 0)
+            table += [entry ^ column for entry in table]
+        tables.append((shift, len(table) - 1, table))
+        read &= -1 << shift + width
+    for leaf, p in acc.items():
+        out = leaf ^ offset  # affine
+        for shift, mask, table in tables:
+            out ^= table[leaf >> shift & mask]
+        moved[out] = moved.get(out, 0.0) + p
+    return moved
+
+
+def _walk(
+    plan: list[tuple], keep: int, written: int, outside: list[tuple[int, int]],
+    classes: list[int], class_bits: list[int],
+) -> dict[int, float]:
+    """The outcomes of ``plan`` and the read-out (see ``_read_out``) with
+    their probabilities, by depth-first path enumeration; see
+    ``distribution``.
+
+    A path that reaches a ``_SHARE`` op with key ``(position, record &
+    touch)`` takes the leaves walked from there once, from ``[1]`` at weight
+    1: it scales each by its weight, drops those at most ``PRUNE`` and ORs
+    in its kept bits outside ``touch``. The first path with a key suspends
+    its walk (``frames``), walks the key's future as a walk of its own, and
+    then retries. ``branches`` counts the work of every walk: each branch
+    of a split, each measurement or reset outside the state, each leaf of a
+    read-out, and each leaf a path takes from a shared walk.
+    """
+    end = len(plan)
+    shared: dict[tuple[int, int], list[tuple[int, float]]] = {}
+    frames: list[tuple] = []  # the walks a missing shared future suspended
+    key = None  # the shared future this walk computes; None: the whole circuit's
+    acc: dict[int, float] = {}
+    branches = 0
+    # Stack entries: (next plan position, amplitudes, record, weight).
+    stack: list[tuple[int, list[complex], int, float]] = [(0, [1 + 0j], 0, 1.0)]
+    while True:
+        while stack:
+            pos, amps, record, weight = stack.pop()
+            while pos < end:
+                op = plan[pos]
+                pos += 1
+                code = op[0]
+                if code == _TOGGLES:
+                    for mask, want, flip in op[1]:
+                        if record & mask == want:
+                            record ^= flip
+                elif code == _ENTER:
+                    qbit = op[1]  # enter
+                    if record & qbit:
+                        record ^= qbit
+                        amps[:0] = [0j] * len(amps)
+                    else:
+                        amps += [0j] * len(amps)
+                elif code == _GENERAL:
+                    _, mask, want, zero, one, u00, u01, u10, u11 = op
+                    if record & mask == want:
+                        for i, j in zip(zero, one):
+                            a0, a1 = amps[i], amps[j]  # pair
+                            amps[i] = u00 * a0 + u01 * a1
+                            amps[j] = u10 * a0 + u11 * a1
+                elif code == _KNOWN:  # the one outcome of a qubit outside the state
+                    _, bit, qbit, clear = op
+                    branches += 1
+                    _check_branches(branches)
+                    record = record | bit if record & qbit else record & ~bit
+                    record &= ~clear
+                elif code == _SPLIT:
+                    _, zero, one, bit, set1 = op
+                    p1 = 0.0
+                    for i in one:
+                        a = amps[i]
+                        p1 += a.real * a.real + a.imag * a.imag
+                    p0 = weight - p1
+                    keep0, keep1 = p0 > PRUNE, p1 > PRUNE
+                    branches += keep0 + keep1
+                    _check_branches(branches)
+                    record &= ~bit
+                    if keep1:
+                        ones = list(map(amps.__getitem__, one))  # copy
+                        stack.append((pos, ones, record | set1, p1))
+                    if not keep0:
+                        break  # a pushed branch is popped next
+                    amps = list(map(amps.__getitem__, zero))
+                    weight = p0
+                elif code == _SWAP:
+                    _, mask, want, pairs = op
+                    if record & mask == want:
+                        for zero, one in pairs:
+                            amps[zero], amps[one] = amps[one], amps[zero]
+                elif code == _DIAGONAL:
+                    _, mask, want, zero, one, u00, u11 = op  # diagonal
+                    if record & mask == want:
+                        for i in zero:
+                            amps[i] *= u00
+                        for i in one:
+                            amps[i] *= u11
+                else:  # _SHARE: the state is empty
+                    _, touch, base = op
+                    here = pos, record & touch
+                    found = shared.get(here)
+                    if found is None:  # walk the key's future, then retry
+                        stack.append((pos - 1, amps, record, weight))
+                        frames.append((key, stack, acc))
+                        key = here
+                        stack, acc = [(pos, [1 + 0j], here[1], 1.0)], {}
+                        break
+                    branches += len(found)  # hit
+                    _check_branches(branches)
+                    base &= record
+                    for leaf, p in found:
+                        p *= weight
+                        if p > PRUNE:
+                            leaf |= base
+                            acc[leaf] = acc.get(leaf, 0.0) + p
+                    break
+            else:  # reached the tail; a break above pushed, dropped or shared the path
+                if not written:  # no read-out: the path ends with its whole weight
+                    leaf = record & keep
+                    acc[leaf] = acc.get(leaf, 0.0) + weight
+                    continue
+                marginal = [0.0] * len(class_bits)
+                for m, a in zip(classes, amps):
+                    marginal[m] += a.real * a.real + a.imag * a.imag
+                base = record & keep
+                for qbit, bits in outside:
+                    if record & qbit:
+                        base |= bits
+                for m, p in enumerate(marginal):
+                    if p > PRUNE:
+                        branches += 1
+                        leaf = base | class_bits[m]
+                        acc[leaf] = acc.get(leaf, 0.0) + p
+                _check_branches(branches)
+        if key is None:
+            return acc
+        shared[key] = list(acc.items())
+        key, stack, acc = frames.pop()
+
+
 def distribution(circuit: Circuit) -> OutcomeDistribution:
     """Joint distribution of the classical register after running the circuit.
 
@@ -300,6 +571,29 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
     to a bit wins. A path's weight only shrinks, so these are the outcomes
     that step-by-step branching keeps. Each branch of a measurement or reset,
     and each leaf of the suffix, counts once against ``MAX_BRANCHES``.
+
+    Where a split leaves the state empty, a path is its record and weight
+    alone: its amplitude list holds one number, whose phase no probability
+    sees. The ops after that position read and write only the record bits
+    ``touch`` (with the read-out's), so the leaves a path reaches from there
+    depend only on ``record & touch``; its other bits pass to each leaf
+    unchanged. So the leaves are walked once per key, from ``[1]`` at weight
+    1, and a path takes them scaled by its weight, with its kept bits outside
+    ``touch`` ORed in (see ``_walk``). A path's weight only shrinks, so a
+    leaf whose scaled weight exceeds ``PRUNE`` passed every split on the way
+    at a weight above ``PRUNE``, both at weight 1 and scaled: dropping the
+    scaled leaves at most ``PRUNE`` drops exactly what step-by-step pruning
+    drops. What counts against ``MAX_BRANCHES`` is then the work done: the
+    branches of each shared walk once, and each leaf a path takes from one
+    (a count of the branches each path would have kept at weight 1 grows
+    with every share a path passes, and refused circuits that step-by-step
+    branching prunes to far fewer). A position shares only when fewer bits of
+    ``touch`` may be set there than splits come before it (see ``_share``),
+    so that keys stay fewer than the paths that may reach them. A trailing
+    run of toggles that touches no qubit's known value and no bit the
+    read-out writes would make every position touch the bits it reads, so it
+    leaves the walk and moves each outcome once at the end (see ``_lift``
+    and ``_move``).
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS:
@@ -309,92 +603,15 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
     while tail and isinstance(instrs[tail - 1], Measure):
         tail -= 1
     n_bits = circuit.n_clbits
-    plan, inside = _plan(instrs[:tail], n, n_bits)
+    plan, inside, empties = _plan(instrs[:tail], n, n_bits)
     written, outside, classes, class_bits = _read_out(instrs[tail:], inside, n_bits)
     keep = (1 << n_bits) - 1 & ~written  # the record bits a leaf takes from its path
-    end = len(plan)
-    acc: dict[int, float] = {}
-    branches = 0
-    # Stack entries: (next plan position, amplitudes, record, weight).
-    stack: list[tuple[int, list[complex], int, float]] = [(0, [1 + 0j], 0, 1.0)]
-    while stack:
-        pos, amps, record, weight = stack.pop()
-        while pos < end:
-            op = plan[pos]
-            pos += 1
-            code = op[0]
-            if code == _TOGGLES:
-                for mask, want, flip in op[1]:
-                    if record & mask == want:
-                        record ^= flip
-            elif code == _ENTER:
-                qbit = op[1]  # enter
-                if record & qbit:
-                    record ^= qbit
-                    amps[:0] = [0j] * len(amps)
-                else:
-                    amps += [0j] * len(amps)
-            elif code == _GENERAL:
-                _, mask, want, zero, one, u00, u01, u10, u11 = op
-                if record & mask == want:
-                    for i, j in zip(zero, one):
-                        a0, a1 = amps[i], amps[j]  # pair
-                        amps[i] = u00 * a0 + u01 * a1
-                        amps[j] = u10 * a0 + u11 * a1
-            elif code == _KNOWN:  # the one outcome of a qubit outside the state
-                _, bit, qbit, clear = op
-                branches += 1
-                _check_branches(branches)
-                record = record | bit if record & qbit else record & ~bit
-                record &= ~clear
-            elif code == _SPLIT:
-                _, zero, one, bit, set1 = op
-                p1 = 0.0
-                for i in one:
-                    a = amps[i]
-                    p1 += a.real * a.real + a.imag * a.imag
-                p0 = weight - p1
-                keep0, keep1 = p0 > PRUNE, p1 > PRUNE
-                branches += keep0 + keep1
-                _check_branches(branches)
-                record &= ~bit
-                if keep1:
-                    ones = list(map(amps.__getitem__, one))  # copy
-                    stack.append((pos, ones, record | set1, p1))
-                if not keep0:
-                    break  # a pushed branch is popped next
-                amps = list(map(amps.__getitem__, zero))
-                weight = p0
-            elif code == _SWAP:
-                _, mask, want, pairs = op
-                if record & mask == want:
-                    for zero, one in pairs:
-                        amps[zero], amps[one] = amps[one], amps[zero]
-            else:  # _DIAGONAL
-                _, mask, want, zero, one, u00, u11 = op  # diagonal
-                if record & mask == want:
-                    for i in zero:
-                        amps[i] *= u00
-                    for i in one:
-                        amps[i] *= u11
-        else:  # reached the tail; a break above pushed or dropped the path
-            if not written:  # no read-out: the path ends with its whole weight
-                leaf = record & keep
-                acc[leaf] = acc.get(leaf, 0.0) + weight
-                continue
-            marginal = [0.0] * len(class_bits)
-            for m, a in zip(classes, amps):
-                marginal[m] += a.real * a.real + a.imag * a.imag
-            base = record & keep
-            for qbit, bits in outside:
-                if record & qbit:
-                    base |= bits
-            for m, p in enumerate(marginal):
-                if p > PRUNE:
-                    branches += 1
-                    leaf = base | class_bits[m]
-                    acc[leaf] = acc.get(leaf, 0.0) + p
-            _check_branches(branches)
+    lifted = []
+    if empties:
+        plan, lifted = _share(plan, empties, n_bits, written, outside, keep)
+    acc = _walk(plan, keep, written, outside, classes, class_bits)
+    if lifted:
+        acc = _move(lifted, acc)
     spec = f"0{n_bits}b"
     probs = {format(rec, spec) if n_bits else "": p for rec, p in acc.items()}
     return OutcomeDistribution(circuit.n_clbits, probs)

@@ -71,14 +71,14 @@ MUTANTS = [
     ),
     (
         "src/qreuse/oracle.py",
-        "                if record & qbit:\n                    record ^= qbit\n",
-        "                if False:\n                    record ^= qbit\n",
+        "                    if record & qbit:\n                        record ^= qbit\n",
+        "                    if False:\n                        record ^= qbit\n",
         "oracle: a qubit re-enters its path's state as 0, whatever value it was measured with",
     ),
     (
         "src/qreuse/oracle.py",
-        "                _, bit, qbit, clear = op\n                branches += 1\n",
-        "                _, bit, qbit, clear = op\n",
+        "                    _, bit, qbit, clear = op\n                    branches += 1\n",
+        "                    _, bit, qbit, clear = op\n",
         "oracle: a measurement or reset of a qubit outside the state counts no branch",
     ),
     (
@@ -101,8 +101,8 @@ MUTANTS = [
     ),
     (
         "src/qreuse/oracle.py",
-        "                    _toggle(plan, *_record_test(literals), 1 << n_bits + target)\n",
-        "                    _toggle(plan, *_record_test(literals), 0)\n",
+        "                    may_set |= _toggle(plan, *_record_test(literals), 1 << n_bits + target)\n",
+        "                    may_set |= _toggle(plan, *_record_test(literals), 0)\n",
         "oracle: a flip of a qubit outside the state leaves its known value alone",
     ),
     (
@@ -116,6 +116,30 @@ MUTANTS = [
         "                u00, u11 = u01, u10\n",
         "                u00, u11 = u10, u01\n",
         "oracle: a flip's entries swap sides after the swap, so a controlled y acts as a controlled -y",
+    ),
+    (
+        "src/qreuse/oracle.py",
+        "                    here = pos, record & touch\n",
+        "                    here = pos, record & touch & ~(touch & -touch)\n",
+        "oracle: a shared future's key drops the lowest touched bit, so paths that differ there share leaves",
+    ),
+    (
+        "src/qreuse/oracle.py",
+        "            shares.append((pos, (_SHARE, touch, keep & ~touch)))\n",
+        "            shares.append((pos, (_SHARE, touch, keep)))\n",
+        "oracle: a path ORs its touched bits into the shared leaves, over the values the shared walk gave them",
+    ),
+    (
+        "src/qreuse/oracle.py",
+        "    stop = written | -1 << n_bits\n",
+        "    stop = -1 << n_bits\n",
+        "oracle: toggles that read or write a read-out bit leave the walk, so they act after the read-out",
+    ),
+    (
+        "src/qreuse/oracle.py",
+        "            form[flip] = bits ^ other, const ^ other_const ^ (not want)\n",
+        "            form[flip] = bits ^ other, const ^ other_const\n",
+        "oracle: the lifted toggles' affine map drops a negative literal's constant, so it acts as a positive one",
     ),
     (
         "src/qreuse/transform.py",
@@ -137,8 +161,8 @@ MUTANTS = [
     ),
     (
         "src/qreuse/ir.py",
-        "    return abs(u01) <= ANGLE_TOL and abs(u10) <= ANGLE_TOL\n",
-        "    return u01 == 0 and u10 == 0\n",
+        "        _set_kind_diagonal(self, abs(u01) <= ANGLE_TOL and abs(u10) <= ANGLE_TOL)\n",
+        "        _set_kind_diagonal(self, u01 == 0 and u10 == 0)\n",
         "diagonal: off-diagonal entries must be exactly zero, so rx(2pi) and near-diagonal opaque gates stop commuting",
     ),
     (

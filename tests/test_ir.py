@@ -542,6 +542,29 @@ class TestGateKind:
         assert dataclasses.replace(kind, angle=0.5).unitary == GateKind("p", 0.5).unitary != kind.unitary
         assert pickle.loads(pickle.dumps(kind)).unitary == kind.unitary
 
+    @pytest.mark.parametrize("kind", [
+        *ir.FIXED_KINDS.values(),
+        *(GateKind(name, angle) for name in sorted(ir.PARAMETRIC) for angle in (0.0, 1e-13, 0.7, math.pi, 2 * math.pi)),
+        opaque_kind("u_d", (1, 1e-13, 0, 1j)), opaque_kind("u_o", (0.6, 0.8, 0.8, -0.6)),
+    ], ids=repr)
+    def test_diagonal_is_derived_from_the_unitary(self, kind):
+        # Both off-diagonal entries within ``ANGLE_TOL`` of zero, computed
+        # once beside the unitary, and like it not an argument, compared or shown.
+        _, u01, u10, _ = kind.unitary
+        assert kind.diagonal is (abs(u01) <= ir.ANGLE_TOL and abs(u10) <= ir.ANGLE_TOL)
+        field = {f.name: f for f in dataclasses.fields(GateKind)}["diagonal"]
+        assert (field.init, field.compare, field.repr) == (False, False, False)
+        assert pickle.loads(pickle.dumps(kind)).diagonal is kind.diagonal
+
+    def test_a_builder_shares_one_kind_per_name_and_angle(self):
+        b = CircuitBuilder(2, 0).p(0.5, 0).cp(0.5, 0, 1).rz(0.5, 1).rz(0.5, 0).rx(0.0, 0).rx(-0.0, 1).p(1, 0)
+        p, cp, rz0, rz1, rx0, rx1, p1 = (g.kind for g in b.build().instructions)
+        assert p is cp and rz0 is rz1 and p is not rz0
+        # Keyed on the angle's bits: -0.0 equals 0.0 but stays its own kind.
+        assert rx0 == rx1 and rx0 is not rx1 and math.copysign(1, rx1.angle) == -1
+        assert p1.angle == 1.0 and type(p1.angle) is float
+        assert CircuitBuilder(1, 0).p(0.5, 0).build().instructions[0].kind is not p
+
     def test_fixed_kinds_are_the_kinds_without_an_angle(self):
         assert sorted(ir.FIXED_KINDS) == ["h", "s", "t", "x", "y", "z"]
         assert all(kind == GateKind(name) for name, kind in ir.FIXED_KINDS.items())

@@ -334,15 +334,21 @@ def test_compaction_hand_cases(circuit, expected):
 
 
 def test_a_split_copies_one_branch():
-    # Seven splitting rounds keep both outcomes: 1 + 2 + ... + 64 splits.
-    # The eighth measurement is read out by the tail, not split.
+    # Seven splitting rounds keep both outcomes; the eighth measurement is
+    # read out by the tail, not split. Stepwise that is 1 + 2 + ... + 64
+    # copies. But after each measurement the state is empty, and from the
+    # second on, fewer record bits that later ops touch may be set (only the
+    # qubit's known value) than splits came before: the rest is walked once
+    # per known value. So the first two rounds copy 1 + 2 times, and rounds
+    # 3 to 7 copy once in each of their 2 shared walks: 13 copies.
     b = CircuitBuilder(1, 8)
     for k in range(8):
         b.h(0).measure(0, k)
     c = b.build()
-    d, copies = count_executions(oracle.distribution, "copy", lambda: distribution(c), 127)
+    d, copies = count_executions(oracle._walk, "copy", lambda: distribution(c), 13)
     assert len(d.probs) == 256
-    assert copies == 127
+    assert copies == 13
+    assert d.probs == pytest.approx({format(k, "08b"): 1 / 256 for k in range(256)})
 
 
 def test_qubits_outside_the_state_cost_no_pair_updates():
@@ -350,13 +356,13 @@ def test_qubits_outside_the_state_cost_no_pair_updates():
     # is outside it at 0, a failed test: 1 + 2 + ... + 2048 general-gate
     # pair updates (with every control entering the state, 22,529).
     qft = bench.gen_qft(12)
-    _, pairs = count_executions(oracle.distribution, "pair", lambda: distribution(qft), 4095)
+    _, pairs = count_executions(oracle._walk, "pair", lambda: distribution(qft), 4095)
     assert pairs == 4095
     # qpe12: the x on the eigenstate qubit toggles its known value, and each
     # controlled power is a phase on its counting qubit, so only the 11
     # counting qubits enter and no op runs on a 12-qubit state.
     qpe = bench.gen_qpe(12, 2 * math.pi * 5 / 2 ** 11)
-    d, entered = count_executions(oracle.distribution, "enter", lambda: distribution(qpe), 11)
+    d, entered = count_executions(oracle._walk, "enter", lambda: distribution(qpe), 11)
     assert entered == 11
     assert d.probs == pytest.approx({format(5, "011b"): 1.0})
 
@@ -369,11 +375,123 @@ def test_a_unit_flip_swaps_without_multiplying():
     for q in range(3):
         b.measure(q, q)
     c = b.build()
-    d, diagonals = count_executions(oracle.distribution, "diagonal", lambda: distribution(c), 0)
+    d, diagonals = count_executions(oracle._walk, "diagonal", lambda: distribution(c), 0)
     assert diagonals == 0
-    _, pairs = count_executions(oracle.distribution, "pair", lambda: distribution(c), 7)
+    _, pairs = count_executions(oracle._walk, "pair", lambda: distribution(c), 7)
     assert pairs == 1 + 2 + 4  # the three rx
     assert d.total_variation(reference_distribution(c)) <= 1e-12
+
+
+def test_qft12_output_walks_each_round_once_per_known_value():
+    # The reused qft12 runs on one qubit: h, a measurement and a reset per
+    # round, and the conditioned phases on a reset qubit are no ops. After
+    # the second measurement the rest depends only on the qubit's known
+    # value, so each later h runs once in each of 2 shared walks: 1 + 2 +
+    # 10 * 2 pair updates (4,095 walking every path).
+    out = pipeline.optimize(bench.gen_qft(12))[0]
+    assert out.n_qubits == 1
+    d, pairs = count_executions(oracle._walk, "pair", lambda: distribution(out), 23)
+    assert pairs == 23
+    assert d.probs == pytest.approx({format(k, "012b"): 2.0 ** -12 for k in range(4096)})
+
+
+def test_no_share_where_every_later_step_reads_all_earlier_bits():
+    # Before each round an x on the measured qubit is conditioned on every
+    # earlier bit, so no key takes fewer values than the paths reaching it:
+    # the walk is the stepwise one, 1 + 2 + ... + 16 copies and 1 + 2 + ...
+    # + 32 pair updates.
+    b = CircuitBuilder(1, 6)
+    for k in range(6):
+        for bit in range(k):
+            b.x(0, condition=((bit, True),))
+        b.h(0).measure(0, k)
+    c = b.build()
+    d, hits = count_executions(oracle._walk, "hit", lambda: distribution(c), 0)
+    assert hits == 0
+    _, copies = count_executions(oracle._walk, "copy", lambda: distribution(c), 31)
+    _, pairs = count_executions(oracle._walk, "pair", lambda: distribution(c), 63)
+    assert (copies, pairs) == (31, 63)
+    assert len(d.probs) == 64
+    assert d.total_variation(reference_distribution(c)) <= 1e-12
+
+
+def test_a_shared_walk_counts_the_work_it_does(monkeypatch):
+    # 16 rounds of a measurement that reads 1 with probability 1e-4: every
+    # path with four 1s falls below the pruning weight, so 697 outcomes
+    # remain, and stepwise branching counts 6,424 branches. The shared walks
+    # from each round count 7,854 steps and leaves taken; counting for each
+    # path the branches its shared walk kept at weight 1 would count 262,140.
+    theta = 2 * math.asin(math.sqrt(1e-4))
+    b = CircuitBuilder(1, 16)
+    for k in range(16):
+        b.rx(theta, 0).measure(0, k).reset(0)
+    c = b.build()
+    monkeypatch.setattr(oracle, "MAX_BRANCHES", 10_000)
+    d = distribution(c)
+    assert len(d.probs) == 697
+    want = reference_distribution(c)
+    assert set(d.probs) == set(want.probs)
+    assert d.total_variation(want) <= 1e-12
+
+
+def _share_cases():
+    """Circuits whose walk shares the future of an empty state, with their
+    outcomes (None: checked against the references only)."""
+    def rounds(b, count):  # a fair coin into each of bits 0 .. count - 1
+        for k in range(count):
+            b.h(0).measure(0, k)
+        return b
+
+    # A key bit that a later op reads: bit 4 reads q0 flipped when bit 0 is
+    # 1, so it is bit 3 XOR bit 0.
+    b = rounds(CircuitBuilder(1, 5), 4).x(0, condition=((0, True),)).measure(0, 4)
+    yield "a key bit read later", b.build(), {format((k >> 3 ^ k) % 2 << 4 | k, "05b") for k in range(16)}
+    # A key bit that the shared future rewrites: bit 1 flips when bit 0 is 1.
+    b = rounds(CircuitBuilder(1, 5), 4).toggle(1, ((0, True),)).h(0).measure(0, 4)
+    yield "a key bit the future rewrites", b.build(), None
+    # Trailing runs kept in the walk: the read-out writes bit 5 (first
+    # written as 0) after a toggle writes it, or after a toggle reads it, or
+    # q0 is flipped before the read-out reads it.
+    b = rounds(CircuitBuilder(1, 6).measure(0, 5), 5).toggle(5, ((0, True),)).measure(0, 5)
+    yield "a trailing toggle of a read-out bit", b.build(), None
+    b = rounds(CircuitBuilder(1, 6).measure(0, 5), 5).toggle(1, ((5, True),)).measure(0, 5)
+    yield "a trailing toggle reading a read-out bit", b.build(), None
+    b = rounds(CircuitBuilder(1, 6), 5).x(0).measure(0, 5)
+    yield "a trailing flip of a known value", b.build(), None
+    # Trailing runs that leave the walk: negative, own-target, literal-free
+    # and never-holding toggles (one affine map), then one with two literals.
+    b = rounds(CircuitBuilder(1, 4), 4).toggle(1, ((0, False),)).toggle(2, ()).toggle(3, ((3, False),))
+    b.toggle(0, ((2, True),)).toggle(2, ((1, True), (1, False)))
+    yield "an affine trailing run", b.build(check=False), None
+    b = rounds(CircuitBuilder(1, 4), 4).toggle(1, ((0, False),)).toggle(3, ((0, True), (1, False))).toggle(2, ())
+    yield "a trailing run with two literals", b.build(), None
+
+
+@pytest.mark.parametrize(
+    "circuit,expected", [pytest.param(c, e, id=name) for name, c, e in _share_cases()]
+)
+def test_shared_walk_hand_cases(circuit, expected):
+    d, hits = count_executions(oracle._walk, "hit", lambda: distribution(circuit), 10 ** 4)
+    assert hits > 0
+    if expected is not None:
+        assert d.probs == pytest.approx({k: 1 / len(expected) for k in expected})
+    branching = reference_distribution(circuit)
+    density = OutcomeDistribution(circuit.n_clbits, density_distribution(circuit))
+    for want in (branching, density):
+        assert set(d.probs) == set(want.probs)
+        assert d.total_variation(want) <= 1e-12
+
+
+def test_a_trailing_run_with_one_literal_each_moves_outcomes_by_table():
+    # The run leaves the walk as one affine map: 16 outcomes, one table
+    # lookup each. With two literals in one toggle, the toggles run instead.
+    cases = {name: c for name, c, _ in _share_cases()}
+    _, moves = count_executions(oracle._move, "affine", lambda: distribution(cases["an affine trailing run"]), 16)
+    assert moves == 16
+    _, moves = count_executions(
+        oracle._move, "affine", lambda: distribution(cases["a trailing run with two literals"]), 0
+    )
+    assert moves == 0
 
 
 def _reference_battery():
@@ -393,7 +511,7 @@ def _reference_battery():
     # 10 wires, 2^10 paths: each measured qubit leaves its path's state.
     yield transform.run(bench.gen_qft(10))[0]
     yield transform.run(bench.gen_vqe(10, "full"))[0]
-    for cases in (_tail_cases, _plan_cases, _compaction_cases):
+    for cases in (_tail_cases, _plan_cases, _compaction_cases, _share_cases):
         for _, c, _ in cases():
             yield c
 
@@ -431,7 +549,7 @@ def _density_battery():
         for d in range(1, 7):
             for seed in range(3):
                 yield bench.gen_random(bench.RandomSpec(n, d, seed))
-    for cases in (_plan_cases, _compaction_cases):
+    for cases in (_plan_cases, _compaction_cases, _share_cases):
         for _, c, _ in cases():
             yield c
 
