@@ -8,10 +8,10 @@ holds its value. Controls, flips and phases on such bits update the path's
 record; only the target of any other gate enters the state. So the one- and
 two-qubit circuits that reuse produces run on lists of two or four numbers.
 Where a measurement leaves a path's state empty, the rest of the circuit is
-walked once per value of the record bits it touches, and every path that
-reaches it shares that walk's outcomes. The observable object is the joint
-probability distribution over the declared classical bits, which is what
-every rewrite pass must preserve.
+walked once per value of the record bits it touches (again only for a
+heavier path), and every lighter path takes that walk's outcomes, scaled.
+The observable object is the joint probability distribution over the
+declared classical bits, which is what every rewrite pass must preserve.
 """
 
 from __future__ import annotations
@@ -284,16 +284,20 @@ def _read_out(
 
 
 def _lift(plan: list[tuple], n_bits: int, written: int) -> tuple[list[tuple], list[tuple[int, int, int]]]:
-    """``plan`` without its longest trailing run of toggles that reads and
-    writes no qubit's known value and no bit in ``written`` (the bits the
-    read-out writes), and that run. Such a run commutes with the read-out,
-    so it can move each outcome once the walk is done (see ``_move``)."""
+    """``plan`` without its longest trailing run of toggles that each test at
+    most one bit and read and write no qubit's known value and no bit in
+    ``written`` (the bits the read-out writes), and that run. Such a run
+    commutes with the read-out, so it can move each outcome once the walk
+    is done (see ``_move``)."""
     if plan[-1][0] != _TOGGLES:
         return plan, []
     run = plan[-1][1]
     stop = written | -1 << n_bits
     cut = len(run)
-    while cut and not (run[cut - 1][0] | run[cut - 1][2]) & stop:
+    while cut:
+        mask, _, flip = run[cut - 1]
+        if (mask | flip) & stop or mask & mask - 1:
+            break
         cut -= 1
     body = plan[:-1] if cut == 0 else [*plan[:-1], (_TOGGLES, run[:cut])]
     return body, run[cut:]
@@ -311,13 +315,17 @@ def _share(
 
     The op holds ``touch``, the record bits that the ops after it and the
     read-out read or write, and the kept bits outside them. It goes in only
-    where fewer bits of ``touch`` may be set than splits come before it: a
-    key ``record & touch`` then takes fewer values than paths may reach it.
+    where an op follows, a measurement, a reset or the read-out comes later
+    (so that every path from there counts a branch for each leaf it
+    reaches), and fewer bits of ``touch`` may be set than splits come before
+    it: a key ``record & touch`` then takes fewer values than paths may
+    reach it.
     """
     body, lifted = _lift(plan, n_bits, written)
     touch, at = written, len(body)
     for qbit, _ in outside:
         touch |= qbit
+    counted = written != 0  # a measurement, a reset or the read-out follows
     shares = []
     for pos, before, splits in reversed(empties):
         while at > pos:  # OR in what each op reads or writes
@@ -329,11 +337,13 @@ def _share(
                     touch |= mask | flip
             elif code == _KNOWN:
                 touch |= op[1] | op[2] | op[3]
+                counted = True
             elif code == _SPLIT:
                 touch |= op[3] | op[4]
+                counted = True
             else:  # a record test's mask, or the bit of a qubit that enters
                 touch |= op[1]
-        if pos < len(body) and (touch & before).bit_count() < splits:
+        if counted and pos < len(body) and (touch & before).bit_count() < splits:
             shares.append((pos, (_SHARE, touch, keep & ~touch)))
     if not shares:
         return plan, []
@@ -347,24 +357,15 @@ def _share(
 
 
 def _move(run: list[tuple[int, int, int]], acc: dict[int, float]) -> dict[int, float]:
-    """``acc`` with each outcome moved by the toggles ``run``, in order.
+    """``acc`` with each outcome moved by the toggles ``run``, in order, each
+    of which tests at most one bit (see ``_lift``).
 
-    When every toggle has at most one literal, the run is one affine map
-    over GF(2): each bit it writes ends as its own value XOR the parity of
-    some bits, XOR a constant. An outcome then moves by the constant XOR one
-    table entry per byte of the bits the map reads: a byte starts at the
-    lowest read bit it does not cover yet, and its table lists the moves of
-    the values of its bits up to the highest read one. Otherwise each
-    outcome runs the toggles.
+    The run is one affine map over GF(2): each bit it writes ends as its own
+    value XOR the parity of some bits, XOR a constant. An outcome moves by
+    the constant XOR one table entry per byte of the bits the map reads: a
+    byte starts at the lowest read bit it does not cover yet, and its table
+    lists the moves of the values of its bits up to the highest read one.
     """
-    moved: dict[int, float] = {}
-    if any(mask & mask - 1 for mask, _, _ in run):
-        for leaf, p in acc.items():
-            for mask, want, flip in run:
-                if leaf & mask == want:
-                    leaf ^= flip
-            moved[leaf] = moved.get(leaf, 0.0) + p
-        return moved
     form: dict[int, tuple[int, int]] = {}  # a written bit: the bits and constant it ends as
     for mask, want, flip in run:
         bits, const = form.get(flip, (flip, 0))
@@ -394,6 +395,7 @@ def _move(run: list[tuple[int, int, int]], acc: dict[int, float]) -> dict[int, f
             table += [entry ^ column for entry in table]
         tables.append((shift, len(table) - 1, table))
         read &= -1 << shift + width
+    moved: dict[int, float] = {}
     for leaf, p in acc.items():
         out = leaf ^ offset  # affine
         for shift, mask, table in tables:
@@ -405,25 +407,28 @@ def _move(run: list[tuple[int, int, int]], acc: dict[int, float]) -> dict[int, f
 def _walk(
     plan: list[tuple], keep: int, written: int, outside: list[tuple[int, int]],
     classes: list[int], class_bits: list[int],
-) -> dict[int, float]:
-    """The outcomes of ``plan`` and the read-out (see ``_read_out``) with
-    their probabilities, by depth-first path enumeration; see
-    ``distribution``.
+) -> list[tuple[int, float]]:
+    """The leaves of ``plan`` and the read-out (see ``_read_out``), by
+    depth-first path enumeration: a record and a probability for each
+    outcome of each path, in walk order (see ``distribution``).
 
     A path that reaches a ``_SHARE`` op with key ``(position, record &
-    touch)`` takes the leaves walked from there once, from ``[1]`` at weight
-    1: it scales each by its weight, drops those at most ``PRUNE`` and ORs
-    in its kept bits outside ``touch``. The first path with a key suspends
-    its walk (``frames``), walks the key's future as a walk of its own, and
-    then retries. ``branches`` counts the work of every walk: each branch
+    touch)`` takes the leaves of the heaviest path that walked that key so
+    far: it scales each by the ratio of their weights, drops those at most
+    ``PRUNE`` and ORs in its kept bits outside ``touch``. Leaves are summed
+    per record only at the end, so each is dropped as the path's own
+    outcome would be step by step. A path heavier
+    than the one that walked its key, or the first with a key, suspends the
+    walk it is in (``frames``) and walks on as a walk of its own, whose
+    leaves are then its own and the key's. ``branches`` counts each branch
     of a split, each measurement or reset outside the state, each leaf of a
     read-out, and each leaf a path takes from a shared walk.
     """
     end = len(plan)
-    shared: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    frames: list[tuple] = []  # the walks a missing shared future suspended
+    shared: dict[tuple[int, int], tuple[float, list[tuple[int, float]]]] = {}
+    frames: list[tuple] = []  # the walks that a path walking its key's future suspended
     key = None  # the shared future this walk computes; None: the whole circuit's
-    acc: dict[int, float] = {}
+    acc: list[tuple[int, float]] = []  # the leaves of this walk's paths
     branches = 0
     # Stack entries: (next plan position, amplitudes, record, weight).
     stack: list[tuple[int, list[complex], int, float]] = [(0, [1 + 0j], 0, 1.0)]
@@ -490,27 +495,28 @@ def _walk(
                             amps[i] *= u11
                 else:  # _SHARE: the state is empty
                     _, touch, base = op
+                    a = amps[0]  # the weight, without the error of a split's weight - p1
+                    weight = a.real * a.real + a.imag * a.imag
                     here = pos, record & touch
                     found = shared.get(here)
-                    if found is None:  # walk the key's future, then retry
-                        stack.append((pos - 1, amps, record, weight))
-                        frames.append((key, stack, acc))
+                    if found is None or weight > found[0]:  # walk on as the key's walk
+                        frames.append((key, stack, acc, base & record, weight))
                         key = here
-                        stack, acc = [(pos, [1 + 0j], here[1], 1.0)], {}
+                        stack, acc = [(pos, amps, here[1], weight)], []
                         break
-                    branches += len(found)  # hit
-                    _check_branches(branches)
+                    scale = weight / found[0]  # hit
                     base &= record
-                    for leaf, p in found:
-                        p *= weight
+                    taken = len(acc)
+                    for leaf, p in found[1]:
+                        p *= scale
                         if p > PRUNE:
-                            leaf |= base
-                            acc[leaf] = acc.get(leaf, 0.0) + p
+                            acc.append((leaf | base, p))
+                    branches += len(acc) - taken
+                    _check_branches(branches)
                     break
             else:  # reached the tail; a break above pushed, dropped or shared the path
                 if not written:  # no read-out: the path ends with its whole weight
-                    leaf = record & keep
-                    acc[leaf] = acc.get(leaf, 0.0) + weight
+                    acc.append((record & keep, weight))
                     continue
                 marginal = [0.0] * len(class_bits)
                 for m, a in zip(classes, amps):
@@ -522,13 +528,14 @@ def _walk(
                 for m, p in enumerate(marginal):
                     if p > PRUNE:
                         branches += 1
-                        leaf = base | class_bits[m]
-                        acc[leaf] = acc.get(leaf, 0.0) + p
+                        acc.append((base | class_bits[m], p))
                 _check_branches(branches)
         if key is None:
             return acc
-        shared[key] = list(acc.items())
-        key, stack, acc = frames.pop()
+        shared_key, leaves = key, acc
+        key, stack, acc, base, weight = frames.pop()
+        shared[shared_key] = weight, leaves
+        acc += [(leaf | base, p) for leaf, p in leaves]  # the suspended path's own
 
 
 def distribution(circuit: Circuit) -> OutcomeDistribution:
@@ -576,24 +583,32 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
     alone: its amplitude list holds one number, whose phase no probability
     sees. The ops after that position read and write only the record bits
     ``touch`` (with the read-out's), so the leaves a path reaches from there
-    depend only on ``record & touch``; its other bits pass to each leaf
-    unchanged. So the leaves are walked once per key, from ``[1]`` at weight
-    1, and a path takes them scaled by its weight, with its kept bits outside
-    ``touch`` ORed in (see ``_walk``). A path's weight only shrinks, so a
-    leaf whose scaled weight exceeds ``PRUNE`` passed every split on the way
-    at a weight above ``PRUNE``, both at weight 1 and scaled: dropping the
-    scaled leaves at most ``PRUNE`` drops exactly what step-by-step pruning
-    drops. What counts against ``MAX_BRANCHES`` is then the work done: the
-    branches of each shared walk once, and each leaf a path takes from one
-    (a count of the branches each path would have kept at weight 1 grows
-    with every share a path passes, and refused circuits that step-by-step
-    branching prunes to far fewer). A position shares only when fewer bits of
-    ``touch`` may be set there than splits come before it (see ``_share``),
-    so that keys stay fewer than the paths that may reach them. A trailing
-    run of toggles that touches no qubit's known value and no bit the
-    read-out writes would make every position touch the bits it reads, so it
-    leaves the walk and moves each outcome once at the end (see ``_lift``
-    and ``_move``).
+    depend only on ``record & touch`` and its weight; its other bits pass to
+    each leaf unchanged. So the first path with a key walks on as usual, and
+    its leaves are the key's. A later path that is no heavier takes them
+    scaled by the ratio of the weights, drops those at most ``PRUNE`` and
+    ORs in its kept bits outside ``touch`` (see ``_walk``). A path's weight
+    only shrinks, so a leaf whose scaled weight exceeds ``PRUNE`` passed
+    every split on the way at a weight above ``PRUNE``, both in the walk and
+    scaled: dropping the scaled leaves at most ``PRUNE`` drops exactly what
+    step-by-step pruning of the lighter path drops. A heavier path would
+    keep leaves that the walk dropped, so it walks on too, and its leaves
+    become the key's. A path's weight is read there from its one amplitude:
+    a split's weight ``weight - p1`` carries the rounding error of the
+    subtraction, which grows relative to the weight as it shrinks (to ~1e-12
+    after eleven halvings of ``qft12``'s output), and scaling by that weight
+    would carry it into every leaf a path takes. Against ``MAX_BRANCHES``, a
+    path that walks counts its branches as usual, and a path that takes
+    leaves counts one branch per leaf it keeps. A position shares only where
+    a measurement, a reset or the read-out comes later (see ``_share``), so
+    step-by-step branching counts at least one branch for each of those
+    leaves, and no circuit counts more than it would step by step. It also
+    shares only when fewer bits of ``touch`` may be set there than splits
+    come before it, so that keys stay fewer than the paths that may reach
+    them. A trailing run of toggles that each test at most one bit and touch
+    no qubit's known value and no bit the read-out writes would make every
+    position touch the bits it reads, so it leaves the walk and moves each
+    outcome once at the end (see ``_lift`` and ``_move``).
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS:
@@ -609,7 +624,9 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
     lifted = []
     if empties:
         plan, lifted = _share(plan, empties, n_bits, written, outside, keep)
-    acc = _walk(plan, keep, written, outside, classes, class_bits)
+    acc: dict[int, float] = {}
+    for leaf, p in _walk(plan, keep, written, outside, classes, class_bits):
+        acc[leaf] = acc.get(leaf, 0.0) + p
     if lifted:
         acc = _move(lifted, acc)
     spec = f"0{n_bits}b"

@@ -142,6 +142,31 @@ MUTANTS = [
         "oracle: the lifted toggles' affine map drops a negative literal's constant, so it acts as a positive one",
     ),
     (
+        "src/qreuse/oracle.py",
+        "        if (mask | flip) & stop or mask & mask - 1:\n",
+        "        if (mask | flip) & stop:\n",
+        "oracle: a toggle with two literals leaves the walk, and the affine map reads it as one literal",
+    ),
+    (
+        "src/qreuse/oracle.py",
+        "                    if found is None or weight > found[0]:  # walk on as the key's walk\n",
+        "                    if found is None:  # walk on as the key's walk\n",
+        "oracle: a heavier path takes the leaves a lighter one walked, without those its own weight keeps",
+    ),
+    (
+        "src/qreuse/oracle.py",
+        "                    weight = a.real * a.real + a.imag * a.imag\n",
+        "",
+        "oracle: a path at a shared position keeps the weight its splits tracked, whose rounding makes alike paths walk again",
+    ),
+    (
+        "src/qreuse/oracle.py",
+        "        shared[shared_key] = weight, leaves\n",
+        "        sums = {}\n        for r, q in leaves:\n            sums[r] = sums.get(r, 0.0) + q\n"
+        "        shared[shared_key] = weight, list(sums.items())\n",
+        "oracle: a shared walk's outcomes are summed per record, so a lighter path keeps a sum whose parts it would drop",
+    ),
+    (
         "src/qreuse/transform.py",
         "gate.control is None or gate.kind.unitary[:3] != (1, 0, 0):\n",
         "gate.control is None or gate.kind.unitary[1:3] != (0, 0):\n",

@@ -415,23 +415,57 @@ def test_no_share_where_every_later_step_reads_all_earlier_bits():
     assert d.total_variation(reference_distribution(c)) <= 1e-12
 
 
-def test_a_shared_walk_counts_the_work_it_does(monkeypatch):
-    # 16 rounds of a measurement that reads 1 with probability 1e-4: every
-    # path with four 1s falls below the pruning weight, so 697 outcomes
-    # remain, and stepwise branching counts 6,424 branches. The shared walks
-    # from each round count 7,854 steps and leaves taken; counting for each
-    # path the branches its shared walk kept at weight 1 would count 262,140.
+def _biased_rounds(rounds: int):
+    # Rounds of a measurement that reads 1 with probability 1e-4, each
+    # followed by a reset.
     theta = 2 * math.asin(math.sqrt(1e-4))
-    b = CircuitBuilder(1, 16)
-    for k in range(16):
+    b = CircuitBuilder(1, rounds)
+    for k in range(rounds):
         b.rx(theta, 0).measure(0, k).reset(0)
-    c = b.build()
-    monkeypatch.setattr(oracle, "MAX_BRANCHES", 10_000)
+    return b.build()
+
+
+def test_a_shared_walk_counts_no_more_than_stepwise_branching(monkeypatch):
+    # 16 rounds: every path with four 1s falls below the pruning weight, so
+    # 697 outcomes remain, and stepwise branching counts 6,424 branches.
+    # Each round's future is walked once by the all-0 path, the heaviest
+    # that reaches it, and every other path counts the leaves it takes: 789.
+    c = _biased_rounds(16)
+    monkeypatch.setattr(oracle, "MAX_BRANCHES", 788)
+    with pytest.raises(SimulationLimitError):
+        distribution(c)
+    monkeypatch.setattr(oracle, "MAX_BRANCHES", 789)
     d = distribution(c)
     assert len(d.probs) == 697
     want = reference_distribution(c)
     assert set(d.probs) == set(want.probs)
     assert d.total_variation(want) <= 1e-12
+
+
+def test_the_most_biased_rounds_stepwise_branching_runs_are_still_run():
+    # 59 rounds are the most that stepwise branching runs within
+    # MAX_BRANCHES (1,047,368 branches; 60 rounds count over 2^20). The
+    # shared walks count 34,630 and keep the same 34,280 outcomes.
+    d = distribution(_biased_rounds(59))
+    assert len(d.probs) == 34_280
+    assert sum(d.probs.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_a_lighter_path_drops_each_outcome_of_a_shared_walk_as_its_own():
+    # The first round reads 1 with probability 6e-14, so the paths that
+    # read 0 walk the last two rounds first (taking shared outcomes twice
+    # in the third). There the third round's outcome is reset and its bit
+    # written again, so two outcomes of the walk reach each record. The two
+    # lighter paths take them at 1.5e-14 / 2 each, at most the pruning
+    # weight, and drop them as step-by-step branching does, where their
+    # sum, 1.5e-14, would not be dropped.
+    b = CircuitBuilder(1, 3).rx(2 * math.asin(math.sqrt(6e-14)), 0).measure(0, 0).reset(0)
+    b.h(0).measure(0, 1).reset(0).h(0).measure(0, 2).reset(0).h(0).measure(0, 2)
+    c = b.build()
+    d, hits = count_executions(oracle._walk, "hit", lambda: distribution(c), 10)
+    assert hits == 4
+    assert set(d.probs) == {"000", "010", "100", "110"}
+    assert d.total_variation(reference_distribution(c)) <= 1e-12
 
 
 def _share_cases():
@@ -449,6 +483,13 @@ def _share_cases():
     # A key bit that the shared future rewrites: bit 1 flips when bit 0 is 1.
     b = rounds(CircuitBuilder(1, 5), 4).toggle(1, ((0, True),)).h(0).measure(0, 4)
     yield "a key bit the future rewrites", b.build(), None
+    # A heavier path reaches a key after a lighter one walked it: the first
+    # round reads 0 with probability 1e-10, and that path reaches each later
+    # round first, where it drops every outcome with two more 1s.
+    b = CircuitBuilder(1, 5).rx(2 * math.acos(1e-5), 0).measure(0, 0).reset(0)
+    for k in range(1, 5):
+        b.rx(2 * math.asin(math.sqrt(1e-3)), 0).measure(0, k).reset(0)
+    yield "a heavier path after a lighter one", b.build(), None
     # Trailing runs kept in the walk: the read-out writes bit 5 (first
     # written as 0) after a toggle writes it, or after a toggle reads it, or
     # q0 is flipped before the read-out reads it.
@@ -459,12 +500,13 @@ def _share_cases():
     b = rounds(CircuitBuilder(1, 6), 5).x(0).measure(0, 5)
     yield "a trailing flip of a known value", b.build(), None
     # Trailing runs that leave the walk: negative, own-target, literal-free
-    # and never-holding toggles (one affine map), then one with two literals.
+    # and never-holding toggles (one affine map); and a run whose toggle with
+    # two literals stays in the walk with the toggles before it.
     b = rounds(CircuitBuilder(1, 4), 4).toggle(1, ((0, False),)).toggle(2, ()).toggle(3, ((3, False),))
     b.toggle(0, ((2, True),)).toggle(2, ((1, True), (1, False)))
     yield "an affine trailing run", b.build(check=False), None
-    b = rounds(CircuitBuilder(1, 4), 4).toggle(1, ((0, False),)).toggle(3, ((0, True), (1, False))).toggle(2, ())
-    yield "a trailing run with two literals", b.build(), None
+    b = rounds(CircuitBuilder(1, 6), 5).toggle(1, ((0, False),)).toggle(3, ((0, True), (1, False))).toggle(2, ())
+    yield "a trailing run with two literals", b.measure(0, 5).build(), None
 
 
 @pytest.mark.parametrize(
@@ -482,16 +524,18 @@ def test_shared_walk_hand_cases(circuit, expected):
         assert d.total_variation(want) <= 1e-12
 
 
-def test_a_trailing_run_with_one_literal_each_moves_outcomes_by_table():
-    # The run leaves the walk as one affine map: 16 outcomes, one table
-    # lookup each. With two literals in one toggle, the toggles run instead.
+def test_a_trailing_run_leaves_the_walk_after_its_last_toggle_with_two_literals():
+    # The lifted toggles move each outcome by one affine map: 16 outcomes,
+    # one table lookup each. A toggle with two literals is no affine map, so
+    # it stays in the walk, and only the literal-free toggle after it leaves.
     cases = {name: c for name, c, _ in _share_cases()}
     _, moves = count_executions(oracle._move, "affine", lambda: distribution(cases["an affine trailing run"]), 16)
     assert moves == 16
-    _, moves = count_executions(
-        oracle._move, "affine", lambda: distribution(cases["a trailing run with two literals"]), 0
-    )
-    assert moves == 0
+    c = cases["a trailing run with two literals"]
+    plan, _, _ = oracle._plan(c.instructions[:-1], 1, 6)
+    body, lifted = oracle._lift(plan, 6, 1 << 5)
+    assert lifted == [(0, 0, 1 << 2)]
+    assert body[-1] == (oracle._TOGGLES, [(1, 0, 1 << 1), (3, 1, 1 << 3)])
 
 
 def _reference_battery():
