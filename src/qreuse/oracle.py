@@ -60,16 +60,13 @@ _TOGGLES, _ENTER, _GENERAL, _KNOWN, _SPLIT, _SWAP, _DIAGONAL, _SHARE = range(8)
 def _select(base: list[int], size: int, t: int, side: int) -> list[int]:
     """The entries of ``base[:size]`` at the positions whose bit ``t`` is
     ``side``, in order: one slice when ``t`` is the lowest or the top bit,
-    else runs of ``2^t`` or strides of ``2^(t+1)``, whichever are fewer,
-    the strides zipped back into order."""
+    else the runs of ``2^t``."""
     half = 1 << t
     step, first = 2 * half, half if side else 0
     if half == 1:
         return base[first:size:2]
     if step == size:
         return base[first:first + half]
-    if half * step < size:
-        return list(chain.from_iterable(zip(*[base[r:size:step] for r in range(first, first + half)])))
     return list(chain.from_iterable([base[b:b + half] for b in range(first, size, step)]))
 
 
@@ -311,7 +308,9 @@ def _share(
     ``_SHARE`` op at each position of ``empties`` where sharing pays, and
     the lifted toggles; or ``plan`` itself and no toggles where no position
     shares. The read-out (see ``_read_out``) writes the bits ``written`` and
-    reads the known values in ``outside``.
+    reads the known values in ``outside``. A pass from the end inserts the
+    ops into the lifted plan in place, the last position first, so the
+    positions still to come stay where they are.
 
     The op holds ``touch``, the record bits that the ops after it and the
     read-out read or write, and the kept bits outside them. It goes in only
@@ -326,7 +325,7 @@ def _share(
     for qbit, _ in outside:
         touch |= qbit
     counted = written != 0  # a measurement, a reset or the read-out follows
-    shares = []
+    shared = False
     for pos, before, splits in reversed(empties):
         while at > pos:  # OR in what each op reads or writes
             at -= 1
@@ -344,54 +343,39 @@ def _share(
             else:  # a record test's mask, or the bit of a qubit that enters
                 touch |= op[1]
         if counted and pos < len(body) and (touch & before).bit_count() < splits:
-            shares.append((pos, (_SHARE, touch, keep & ~touch)))
-    if not shares:
-        return plan, []
-    shared: list[tuple] = []
-    start = 0
-    for pos, op in reversed(shares):
-        shared += body[start:pos]
-        shared.append(op)
-        start = pos
-    return shared + body[start:], lifted
+            body.insert(pos, (_SHARE, touch, keep & ~touch))
+            shared = True
+    return (body, lifted) if shared else (plan, [])
 
 
 def _move(run: list[tuple[int, int, int]], acc: dict[int, float]) -> dict[int, float]:
     """``acc`` with each outcome moved by the toggles ``run``, in order, each
     of which tests at most one bit (see ``_lift``).
 
-    The run is one affine map over GF(2): each bit it writes ends as its own
-    value XOR the parity of some bits, XOR a constant. An outcome moves by
-    the constant XOR one table entry per byte of the bits the map reads: a
-    byte starts at the lowest read bit it does not cover yet, and its table
-    lists the moves of the values of its bits up to the highest read one.
+    So the run is an affine map over GF(2): it moves an outcome by its move
+    of 0, XOR the column of each tested bit that is 1 there, which is its
+    move of that bit alone XOR its move of 0. Both are read by running the
+    toggles. An outcome then moves by the move of 0 XOR one table entry per
+    byte of tested bits: a byte starts at the lowest tested bit it does not
+    cover yet, and its table lists the moves of the values of its bits up to
+    the highest tested one.
     """
-    form: dict[int, tuple[int, int]] = {}  # a written bit: the bits and constant it ends as
-    for mask, want, flip in run:
-        bits, const = form.get(flip, (flip, 0))
-        if mask:  # flip ^= literal bit ^ (the literal is negative)
-            other, other_const = form.get(mask, (mask, 0))
-            form[flip] = bits ^ other, const ^ other_const ^ (not want)
-        elif not want:  # no literal: always (a literal on both polarities never holds)
-            form[flip] = bits, const ^ 1
-    offset = read = 0
-    moves: dict[int, int] = {}  # a read bit: the written bits it flips
-    for flip, (bits, const) in form.items():
-        if const:
-            offset |= flip
-        bits ^= flip
-        read |= bits
-        while bits:
-            low = bits & -bits
-            moves[low] = moves.get(low, 0) ^ flip
-            bits ^= low
+    def moved_by(record: int) -> int:
+        for mask, want, flip in run:
+            if record & mask == want:
+                record ^= flip
+        return record
+
+    offset, read = moved_by(0), 0
+    for mask, _, _ in run:
+        read |= mask
     tables = []
     while read:
         shift = (read & -read).bit_length() - 1
         width = (read >> shift & 255).bit_length()
         table = [0]
         for j in range(shift, shift + width):
-            column = moves.get(1 << j, 0)
+            column = moved_by(1 << j) ^ offset ^ 1 << j
             table += [entry ^ column for entry in table]
         tables.append((shift, len(table) - 1, table))
         read &= -1 << shift + width
@@ -465,11 +449,13 @@ def _walk(
                     record &= ~clear
                 elif code == _SPLIT:
                     _, zero, one, bit, set1 = op
-                    p1 = 0.0
+                    p0 = p1 = 0.0
+                    for i in zero:
+                        a = amps[i]
+                        p0 += a.real * a.real + a.imag * a.imag
                     for i in one:
                         a = amps[i]
                         p1 += a.real * a.real + a.imag * a.imag
-                    p0 = weight - p1
                     keep0, keep1 = p0 > PRUNE, p1 > PRUNE
                     branches += keep0 + keep1
                     _check_branches(branches)
@@ -495,8 +481,6 @@ def _walk(
                             amps[i] *= u11
                 else:  # _SHARE: the state is empty
                     _, touch, base = op
-                    a = amps[0]  # the weight, without the error of a split's weight - p1
-                    weight = a.real * a.real + a.imag * a.imag
                     here = pos, record & touch
                     found = shared.get(here)
                     if found is None or weight > found[0]:  # walk on as the key's walk
@@ -553,21 +537,21 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
     bits and, above them, the known values of the qubits outside its state.
     A measured or reset qubit leaves the state: each kept outcome continues
     on a list of the indices where the qubit has that value, half the
-    length, and the record holds the value (0 after a reset). A gate on
-    qubits outside the state is classical where it can be: a control there
-    is a test that its value is 1, a flip (``x``, ``y``) of one toggles its
-    value, and a diagonal gate whose target is there is a diagonal on its
-    control, chosen by the target's value, or with no control only a phase
-    of the whole path, which no probability sees. The target of any other
-    gate enters the state: the list is padded to twice its length, with the
-    qubit as the top index bit at its known value. A measurement or reset of
-    a qubit outside the state is deterministic: one kept branch. Which
-    qubits are in the state at each step depends only on the instructions,
-    so the instructions before the read-out are compiled once into a plan of
-    record mask tests, index tables and matrix entries (see ``_plan``). A
-    gate is a diagonal, a bit flip that swaps slices of the list (then, for
-    ``y``, a diagonal), or a general two-by-two update of the index pairs its
-    tables list.
+    length, with the sum of their ``|amplitude|^2`` as its weight, and the
+    record holds the value (0 after a reset). A gate on qubits outside the
+    state is classical where it can be: a control there is a test that its
+    value is 1, a flip (``x``, ``y``) of one toggles its value, and a
+    diagonal gate whose target is there is a diagonal on its control, chosen
+    by the target's value, or with no control only a phase of the whole
+    path, which no probability sees. The target of any other gate enters the
+    state: the list is padded to twice its length, with the qubit as the top
+    index bit at its known value. A measurement or reset of a qubit outside
+    the state is deterministic: one kept branch. Which qubits are in the
+    state at each step depends only on the instructions, so the instructions
+    before the read-out are compiled once into a plan of record mask tests,
+    index tables and matrix entries (see ``_plan``). A gate is a diagonal, a
+    bit flip that swaps slices of the list (then, for ``y``, a diagonal), or
+    a general two-by-two update of the index pairs its tables list.
 
     The longest suffix of the circuit that holds only measurements is not
     branched: when a path reaches it, ``|amplitude|^2`` is summed per
@@ -593,22 +577,18 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
     scaled: dropping the scaled leaves at most ``PRUNE`` drops exactly what
     step-by-step pruning of the lighter path drops. A heavier path would
     keep leaves that the walk dropped, so it walks on too, and its leaves
-    become the key's. A path's weight is read there from its one amplitude:
-    a split's weight ``weight - p1`` carries the rounding error of the
-    subtraction, which grows relative to the weight as it shrinks (to ~1e-12
-    after eleven halvings of ``qft12``'s output), and scaling by that weight
-    would carry it into every leaf a path takes. Against ``MAX_BRANCHES``, a
-    path that walks counts its branches as usual, and a path that takes
-    leaves counts one branch per leaf it keeps. A position shares only where
-    a measurement, a reset or the read-out comes later (see ``_share``), so
-    step-by-step branching counts at least one branch for each of those
-    leaves, and no circuit counts more than it would step by step. It also
-    shares only when fewer bits of ``touch`` may be set there than splits
-    come before it, so that keys stay fewer than the paths that may reach
-    them. A trailing run of toggles that each test at most one bit and touch
-    no qubit's known value and no bit the read-out writes would make every
-    position touch the bits it reads, so it leaves the walk and moves each
-    outcome once at the end (see ``_lift`` and ``_move``).
+    become the key's. Against ``MAX_BRANCHES``, a path that walks counts its
+    branches as usual, and a path that takes leaves counts one branch per
+    leaf it keeps. A position shares only where a measurement, a reset or
+    the read-out comes later (see ``_share``), so step-by-step branching
+    counts at least one branch for each of those leaves, and no circuit
+    counts more than it would step by step. It also shares only when fewer
+    bits of ``touch`` may be set there than splits come before it, so that
+    keys stay fewer than the paths that may reach them. A trailing run of
+    toggles that each test at most one bit and touch no qubit's known value
+    and no bit the read-out writes would make every position touch the bits
+    it reads, so it leaves the walk and moves each outcome once at the end
+    (see ``_lift`` and ``_move``).
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS:

@@ -125,8 +125,8 @@ MUTANTS = [
     ),
     (
         "src/qreuse/oracle.py",
-        "            shares.append((pos, (_SHARE, touch, keep & ~touch)))\n",
-        "            shares.append((pos, (_SHARE, touch, keep)))\n",
+        "            body.insert(pos, (_SHARE, touch, keep & ~touch))\n",
+        "            body.insert(pos, (_SHARE, touch, keep))\n",
         "oracle: a path ORs its touched bits into the shared leaves, over the values the shared walk gave them",
     ),
     (
@@ -137,9 +137,15 @@ MUTANTS = [
     ),
     (
         "src/qreuse/oracle.py",
-        "            form[flip] = bits ^ other, const ^ other_const ^ (not want)\n",
-        "            form[flip] = bits ^ other, const ^ other_const\n",
-        "oracle: the lifted toggles' affine map drops a negative literal's constant, so it acts as a positive one",
+        "        for mask, want, flip in run:\n            if record & mask == want:\n                record ^= flip\n",
+        "        for mask, want, flip in run:\n            if record & mask == mask:\n                record ^= flip\n",
+        "oracle: the lifted toggles' affine map is read with each negative literal tested as a positive one",
+    ),
+    (
+        "src/qreuse/oracle.py",
+        "            column = moved_by(1 << j) ^ offset ^ 1 << j\n",
+        "            column = moved_by(1 << j) ^ 1 << j\n",
+        "oracle: a column of the lifted toggles' tables keeps their move of 0, so an outcome with that bit set moves twice by it",
     ),
     (
         "src/qreuse/oracle.py",
@@ -152,12 +158,6 @@ MUTANTS = [
         "                    if found is None or weight > found[0]:  # walk on as the key's walk\n",
         "                    if found is None:  # walk on as the key's walk\n",
         "oracle: a heavier path takes the leaves a lighter one walked, without those its own weight keeps",
-    ),
-    (
-        "src/qreuse/oracle.py",
-        "                    weight = a.real * a.real + a.imag * a.imag\n",
-        "",
-        "oracle: a path at a shared position keeps the weight its splits tracked, whose rounding makes alike paths walk again",
     ),
     (
         "src/qreuse/oracle.py",
@@ -196,5 +196,29 @@ MUTANTS = [
         "        sys.exit(EXIT_MISMATCH)\n",
         "        click.echo(f\"equivalence FAILED: TV distance {equivalence['max_deviation']:.3e}\", err=True)\n",
         "cli: optimize --verify reports a mismatch but exits 0",
+    ),
+    (
+        "src/qreuse/reuse.py",
+        "                first[q] = i\n            else:\n",
+        "                first[q] = i\n            elif not isinstance(instr, Reset):\n",
+        "reuse: an input reset gets no wire edge from the instruction before it, so it may be scheduled first",
+    ),
+    (
+        "src/qreuse/ir.py",
+        "            if instr.condition:\n                check_literals(i, instr.condition, \"condition\", \"condition\")\n",
+        "",
+        "validation: a gate's condition is not checked, so a condition on a clbit out of range passes",
+    ),
+    (
+        "src/qreuse/bench.py",
+        "                k = firsts + rng.randrange(free)\n",
+        "                k = rng.randrange(free)\n",
+        "random circuits: a partner is drawn without skipping the first qubits taken, so it may be one of them",
+    ),
+    (
+        "src/qreuse/pipeline.py",
+        "        g2_reused=two_qubit_gate_count(result) if mode == \"proposed\" else g0,\n",
+        "        g2_reused=g0,\n",
+        "report: proposed mode reports the input's two-qubit count, not its output's",
     ),
 ]

@@ -538,6 +538,39 @@ def test_a_trailing_run_leaves_the_walk_after_its_last_toggle_with_two_literals(
     assert body[-1] == (oracle._TOGGLES, [(1, 0, 1 << 1), (3, 1, 1 << 3)])
 
 
+# A toggle of one bit: with no literal (bit -1) it always holds at polarity
+# 0 and never at polarity 1; its target may be the bit it tests.
+_one_literal_toggle = st.builds(
+    lambda bit, polarity, target: (0 if bit < 0 else 1 << bit, polarity << max(bit, 0), 1 << target),
+    st.integers(-1, 19), st.integers(0, 1), st.integers(0, 19),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_one_literal_toggle, max_size=12),
+    st.dictionaries(st.integers(0, (1 << 20) - 1), st.floats(1e-6, 1.0), max_size=8),
+)
+def test_move_applies_the_toggles_one_at_a_time(run, acc):
+    want: dict[int, float] = {}
+    for leaf, p in acc.items():
+        for mask, polarity, flip in run:
+            if leaf & mask == polarity:
+                leaf ^= flip
+        want[leaf] = want.get(leaf, 0.0) + p
+    assert oracle._move(run, acc) == want
+
+
+def test_halves_filter_every_index():
+    for k in range(1, 8):
+        tables: dict = {}
+        for t in range(k):
+            for c in [None, *(c for c in range(k) if c != t)]:
+                inside = [i for i in range(1 << k) if c is None or i >> c & 1]
+                want = [i for i in inside if not i >> t & 1], [i for i in inside if i >> t & 1]
+                assert oracle._halves(tables, list(range(1 << k)), k, t, c) == want
+
+
 def _reference_battery():
     for seed in range(400):
         for c in (adversarial(seed), small_random(seed)):
