@@ -167,6 +167,18 @@ MUTANTS = [
         "oracle: a shared walk's outcomes are summed per record, so a lighter path keeps a sum whose parts it would drop",
     ),
     (
+        "src/qreuse/oracle.py",
+        "abs(p - b.pop(k, 0.0)) for k, p in a.items()]) + sum(b.values()))\n",
+        "abs(p - b.pop(k, 0.0)) for k, p in a.items()]))\n",
+        "oracle: total variation drops the outcomes that only the second distribution reaches",
+    ),
+    (
+        "src/qreuse/oracle.py",
+        "abs(p - b.pop(k, 0.0)) for k, p in a.items()]",
+        "abs(p - b.get(k, 0.0)) for k, p in a.items()]",
+        "oracle: total variation leaves the shared outcomes in the second distribution, so they count twice",
+    ),
+    (
         "src/qreuse/transform.py",
         "gate.control is None or gate.kind.unitary[:3] != (1, 0, 0):\n",
         "gate.control is None or gate.kind.unitary[1:3] != (0, 0):\n",

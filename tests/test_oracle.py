@@ -12,7 +12,7 @@ from qreuse.ir import FIXED_KINDS, CircuitBuilder, Gate, GateKind, Measure, opaq
 from qreuse.oracle import OutcomeDistribution, SimulationLimitError, distribution, equivalent
 
 from commute_reference import _apply, _rule_at
-from conftest import adversarial, count_executions, cx_pair, small_random
+from conftest import adversarial, count_executions, cx_pair, schedule_battery, small_random
 from density_reference import density_distribution
 from oracle_reference import kind_matrix, reference_distribution
 
@@ -32,6 +32,8 @@ def test_deterministic_zero():
 def test_no_bits_is_one_empty_outcome():
     c = CircuitBuilder(1, 0).h(0).build()
     assert distribution(c).probs == {"": 1.0}
+    c = qasm.parse("qubit[1] q;\nbit[0] c;\nh q[0];\nreset q[0];\nh q[0];\n")
+    assert equivalent(c, c) == (True, 0.0)
 
 
 def test_cx_pair_vs_reused_single_wire_form():
@@ -76,8 +78,8 @@ def test_equivalent_self_and_distinct():
     ok, dev = equivalent(c, c)
     assert ok and dev == 0.0
     other = CircuitBuilder(1, 1).measure(0, 0).build()
-    ok, dev = equivalent(c, other)
-    assert not ok and dev == pytest.approx(1.0)
+    assert equivalent(c, other) == (False, 1.0)
+    assert equivalent(other, c) == (False, 1.0)
 
     with pytest.raises(ValueError):
         equivalent(c, CircuitBuilder(1, 2).measure(0, 0).build(check=False))
@@ -640,6 +642,63 @@ def test_distribution_matches_density_reference():
             k for k, p in want.probs.items() if p > 1e-12
         }, c
         assert got.total_variation(want) <= 1e-12, c
+
+
+def _union_tv(first: OutcomeDistribution, second: OutcomeDistribution) -> float:
+    """Total variation distance over the union of both key sets, key by key,
+    summed exactly."""
+    keys = set(first.probs) | set(second.probs)
+    return 0.5 * math.fsum(abs(first[k] - second[k]) for k in keys)
+
+
+def _equivalence_pairs():
+    """Pairs with one classical register: each small circuit against its
+    compiled output and against the previous circuit of the same register
+    size, and the seven 12-qubit families against their outputs and each
+    other."""
+    last: dict = {}
+    for c in schedule_battery():
+        if c.n_qubits <= oracle.MAX_QUBITS:
+            yield c, pipeline.optimize(c)[0]
+            if c.n_clbits in last:
+                yield last[c.n_clbits], c
+            last[c.n_clbits] = c
+    families = [bench.gen_qft(12), bench.gen_qpe(12, 1.0)]
+    families += [bench.gen_vqe(12, strategy) for strategy in bench.STRATEGIES]
+    for c in families:
+        yield c, pipeline.optimize(c)[0]
+    for a, b in zip(families, families[1:]):
+        if a.n_clbits == b.n_clbits:
+            yield a, b
+
+
+def test_equivalent_matches_the_distributions_total_variation():
+    # ``equivalent`` compares int records, ``total_variation`` bitstrings.
+    # They agree, and both match an exact key-by-key sum over the union of
+    # the outcomes up to the rounding of a sum of 4,096 terms.
+    differ = 0
+    for a, b in _equivalence_pairs():
+        da, db = distribution(a), distribution(b)
+        tv = da.total_variation(db)
+        assert abs(equivalent(a, b)[1] - tv) <= 1e-15, (a, b)
+        assert abs(tv - _union_tv(da, db)) <= 1e-12, (a, b)
+        differ += tv > 1e-9
+    assert differ > 100  # the pairs are not all equivalent
+
+
+def test_distribution_formats_the_records_in_their_order():
+    for c in (*schedule_battery(), bench.gen_qft(12), bench.gen_vqe(12, "full")):
+        if c.n_qubits <= oracle.MAX_QUBITS:
+            spec = f"0{c.n_clbits}b"
+            want = [(format(r, spec) if c.n_clbits else "", p) for r, p in oracle._outcomes(c).items()]
+            assert list(distribution(c).probs.items()) == want, c
+
+
+def test_equivalent_counts_an_outcome_only_the_second_reaches():
+    zero = CircuitBuilder(1, 1).measure(0, 0).build()
+    even = CircuitBuilder(1, 1).h(0).measure(0, 0).build()
+    assert equivalent(zero, even) == (False, pytest.approx(0.5, abs=1e-15))
+    assert equivalent(even, zero) == (False, pytest.approx(0.5, abs=1e-15))
 
 
 _SRC = str(Path(oracle.__file__).parents[1])
