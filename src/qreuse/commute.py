@@ -3,26 +3,22 @@
 Four local rules, each applied to a measurement and the nearest earlier
 instruction on the measured wire:
 
-* diagonal gates (``ir.is_diagonal``, read from the kind's unitary) swap
-  freely with the measurement,
-* a plain (possibly conditioned) X swaps by toggling the measured bit,
+* diagonal gates (``ir.is_diagonal``) swap freely with the measurement,
+* a plain (possibly conditioned) X swaps by leaving a toggle of the measured
+  bit after the measurement,
 * Y is rewritten as Z then X, after which the other rules take over,
-* a gate that merely uses the measured qubit as a quantum control lets the
+* a gate that uses the measured qubit only as a quantum control lets the
   measurement slide through unchanged.
 
 A rule also needs the measured bit untouched between the gate and the
-measurement, so the move reorders no two accesses to that bit.
+measurement, so no move reorders two accesses to that bit.
 
 ``push`` pushes each measurement once, in circuit order, until no rule
-applies. A measurement that is stuck stays stuck: later pushes only move
-measurements across gates on their own wires and add accesses to bits, so
-they never change a stuck measurement's wire predecessor and never remove an
-access that blocks it. It updates the shared index ``ir.Chain`` in place: a
-wire predecessor is one lookup. ``push`` also tracks each bit's latest access
-by label among the nodes it has visited or inserted, so "the bit is touched
-in between" is one label comparison against the measurement's previous
-access to its bit. ``transform.run`` pushes twice on one chain; ``run`` is
-one push on a circuit.
+applies, and that is the fixpoint: a measurement that is stuck stays stuck.
+Later pushes only move measurements across gates on their own wires and add
+accesses to bits, so they never change a stuck measurement's wire
+predecessor and never remove an access that blocks it. ``transform.run``
+pushes twice on one ``ir.Chain``; ``run`` is one push on a circuit.
 """
 
 from __future__ import annotations

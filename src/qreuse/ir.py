@@ -1,29 +1,11 @@
 """Dynamic-circuit intermediate representation and the analyses built on it.
 
-A circuit is a flat, ordered list of instructions over a register of qubits
-and a register of classical bits. Four instruction variants cover the
-dynamic-circuit primitives: gates, mid-circuit measurement, reset, and
-classical XOR fix-ups. A gate acts on one target qubit, when its quantum
-control qubit (if any) is 1 and its condition holds. A gate's condition
-and a toggle's product are the same thing, a tuple of ``(bit, value)``
-literals that must all hold. Circuits are immutable values; rewrite passes
-return new circuits.
-
-What a gate does is known here only: every ``GateKind`` carries its 2x2
-unitary's entries, from one table, which the oracle simulates and the
-passes test (``is_diagonal``, a controlled phase).
-
-Every analysis reads one index of per-instruction facts, ``Dependencies``:
-each instruction's qubits, read bits and written bit. A circuit computes it
-on first use and caches it; a pass that builds a circuit from facts it
-already knows hands them over instead. The rewrite passes share one mutable
-form of it, ``Chain``: the circuit as a linked list with order labels, wire
-links and facts, which they update in place, one call per rewrite step with
-the facts the step knows, from the first commutation to dead-gate
-elimination, and turn back into a circuit once. The index caches nothing
-derived from its columns: the passes that ask about the order of a bit's
-accesses, ``commute.push`` and ``reuse``, track it themselves as they go,
-and only ``reuse`` builds scheduling edges.
+A ``Circuit`` is an immutable, ordered tuple of instructions over a register
+of qubits and a register of classical bits: gates, mid-circuit measurements,
+resets and classical XOR fix-ups (toggles). What a gate does is known here
+only, as its ``GateKind``'s unitary. Every analysis reads one index of
+per-instruction facts, ``Dependencies``; the rewrite passes update its
+mutable form, ``Chain``, in place.
 """
 
 from __future__ import annotations
@@ -351,11 +333,8 @@ def validate(circuit: Circuit) -> list[str]:
 
 
 def is_diagonal(instr: Instruction) -> bool:
-    """True when the gate's unitary is diagonal in the computational basis:
-    its kind's ``diagonal``.
-
-    A quantum control and a classical condition preserve diagonality.
-    """
+    """True when the gate's kind is ``diagonal``; a quantum control and a
+    classical condition preserve diagonality."""
     return isinstance(instr, Gate) and instr.kind.diagonal
 
 
@@ -364,11 +343,13 @@ class Dependencies:
 
     Position ``i`` holds instruction ``i``'s qubits (a gate's quantum
     control first, then its target), the bits it reads, the bit it writes
-    (``None``: none) and whether it is a reset. ``Dependencies(circuit)``
-    computes them; a pass that already knows its output's facts builds them
-    with ``of`` and attaches them with ``make_circuit``. Nothing else is
-    kept: a pass that needs wire order or scheduling edges derives them in
-    its own pass over these columns.
+    (``None``: none) and whether it is a reset. A circuit computes them once,
+    on first use (``Circuit.dependencies``). A pass that already knows its
+    output's facts builds them with ``of`` and attaches them with
+    ``make_circuit``, so each stage hands its index to the next and one
+    ``optimize`` computes it only for its input. Nothing derived is kept: a
+    pass that needs wire order or scheduling edges derives them in a pass
+    over these columns that it makes anyway.
     """
 
     __slots__ = ("n_qubits", "n_clbits", "qubits", "reads", "writes", "is_reset")
@@ -419,22 +400,23 @@ def _unlink(prev: list[int], nxt: list[int], s: int) -> None:
 
 class Chain:
     """A circuit as a doubly linked list that the rewrite passes update in
-    place, with per-wire neighbour links.
+    place, from the first commutation to dead-gate removal, and turn back
+    into a circuit once (``materialise``).
 
     Node ``i`` starts as instruction ``i``; nodes a rewrite adds are
     appended, and a removed node's ``instr`` is ``None``. ``facts`` holds
-    every node's entry, starting from the circuit's own ``Dependencies``.
-    Wire links join slots, not nodes: node ``i`` owns wire slots ``2i``
-    (qubit ``wire0[i]``, its first qubit when added) and ``2i + 1`` (its
-    other qubit); ``before`` and ``after`` answer in nodes, so no other
-    module reads the slots. ``label`` orders the nodes: a node placed
-    between two others takes the midpoint of their labels, and all labels
-    are renumbered when a gap is used up, which keeps their order.
-
-    Each rewrite step is one call that updates only what the step changes,
-    with the facts the step hands over. The chain holds one ``(q,)`` per
-    qubit and one ``(b,)`` and ``((b, True),)`` per bit, built on first
-    use, which the steps' facts and conditions share.
+    every node's entry, starting from the circuit's ``Dependencies``, and
+    each rewrite step is one call that updates only what the step changes,
+    with the facts the step hands over. Wire links join slots, not nodes:
+    node ``i`` owns slots ``2i`` (qubit ``wire0[i]``, its first qubit when
+    added) and ``2i + 1`` (its other qubit). ``before`` and ``after`` answer
+    in nodes, so a wire neighbour is one lookup and no other module reads
+    the slots. ``label`` orders the nodes: a node placed between two others
+    takes the midpoint of their labels, and when a gap is used up all labels
+    are renumbered in list order, which keeps their order. The chain holds
+    one ``(q,)`` per qubit and one ``(b,)`` and ``((b, True),)`` per bit,
+    built on first use, which the steps' facts and conditions share, so an
+    introduction on an unconditioned gate allocates only its new gate.
     """
 
     def __init__(self, circuit: Circuit) -> None:

@@ -1,17 +1,9 @@
-"""Exact reference semantics for dynamic circuits.
+"""Exact reference semantics for dynamic circuits, in plain Python.
 
-Path enumeration in plain Python, with explicit branching on measurements
-and resets. A path keeps a flat list of amplitudes over only the qubits in
-its state. A qubit outside the state is a classical bit of the path: every
-qubit starts outside at 0, and a measured or reset one leaves the state and
-holds its value. Controls, flips and phases on such bits update the path's
-record; only the target of any other gate enters the state. So the one- and
-two-qubit circuits that reuse produces run on lists of two or four numbers.
-Where a measurement leaves a path's state empty, the rest of the circuit is
-walked once per value of the record bits it touches (again only for a
-heavier path), and every lighter path takes that walk's outcomes, scaled.
-The observable object is the joint probability distribution over the
-declared classical bits, which is what every rewrite pass must preserve.
+``distribution`` gives the joint distribution over a circuit's classical
+bits, which every rewrite pass must preserve, and ``equivalent`` compares
+two circuits by it. ``distribution`` holds the argument; each helper
+states only its contract.
 """
 
 from __future__ import annotations
@@ -71,15 +63,11 @@ def _select(base: list[int], size: int, t: int, side: int) -> list[int]:
 
 
 def _halves(tables: dict, index: list[int], k: int, t: int, c: int | None) -> tuple[list[int], list[int]]:
-    """The indices of ``k`` bits whose bit ``t`` is 0, and those whose bit
-    ``t`` is 1, inside those whose bit ``c`` is 1 unless ``c`` is None, kept
-    in ``tables`` so that each pair is built once; every table holds the
-    ints of ``index``.
-
-    The lists are ascending: without a control that is the order of the
-    shorter state a split continues on, and with one, both sides list
-    partner indices in the same order.
-    """
+    """The ``k``-bit indices whose bit ``t`` is 0, and those whose bit ``t``
+    is 1, inside those whose bit ``c`` is 1 unless ``c`` is None; built once
+    per key in ``tables``, from the ints of ``index``. Both lists ascend, so
+    a split's half keeps the order of the shorter state, and the two sides
+    list partners in the same order."""
     key = (k, t, c)
     if key not in tables:
         if c is None:
@@ -92,15 +80,11 @@ def _halves(tables: dict, index: list[int], k: int, t: int, c: int | None) -> tu
 
 
 def _swaps(tables: dict, k: int, t: int, c: int | None) -> list[tuple[slice, slice]]:
-    """Pairs of equal-length slices of a list of ``2^k`` amplitudes: the
-    positions whose bit ``t`` is 0 and their partners whose bit ``t`` is 1,
-    inside those whose bit ``c`` is 1 unless ``c`` is None. Kept in
-    ``tables`` so that each list is built once.
-
-    Bits ``t`` and ``c`` split the other index bits into groups of adjacent
-    free bits. Each slice runs over the widest group with one step, and
-    there is a slice for each value of the other groups' bits.
-    """
+    """Pairs of equal-length slices of ``2^k`` amplitudes: the positions
+    whose bit ``t`` is 0 and their partners whose bit ``t`` is 1, inside
+    those whose bit ``c`` is 1 unless ``c`` is None; built once per key in
+    ``tables``. Each slice steps over the widest run of index bits other
+    than ``t`` and ``c``, one slice per value of the remaining bits."""
     key = (k, t, c)
     if key not in tables:
         fixed = [t] if c is None else sorted((t, c))
@@ -132,32 +116,13 @@ def _toggle(plan: list[tuple], mask: int, want: int, flip: int) -> int:
 def _plan(
     instrs: tuple[Instruction, ...], n: int, n_bits: int
 ) -> tuple[list[tuple], list[int], list[tuple[int, int, int]]]:
-    """The ops for ``instrs``, the qubits in the state after the last op
-    (bit j of an index is ``inside[j]``), and the positions where a split
-    leaves the state empty, each with the record bits that the ops before it
-    may set and the number of splits before it.
-
-    A path's record holds its ``n_bits`` classical bits and, above them, the
-    known value of each qubit outside its state: qubit q is bit
-    ``n_bits + q``. So a control outside the state is one more literal of
-    the op's record test, that its known value is 1. A flip of a qubit
-    outside the state toggles its known value, and a diagonal gate whose
-    target is outside is a diagonal on its control, ``diag(1, u_vv)`` when
-    the target is known as v (with no control, a phase of the whole path,
-    which no probability sees). Only the target of any other gate enters
-    the state. A gate's entries are its kind's ``unitary``: a flip has
-    ``u00 == u11 == 0`` and a diagonal ``u01 == u10 == 0``, exactly.
-
-    Which qubits are in the state depends only on the instruction sequence,
-    so each op's index tables (see ``_halves``) are worked out here, once: a
-    gate's list its target's ``0`` and ``1`` halves, inside the half where
-    its control is 1, and a split's the halves of the qubit that leaves. A
-    flip swaps the slices ``_swaps`` lists instead, and only a flip other
-    than ``x`` then multiplies. Consecutive toggles are one op.
-
-    Every record starts as 0, and only a toggle, a split's outcome 1 and a
-    measurement of a qubit outside the state set bits, so a bit that no op
-    before a position may set is 0 there on every path.
+    """The ops for ``instrs``, with their record tests and index tables; the
+    qubits in the state after the last op (bit j of an index is
+    ``inside[j]``); and the positions where a split leaves the state empty,
+    each with the record bits that the ops before it may set and the number
+    of splits before it. Qubit q's known value is record bit ``n_bits + q``.
+    A flip has ``u00 == u11 == 0`` and a diagonal ``u01 == u10 == 0`` in its
+    kind's ``unitary``, exactly.
     """
     tables: dict = {}
     swaps: dict = {}
@@ -231,10 +196,8 @@ def _plan(
 
 @dataclass(frozen=True, slots=True)
 class OutcomeDistribution:
-    """Probabilities over classical-bit assignments.
-
-    Keys are bitstrings with bit 0 as the rightmost character.
-    """
+    """Probabilities keyed by classical-bit assignments as bitstrings, bit 0
+    rightmost."""
 
     n_bits: int
     probs: dict[str, float]
@@ -250,9 +213,8 @@ class OutcomeDistribution:
 
 def _total_variation(a: dict, b: dict) -> float:
     """The total variation distance between the outcome probabilities ``a``
-    and ``b``, in one pass over ``a`` that pops each of its outcomes from
-    ``b``: what is left in ``b`` then holds the outcomes only ``b`` reaches.
-    So ``b`` must be a dict the caller no longer needs."""
+    and ``b``. It pops ``a``'s outcomes from ``b``, so ``b`` must be a dict
+    the caller no longer needs."""
     return 0.5 * (sum([abs(p - b.pop(k, 0.0)) for k, p in a.items()]) + sum(b.values()))
 
 
@@ -264,15 +226,11 @@ def _check_branches(branches: int) -> None:
 def _read_out(
     tail: tuple[Instruction, ...], inside: list[int], n_bits: int
 ) -> tuple[int, list[tuple[int, int]], list[int], list[int]]:
-    """Read-out plan for the measurement-only suffix ``tail``, reached with the
-    qubits ``inside`` in the state.
-
-    Returns the mask of bits the suffix writes; for each measured qubit
-    outside the state, the bit of a path's record that holds its value (see
-    ``_plan``) and the record bits it sets when that bit is 1; for each index
-    of the state, its class (one per assignment of the measured qubits
-    inside); and each class's record bits.
-    """
+    """The read-out of the measurement-only suffix ``tail``, reached with the
+    qubits ``inside`` in the state: the bits it writes; for each measured
+    qubit outside the state, its record bit and the bits it sets when that
+    is 1; each state index's class (one per assignment of the measured
+    qubits inside); and each class's bits."""
     source = {m.bit: m.qubit for m in tail}  # the later write wins
     ones: dict[int, int] = {}
     for bit, q in source.items():
@@ -289,10 +247,8 @@ def _read_out(
 
 def _lift(plan: list[tuple], n_bits: int, written: int) -> tuple[list[tuple], list[tuple[int, int, int]]]:
     """``plan`` without its longest trailing run of toggles that each test at
-    most one bit and read and write no qubit's known value and no bit in
-    ``written`` (the bits the read-out writes), and that run. Such a run
-    commutes with the read-out, so it can move each outcome once the walk
-    is done (see ``_move``)."""
+    most one bit and touch no qubit's known value and no bit of ``written``,
+    and that run."""
     if plan[-1][0] != _TOGGLES:
         return plan, []
     run = plan[-1][1]
@@ -311,21 +267,13 @@ def _share(
     plan: list[tuple], empties: list[tuple[int, int, int]], n_bits: int,
     written: int, outside: list[tuple[int, int]], keep: int,
 ) -> tuple[list[tuple], list[tuple[int, int, int]]]:
-    """``plan`` with its trailing toggles lifted (see ``_lift``) and a
-    ``_SHARE`` op at each position of ``empties`` where sharing pays, and
-    the lifted toggles; or ``plan`` itself and no toggles where no position
-    shares. The read-out (see ``_read_out``) writes the bits ``written`` and
-    reads the known values in ``outside``. A pass from the end inserts the
-    ops into the lifted plan in place, the last position first, so the
-    positions still to come stay where they are.
-
-    The op holds ``touch``, the record bits that the ops after it and the
-    read-out read or write, and the kept bits outside them. It goes in only
-    where an op follows, a measurement, a reset or the read-out comes later
-    (so that every path from there counts a branch for each leaf it
-    reaches), and fewer bits of ``touch`` may be set than splits come before
-    it: a key ``record & touch`` then takes fewer values than paths may
-    reach it.
+    """``plan`` with its trailing toggles lifted (``_lift``) and a ``_SHARE``
+    op at each position of ``empties`` that an op follows and that meets
+    ``distribution``'s conditions, and the lifted toggles; or ``plan`` and
+    no toggles where no position shares. The op holds ``touch``, the record
+    bits that the ops after it and the read-out (``written``, ``outside``)
+    read or write, and the kept bits outside ``touch``. The ops go in from
+    the last position back, so the positions still to come stay put.
     """
     body, lifted = _lift(plan, n_bits, written)
     touch, at = written, len(body)
@@ -356,16 +304,12 @@ def _share(
 
 
 def _move(run: list[tuple[int, int, int]], acc: dict[int, float]) -> dict[int, float]:
-    """``acc`` with each outcome moved by the toggles ``run``, in order, each
-    of which tests at most one bit (see ``_lift``).
-
-    So the run is an affine map over GF(2): it moves an outcome by its move
-    of 0, XOR the column of each tested bit that is 1 there, which is its
-    move of that bit alone XOR its move of 0. Both are read by running the
-    toggles. An outcome then moves by the move of 0 XOR one table entry per
-    byte of tested bits: a byte starts at the lowest tested bit it does not
-    cover yet, and its table lists the moves of the values of its bits up to
-    the highest tested one.
+    """``acc`` with each outcome moved by the toggles ``run``, in order. The
+    run is affine (see ``distribution``): an outcome moves by the move of 0,
+    XOR for each tested bit set in it that bit's column, its move alone XOR
+    the move of 0, each read by running the toggles. The columns are summed
+    by one table per byte of tested bits: a byte starts at the lowest tested
+    bit not yet covered and ends at the highest tested one within 8 bits.
     """
     def moved_by(record: int) -> int:
         for mask, want, flip in run:
@@ -399,21 +343,11 @@ def _walk(
     plan: list[tuple], keep: int, written: int, outside: list[tuple[int, int]],
     classes: list[int], class_bits: list[int],
 ) -> list[tuple[int, float]]:
-    """The leaves of ``plan`` and the read-out (see ``_read_out``), by
-    depth-first path enumeration: a record and a probability for each
-    outcome of each path, in walk order (see ``distribution``).
-
-    A path that reaches a ``_SHARE`` op with key ``(position, record &
-    touch)`` takes the leaves of the heaviest path that walked that key so
-    far: it scales each by the ratio of their weights, drops those at most
-    ``PRUNE`` and ORs in its kept bits outside ``touch``. Leaves are summed
-    per record only at the end, so each is dropped as the path's own
-    outcome would be step by step. A path heavier
-    than the one that walked its key, or the first with a key, suspends the
-    walk it is in (``frames``) and walks on as a walk of its own, whose
-    leaves are then its own and the key's. ``branches`` counts each branch
-    of a split, each measurement or reset outside the state, each leaf of a
-    read-out, and each leaf a path takes from a shared walk.
+    """The leaves of ``plan`` and the read-out (``_read_out``): a record and
+    a probability for each outcome of each path, in walk order, as
+    ``distribution`` states. A key's walk keeps its leaves unsummed, so a
+    path that takes them drops each as its own outcome would be dropped.
+    Raises ``SimulationLimitError`` past ``MAX_BRANCHES`` branches.
     """
     end = len(plan)
     shared: dict[tuple[int, int], tuple[float, list[tuple[int, float]]]] = {}
@@ -557,74 +491,61 @@ def _outcomes(circuit: Circuit) -> dict[int, float]:
 def distribution(circuit: Circuit) -> OutcomeDistribution:
     """Joint distribution of the classical register after running the circuit.
 
-    Depth-first path enumeration: unitaries act on a path's amplitudes,
-    measurements and resets split the path with Born-rule weights, conditions
-    and toggles update each path's classical record. Branches with weight
-    below ``PRUNE`` are dropped.
+    Exact, except that a branch of weight at most ``PRUNE`` is dropped. At
+    most ``MAX_QUBITS`` qubits are simulated, and a run of more than
+    ``MAX_BRANCHES`` branches raises ``SimulationLimitError``.
 
-    A path keeps only the qubits in its state: its amplitudes are a flat list
-    of ``2^k`` complex numbers, not normalised (their squared magnitudes sum
-    to the path's weight). Every qubit starts outside the state, known as 0,
-    so a path starts as ``[1]``. A path's one int record holds its classical
-    bits and, above them, the known values of the qubits outside its state.
-    A measured or reset qubit leaves the state: each kept outcome continues
-    on a list of the indices where the qubit has that value, half the
-    length, with the sum of their ``|amplitude|^2`` as its weight, and the
-    record holds the value (0 after a reset). A gate on qubits outside the
-    state is classical where it can be: a control there is a test that its
-    value is 1, a flip (``x``, ``y``) of one toggles its value, and a
-    diagonal gate whose target is there is a diagonal on its control, chosen
-    by the target's value, or with no control only a phase of the whole
-    path, which no probability sees. The target of any other gate enters the
-    state: the list is padded to twice its length, with the qubit as the top
-    index bit at its known value. A measurement or reset of a qubit outside
-    the state is deterministic: one kept branch. Which qubits are in the
-    state at each step depends only on the instructions, so the instructions
-    before the read-out are compiled once into a plan of record mask tests,
-    index tables and matrix entries (see ``_plan``). A gate is a diagonal, a
-    bit flip that swaps slices of the list (then, for ``y``, a diagonal), or
-    a general two-by-two update of the index pairs its tables list.
+    **Paths**, enumerated depth first. A path has a weight, an int record
+    and a flat list of ``2^k`` amplitudes, not normalised, over only the
+    ``k`` qubits in its state. The record holds the classical bits and,
+    above them, the known value of each qubit outside the state. Every qubit
+    starts outside, known as 0, so a path starts as ``[1]``. A measurement or
+    reset splits a path: each outcome continues on the half of the list
+    where the qubit has that value, weighted by the half's sum of
+    ``|amplitude|^2``, and the qubit leaves the state with that value (0
+    after a reset). On a qubit outside the state a gate stays classical
+    where it can: a control there tests that its value is 1, a flip (``x``,
+    ``y``) toggles the value, and a diagonal gate is a diagonal on its
+    control chosen by the value (with no control, a global phase). Only the
+    target of any other gate enters the state, at its known value, and a
+    measurement or reset outside the state has one outcome. Which qubits
+    are in the state depends only on the instructions, so ``_plan`` compiles
+    them once.
 
-    The longest suffix of the circuit that holds only measurements is not
-    branched: when a path reaches it, ``|amplitude|^2`` is summed per
-    assignment of the measured qubits in the state, the measured qubits
-    outside it read their known values, and every assignment whose sum
-    exceeds ``PRUNE`` becomes one leaf. Its record applies the suffix's writes
-    in order, so a qubit measured twice writes equal bits and the later write
-    to a bit wins. A path's weight only shrinks, so these are the outcomes
-    that step-by-step branching keeps. Each branch of a measurement or reset,
-    and each leaf of the suffix, counts once against ``MAX_BRANCHES``.
+    **Read-out.** The longest suffix of measurements is not branched: a path
+    that reaches it sums ``|amplitude|^2`` per assignment of the measured
+    qubits in the state, and each sum above ``PRUNE`` is one leaf; the later
+    write to a bit wins. A path's weight only shrinks, so these are exactly
+    the leaves that stepwise branching keeps. Each kept branch of a split,
+    and each leaf, counts once against ``MAX_BRANCHES``.
 
-    Where a split leaves the state empty, a path is its record and weight
-    alone: its amplitude list holds one number, whose phase no probability
-    sees. The ops after that position read and write only the record bits
-    ``touch`` (with the read-out's), so the leaves a path reaches from there
-    depend only on ``record & touch`` and its weight; its other bits pass to
-    each leaf unchanged. So the first path with a key walks on as usual, and
-    its leaves are the key's. A later path that is no heavier takes them
-    scaled by the ratio of the weights, drops those at most ``PRUNE`` and
-    ORs in its kept bits outside ``touch`` (see ``_walk``). A path's weight
-    only shrinks, so a leaf whose scaled weight exceeds ``PRUNE`` passed
-    every split on the way at a weight above ``PRUNE``, both in the walk and
-    scaled: dropping the scaled leaves at most ``PRUNE`` drops exactly what
-    step-by-step pruning of the lighter path drops. A heavier path would
-    keep leaves that the walk dropped, so it walks on too, and its leaves
-    become the key's. Against ``MAX_BRANCHES``, a path that walks counts its
-    branches as usual, and a path that takes leaves counts one branch per
-    leaf it keeps. A position shares only where a measurement, a reset or
-    the read-out comes later (see ``_share``), so step-by-step branching
-    counts at least one branch for each of those leaves, and no circuit
-    counts more than it would step by step. It also shares only when fewer
-    bits of ``touch`` may be set there than splits come before it, so that
-    keys stay fewer than the paths that may reach them. A trailing run of
-    toggles that each test at most one bit and touch no qubit's known value
-    and no bit the read-out writes would make every position touch the bits
-    it reads, so it leaves the walk and moves each outcome once at the end
-    (see ``_lift`` and ``_move``).
+    **Shared futures.** Where a split empties the state, a path is only its
+    record and weight. What follows reads and writes only the record bits
+    ``touch``, so its leaves depend only on ``record & touch`` and the
+    weight, and the other record bits pass to each leaf unchanged. The first
+    path with a key walks on, and its leaves become the key's. A later path
+    that is no heavier takes them scaled by the ratio of the weights and
+    drops those at most ``PRUNE``. A path's weight only shrinks, so a scaled
+    leaf above ``PRUNE`` passed every split above ``PRUNE``: this drops
+    exactly what stepwise pruning drops. A heavier path would keep leaves
+    that the walk dropped, so it walks on itself, and its leaves become the
+    key's. A path that takes leaves counts one branch per leaf it keeps, and
+    a position shares only where a measurement, a reset or the read-out
+    follows, so stepwise branching counts at least one branch per leaf: no
+    circuit counts more branches than stepwise branching. Record bits start
+    at 0 and only toggles, splits and measurements outside the state set
+    them, so ``_plan`` knows which may be set at each position. A position
+    shares only when fewer bits of ``touch`` may be set there than splits
+    come before it, so its keys stay fewer than the paths that reach it.
 
-    Up to here an outcome is an int record (see ``_outcomes``), summed per
-    record; only this function formats the records, each as one bitstring.
-    ``equivalent`` compares the records themselves.
+    **Lifted toggles.** A trailing run of toggles that each test at most one
+    bit and touch no known qubit value and no bit the read-out writes would
+    make every position touch the bits it reads. Such a run is affine over
+    GF(2) and commutes with the read-out, so it leaves the walk and moves
+    each outcome once, at the end.
+
+    Outcomes stay int records until this function formats each once as a
+    bitstring; ``equivalent`` compares the records.
     """
     n_bits = circuit.n_clbits
     spec = f"0{n_bits}b"
@@ -633,13 +554,8 @@ def distribution(circuit: Circuit) -> OutcomeDistribution:
 
 
 def equivalent(first: Circuit, second: Circuit, tol: float = 1e-9) -> tuple[bool, float]:
-    """Compare classical-outcome distributions; qubit counts may differ.
-
-    Returns whether their total variation distance is at most ``tol``, and
-    the distance. Each circuit's outcomes stay int records (see
-    ``_outcomes``), never formatted as bitstrings, and the two are compared
-    in one pass.
-    """
+    """Whether the two circuits' outcome distributions are within total
+    variation distance ``tol``, and the distance; qubit counts may differ."""
     if first.n_clbits != second.n_clbits:
         raise ValueError("circuits declare different classical registers")
     tv = _total_variation(_outcomes(first), _outcomes(second))

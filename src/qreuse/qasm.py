@@ -11,30 +11,26 @@ Grammar (statements are ``;``-terminated, ``//`` starts a comment):
 
 where ``lit`` is ``c[i]`` or ``!c[i]`` and angles are decimal literals.
 The grammar is ASCII: digits are 0-9 only, and only ASCII whitespace
-separates tokens. Any whitespace ``str.strip`` removes (U+00A0, U+3000, ...)
-is blank around a statement but not inside it. Lines end at ``\n``,
-``\r\n`` or a lone ``\r``; any other line-break character is blank around a
-statement.
+separates tokens, though any whitespace ``str.strip`` removes is blank
+around a statement. Lines end at ``\n``, ``\r\n`` or a lone ``\r``.
 Register sizes are at most ``MAX_REGISTER``, so a declaration cannot make
 validation allocate without bound, and an index or size has no more digits
-than the interpreter reads as an int (4,300 by default).
-Opaque gates are declared by a ``// matrix <label>: re im re im re im re im``
-comment (row-major 2x2, unitary: no entry of ``U^dagger U - I`` above 1e-9)
-and used as ``<label> q[i];``; a label is declared once and names no
-built-in gate or statement. A circuit that breaks an ``ir.violations``
-invariant is rejected at the line of its first offending statement. Emission is
-deterministic: fixed ordering, 17-significant-digit floats, so identical
+than the interpreter reads as an int. Opaque gates are declared by a
+``// matrix <label>: re im re im re im re im`` comment (row-major 2x2,
+unitary: no entry of ``U^dagger U - I`` above 1e-9) and used as
+``<label> q[i];``; a label is declared once and names no built-in gate or
+statement. A circuit that breaks an ``ir.violations`` invariant is
+rejected at the line of its first offending statement. Emission is
+deterministic (fixed ordering, 17-significant-digit floats), so identical
 circuits produce byte-identical text.
 
-A line that holds exactly one gate, measurement or reset statement,
-spaced as ``emit`` writes it (``cp(0.25) q[0], q[1];``,
-``c[0] = measure q[0];``, ``u_a q[0];``, nothing before or after), is read
+``parse`` reads a line by one of two routes. A line that holds exactly one
+gate, measurement or reset statement, spaced as ``emit`` writes it, is read
 with one match of the whole line, opaque labels and over-long indices
-included. Of such lines, only an ``include`` line and a shape that no
-statement has (``cx q[0];``, an undeclared label) go on to be read
-statement by statement, as every other line is. Both routes build a gate or
-reset with ``_Reader.gate`` and give the same instructions and the same
-errors, with the same line and column.
+included; every other line, and such a line whose match reads as no gate
+(``cx q[0];``, an undeclared label, ``include``), is read statement by
+statement. Both routes build a gate or reset with ``_Reader.gate`` and give
+the same instructions and the same errors, with the same line and column.
 """
 
 from __future__ import annotations

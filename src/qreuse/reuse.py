@@ -1,28 +1,13 @@
 """Greedy qubit reuse: merge independent computations onto one wire.
 
-A computation on qubit ``q`` may move onto wire ``q_prime`` when nothing that
-depends on ``q``'s instructions is needed by ``q_prime``'s own instructions:
-the forward reach of ``q``'s wire must not touch ``q_prime``, and no
-instruction on ``q_prime`` may read or write a classical bit that ``q``'s
-reach produces. The merge appends ``q``'s instructions after a fresh reset of
-``q_prime``. That order exists unless ``q``'s first instruction already
-precedes some instruction of ``q_prime``. A wire without instructions takes
-no part: it is never planned and gets no output wire.
-
-The circuit is analysed once, in one backward pass over its
-``Dependencies`` (the ones the rewrite passes handed over, or the input's
-own) that keeps masks per wire and per bit, not per instruction. A merge
-changes none of the facts these tests read, when each is expressed over the
-original wires: a reset stops the forward reach exactly where the host wire
-used to end, and the scheduling edges only gain one ``host last -> reset ->
-mover first`` chain. So every merge is planned on per-group masks (a group
-is the set of original wires sharing one wire, named by its host's original
-wire). Only then are the scheduling edges built, in the one pass that
-renumbers the wires of every instruction; this module alone states the
-scheduling rule, backward in the masks and forward in the edges. The merged
-circuit is scheduled once with a stable topological sort that keeps the
-original order wherever dependencies allow. The result carries its facts:
-the input's, renumbered the same way.
+A computation on qubit ``q`` may move onto wire ``q_prime``, after a fresh
+reset of it, when nothing that depends on ``q``'s instructions is needed by
+``q_prime``'s own: the forward reach of ``q``'s wire must not touch
+``q_prime``, no instruction on ``q_prime`` may read or write a classical bit
+that ``q``'s reach produces, and ``q``'s first instruction must not already
+precede an instruction of ``q_prime``. ``_wire_masks`` analyses the circuit
+once, ``_plan`` chooses every merge first fit on those masks, and ``run``
+schedules the merged circuit. A wire without instructions takes no part.
 """
 
 from __future__ import annotations
@@ -85,17 +70,21 @@ def _wire_masks(deps: Dependencies) -> tuple[list[int], list[int], list[int], li
 def _plan(deps: Dependencies) -> tuple[list[int], list[tuple[int, int]]]:
     """The live wires, and first-fit merges ``(mover, host)`` of wire
     groups: lowest host first, then lowest mover, repeated until no pair
-    qualifies.
+    qualifies. A group is the set of original wires sharing one wire, named
+    by its host's original wire.
 
-    A group's masks only grow as it absorbs others, so a rejected pair stays
-    rejected; one sweep over hosts and movers in that order therefore makes
-    the same merges as restarting the search after each one. An absorbed
-    group is never tested or read again, so both the mover scan and the
-    per-merge update run over the groups not yet absorbed.
-
-    A cone only follows scheduling edges, so the wires a group reaches are
-    among those it blocks, and the cycle test below also rules out reaching
-    the host.
+    Every merge is planned on the masks of ``_wire_masks``, over the
+    original wires, since a merge changes none of the facts they hold: a
+    reset stops the forward reach exactly where the host wire used to end,
+    and the scheduling order only gains one ``host last -> reset -> mover
+    first`` chain. A group's masks only grow as it absorbs others, so a
+    rejected pair stays rejected; one sweep over hosts and movers in that
+    order therefore makes the same merges as restarting the search after
+    each one. An absorbed group is never tested or read again, so both the
+    mover scan and the per-merge update run over the groups not yet
+    absorbed. A cone only follows scheduling edges, so the wires a group
+    reaches are among those it blocks, and the cycle test below also rules
+    out reaching the host.
     """
     live, reach_bits, accessed, blocked = _wire_masks(deps)
     members = [1 << w for w in live]
@@ -128,7 +117,11 @@ def _plan(deps: Dependencies) -> tuple[list[int], list[tuple[int, int]]]:
 
 
 def run(circuit: Circuit) -> tuple[Circuit, int]:
-    """Plan every merge, then schedule and renumber the circuit once."""
+    """Plan every merge, then schedule and renumber the circuit once. The
+    merged circuit is scheduled with a stable topological sort that keeps
+    the original order wherever dependencies allow; its facts are the
+    input's, renumbered the same way. With no merge and no idle wire, the
+    input is returned as it is."""
     deps = circuit.dependencies()
     live, merges = _plan(deps)
     if not merges and len(live) == circuit.n_qubits:
@@ -148,10 +141,9 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
     # builds its scheduling edges: from the instruction before it on each of
     # its wires (through resets), from the last write of each bit it reads,
     # and, when it writes a bit, from that bit's last write and every read
-    # since. It records each wire's first and last instruction. The facts
-    # are the input's, renumbered the same way. An instruction touches at
-    # most two qubits, a gate's control first; each output wire has one
-    # ``(w,)``.
+    # since. It records each wire's first and last instruction. An
+    # instruction touches at most two qubits, a gate's control first; each
+    # output wire has one ``(w,)``.
     instrs = circuit.instructions
     one = [(w,) for w in range(len(hosts))]
     renamed: list[Instruction] = []

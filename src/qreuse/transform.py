@@ -2,36 +2,20 @@
 
 Three transformations work together with measurement commutation:
 
-* dead-gate elimination drops gates that can no longer influence any
-  measurement,
+* dead-gate elimination drops gates whose forward cone reaches no
+  measurement (``_remove_dead_gates``),
 * classical control introduction replaces a quantum control sitting right
   after its wire's measurement with a classical condition on the measured
-  bit,
-* control exchange flips control and target of a controlled phase (a
-  unitary ``diag(1, u11)``: CZ, CP) whose target (but not control) was just
-  measured, unlocking the previous rule.
+  bit (``_introduce_all``),
+* control exchange swaps control and target of a controlled phase whose
+  target, but not control, was just measured, which unlocks the previous
+  rule (``_exchange_all``).
 
-``run`` chains them in the order the rewrites feed each other: commute,
-then introduction/exchange to a fixpoint, one more commutation round for the
-conditioned bit-flips this exposes, and finally dead-gate elimination. All
-four steps update one ``ir.Chain``, built from the input's facts, in place;
-the result is turned back into a circuit, with its facts, once.
-
-Each control rule is one worklist helper, ``_introduce_all`` and
-``_exchange_all``, which decides and rewrites each gate of its worklist in
-place; the public one-pass functions and ``run``'s fixpoint call these
-helpers. A helper tests the cheap conditions that usually fail first (is it
-a controlled gate, of the right kind, is its wire predecessor a
-measurement), so a gate that does not qualify costs only those tests. Each
-rewrite is then one chain call with the new gate's facts:
-``Chain.drop_control`` for an introduction, which hands back the next node
-on the control's wire to retry, and ``Chain.put`` with the reversed qubits
-for an exchange. Any worklist order gives the result of passes in
-circuit order. Introduction only takes gates off wires: no node moves, the
-next write to each bit is fixed, and a control's wire predecessor, once a
-measurement, stays one. An exchange changes no wire predecessor, so the
-exchanges of one round depend only on the state that round's introductions
-reached.
+``run`` chains them in the order the rewrites feed each other on one
+``ir.Chain``: commute, introduction and exchange to their fixpoint
+(``_controls_fixpoint``), one more commutation push for the conditioned
+bit-flips this exposes, and dead-gate elimination. The public one-pass
+functions run one pass of a rule each.
 """
 
 from __future__ import annotations
@@ -116,7 +100,8 @@ def _introduce_all(chain: Chain, nodes: list[int], next_write: list[int]) -> tup
 
     A control qualifies when its wire's predecessor is a measurement whose
     bit no write overwrites before the gate. The gate then takes the literal
-    ``bit == 1``, or is removed when that contradicts its condition.
+    ``bit == 1``, or is removed when that contradicts its condition. The
+    cheap tests that usually fail come first.
     """
     instrs, label, before, after = chain.instr, chain.label, chain.before, chain.after
     bit_tuples, drop_control, reads_of = chain.bit_tuples, chain.drop_control, chain.facts.reads
@@ -186,14 +171,8 @@ def _exchange_all(chain: Chain, nodes: list[int]) -> list[int]:
 
 
 def introduce_classical_controls(circuit: Circuit) -> tuple[Circuit, int]:
-    """Replace measured quantum controls with classical conditions.
-
-    A control qualifies when the most recent instruction on its wire is the
-    measurement of that qubit; the gate then fires when the measured bit is
-    set. Controls whose qubit was not just measured stay quantum. The result
-    is that of one pass in circuit order, which leaves nothing for a second
-    to replace.
-    """
+    """Replace measured quantum controls with classical conditions, as one
+    pass in circuit order, which leaves nothing for a second to replace."""
     chain = Chain(circuit)
     order = chain.order()
     replaced, _ = _introduce_all(chain, order, _next_writes(chain, order))
@@ -201,12 +180,8 @@ def introduce_classical_controls(circuit: Circuit) -> tuple[Circuit, int]:
 
 
 def exchange_controls(circuit: Circuit) -> tuple[Circuit, int]:
-    """Swap control and target of phase-type gates measured on the target side.
-
-    Applies to a controlled ``diag(1, u11)`` (CZ, CP), where the target's
-    wire ends in its measurement but the control's does not. The swapped
-    gate then qualifies for classical control introduction on the next round.
-    """
+    """Swap control and target of phase-type gates measured on the target
+    side, as one pass in circuit order."""
     chain = Chain(circuit)
     exchanged = _exchange_all(chain, chain.order())
     return chain.materialise(), len(exchanged)
@@ -215,10 +190,19 @@ def exchange_controls(circuit: Circuit) -> tuple[Circuit, int]:
 def _controls_fixpoint(chain: Chain) -> tuple[int, int]:
     """Rounds of introduction until no gate qualifies, then exchange, until
     a round exchanges nothing; returns the number of introductions and of
-    exchanges. Round 1 tries every gate. By the two facts in the module
-    docstring, a later round need only try the gates just exchanged for
-    introduction, and the gates whose wire predecessor an introduction
-    changed for exchange: no other gate would decide differently.
+    exchanges. A gate exchanged in one round is introduced in the next, so
+    a Fourier transform on n qubits takes n rounds. Round 1 tries every
+    gate; later rounds try only the gates just exchanged for introduction,
+    and the gates whose wire predecessor an introduction changed for
+    exchange. That makes exactly the decisions of full passes in circuit
+    order:
+
+    * Introduction only takes gates off wires: no node moves and the next
+      write to each bit is fixed, so once a control's wire predecessor is a
+      measurement it stays one, and retrying the gate after each wire a gate
+      leaves reaches every introduction, in any worklist order.
+    * An exchange changes no wire predecessor, so the exchanges of a round
+      depend only on the state that round's introductions reached.
     """
     order = chain.order()
     next_write = _next_writes(chain, order)

@@ -5,14 +5,18 @@
 
 For each mutant, the tree (without ``.git``, caches and build outputs) is
 copied to a temporary directory, the mutant's old text is replaced there,
-and ``pytest -x -q tests perfbench`` runs in that directory with its
-``src`` alone on ``PYTHONPATH``. The process first imports ``qreuse`` and
-checks that it is the copy's: an editable install of the package would
-otherwise win. ``QREUSE_MUTANTS_ROOT`` names the unmutated tree, against
-which ``test_every_mutant_applies`` checks the entries there. A mutant is killed when a test fails (pytest's exit status
-1). The run fails when a mutant's old text does not occur exactly once, when
-a mutant survives, or when pytest ends any other way (a collection error, a
-timeout). No test is skipped or deselected.
+and pytest runs in that directory with its ``src`` alone on ``PYTHONPATH``:
+first ``pytest -x -q <killing test file>``, the file the entry names, and
+only when no test there fails, the whole ``pytest -x -q tests perfbench``.
+Two runs, because pytest collects the named paths in tree order however
+they are listed. Each process first imports ``qreuse`` and checks that it
+is the copy's: an editable install of the package would otherwise win.
+``QREUSE_MUTANTS_ROOT`` names the unmutated tree, against which
+``test_every_mutant_applies`` checks the entries there. A mutant is killed
+when a test fails (pytest's exit status 1). The run fails when a mutant's
+old text does not occur exactly once, when a mutant survives, or when
+pytest ends any other way (a collection error, a timeout). No test is
+skipped or deselected.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ BOOT = (
 
 def mutated(root: Path, mutant) -> str:
     """The text of the mutant's file under ``root`` with the mutant applied."""
-    path, old, new, _ = mutant
+    path, old, new, _, _ = mutant
     text = (root / path).read_text(encoding="utf-8")
     count = text.count(old)
     if count != 1 or old == new:
@@ -65,17 +69,20 @@ def run(mutant) -> tuple[bool, str]:
         (copy / mutant[0]).write_text(mutated(ROOT, mutant), encoding="utf-8")
         src = str(copy / "src")
         env = {**os.environ, "PYTHONPATH": src, "QREUSE_MUTANTS_ROOT": str(ROOT)}
-        command = [sys.executable, "-c", BOOT, src, "-x", "-q", "tests", "perfbench"]
-        try:
-            done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return False, f"timed out after {TIMEOUT_S} s"
-    failed = [line for line in done.stdout.splitlines() if line.startswith("FAILED ")]
-    if done.returncode == 1 and failed:
-        return True, failed[0]
-    if done.returncode == 0:
-        return False, "survived: every test passed"
-    return False, f"pytest exit status {done.returncode}:\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
+        command = [sys.executable, "-c", BOOT, src, "-x", "-q"]
+        for paths in ([mutant[4]], ["tests", "perfbench"]):
+            try:
+                done = subprocess.run(
+                    command + paths, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+                )
+            except subprocess.TimeoutExpired:
+                return False, f"timed out after {TIMEOUT_S} s"
+            failed = [line for line in done.stdout.splitlines() if line.startswith("FAILED ")]
+            if done.returncode == 1 and failed:
+                return True, failed[0]
+            if done.returncode != 0:
+                return False, f"pytest exit status {done.returncode}:\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
+    return False, "survived: every test passed"
 
 
 def main(argv: list[str]) -> int:
@@ -84,7 +91,7 @@ def main(argv: list[str]) -> int:
     positions = [int(a) for a in argv] or range(len(MUTANTS))
     not_killed = 0
     for k in positions:
-        path, _, _, why = MUTANTS[k]
+        path, _, _, why, _ = MUTANTS[k]
         start = time.perf_counter()
         killed, outcome = run(MUTANTS[k])
         not_killed += not killed
