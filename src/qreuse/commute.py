@@ -48,7 +48,8 @@ class CommuteRule(Enum):
 
 
 # Each rule's tally key, read once: an Enum member's ``value`` is a property.
-_DIAGONAL, _BIT_FLIP, _Y_DECOMPOSE, _CONTROLLED_ON_CONTROL = (rule.value for rule in CommuteRule)
+_TALLY_KEYS = tuple(rule.value for rule in CommuteRule)
+_DIAGONAL, _BIT_FLIP, _Y_DECOMPOSE, _CONTROLLED_ON_CONTROL = _TALLY_KEYS
 # The two rules that build new gates, by the kind they cross.
 _FLIPS = {"x": _BIT_FLIP, "y": _Y_DECOMPOSE}
 
@@ -88,7 +89,7 @@ def push(chain: Chain) -> dict[str, int]:
     """Push every measurement of ``chain``, in circuit order, until no rule
     applies; returns the rule tallies."""
     order = chain.order()
-    counts = {rule.value: 0 for rule in CommuteRule}
+    counts = dict.fromkeys(_TALLY_KEYS, 0)
     limit = (2 * len(order) + 8) ** 2
     total = 0
     instr, label, before, bit_tuples = chain.instr, chain.label, chain.before, chain.bit_tuples

@@ -22,7 +22,9 @@ unitary: no entry of ``U^dagger U - I`` above 1e-9) and used as
 statement. A circuit that breaks an ``ir.violations`` invariant is
 rejected at the line of its first offending statement. Emission is
 deterministic (fixed ordering, 17-significant-digit floats), so identical
-circuits produce byte-identical text.
+circuits produce byte-identical text, and ``emit`` writes each distinct
+statement head (a gate name with its angle, or an opaque label) and each
+distinct condition once per circuit.
 
 ``parse`` reads a line by one of two routes. A line that holds exactly one
 gate, measurement or reset statement, spaced as ``emit`` writes it, is read
@@ -370,21 +372,17 @@ def _literals_text(literals) -> str:
     return " & ".join(("" if pol else "!") + f"c[{b}]" for b, pol in literals)
 
 
-def _gate_text(gate: Gate, declared: dict[str, tuple[complex, ...]]) -> str:
-    """A gate's statement; an opaque gate's matrix is entered in ``declared``
-    under its label."""
-    kind, t, c = gate.kind, gate.target, gate.control
-    name = _SPELLINGS.get(kind.name, (None, None))[c is not None]
+def _head(kind: GateKind, controlled: bool, declared: dict[str, tuple[complex, ...]]) -> str:
+    """A gate statement's text before its qubits: the name with its angle,
+    or an opaque label, whose matrix is entered in ``declared``."""
+    name = _SPELLINGS.get(kind.name, (None, None))[controlled]
     if name is None:
-        if c is not None:
+        if controlled:
             raise QasmUnsupportedError(f"controlled {kind.label or kind.name} is outside the subset")
         if declared.setdefault(kind.label, kind.matrix) != kind.matrix:
             raise QasmUnsupportedError(f"opaque label {kind.label!r} names two different matrices")
-        return f"{kind.label} q[{t}];"
-    angle = kind.angle
-    if c is None:
-        return f"{name} q[{t}];" if angle is None else f"{name}({_fmt(angle)}) q[{t}];"
-    return f"{name} q[{c}], q[{t}];" if angle is None else f"{name}({_fmt(angle)}) q[{c}], q[{t}];"
+        return kind.label
+    return name if kind.angle is None else f"{name}({_fmt(kind.angle)})"
 
 
 def emit(circuit: Circuit) -> str:
@@ -396,11 +394,24 @@ def emit(circuit: Circuit) -> str:
     declared: dict[str, tuple[complex, ...]] = {}  # opaque label -> matrix, in order of first use
     body: list[str] = []
     append = body.append
+    # A head per kind object, which the circuit holds while this runs, kept
+    # apart with and without a control (``p`` and ``cp`` share a kind).
+    heads: tuple[dict[int, str], dict[int, str]] = ({}, {})
+    prefixes: dict[tuple, str] = {}
     for instr in circuit.instructions:
         if isinstance(instr, Gate):
-            text = _gate_text(instr, declared)
-            if instr.condition:
-                text = f"if ({_literals_text(instr.condition)}) {text}"
+            kind, c = instr.kind, instr.control
+            cached = heads[c is not None]
+            head = cached.get(id(kind))
+            if head is None:
+                head = cached[id(kind)] = _head(kind, c is not None, declared)
+            text = f"{head} q[{instr.target}];" if c is None else f"{head} q[{c}], q[{instr.target}];"
+            condition = instr.condition
+            if condition:
+                prefix = prefixes.get(condition)
+                if prefix is None:
+                    prefix = prefixes[condition] = f"if ({_literals_text(condition)}) "
+                text = prefix + text
             append(text)
         elif isinstance(instr, Measure):
             append(f"c[{instr.bit}] = measure q[{instr.qubit}];")

@@ -1,4 +1,5 @@
-"""Regex-cascade parser, kept as the reference for ``qasm.parse``.
+"""Regex-cascade parser and per-statement writer, kept as the references
+for ``qasm.parse`` and ``qasm.emit``.
 
 This is ``qasm.parse`` as it was before each statement was read with one
 pattern chosen by its leading token: every statement runs the cascade of
@@ -7,6 +8,11 @@ instruction gets its own ``GateKind``. Lines are split
 with ``str.splitlines()``. ``qasm.parse`` must accept the same circuits
 with the same source lines and raise the same errors, apart from the inputs
 ``tests/test_qasm.py`` lists as changed on purpose.
+
+``emit`` is ``qasm.emit`` as it was before each distinct statement head and
+condition was written once per circuit: it formats every gate statement
+afresh. ``qasm.emit`` must write the same text and refuse the same circuits
+with the same errors.
 """
 
 from __future__ import annotations
@@ -25,6 +31,14 @@ from qreuse.ir import (
     violations,
 )
 from qreuse.qasm import MAX_REGISTER, QasmSemanticError, QasmSyntaxError, QasmUnsupportedError
+
+# Kind name -> its statement without a control and its statement with one.
+_SPELLINGS = {
+    **{name: (name, None) for name in ("h", "y", "s", "t", "rx", "rz")},
+    "x": ("x", "cx"),
+    "z": ("z", "cz"),
+    "p": ("p", "cp"),
+}
 
 _FIXED_GATES = ("h", "x", "y", "z", "s", "t")
 _PARAM_GATES = ("p", "rx", "rz")
@@ -244,3 +258,57 @@ def parse(text: str) -> Circuit:
         i, message = errors[0]
         raise QasmSemanticError(message, instructions[i].source_line)
     return circuit
+
+
+def _fmt(value: float) -> str:
+    return format(value, ".17g")
+
+
+def _literals_text(literals) -> str:
+    return " & ".join(("" if pol else "!") + f"c[{b}]" for b, pol in literals)
+
+
+def _gate_text(gate: Gate, declared: dict[str, tuple[complex, ...]]) -> str:
+    kind, t, c = gate.kind, gate.target, gate.control
+    name = _SPELLINGS.get(kind.name, (None, None))[c is not None]
+    if name is None:
+        if c is not None:
+            raise QasmUnsupportedError(f"controlled {kind.label or kind.name} is outside the subset")
+        if declared.setdefault(kind.label, kind.matrix) != kind.matrix:
+            raise QasmUnsupportedError(f"opaque label {kind.label!r} names two different matrices")
+        return f"{kind.label} q[{t}];"
+    angle = kind.angle
+    if c is None:
+        return f"{name} q[{t}];" if angle is None else f"{name}({_fmt(angle)}) q[{t}];"
+    return f"{name} q[{c}], q[{t}];" if angle is None else f"{name}({_fmt(angle)}) q[{c}], q[{t}];"
+
+
+def emit(circuit: Circuit) -> str:
+    name = circuit.name
+    if "\n" in name or "\r" in name or name != name.strip():
+        raise QasmUnsupportedError(f"circuit name {name!r} cannot be serialized")
+    declared: dict[str, tuple[complex, ...]] = {}
+    body: list[str] = []
+    for instr in circuit.instructions:
+        if isinstance(instr, Gate):
+            text = _gate_text(instr, declared)
+            if instr.condition:
+                text = f"if ({_literals_text(instr.condition)}) {text}"
+            body.append(text)
+        elif isinstance(instr, Measure):
+            body.append(f"c[{instr.bit}] = measure q[{instr.qubit}];")
+        elif isinstance(instr, Reset):
+            body.append(f"reset q[{instr.qubit}];")
+        else:
+            rhs = "true" if not instr.product else f"({_literals_text(instr.product)})"
+            body.append(f"c[{instr.target}] = c[{instr.target}] ^ {rhs};")
+    lines = [f"// circuit: {name}"] if name else []
+    for label, matrix in declared.items():
+        if label in _RESERVED or not re.fullmatch(_LABEL, label, re.ASCII):
+            raise QasmUnsupportedError(f"opaque label {label!r} cannot be serialized")
+        numbers = " ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in matrix)
+        lines.append(f"// matrix {label}: {numbers}")
+    lines.append(f"qubit[{circuit.n_qubits}] q;")
+    lines.append(f"bit[{circuit.n_clbits}] c;")
+    lines += body
+    return "\n".join(lines) + "\n"

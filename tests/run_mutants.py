@@ -17,6 +17,9 @@ when a test fails (pytest's exit status 1). The run fails when a mutant's
 old text does not occur exactly once, when a mutant survives, or when
 pytest ends any other way (a collection error, a timeout). No test is
 skipped or deselected.
+
+The mutants run in ``os.cpu_count()`` worker threads, each waiting on its
+own copy's pytest processes; results print in entry order.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from mutants import MUTANTS
@@ -85,19 +89,28 @@ def run(mutant) -> tuple[bool, str]:
     return False, "survived: every test passed"
 
 
+def timed(mutant) -> tuple[bool, str, float]:
+    """``run(mutant)`` and its wall time in seconds."""
+    start = time.perf_counter()
+    killed, outcome = run(mutant)
+    return killed, outcome, time.perf_counter() - start
+
+
 def main(argv: list[str]) -> int:
     for mutant in MUTANTS:  # every entry must apply before any runs
         mutated(ROOT, mutant)
     positions = [int(a) for a in argv] or range(len(MUTANTS))
     not_killed = 0
-    for k in positions:
-        path, _, _, why, _ = MUTANTS[k]
-        start = time.perf_counter()
-        killed, outcome = run(MUTANTS[k])
-        not_killed += not killed
-        status = "killed" if killed else "NOT KILLED"
-        print(f"[{k}] {status} in {time.perf_counter() - start:.1f} s, {path}: {why}\n    {outcome}", flush=True)
-    print(f"{len(positions) - not_killed} of {len(positions)} mutants killed")
+    start = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        runs = [pool.submit(timed, MUTANTS[k]) for k in positions]
+        for k, done in zip(positions, runs):
+            path, _, _, why, _ = MUTANTS[k]
+            killed, outcome, seconds = done.result()
+            not_killed += not killed
+            status = "killed" if killed else "NOT KILLED"
+            print(f"[{k}] {status} in {seconds:.1f} s, {path}: {why}\n    {outcome}", flush=True)
+    print(f"{len(positions) - not_killed} of {len(positions)} mutants killed in {time.perf_counter() - start:.1f} s")
     return 1 if not_killed else 0
 
 

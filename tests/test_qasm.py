@@ -639,3 +639,75 @@ def test_parse_matches_reference_on_edited_files(data):
         assert new[0] is QasmSyntaxError and new[1].startswith("cannot parse statement '(")
     else:
         assert new == old
+
+
+# -- Differential test against the per-statement writer (qasm_reference) --
+
+def written(write, circuit):
+    """The text ``write`` makes of ``circuit``, or its error's class and message."""
+    try:
+        return write(circuit)
+    except QasmUnsupportedError as exc:
+        return type(exc), str(exc)
+
+
+def writer_inputs():
+    """The seeded batteries and the paper's families at n <= 64, each as
+    generated and as compiled in both modes."""
+    families = [bench.gen_qft(n) for n in (8, 32, 64)]
+    families += [bench.gen_qpe(n, 2 * math.pi * 3 / 8, single_p) for n in (8, 32, 64) for single_p in (False, True)]
+    families += [bench.gen_vqe(n, s) for n in (8, 32) for s in bench.STRATEGIES] + [bench.gen_vqe(64, "full")]
+    for c in (*schedule_battery(), *families):
+        yield c
+        for mode in MODES:
+            yield optimize(c, mode)[0]
+
+
+def test_emit_matches_reference():
+    for c in writer_inputs():
+        assert emit(c) == qasm_reference.emit(c), c.name
+
+
+def shared_kinds() -> Circuit:
+    """``p`` and ``cp`` on one kind object, one condition tuple on many gates,
+    equal but distinct condition tuples, toggles and opaque kinds."""
+    b = CircuitBuilder(3, 3, name="shared")
+    b.h(0).measure(0, 0).measure(1, 1)
+    cond = ((0, True), (1, False))
+    for q in range(3):
+        b.p(0.5, q, condition=cond).cp(0.5, q, (q + 1) % 3, condition=cond)
+        b.cp(0.5, (q + 1) % 3, q, condition=((0, True), (1, False))).p(-0.0, q).cp(0.0, q, (q + 2) % 3)
+        b.rz(0.25, q, condition=((1, True),)).x(q, condition=((1, True),)).cx(q, (q + 1) % 3, condition=cond)
+    b.opaque("u_a", [0, 1, 1, 0], 2).opaque("u_b", [1, 0, 0, 1j], 1, condition=cond).opaque("u_a", [0, 1, 1, 0], 0)
+    b.measure(2, 2).toggle(2, cond).toggle(2).toggle(2, ((1, True),))
+    return b.build()
+
+
+def test_emit_matches_reference_on_shared_kinds_and_conditions():
+    c = shared_kinds()
+    halves = [g for g in c.instructions if isinstance(g, Gate) and g.kind.name == "p" and g.kind.angle == 0.5]
+    assert len({id(g.kind) for g in halves}) == 1 and {g.control is None for g in halves} == {True, False}
+    text = emit(c)
+    assert text == qasm_reference.emit(c)
+    assert "if (c[0] & !c[1]) p(0.5) q[0];\nif (c[0] & !c[1]) cp(0.5) q[0], q[1];" in text
+    assert parse(text) == c
+
+
+@pytest.mark.parametrize(
+    "add,message",
+    [
+        (lambda b: b.opaque("u_a", [0, 1, 1, 0], 1).opaque("u_a", [0, 1, 1, 0], 1, control=0), "controlled u_a"),
+        (lambda b: b.p(0.5, 0).cp(0.5, 0, 1).h(0).h(1, control=0), "controlled h"),
+        (lambda b: b.opaque("u_a", [0, 1, 1, 0], 0).opaque("u_a", [0, 1, 1, 0], 1).opaque("u_a", [1, 0, 0, 1], 0),
+         "two different matrices"),
+    ],
+    ids=["controlled opaque after its plain use", "controlled h", "one label, two matrices"],
+)
+def test_emit_refuses_as_the_reference_does(add, message):
+    b = CircuitBuilder(2, 0)
+    add(b)
+    b.x(1)
+    c = b.build()
+    refused = written(emit, c)
+    assert refused == written(qasm_reference.emit, c)
+    assert refused[0] is QasmUnsupportedError and message in refused[1]
