@@ -394,17 +394,17 @@ def emit(circuit: Circuit) -> str:
     declared: dict[str, tuple[complex, ...]] = {}  # opaque label -> matrix, in order of first use
     body: list[str] = []
     append = body.append
-    # A head per kind object, which the circuit holds while this runs, kept
-    # apart with and without a control (``p`` and ``cp`` share a kind).
-    heads: tuple[dict[int, str], dict[int, str]] = ({}, {})
+    # A head per kind object, which the circuit holds while this runs: key
+    # id(kind), or ~id(kind) with a control (``p`` and ``cp`` share a kind).
+    heads: dict[int, str] = {}
     prefixes: dict[tuple, str] = {}
     for instr in circuit.instructions:
         if isinstance(instr, Gate):
             kind, c = instr.kind, instr.control
-            cached = heads[c is not None]
-            head = cached.get(id(kind))
+            key = id(kind) if c is None else ~id(kind)
+            head = heads.get(key)
             if head is None:
-                head = cached[id(kind)] = _head(kind, c is not None, declared)
+                head = heads[key] = _head(kind, c is not None, declared)
             text = f"{head} q[{instr.target}];" if c is None else f"{head} q[{c}], q[{instr.target}];"
             condition = instr.condition
             if condition:

@@ -6,8 +6,10 @@ reset of it, when nothing that depends on ``q``'s instructions is needed by
 ``q_prime``, no instruction on ``q_prime`` may read or write a classical bit
 that ``q``'s reach produces, and ``q``'s first instruction must not already
 precede an instruction of ``q_prime``. ``_wire_masks`` analyses the circuit
-once, ``_plan`` chooses every merge first fit on those masks, and ``run``
-schedules the merged circuit. A wire without instructions takes no part.
+once, ``_plan`` chooses every merge first fit on those masks, with one pair
+test per surviving host and unabsorbed group and one mask update per host,
+and ``run`` schedules the merged circuit. A wire without instructions takes
+no part.
 """
 
 from __future__ import annotations
@@ -80,11 +82,19 @@ def _plan(deps: Dependencies) -> tuple[list[int], list[tuple[int, int]]]:
     first`` chain. A group's masks only grow as it absorbs others, so a
     rejected pair stays rejected; one sweep over hosts and movers in that
     order therefore makes the same merges as restarting the search after
-    each one. An absorbed group is never tested or read again, so both the
-    mover scan and the per-merge update run over the groups not yet
-    absorbed. A cone only follows scheduling edges, so the wires a group
-    reaches are among those it blocks, and the cycle test below also rules
-    out reaching the host.
+    each one. An absorbed group is never tested or read again. A cone only
+    follows scheduling edges, so the wires a group reaches are among those
+    it blocks, and the cycle test below also rules out reaching the host.
+
+    A merge makes whatever precedes the host's last instruction precede the
+    mover's first, so each group whose ``blocked`` meets the host gains the
+    mover's ``blocked``. Deferring that update to the end of the host's
+    sweep changes no pair test: it only touches groups that already meet
+    the host, and those fail the cycle test for the rest of the sweep
+    whatever their masks. Once a group meets the host it gains every later
+    mover's mask, so after the sweep a group that meets the host's own wires
+    gains the OR of all movers' masks, and one that first meets mover j's
+    wires the OR of the movers after j (``_first_met`` finds j).
     """
     live, reach_bits, accessed, blocked = _wire_masks(deps)
     members = [1 << w for w in live]
@@ -92,28 +102,70 @@ def _plan(deps: Dependencies) -> tuple[list[int], list[tuple[int, int]]]:
     unabsorbed = list(range(n_live))
     merges: list[tuple[int, int]] = []
     for h in range(n_live):
-        host, host_bits = members[h], accessed[h]
-        if not host:
+        own = members[h]
+        if not own:
             continue
-        for g in unabsorbed[:]:
+        host, host_bits, gained, movers = own, accessed[h], 0, None
+        for g in unabsorbed:
             if g == h:
                 continue
             # Independent, and g's first instruction need not precede h's wire.
             if host_bits & reach_bits[g] or blocked[g] & host:  # pair test
                 continue
-            # Whatever precedes h's last instruction now precedes g's first.
-            # h's own first instruction does, so h's mask grows too.
-            for k in unabsorbed:
-                if blocked[k] & host:  # propagation
-                    blocked[k] |= blocked[g]
+            if movers is None:
+                movers = []
+            movers.append(g)
+            gained |= blocked[g]
             reach_bits[h] |= reach_bits[g]
             host_bits |= accessed[g]
             host |= members[g]
-            members[g] = 0
-            unabsorbed.remove(g)
             merges.append((live[g], live[h]))
+        if movers is None:
+            continue
         members[h], accessed[h] = host, host_bits
+        taken = [members[g] for g in movers]
+        for g in movers:
+            members[g] = 0
+        unabsorbed = [k for k in unabsorbed if members[k]]
+        late = []
+        for k in unabsorbed:
+            b = blocked[k]
+            if b & own:  # propagation
+                blocked[k] = b | gained
+            elif b & host:
+                late.append(k)
+        if late:
+            first = [()] * len(movers)
+            _first_met(late, taken, blocked, 0, len(movers), first)
+            later = 0  # the OR of the movers after j
+            for j in range(len(movers) - 1, -1, -1):
+                for k in first[j]:
+                    blocked[k] |= later
+                later |= blocked[movers[j]]
     return live, merges
+
+
+def _first_met(
+    groups: list[int], taken: list[int], blocked: list[int], lo: int, hi: int, first: list
+) -> None:
+    """Set ``first[j]`` to the groups whose ``blocked`` meets ``taken[j]``
+    and no earlier mask of ``taken[lo:hi]``, given that each meets one.
+    Halving the range costs each group one split test per level."""
+    if hi - lo == 1:
+        first[lo] = groups
+        return
+    mid = (lo + hi) // 2
+    half = 0
+    for j in range(lo, mid):
+        half |= taken[j]
+    before: list[int] = []
+    after: list[int] = []
+    for k in groups:
+        (before if blocked[k] & half else after).append(k)  # split test
+    if before:
+        _first_met(before, taken, blocked, lo, mid, first)
+    if after:
+        _first_met(after, taken, blocked, mid, hi, first)
 
 
 def run(circuit: Circuit) -> tuple[Circuit, int]:

@@ -316,13 +316,45 @@ class TestIdleWires:
         assert (out.n_qubits, merges) == (1, 0)
 
     def test_merges_visit_no_absorbed_group(self):
-        # One gate on each of 256 wires: every wire merges onto wire 0. The
-        # update after merge j visits the 257 - j groups not yet absorbed,
-        # 32,895 in all; visiting every live group would make 65,280.
+        # One gate on each of 256 wires: every wire merges onto wire 0 in
+        # its sweep, and the one update after it visits the one group left.
+        # An update after each merge visited 32,895 groups.
         c = one_gate_file(256, range(256))
-        (out, merges), visits = count_executions(reuse._plan, "propagation", lambda: run(c), 32_895)
+        (out, merges), visits = count_executions(reuse._plan, "propagation", lambda: run(c), 1)
         assert (out.n_qubits, merges) == (1, 255)
-        assert visits == 32_895
+        assert visits == 1
+
+
+# Per circuit of 4,096 wires: merges, then the executions of the planner's
+# pair test, of its per-host update and of the first-met split.
+WORK_4096 = {
+    "one gate per wire": (4095, 4095, 1, 0),
+    "random d2 baseline": (4052, 103_630, 99_761, 110_397),
+    "random d2 proposed": (4095, 29_295, 25_425, 0),
+}
+
+
+def test_plan_work_at_4096_wires():
+    # The planner's work is pinned, not its time: each surviving host tests
+    # every unabsorbed group once and updates them once, and each group
+    # that first meets a mover's wires costs one split test per halving.
+    random = bench.gen_random(bench.RandomSpec(4096, 2, 1))
+    circuits = {
+        "one gate per wire": one_gate_file(4096, range(4096)),
+        "random d2 baseline": random,
+        "random d2 proposed": transform.run(random)[0],
+    }
+    for name, c in circuits.items():
+        deps = c.dependencies()
+        merges, *work = WORK_4096[name]
+        counted = []
+        for function, marker, limit in zip(
+            (reuse._plan, reuse._plan, reuse._first_met), ("pair test", "propagation", "split test"), work
+        ):
+            (_, planned), executed = count_executions(function, marker, lambda: reuse._plan(deps), limit)
+            assert len(planned) == merges, name
+            counted.append(executed)
+        assert counted == work, name
 
 
 def one_gate_file(n, live):
@@ -335,12 +367,15 @@ def plan_inputs():
     yield from schedule_battery()
     yield from wide_battery()
     yield from (bench.gen_qft(16), bench.gen_qpe(16, 2 * math.pi * 3 / 8), bench.gen_vqe(16, "full"))
+    # Hosts that take hundreds of movers, with groups that first meet a
+    # mover's wires late in the sweep.
+    yield from (bench.gen_random(bench.RandomSpec(512, depth, 1)) for depth in (2, 3))
 
 
 def test_plan_matches_the_full_rescan():
-    # Scanning only unabsorbed groups must make the rescan's merges, in the
-    # same order, before and after the rewrites; idle wires interleaved with
-    # live ones in the one-gate files.
+    # Scanning only unabsorbed groups, and updating them once per host, must
+    # make the per-merge rescan's merges, in the same order, before and after
+    # the rewrites; idle wires interleaved with live ones in the one-gate files.
     def plans(c):
         deps = c.dependencies()
         return reuse._plan(deps)[1], reuse_reference.plan_scan(c)
