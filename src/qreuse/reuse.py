@@ -8,8 +8,8 @@ that ``q``'s reach produces, and ``q``'s first instruction must not already
 precede an instruction of ``q_prime``. ``_wire_masks`` analyses the circuit
 once, ``_plan`` chooses every merge first fit on those masks, with one pair
 test per surviving host and unabsorbed group and one mask update per host,
-and ``run`` schedules the merged circuit. A wire without instructions takes
-no part.
+and ``run`` writes the merged circuit as it schedules it. A wire without
+instructions takes no part.
 """
 
 from __future__ import annotations
@@ -169,11 +169,10 @@ def _first_met(
 
 
 def run(circuit: Circuit) -> tuple[Circuit, int]:
-    """Plan every merge, then schedule and renumber the circuit once. The
-    merged circuit is scheduled with a stable topological sort that keeps
-    the original order wherever dependencies allow; its facts are the
-    input's, renumbered the same way. With no merge and no idle wire, the
-    input is returned as it is."""
+    """Plan every merge, then schedule, renumber and write the circuit in
+    one stable topological sort that keeps the input order wherever
+    dependencies allow; its facts are the input's, renumbered the same way.
+    With no merge and no idle wire, the input is returned as it is."""
     deps = circuit.dependencies()
     live, merges = _plan(deps)
     if not merges and len(live) == circuit.n_qubits:
@@ -189,23 +188,18 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
     rank = {h: r for r, h in enumerate(hosts)}
     wire = [rank.get(h, -1) for h in owner]
 
-    # Each instruction is renumbered once, in input order, and the same pass
-    # builds its scheduling edges: from the instruction before it on each of
-    # its wires (through resets), from the last write of each bit it reads,
-    # and, when it writes a bit, from that bit's last write and every read
-    # since. It records each wire's first and last instruction. An
-    # instruction touches at most two qubits, a gate's control first; each
-    # output wire has one ``(w,)``.
+    # One input-order pass builds the scheduling edges: from the instruction
+    # before each one on each of its wires (through resets), from the last
+    # write of each bit it reads, and, when it writes a bit, from that bit's
+    # last write and every read since. It records each wire's first and last
+    # instruction.
     instrs = circuit.instructions
-    one = [(w,) for w in range(len(hosts))]
-    renamed: list[Instruction] = []
-    qubits = []
     successors: list[list[int]] = []
     indegree: list[int] = []
     first, last = [-1] * circuit.n_qubits, [-1] * circuit.n_qubits
     last_write = [-1] * circuit.n_clbits
     reads_since: dict[int, list[int]] = {}
-    for i, (instr, old, reads, w) in enumerate(zip(instrs, deps.qubits, deps.reads, deps.writes)):
+    for i, (old, reads, w) in enumerate(zip(deps.qubits, deps.reads, deps.writes)):
         successors.append([])
         edges = 0
         for q in old:
@@ -234,6 +228,29 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
             last_write[w] = i
         indegree.append(edges)
 
+    # Each merge resets the host group's wire after its last instruction,
+    # the anchor, and the mover group's first instruction waits for it. The
+    # reset takes that instruction's source line. A reset needs nothing but
+    # its anchor, and when the anchor is written every ready instruction
+    # comes later in the input, so the resets are written at once after it,
+    # in merge order.
+    resets: dict[int, list[Reset]] = {}
+    for g, h in merges:
+        start, end = first[g], last[h]
+        successors[end].append(start)
+        indegree[start] += 1
+        resets.setdefault(end, []).append(Reset(wire[h], instrs[start].source_line))
+        last[h] = last[g]
+
+    # Each instruction is renumbered as it is written. It touches at most
+    # two qubits, a gate's control first; each output wire has one ``(w,)``.
+    one = [(w,) for w in range(len(hosts))]
+    out: list[Instruction] = []
+    qubits, reads, writes, is_reset = [], [], [], []
+    ready = [i for i, d in enumerate(indegree) if d == 0]  # ascending: a heap
+    while ready:
+        i = heapq.heappop(ready)
+        instr, old = instrs[i], deps.qubits[i]
         if len(old) == 1:
             new = one[wire[old[0]]]
         elif old:
@@ -249,48 +266,23 @@ def run(circuit: Circuit) -> tuple[Circuit, int]:
             instr = Measure(new[0], instr.bit, instr.source_line)
         else:
             instr = Reset(new[0], instr.source_line)
-        renamed.append(instr)
+        out.append(instr)
         qubits.append(new)
-
-    # One reset node per merge, chained between the host group's current
-    # last node and the mover group's first. It sorts right after the node it
-    # follows and takes the source line of the mover's first instruction.
-    # The node it follows is always an original instruction (a group's last
-    # node only moves to its mover's last), and no two resets follow the
-    # same one, so instruction i sorts as 2i and a reset after it as 2i + 1.
-    n = len(instrs)
-    sort_key = list(range(0, 2 * n, 2))
-    for g, h in merges:
-        start, end = first[g], last[h]
-        successors[end].append(len(sort_key))
-        successors.append([start])
-        indegree.append(1)
-        indegree[start] += 1
-        sort_key.append(2 * end + 1)
-        last[h] = last[g]
-        renamed.append(Reset(wire[h], instrs[start].source_line))
-        qubits.append(one[wire[h]])
-
-    ready = [(sort_key[i], i) for i in range(len(sort_key)) if indegree[i] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        _, node = heapq.heappop(ready)
-        order.append(node)
-        for nxt in successors[node]:
+        reads.append(deps.reads[i])
+        writes.append(deps.writes[i])
+        is_reset.append(deps.is_reset[i])
+        for reset in resets.get(i, ()):
+            out.append(reset)
+            qubits.append(one[reset.qubit])
+            reads.append(())
+            writes.append(None)
+            is_reset.append(True)
+        for nxt in successors[i]:
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
-                heapq.heappush(ready, (sort_key[nxt], nxt))
-    if len(order) != len(sort_key):
+                heapq.heappush(ready, nxt)
+    if len(out) != len(instrs) + len(merges):
         raise RuntimeError("the planned merges cycle; the mask test missed it")
 
-    k = len(merges)
-    facts = Dependencies.of(
-        len(hosts),
-        circuit.n_clbits,
-        qubits,
-        deps.reads + [()] * k,
-        deps.writes + [None] * k,
-        deps.is_reset + [True] * k,
-    ).take(order)
-    return facts.make_circuit([renamed[v] for v in order], circuit.name), k
+    facts = Dependencies.of(len(hosts), circuit.n_clbits, qubits, reads, writes, is_reset)
+    return facts.make_circuit(out, circuit.name), len(merges)

@@ -8,7 +8,9 @@ must make the same merge decisions; its schedule may order independent
 instructions differently, which ``same_dependency_order`` tolerates.
 ``plan_scan`` is the one-analysis planner as it was when every merge
 rescanned every live group; it reaches circuits far wider than the per-merge
-pass can. Both read every instruction fact through ``facts_reference``.
+pass can. ``sort_key_run`` is ``reuse.run``'s scheduler as it was when
+each reset was a node of the topological sort. All three read every
+instruction fact through ``facts_reference``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import heapq
 from collections import Counter
 from dataclasses import replace
 
+from qreuse import reuse
 from qreuse.ir import Circuit, Gate, Instruction, Measure, Reset
 
 import facts_reference
@@ -75,6 +78,77 @@ def plan_scan(circuit: Circuit) -> list[tuple[int, int]]:
             members[g] = 0
             merges.append((live[g], live[h]))
     return merges
+
+
+def sort_key_run(circuit: Circuit) -> tuple[Circuit, int]:
+    """The merges of ``reuse._plan``, scheduled as ``reuse.run`` did when
+    each merge's reset was a node of a stable topological sort.
+
+    Instruction ``i`` sorts as ``2i``, and the reset chained between the
+    host group's last instruction ``e`` and the mover group's first sorts as
+    ``2e + 1``; a tie between two resets after one instruction goes by merge
+    order. A mover instruction earlier in the input than ``e`` may then slip
+    between two resets after ``e``, where ``reuse.run`` writes both resets
+    at once after ``e``; elsewhere the two schedules are the same.
+    """
+    live, merges = reuse._plan(circuit.dependencies())
+    if not merges and len(live) == circuit.n_qubits:
+        return circuit, 0
+    instrs = circuit.instructions
+    n = len(instrs)
+    wires = facts_reference.wires(circuit)
+    successors = facts_reference.successors(circuit)
+
+    # Each original wire's output wire: its group's host's rank among the
+    # hosts that survive every merge.
+    group = list(range(circuit.n_qubits))
+    for g, h in merges:
+        group = [h if k == g else k for k in group]
+    hosts = sorted({group[w] for w in live})
+    out_wire = [hosts.index(group[w]) if wires[w] else -1 for w in range(circuit.n_qubits)]
+
+    last = [positions[-1] if positions else -1 for positions in wires]
+    sort_key = [2 * i for i in range(n)]
+    reset_wire = []
+    for g, h in merges:
+        start, end = wires[g][0], last[h]
+        successors[end].append(len(sort_key))
+        successors.append([start])
+        sort_key.append(2 * end + 1)
+        reset_wire.append((out_wire[h], instrs[start].source_line))
+        last[h] = last[g]
+    indegree = [0] * len(sort_key)
+    for outs in successors:
+        for j in outs:
+            indegree[j] += 1
+
+    ready = [(sort_key[v], v) for v in range(len(sort_key)) if indegree[v] == 0]
+    heapq.heapify(ready)
+    out: list[Instruction] = []
+    while ready:
+        _, node = heapq.heappop(ready)
+        if node >= n:
+            out.append(Reset(*reset_wire[node - n]))
+        else:
+            out.append(_renamed(instrs[node], out_wire))
+        for nxt in successors[node]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                heapq.heappush(ready, (sort_key[nxt], nxt))
+    assert len(out) == len(sort_key), "the planned merges cycle"
+    return replace(circuit, n_qubits=len(hosts), instructions=tuple(out)), len(merges)
+
+
+def _renamed(instr: Instruction, out_wire: list[int]) -> Instruction:
+    """``instr`` on the output wires, with its source line."""
+    if isinstance(instr, Gate):
+        control = None if instr.control is None else out_wire[instr.control]
+        return Gate(instr.kind, out_wire[instr.target], control, instr.condition, instr.source_line)
+    if isinstance(instr, Measure):
+        return Measure(out_wire[instr.qubit], instr.bit, instr.source_line)
+    if isinstance(instr, Reset):
+        return Reset(out_wire[instr.qubit], instr.source_line)
+    return instr
 
 
 def same_dependency_order(a: Circuit, b: Circuit) -> bool:

@@ -19,7 +19,7 @@ from qreuse.ir import (
     validate,
 )
 from qreuse.pipeline import MODES, optimize
-from qreuse.qasm import MAX_REGISTER, parse
+from qreuse.qasm import MAX_REGISTER, emit, parse
 from qreuse.reuse import run
 
 import facts_reference
@@ -201,6 +201,89 @@ def test_run_matches_per_merge_reference():
             assert same_dependency_order(out, expected), seed
             merged += merges
     assert merged
+
+
+# Two hosts end at one cx, and a merge onto each resets it there.
+TWO_RESETS_AFTER_ONE_CX = (
+    "qubit[4] q;\nbit[2] c;\nc[1] = measure q[3];\nh q[0];\nh q[1];\ncx q[0], q[1];\n"
+    "if (c[1]) x q[2];\nc[0] = measure q[2];\n"
+)
+
+
+def test_two_resets_after_one_instruction_follow_it_in_merge_order():
+    c = parse(TWO_RESETS_AFTER_ONE_CX)
+    assert reuse._plan(c.dependencies())[1] == [(2, 0), (3, 1)]
+    out, merges = run(c)
+    assert merges == 2
+    assert emit(out) == (
+        "qubit[2] q;\nbit[2] c;\nh q[0];\nh q[1];\ncx q[0], q[1];\nreset q[0];\nreset q[1];\n"
+        "c[1] = measure q[1];\nif (c[1]) x q[0];\nc[0] = measure q[0];\n"
+    )
+    ok, dev = oracle.equivalent(c, out)
+    assert ok, dev
+
+
+def test_a_mover_instruction_before_the_anchor_waits_for_every_reset():
+    # q2's measure precedes the cx in the input and waits only for its
+    # reset. The sort-key scheduler wrote it before the cx's second reset;
+    # each reset now follows the cx at once. Only the interleaving differs.
+    c = parse("qubit[4] q;\nbit[1] c;\nc[0] = measure q[2];\ncx q[0], q[1];\nc[0] = measure q[3];\n")
+    out, merges = run(c)
+    assert merges == 2
+    assert emit(out) == (
+        "qubit[2] q;\nbit[1] c;\ncx q[0], q[1];\nreset q[0];\nreset q[1];\n"
+        "c[0] = measure q[0];\nc[0] = measure q[1];\n"
+    )
+    expected, _ = reuse_reference.sort_key_run(c)
+    assert emit(expected) != emit(out) and same_dependency_order(out, expected)
+    ok, dev = oracle.equivalent(c, out)
+    assert ok, dev
+
+
+def sort_key_inputs():
+    yield from schedule_battery()
+    yield from wide_battery()
+    for depth in (2, 3):
+        for seed in range(2):
+            yield bench.gen_random(bench.RandomSpec(512, depth, seed))
+    theta = 2 * math.pi * 3 / 8
+    for n in (*range(2, 13), 16, 32, 64):
+        yield bench.gen_qft(n)
+        yield bench.gen_qpe(n, theta)
+        for strategy in bench.STRATEGIES:
+            yield bench.gen_vqe(n, strategy)
+    yield parse(TWO_RESETS_AFTER_ONE_CX)
+
+
+def test_run_matches_the_sort_key_scheduler():
+    # Writing each reset at once after its anchor schedules these inputs as
+    # the sort with a node per reset did: the same text, source lines and
+    # facts, in both modes.
+    merged = 0
+    for c in sort_key_inputs():
+        for mode in MODES:
+            s = searched(c, mode)
+            out, merges = run(s)
+            expected, expected_merges = reuse_reference.sort_key_run(s)
+            assert (emit(out), merges) == (emit(expected), expected_merges), (c.name, mode)
+            lines = [i.source_line for i in expected.instructions]
+            assert [i.source_line for i in out.instructions] == lines, (c.name, mode)
+            facts, fresh = out.dependencies(), Dependencies(expected)
+            assert (facts.n_qubits, facts.n_clbits) == (fresh.n_qubits, fresh.n_clbits), (c.name, mode)
+            assert (facts.qubits, facts.reads, facts.writes, facts.is_reset) == (
+                fresh.qubits, fresh.reads, fresh.writes, fresh.is_reset
+            ), (c.name, mode)
+            merged += merges
+    assert merged
+
+
+def test_a_planned_cycle_is_refused(bell_measured, monkeypatch):
+    # Wire 1's first instruction is the cx before wire 0's last: moving
+    # wire 1 after wire 0 cycles, and the schedule cannot finish.
+    live = reuse._plan(bell_measured.dependencies())[0]
+    monkeypatch.setattr(reuse, "_plan", lambda deps: (live, [(1, 0)]))
+    with pytest.raises(RuntimeError, match="cycle"):
+        run(bell_measured)
 
 
 def test_run_analyses_the_circuit_once(monkeypatch):
